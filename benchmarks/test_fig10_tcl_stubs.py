@@ -4,13 +4,13 @@ Regenerates the Receiver stub/skeleton of the figure and (when tclsh is
 available) proves it loads and runs against the Python ORB.
 """
 
-import shutil
 import subprocess
 
 import pytest
 
 from repro.idl import parse
 from repro.mappings import get_pack
+from repro.mappings.tcl_orb import find_tclsh
 
 from benchmarks.conftest import write_artifact
 
@@ -57,7 +57,8 @@ def test_fig10_artifact():
     write_artifact("fig10_receiver.tcl", generate_receiver()["Receiver.tcl"])
 
 
-@pytest.mark.skipif(shutil.which("tclsh") is None, reason="tclsh not installed")
+@pytest.mark.skipif(find_tclsh() is None,
+                    reason="no tclsh with the Itcl package")
 def test_generated_code_runs_against_python_orb(tmp_path):
     from repro.heidirmi import HdSkel, Orb
     from repro.heidirmi.serialize import GLOBAL_TYPES

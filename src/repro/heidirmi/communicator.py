@@ -29,7 +29,6 @@ import time
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as _FutureTimeout
 
-from repro.heidirmi.call import Reply, STATUS_ERROR
 from repro.heidirmi.errors import (
     CommunicationError,
     DeadlineExceeded,
@@ -298,71 +297,16 @@ class ObjectCommunicator:
             call.trace_span.stage("send")
         return future
 
-    def invoke_pipelined(self, calls):
-        """Send a burst of calls in ONE channel write; returns futures.
-
-        The transmission-policy counterpart of oneway batching for
-        two-way traffic: every request in *calls* is tagged, registered
-        in the completion table, encoded back-to-back and flushed with a
-        single send, so a window of W calls costs one syscall instead of
-        W.  Multiplexed communicators only.
-        """
-        if not self.multiplexed:
-            raise HeidiRmiError(
-                "pipelined bursts need a multiplexed communicator"
-            )
-        futures = []
-        registered = []
-        buffer = _SendBuffer()
-        try:
-            with self._pending_lock:
-                if self.channel.closed:
-                    raise CommunicationError(
-                        f"channel to {self.channel.peer} is closed",
-                        kind="channel-closed",
-                    )
-                for call in calls:
-                    future = Future()
-                    if call.oneway:
-                        self.protocol.send_request(buffer, call)
-                        future.set_result(None)
-                    else:
-                        if call.request_id is None:
-                            call.request_id = self.protocol.next_request_id()
-                        self.protocol.send_request(buffer, call)
-                        self._pending[call.request_id] = future
-                        if call.deadline is not None:
-                            self._table.deadlines[call.request_id] = (
-                                call.deadline.expires_at
-                            )
-                        registered.append(call.request_id)
-                    futures.append(future)
-                depth = len(self._pending)
-            if self._pending_gauge is not None:
-                self._pending_gauge.set(depth)
-            self._ensure_reader()
-            self.flush()
-            if buffer.data:
-                self.channel.send(bytes(buffer.data))
-        except BaseException as exc:
-            with self._pending_lock:
-                for request_id in registered:
-                    self._pending.pop(request_id, None)
-                    self._table.deadlines.pop(request_id, None)
-            if isinstance(exc, CommunicationError):
-                # Sender-side spool: see invoke_async.
-                self._channel_postmortem(exc)
-            raise
-        return futures
-
     def invoke_pipelined_sync(self, calls, deadline=None):
         """Send a burst in ONE write and block until every reply lands.
 
-        The synchronous sibling of :meth:`invoke_pipelined`: same
-        single-send transmission policy, but the whole window completes
-        through one shared :class:`_BulkCollector` event instead of a
-        future per call — the cheapest way to drive a saturated
-        pipeline.  Returns replies in call order (None for oneways).
+        The transmission-policy counterpart of oneway batching for
+        two-way traffic: every request in *calls* is tagged, registered
+        in the completion table, encoded back-to-back and flushed with
+        a single send, so a window of W calls costs one syscall instead
+        of W — and the whole window completes through one shared
+        :class:`_BulkCollector` event instead of a future per call.
+        Returns replies in call order (None for oneways).
         """
         if not self.multiplexed:
             raise HeidiRmiError(
@@ -685,17 +629,6 @@ class ObjectCommunicator:
         self.channel.send(data)
         if self._reply_flushes is not None:
             self._reply_flushes.inc()
-
-    def reply_error(self, category, message, request_id=None):
-        """Convenience for protocol-level failures (bad request line...)."""
-        marshaller = self.protocol.new_marshaller()
-        reply = Reply(status=STATUS_ERROR, repo_id=category,
-                      marshaller=marshaller, request_id=request_id)
-        reply.put_string(message)
-        try:
-            self.reply(reply)
-        except CommunicationError:
-            pass  # peer already gone; nothing to report to
 
     # -- lifecycle ------------------------------------------------------------
 

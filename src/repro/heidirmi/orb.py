@@ -5,9 +5,9 @@ object table, the stub/skeleton caches and the connection cache, and it
 drives both sides of Figs. 4 and 5:
 
 - client side — ``create_call`` / ``invoke`` behind the stubs;
-- server side — accept a connection on the bootstrap port, wrap an
-  ``ObjectCommunicator`` around it, read requests, select the skeleton
-  by the object identifier and type in the call header, and dispatch.
+- server side — the object table and skeleton cache that requests are
+  dispatched against.  Accepting connections, reading requests and
+  deciding what happens to each is :mod:`repro.heidirmi.serving`.
 
 Everything the paper calls configurable is a constructor knob: the
 transport, the wire protocol, the dispatch strategy, and each cache.
@@ -15,18 +15,14 @@ transport, the wire protocol, the dispatch strategy, and each cache.
 
 import functools
 import threading
-import time
-import traceback
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.heidirmi.call import Reply, STATUS_ERROR, STATUS_EXCEPTION, STATUS_OK, Call
-from repro.heidirmi.communicator import ObjectCommunicator
+from repro.heidirmi.call import Call
 from repro.heidirmi.connection import ConnectionCache
 from repro.heidirmi.errors import (
     CommunicationError,
     DeadlineExceeded,
     HeidiRmiError,
-    MethodNotFound,
     ObjectNotFound,
     ProtocolError,
     RemoteError,
@@ -35,14 +31,13 @@ from repro.heidirmi.exceptions_user import HdUserException
 from repro.heidirmi.objref import ObjectReference
 from repro.heidirmi.protocol import get_protocol
 from repro.heidirmi.serialize import GLOBAL_TYPES
+from repro.heidirmi.serving import BlockingServer
 from repro.heidirmi.stub import HdStub
 from repro.heidirmi.transport import get_transport
-from repro.observe import context as _trace_state
 from repro.resilience.breaker import BREAKER_CLOSED, BREAKER_OPEN, CircuitBreaker
 from repro.resilience.deadline import Deadline
 from repro.resilience.engine import PolicyPlan, resilient_invoke, resolve_deadline
 from repro.resilience.overload import AdmissionController
-from repro.wire.headers import OVERLOADED_CATEGORY, overload_message
 
 
 class Orb:
@@ -101,9 +96,6 @@ class Orb:
         self.monitor = bool(monitor)
         self._transport = get_transport(transport)
         self._requested_port = port
-        self._listener = None
-        self._acceptor_thread = None
-        self._running = False
         self._lock = threading.RLock()
 
         # Object table: oid -> (impl, type_id); skeletons made lazily.
@@ -165,10 +157,6 @@ class Orb:
             self._admission = admission
         else:
             self._admission = AdmissionController(admission)
-        #: True while an orderly drain (``stop(drain=...)``) is running:
-        #: the listener is closed, new requests are handed back as
-        #: retryable sheds, and in-flight dispatches finish.
-        self._draining = False
         # Lazily-built per-endpoint retry budgets (bootstrap-keyed, like
         # the breakers); consulted by the engine before every retry.
         self._retry_budgets = {}  # guarded-by: self._lock
@@ -191,12 +179,8 @@ class Orb:
             observer=observer,
             connect_timeout=connect_timeout,
         )
-        self._dispatch_pool = None
-        self._async_pool = None
+        self._async_pool = None  # guarded-by: self._pool_lock
         self._pool_lock = threading.Lock()
-        # Accepted server-side communicators, closed on stop() so worker
-        # threads blocked in recv unwind promptly.
-        self._active = set()  # guarded-by: self._lock
         #: Counters read by the caching benchmarks.  Mutated through
         #: _count() under _stats_lock — concurrent client threads and
         #: pipelined server workers all bump them.
@@ -209,25 +193,12 @@ class Orb:
             "requests": 0,
             "calls": 0,
         }
-        # Pre-resolved observe instruments; per-operation latency
-        # histograms are memoized in _op_instruments so the hot path
-        # never touches the registry dict.
-        if observer is not None:
-            metrics = observer.metrics
-            self._requests_counter = metrics.counter(
-                "rpc.requests", protocol=self.protocol.name
-            )
-            self._pipeline_gauge = metrics.gauge("rpc.pipeline_inflight")
-            self._server_meter = observer.channel_meter("server")
-            self._server_expired_counter = metrics.counter(
-                "resilience.deadline_expired", side="server"
-            )
-        else:
-            self._requests_counter = None
-            self._pipeline_gauge = None
-            self._server_meter = None
-            self._server_expired_counter = None
+        # Per-operation latency histograms are memoized here so the hot
+        # path never touches the registry dict.
         self._op_instruments = {}
+        #: The blocking server front-end (listener, reader threads,
+        #: drain) and, inside it, the serving core; idle until start().
+        self._server = BlockingServer(self)
 
     def _count(self, key, n=1):
         with self._stats_lock:
@@ -265,19 +236,6 @@ class Orb:
             span.finish()
         self._op_histogram("invoke", call.operation).record(span.duration_us)
 
-    def _finish_server_span(self, call, reply=None, coalesced=False):
-        """Close a server span after its reply left (or was buffered)."""
-        span = call.trace_span
-        if span is None:
-            return
-        if reply is not None:
-            span.set("status", reply.status)
-            if coalesced:
-                span.set("coalesced", True)
-            span.stage("reply")
-        span.finish()
-        self._op_histogram("dispatch", call.operation).record(span.duration_us)
-
     def _watch_future(self, call, future):
         """Finish the call's client span when its reply future resolves."""
         def _complete(done):
@@ -292,16 +250,8 @@ class Orb:
 
     def start(self):
         """Bind the bootstrap port and start accepting connections."""
-        with self._lock:
-            if self._running:
-                return self
-            self._listener = self._transport.listen(self.host, self._requested_port)
-            self._running = True
-            self._draining = False
-        self._acceptor_thread = threading.Thread(
-            target=self._accept_loop, name="heidirmi-acceptor", daemon=True
-        )
-        self._acceptor_thread.start()
+        if not self._server.start(self.host, self._requested_port):
+            return self
         if self.monitor:
             # Registered after the listener binds (references embed the
             # bound port) and exactly once across restarts.  Imported
@@ -328,85 +278,16 @@ class Orb:
         is still busy when the drain deadline passes is force-closed
         exactly as a plain ``stop()`` would.
         """
-        if drain is not None:
-            self._drain(float(drain))
-        with self._lock:
-            was_running, self._running = self._running, False
-            self._draining = False
-        if was_running:
-            if self._listener is not None:
-                self._listener.close()
-            with self._lock:
-                active = list(self._active)
-                self._active.clear()
-            for communicator in active:
-                communicator.close()
+        self._server.stop(drain)
         # Outbound connections exist even on a client-only Orb that was
         # never start()ed; close them unconditionally so their flight
         # recorders disarm BEFORE the peer's shutdown can look like a
         # channel death from this side.
         self.connections.close_all()
         with self._pool_lock:
-            pools = (self._dispatch_pool, self._async_pool)
-            self._dispatch_pool = None
-            self._async_pool = None
-        for pool in pools:
-            if pool is not None:
-                pool.shutdown(wait=False)
-
-    def _drain(self, timeout):
-        """Orderly-drain phase of ``stop(drain=...)``.
-
-        Sets the draining flag (server loops shed new work from here
-        on), closes the listener, then polls the accepted communicators:
-        each one with no dispatch in flight gets its withheld replies
-        flushed, the orderly-close frame, and a close — which also
-        unwinds its reader thread, blocked in recv, with a clean
-        ``channel-closed``.  Returns once every connection is gone or
-        the drain deadline passes (stragglers are force-closed by the
-        caller).
-        """
-        with self._lock:
-            if not self._running or self._draining:
-                return
-            self._draining = True
-        if self._listener is not None:
-            self._listener.close()
-        self._event("orb:drain", timeout=timeout)
-        deadline = time.monotonic() + timeout
-        while True:
-            with self._lock:
-                active = list(self._active)
-            remaining = [c for c in active if not c.closed]
-            if not remaining:
-                return
-            for communicator in remaining:
-                if (getattr(communicator, "inflight", 0) == 0
-                        and getattr(communicator, "inflight_mp", 0) == 0):
-                    self._close_orderly(communicator)
-            if time.monotonic() >= deadline:
-                self._event("orb:drain-expired",
-                            remaining=len(remaining))
-                return
-            time.sleep(0.002)
-
-    def _close_orderly(self, communicator):
-        """Flush withheld replies, announce the close, close the socket."""
-        try:
-            communicator.flush_replies()
-            self.protocol.send_close(communicator.channel)
-        except (CommunicationError, OSError):
-            pass  # peer already gone; the close below still runs
-        communicator.close()
-
-    def _dispatch_executor(self):
-        with self._pool_lock:
-            if self._dispatch_pool is None:
-                self._dispatch_pool = ThreadPoolExecutor(
-                    max_workers=max(1, self.pipeline_workers),
-                    thread_name_prefix="heidirmi-dispatch",
-                )
-            return self._dispatch_pool
+            pool, self._async_pool = self._async_pool, None
+        if pool is not None:
+            pool.shutdown(wait=False)
 
     def _async_executor(self):
         with self._pool_lock:
@@ -425,8 +306,9 @@ class Orb:
     @property
     def address(self):
         """(host, port) actually bound (port resolves 0 → ephemeral)."""
-        if self._listener is not None:
-            return self._listener.address
+        listener = self._server.listener
+        if listener is not None:
+            return listener.address
         return (self.host, self._requested_port)
 
     @property
@@ -653,45 +535,14 @@ class Orb:
 
         return self._async_executor().submit(_round_trip)
 
-    def invoke_many(self, reference, calls):
-        """Pipeline a burst of calls in one send; returns their futures.
-
-        On a multiplexed ORB the whole window goes out in a single
-        channel write and the demultiplexer completes each future as its
-        reply lands (possibly out of order).  On an exclusive ORB this
-        degrades to sequential :meth:`invoke_async`.
-        """
-        calls = list(calls)
-        bootstrap = reference.bootstrap
-        communicator = self.connections.acquire(bootstrap)
-        if not communicator.multiplexed:
-            self.connections.release(bootstrap, communicator)
-            return [self.invoke_async(reference, call) for call in calls]
-        self._count("calls", len(calls))
-        try:
-            futures = communicator.invoke_pipelined(calls)
-        except CommunicationError as exc:
-            self.connections.discard(communicator, reason=exc)
-            if self.observer is not None:
-                for call in calls:
-                    self._finish_client_span(call, error=exc)
-            raise
-        self.connections.release(bootstrap, communicator)
-        if self.observer is not None:
-            for call, future in zip(calls, futures):
-                if call.trace_span is not None:
-                    self._watch_future(call, future)
-        return futures
-
     def invoke_bulk(self, reference, calls, deadline=None):
         """Pipeline a burst of calls and block for all their replies.
 
-        Like :meth:`invoke_many` but synchronous: on a multiplexed ORB
-        the window goes out in one send and the caller sleeps on a
-        single completion event until the last reply lands — far less
-        per-call overhead than a future each.  Returns replies in call
-        order (None for oneways).  Exclusive ORBs fall back to
-        sequential :meth:`invoke`.
+        On a multiplexed ORB the window goes out in one send and the
+        caller sleeps on a single completion event until the last reply
+        lands — far less per-call overhead than a future each.  Returns
+        replies in call order (None for oneways).  Exclusive ORBs fall
+        back to sequential :meth:`invoke`.
 
         *deadline* bounds the whole window: every call in the burst
         shares the one budget (propagated per-request on the wire), and
@@ -748,332 +599,6 @@ class Orb:
         if exc_class is not None and issubclass(exc_class, HdUserException):
             return exc_class._hd_unmarshal(reply, self)
         return RemoteError("user exception", repo_id=reply.repo_id)
-
-    # -- server side (Fig. 5) ------------------------------------------------------
-
-    def _accept_loop(self):
-        while self._running:
-            try:
-                channel = self._listener.accept()
-            except CommunicationError:
-                break
-            self._event("orb:accept", peer=channel.peer)
-            worker = threading.Thread(
-                target=self._serve_channel,
-                args=(channel,),
-                name="heidirmi-conn",
-                daemon=True,
-            )
-            worker.start()
-
-    def _serve_channel(self, channel):
-        # "When a client connects to the bootstrap port, a new
-        # ObjectCommunicator is wrapped around the resulting connection."
-        # Whatever happens inside, this worker must never die without
-        # closing the channel — a silently leaked connection would leave
-        # the client blocked forever.
-        if self._server_meter is not None:
-            channel.meter = self._server_meter
-        flight = getattr(self.observer, "flight", None)
-        if flight is not None:
-            flight.attach(channel, self.protocol.name, "server")
-        communicator = ObjectCommunicator(channel, self.protocol,
-                                          observer=self.observer)
-        # Drain bookkeeping: ``inflight`` covers the serial path (only
-        # this reader thread writes it, plain stores), ``inflight_mp``
-        # the pipelined workers (reader increments, workers decrement,
-        # under the small lock).  ``stop(drain=...)`` only sends the
-        # orderly close to a connection with both at zero.
-        communicator.inflight = 0
-        communicator.inflight_mp = 0  # guarded-by: communicator.inflight_lock
-        communicator.inflight_lock = threading.Lock()
-        with self._lock:
-            self._active.add(communicator)
-        try:
-            self._serve_requests(communicator)
-        except Exception:  # defensive: bug in the server loop itself
-            self._event("orb:server-loop-error", error=traceback.format_exc())
-        finally:
-            with self._lock:
-                self._active.discard(communicator)
-            communicator.close()
-
-    @staticmethod
-    def _server_postmortem(communicator, reason):
-        """Spool a flight bundle for a server channel that died.
-
-        A peer that simply hung up between requests is routine — only
-        mid-stream failures (resets, garbled frames, chaos kills) leave
-        a bundle.
-        """
-        if getattr(reason, "kind", None) == "peer-closed":
-            return
-        recorder = getattr(communicator.channel, "flight", None)
-        if recorder is not None:
-            recorder.postmortem(reason)
-
-    def _serve_requests(self, communicator):
-        # Pipelined servers read ahead with a bounded in-flight window:
-        # the reader keeps pulling requests while pooled workers dispatch
-        # them, so replies (on id-carrying protocols) complete out of
-        # order and one slow call no longer stalls the connection.
-        window = (
-            threading.Semaphore(max(2, self.pipeline_workers * 2))
-            if self.pipeline_workers > 0
-            else None
-        )
-        # Hoisted out of the per-request loop: these run once per call.
-        next_request = communicator.next_request
-        object_key_exists = self._object_key_exists
-        count = self._count
-        observer = self.observer
-        admission = self._admission
-        admission_clock = (admission.policy.clock
-                           if admission is not None else None)
-        admission_admit = (admission.admit
-                           if admission is not None else None)
-        admission_finished = (admission.finished
-                              if admission is not None else None)
-        while self._running and not communicator.closed:
-            if not communicator.channel.has_buffered:
-                # The read-ahead backlog drained: nothing further can
-                # coalesce with any withheld replies (the next request
-                # may be a oneway, or never come at all), so push them
-                # out before blocking — otherwise a burst ending in a
-                # oneway would strand its replies in the sink forever.
-                try:
-                    communicator.flush_replies()
-                except CommunicationError as exc:
-                    self._server_postmortem(communicator, exc)
-                    return
-            try:
-                call = next_request(object_exists=object_key_exists)
-            except CommunicationError as exc:
-                self._server_postmortem(communicator, exc)
-                return
-            except ProtocolError as exc:
-                # A human (or buggy peer) typed something malformed; keep
-                # the connection alive so they can try again — this is
-                # what made telnet debugging possible.
-                communicator.reply_error("Protocol", str(exc))
-                continue
-            if self.trace is not None:
-                self._event("orb:request", operation=call.operation)
-            count("requests")
-            if observer is not None:
-                # Server span: starts once the request is fully parsed
-                # (not at loop top, which would count idle blocking) and
-                # parents onto the wire-propagated client context when
-                # the peer sent one; untraced peers just get a root span.
-                call.trace_span = observer.start_span(
-                    "server", call.operation, parent=call.trace_context,
-                    protocol=self.protocol.name,
-                )
-                self._requests_counter.inc()
-            deadline = call.deadline
-            if deadline is not None and deadline.budget <= 0.0:
-                # The wire said the budget was already gone when the
-                # peer sent it (dl=0): the client has stopped waiting,
-                # so dispatching is dead work.  The parse re-anchored
-                # the budget microseconds ago, so comparing the budget
-                # itself replaces a clock read; requests that age in
-                # the *pipeline* queue are re-checked against the real
-                # clock in _dispatch_and_reply.
-                self._drop_expired(communicator, call)
-                continue
-            if self._draining:
-                # Orderly drain: new work is handed straight back as a
-                # retryable shed; whatever was admitted before the drain
-                # started still finishes.
-                hint = (admission.shed_draining_one()
-                        if admission is not None else 0.05)
-                self._shed_call(communicator, call, hint,
-                                "server draining", "draining")
-                continue
-            admit_time = None
-            if admission is not None:
-                hint = admission_admit(call.operation)
-                if hint is not None:
-                    self._shed_call(communicator, call, hint,
-                                    "server overloaded", "admission")
-                    continue
-                admit_time = admission_clock()
-            if (
-                window is not None
-                and not call.oneway
-                and call.request_id is not None
-            ):
-                # Oneways stay inline (their per-connection ordering is
-                # a guarantee) and id-less requests stay serial (replies
-                # would be correlated by order alone).
-                window.acquire()
-                if self._pipeline_gauge is not None:
-                    self._pipeline_gauge.add(1)
-                with communicator.inflight_lock:
-                    communicator.inflight_mp += 1
-                try:
-                    self._dispatch_executor().submit(
-                        self._dispatch_and_reply, communicator, call,
-                        window, admit_time
-                    )
-                except RuntimeError:  # pool shut down mid-stop
-                    window.release()
-                    if self._pipeline_gauge is not None:
-                        self._pipeline_gauge.add(-1)
-                    with communicator.inflight_lock:
-                        communicator.inflight_mp -= 1
-                    if admit_time is not None:
-                        admission.finished(
-                            call.operation,
-                            admission.policy.clock() - admit_time)
-                    return
-                continue
-            communicator.inflight = 1  # plain store: reader thread only
-            try:
-                alive = self._serve_inline(communicator, call)
-            finally:
-                communicator.inflight = 0
-                if admit_time is not None:
-                    # The serial path dispatches the moment it admits,
-                    # so the sojourn doubles as the service time.
-                    elapsed = admission_clock() - admit_time
-                    admission_finished(call.operation, elapsed,
-                                       service_time=elapsed)
-            if not alive:
-                return
-
-    def _serve_inline(self, communicator, call):
-        """Dispatch one request on the reader thread; False ends the loop."""
-        reply = self._handle_request(call)
-        if call.oneway:
-            if call.trace_span is not None:
-                self._finish_server_span(call)
-            return True
-        try:
-            if call.request_id is not None and communicator.channel.has_buffered:
-                # More requests are already waiting: coalesce this
-                # reply with theirs into one send (ids let the client
-                # demultiplex, so grouping replies is safe).
-                communicator.buffer_reply(reply)
-                if call.trace_span is not None:
-                    self._finish_server_span(call, reply, coalesced=True)
-                return True
-            communicator.reply(reply)
-        except CommunicationError as exc:
-            self._server_postmortem(communicator, exc)
-            return False
-        except HeidiRmiError as exc:
-            # The reply itself failed to encode (e.g. a result value
-            # the marshaller rejects): report instead of dying.
-            communicator.reply_error(
-                type(exc).__name__, str(exc), request_id=call.request_id
-            )
-        if call.trace_span is not None:
-            self._finish_server_span(call, reply)
-        return True
-
-    def _shed_call(self, communicator, call, hint, message, reason):
-        """Answer one shed request with a typed ``Overloaded`` reply.
-
-        *hint* (seconds) rides the wire twice over: rendered into the
-        message as the ``ra=<ms>`` token (the text protocols' in-band
-        spelling) and stored on the Reply for encoders with an
-        out-of-band slot (GIOP's HDRA ServiceContext + TRANSIENT).
-        Shed oneways are simply dropped — there is nothing to answer.
-        """
-        if self.observer is not None:
-            self.observer.metrics.counter("overload.shed",
-                                          reason=reason).inc()
-        if self.trace is not None:
-            self._event("orb:shed", operation=call.operation, reason=reason)
-        if not call.oneway:
-            reply = Reply(
-                status=STATUS_ERROR,
-                repo_id=OVERLOADED_CATEGORY,
-                marshaller=self.protocol.new_marshaller(),
-            )
-            reply.retry_after = hint
-            reply.put_string(overload_message(hint, message))
-            reply.request_id = call.request_id
-            try:
-                communicator.reply(reply)
-            except CommunicationError:
-                pass  # peer already gone; nothing to shed to
-        if call.trace_span is not None:
-            call.trace_span.set("shed", reason)
-            self._finish_server_span(call)
-
-    def _dispatch_and_reply(self, communicator, call, window, admit_time=None):
-        """Pipeline worker body: dispatch one read-ahead request."""
-        span = call.trace_span
-        if span is not None:
-            # Time between read-off-the-wire and worker pickup.
-            span.stage("queue")
-        admission = self._admission
-        service_started = None
-        try:
-            if call.deadline is not None and call.deadline.expired:
-                # Expired while queued for a pipeline worker.
-                self._drop_expired(communicator, call)
-                return
-            if admit_time is not None:
-                queue_age = admission.policy.clock() - admit_time
-                if admission.over_age(queue_age):
-                    # Out-waited the admission policy's max queue age:
-                    # the caller has most likely given up, and doing
-                    # the work anyway is the overload death spiral.
-                    self._shed_call(communicator, call,
-                                    admission.shed_aged(),
-                                    "queued past max age", "age")
-                    return
-                service_started = admission.policy.clock()
-            reply = self._handle_request(call)
-            try:
-                communicator.reply(reply)
-            except CommunicationError:
-                pass  # connection died; the reader loop notices too
-            except HeidiRmiError as exc:
-                communicator.reply_error(
-                    type(exc).__name__, str(exc), request_id=call.request_id
-                )
-            if span is not None:
-                self._finish_server_span(call, reply)
-        except Exception:  # defensive: bug in the pipeline itself
-            self._event("orb:server-loop-error", error=traceback.format_exc())
-        finally:
-            if admit_time is not None:
-                now = admission.policy.clock()
-                admission.finished(
-                    call.operation, now - admit_time,
-                    service_time=(None if service_started is None
-                                  else now - service_started),
-                )
-            with communicator.inflight_lock:
-                communicator.inflight_mp -= 1
-            window.release()
-            if self._pipeline_gauge is not None:
-                self._pipeline_gauge.add(-1)
-
-    def _drop_expired(self, communicator, call):
-        """Shed a request whose wire-propagated deadline already passed.
-
-        Two-ways still get a best-effort ``DeadlineExceeded`` error
-        reply (the client maps that category back to a TimeoutError if
-        it is somehow still listening); oneways are dropped silently.
-        """
-        if self._server_expired_counter is not None:
-            self._server_expired_counter.inc()
-        if self.trace is not None:
-            self._event("orb:deadline-drop", operation=call.operation)
-        if not call.oneway:
-            communicator.reply_error(
-                "DeadlineExceeded",
-                f"request {call.operation!r} expired before dispatch",
-                request_id=call.request_id,
-            )
-        if call.trace_span is not None:
-            call.trace_span.set("deadline.expired", True)
-            self._finish_server_span(call)
 
     # -- resilience helpers ------------------------------------------------
 
@@ -1203,97 +728,26 @@ class Orb:
             return False
         return reference.object_id in self._objects
 
-    def _handle_request(self, call):
-        """Select the skeleton from the call header and dispatch (Fig. 5)."""
-        reply = self._dispatch_request(call)
-        # Pipelined protocols echo the request's correlation id so the
-        # client's demultiplexer can match out-of-order replies.
-        reply.request_id = call.request_id
-        return reply
+    # -- object table lookups for the serving core (Fig. 5) ------------------
 
-    def _parse_target(self, target):
+    def _handle_request(self, call):
+        """Dispatch one parsed request to its skeleton; returns the Reply."""
+        return self._server.core.handle(call)
+
+    def _select_skeleton(self, target):
+        """The skeleton behind a raw target string (front-cache miss)."""
         reference = self._parsed_targets.get(target)
         if reference is None:
             reference = ObjectReference.parse(target)
             if len(self._parsed_targets) >= 4096:
                 self._parsed_targets.clear()
             self._parsed_targets[target] = reference
-        return reference
-
-    def _dispatch_request(self, call):
-        try:
-            # Fast path: target string straight to skeleton, skipping
-            # reference parsing (counts as a cache hit — the skeleton
-            # came from _skeletons originally).
-            skeleton = self._target_skeletons.get(call.target)
-            if skeleton is not None:
-                self._count("skeleton_hits")
-            else:
-                reference = self._parse_target(call.target)
-                skeleton = self._skeleton_for(reference)
-                if self._cache_skeletons:
-                    if len(self._target_skeletons) >= 4096:
-                        self._target_skeletons.clear()
-                    self._target_skeletons[call.target] = skeleton
-            reply = Reply(status=STATUS_OK, marshaller=self.protocol.new_marshaller())
-            if self.trace is not None:
-                self._event(
-                    "orb:dispatch",
-                    operation=call.operation,
-                    skeleton=type(skeleton).__name__,
-                )
-            span = call.trace_span
-            if span is not None:
-                span.stage("select")
-                # Activate this span's context for the upcall: any
-                # outbound calls the implementation makes on this thread
-                # parent onto the server span and extend the trace.
-                previous = _trace_state.activate(span.context)
-                try:
-                    if self._dispatch_serial_lock is not None:
-                        with self._dispatch_serial_lock:
-                            skeleton.dispatch(call, reply)
-                    else:
-                        skeleton.dispatch(call, reply)
-                finally:
-                    _trace_state.restore(previous)
-                span.stage("dispatch")
-                return reply
-            if self._dispatch_serial_lock is not None:
-                with self._dispatch_serial_lock:
-                    skeleton.dispatch(call, reply)
-            else:
-                skeleton.dispatch(call, reply)
-            return reply
-        except HdUserException as exc:
-            reply = Reply(
-                status=STATUS_EXCEPTION,
-                repo_id=exc._hd_repo_id_,
-                marshaller=self.protocol.new_marshaller(),
-            )
-            exc._hd_marshal(reply, self)
-            return reply
-        except ObjectNotFound as exc:
-            return self._error_reply("ObjectNotFound", str(exc))
-        except MethodNotFound as exc:
-            return self._error_reply("MethodNotFound", str(exc))
-        except (ProtocolError, HeidiRmiError) as exc:
-            return self._error_reply(type(exc).__name__, str(exc))
-        except Exception as exc:  # implementation bug: report, don't die
-            self._event("orb:implementation-error",
-                        error=traceback.format_exc())
-            if call.trace_span is not None:
-                call.trace_span.fail(exc)
-            return self._error_reply("Implementation", f"{type(exc).__name__}: {exc}")
-
-    def _error_reply(self, category, message):
-        reply = Reply(
-            status=STATUS_ERROR,
-            repo_id=category,
-            marshaller=self.protocol.new_marshaller(),
-        )
-        reply.put_string(message)
-        return reply
+        skeleton = self._skeleton_for(reference)
+        if self._cache_skeletons:
+            if len(self._target_skeletons) >= 4096:
+                self._target_skeletons.clear()
+            self._target_skeletons[target] = skeleton
+        return skeleton
 
     def _skeleton_for(self, reference):
         """The skeleton for a local object, created lazily and cached."""

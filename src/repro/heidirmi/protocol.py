@@ -200,26 +200,6 @@ class Protocol:
         the base implementation sends nothing.
         """
 
-    # -- shared pump plumbing ----------------------------------------------
-
-    def _pump_request(self, channel):
-        machine = channel_machine(channel, "server", self.machine_class)
-        event = pump_event(channel, machine)
-        if type(event) is wire_events.WireViolation:
-            raise ProtocolError(event.message)
-        if type(event) is wire_events.CloseReceived:
-            raise close_received("server", "an orderly close")
-        return event.call
-
-    def _pump_reply(self, channel):
-        machine = channel_machine(channel, "client", self.machine_class)
-        event = pump_event(channel, machine)
-        if type(event) is wire_events.WireViolation:
-            raise ProtocolError(event.message)
-        if type(event) is wire_events.CloseReceived:
-            raise close_received("client", "an orderly close")
-        return event.reply
-
 
 class TextProtocol(Protocol):
     """The newline-terminated ASCII request/response protocol."""

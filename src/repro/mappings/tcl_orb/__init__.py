@@ -13,6 +13,8 @@ protocol, so a generated Tcl client talks to the Python HeidiRMI server
 """
 
 import os
+import shutil
+import subprocess
 
 from repro.mappings.base import MappingPack
 from repro.mappings.registry import register_pack
@@ -52,6 +54,24 @@ _METHOD_SUFFIX = {
     "wstring": "String",
     "enum": "Enum",
 }
+
+
+def find_tclsh():
+    """A ``tclsh`` that can run the generated code, or None.
+
+    ``orb.tcl`` and the generated classes are ``[incr Tcl]``: a tclsh
+    without the Itcl package fails at ``package require Itcl``, so
+    finding the binary on PATH is not enough.
+    """
+    tclsh = shutil.which("tclsh")
+    if tclsh is None:
+        return None
+    try:
+        probe = subprocess.run([tclsh], input="package require Itcl\n",
+                               capture_output=True, text=True, timeout=30)
+    except (OSError, subprocess.TimeoutExpired):
+        return None
+    return tclsh if probe.returncode == 0 else None
 
 
 def _suffix_for(node):

@@ -95,8 +95,7 @@ class MonitorImpl:
 
     def health(self):
         orb = self._orb
-        with orb._lock:
-            draining = orb._draining
+        draining = orb._server.core.draining
         return {
             "status": "draining" if draining else "ok",
             "uptime_s": time.time() - self._started,
@@ -143,7 +142,7 @@ class MonitorImpl:
         orb = self._orb
         with orb._lock:
             objects = len(orb._objects)
-            active = len(orb._active)
+            active = len(orb._server.active)
         with orb._stats_lock:
             stats = dict(orb.stats)
         return {

@@ -15,8 +15,9 @@ things, all driven by the exact machines the blocking stack pumps:
 ``AioOrbServer``
     A coroutine server front-end for an existing :class:`Orb`'s object
     table: one task per connection, chunk reads fed straight into a
-    server-role wire machine, dispatch through the orb's own
-    ``_handle_request`` in an executor.  No ObjectCommunicator, no
+    server-role wire machine, every request put to the same serving
+    core the blocking server asks (``repro.heidirmi.serving``), its
+    dispatch run in an executor.  No ObjectCommunicator, no
     per-connection thread.
 
 ``AioClientConnection``
@@ -33,12 +34,12 @@ import socket
 import threading
 import time
 
-from repro.heidirmi.call import Reply, STATUS_ERROR
 from repro.heidirmi.errors import (
     CommunicationError,
     DeadlineExceeded,
     ProtocolError,
 )
+from repro.heidirmi.serving import DISPATCH, ServerCore, Session
 from repro.heidirmi.transport import (
     DEFAULT_CONNECT_TIMEOUT,
     Channel,
@@ -47,7 +48,6 @@ from repro.heidirmi.transport import (
     register_transport,
 )
 from repro.wire.bufferplan import BufferPlan
-from repro.wire.headers import OVERLOADED_CATEGORY, overload_message
 from repro.wire.correlation import is_channel_level_error
 from repro.wire.events import (
     NEED_DATA,
@@ -387,65 +387,53 @@ class AioTransport(Transport):
 # ---------------------------------------------------------------------------
 
 
-def _error_reply(protocol, category, message, request_id=None):
-    marshaller = protocol.new_marshaller()
-    reply = Reply(
-        status=STATUS_ERROR,
-        repo_id=category,
-        marshaller=marshaller,
-        request_id=request_id,
-    )
-    reply.put_string(message)
-    return reply
-
-
-def _shed_reply(protocol, hint, message, request_id=None):
-    """A typed ``Overloaded`` shed reply with its retry-after hint.
-
-    The hint rides in-band as the leading ``ra=`` message token (what
-    the text protocols carry) *and* on the reply's ``retry_after`` slot
-    (what the GIOP encoder lifts into the HDRA ServiceContext).
-    """
-    reply = _error_reply(
-        protocol, OVERLOADED_CATEGORY, overload_message(hint, message),
-        request_id=request_id,
-    )
-    reply.retry_after = hint
-    return reply
-
-
 class _AioServerConn:
-    """Per-connection drain bookkeeping for :class:`AioOrbServer`.
+    """The I/O handles of one accepted connection."""
 
-    Every field is read and written only from coroutines on the shared
-    loop, so plain attributes suffice (single-threaded by construction,
-    the same ``<serial:event-loop>`` discipline the client uses).
-    """
+    __slots__ = ("machine", "writer", "meter")
 
-    __slots__ = ("machine", "writer", "write", "inflight", "closing")
-
-    def __init__(self, machine, writer, write):
+    def __init__(self, machine, writer, meter):
         self.machine = machine
         self.writer = writer
-        #: Frame writer (bytes or BufferPlan): plain scatter-gather
-        #: queueing, or the flight-recording wrapper when a recorder
-        #: is armed on this connection.
-        self.write = write
-        self.inflight = 0  # guarded-by: <serial:event-loop>
-        self.closing = False  # guarded-by: <serial:event-loop>
+        self.meter = meter
+
+    async def send(self, data):
+        """Write one emitted frame (bytes or a BufferPlan) and drain."""
+        recorder = self.machine.tap
+        if recorder is not None:
+            # The ring stores frames by reference: record the
+            # contiguous immutable form, send the same bytes.
+            if type(data) is BufferPlan:
+                data = data.to_bytes()
+            recorder.record_out(data)
+        if self.meter is not None:
+            self.meter.sent(len(data))
+        _write_frame(self.writer, data)
+        await self.writer.drain()
+
+    def hang_up(self):
+        """Close the socket; an armed flight ring stays clean."""
+        if self.machine.tap is not None:
+            self.machine.tap.disarm()
+        try:
+            self.writer.close()
+        except Exception:
+            pass
 
 
 class AioOrbServer:
     """Serve an Orb's objects from coroutines instead of threads.
 
-    One asyncio task per connection replaces one thread per connection:
-    chunks come off the stream, go into a server-role wire machine
-    (the same ``machine_class`` the blocking server pumps), and each
-    RequestReceived is dispatched through the orb's own
-    ``_handle_request`` in the loop's default executor, so skeletons
-    and application code still run on plain threads and never see the
-    event loop.  Replies and protocol-level error replies are emitted
-    by the machine, byte-identical to the blocking server's.
+    The asyncio pump over :mod:`repro.heidirmi.serving`: one task per
+    connection replaces one thread per connection.  Chunks come off the
+    stream and go into a server-role wire machine (the same
+    ``machine_class`` the blocking server pumps); each RequestReceived
+    is put to the connection's serving ``Session``, and what it says to
+    dispatch runs in the loop's default executor, so skeletons and
+    application code still run on plain threads and never see the event
+    loop.  Every reply — results, sheds, expiry drops, protocol errors —
+    is the core's, emitted by the machine, byte-identical to the
+    blocking server's.
 
     Usage (from synchronous test/driver code)::
 
@@ -460,8 +448,13 @@ class AioOrbServer:
         self._host = host
         self._port = port
         self._server = None
-        self._conns = set()  # guarded-by: <serial:event-loop>
-        self._draining = False  # guarded-by: <serial:event-loop>
+        self._core = ServerCore(orb)
+        observer = getattr(orb, "observer", None)
+        self._flight = getattr(observer, "flight", None)
+        self._meter = (observer.channel_meter("server")
+                       if observer is not None else None)
+        # Open connections and their serving sessions.
+        self._conns = {}  # guarded-by: <serial:event-loop>
 
     # -- blocking facade ---------------------------------------------------
 
@@ -471,21 +464,19 @@ class AioOrbServer:
         return self.address
 
     def stop(self, drain=None):
-        """Stop serving; with *drain* seconds, wind down in order.
+        """Stop serving and close every connection.
 
         ``drain`` mirrors ``Orb.stop(drain=...)``: stop accepting, shed
-        newly arriving requests as retryable ``draining`` handoffs,
-        let in-flight dispatches finish (up to the budget), then send
-        each connection the protocol's orderly-close frame before
-        closing it.  Without *drain* the stop is immediate, as before.
+        newly arriving requests as retryable ``draining`` handoffs, let
+        in-flight dispatches finish (up to the budget), and send each
+        idle connection the protocol's orderly-close frame before
+        closing it.  Whatever is still busy when the budget runs out is
+        closed with no close frame, exactly as a plain ``stop()`` does.
         """
         if self._server is None:
             return
-        if drain is not None:
-            _run(self._drain_async(float(drain)))
-        _run(self._stop_async())
+        _run(self._stop_async(drain))
         self._server = None
-        self._draining = False
 
     @property
     def address(self):
@@ -494,6 +485,7 @@ class AioOrbServer:
     # -- coroutine side ----------------------------------------------------
 
     async def _start_async(self):
+        self._core.draining = False
         try:
             return await asyncio.start_server(
                 self._serve_connection, self._host, self._port
@@ -504,77 +496,50 @@ class AioOrbServer:
                 kind="bind-failed",
             ) from exc
 
-    async def _stop_async(self):
-        self._server.close()
-        await self._server.wait_closed()
-
-    async def _drain_async(self, timeout):
-        """Orderly wind-down on the loop: quiesce, close, announce."""
-        if self._draining:
-            return
-        self._draining = True
+    async def _stop_async(self, drain):
         self._server.close()  # stop accepting; existing conns live on
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + timeout
-        while True:
-            for conn in list(self._conns):
-                if conn.inflight == 0:
-                    await self._close_orderly(conn)
-            if not self._conns:
-                return
-            if loop.time() >= deadline:
-                # Budget spent: close what is left, busy or not.
-                for conn in list(self._conns):
-                    await self._close_orderly(conn)
-                return
-            await asyncio.sleep(0.002)
+        if drain is not None:
+            self._core.draining = True
+            loop = asyncio.get_running_loop()
+            deadline = loop.time() + float(drain)
+            while self._conns:
+                for conn, session in list(self._conns.items()):
+                    if session.idle:
+                        await self._close_orderly(conn)
+                if loop.time() >= deadline:
+                    break
+                await asyncio.sleep(0.002)
+        while self._conns:
+            self._conns.popitem()[0].hang_up()
+        await self._server.wait_closed()
 
     async def _close_orderly(self, conn):
         """Announce the close (BYE / CloseConnection) and hang up."""
-        if conn.closing:
-            return
-        conn.closing = True
-        self._conns.discard(conn)
+        if self._conns.pop(conn, None) is None:
+            return  # already closing
         emit_close = getattr(conn.machine, "emit_close", None)
         try:
             if emit_close is not None:
                 # Classic text has no close frame; EOF is the close.
-                conn.writer.write(emit_close())
-                await conn.writer.drain()
+                await conn.send(emit_close())
         except (ConnectionError, OSError):
             pass
-        try:
-            conn.writer.close()
-        except Exception:
-            pass
+        conn.hang_up()
 
     async def _serve_connection(self, reader, writer):
         _set_nodelay(writer)
         orb = self.orb
-        protocol = orb.protocol
-        machine = protocol.server_machine()
-        control = getattr(
-            getattr(orb, "observer", None), "flight", None
-        )
+        machine = orb.protocol.server_machine()
+        meter = self._meter
         recorder = None
-        if control is not None:
+        if self._flight is not None:
             peername = writer.get_extra_info("peername")
             peer = f"{peername[0]}:{peername[1]}" if peername else "?"
-            recorder = control.new_recorder(protocol.name, "server", peer)
+            recorder = self._flight.new_recorder(
+                orb.protocol.name, "server", peer)
             machine.tap = recorder
-
-            def write(data):
-                # The ring stores frames by reference: record the
-                # contiguous immutable form, send the same bytes.
-                if type(data) is BufferPlan:
-                    data = data.to_bytes()
-                recorder.record_out(data)
-                writer.write(data)
-        else:
-            def write(data):
-                _write_frame(writer, data)
-        conn = _AioServerConn(machine, writer, write)
-        self._conns.add(conn)
+        conn = _AioServerConn(machine, writer, meter)
+        session = self._conns[conn] = Session(self._core)
         loop = asyncio.get_running_loop()
         try:
             while True:
@@ -583,16 +548,34 @@ class AioOrbServer:
                     chunk = await reader.read(_READ_CHUNK)
                     if not chunk:
                         return  # peer hung up
+                    if meter is not None:
+                        meter.received(len(chunk))
                     machine.receive_data(chunk)
                     continue
                 kind = type(event)
                 if kind is RequestReceived:
-                    if self._draining:
-                        if not await self._shed_draining(conn, event.call):
-                            return
-                        continue
-                    if not await self._serve_request(loop, conn, event.call):
-                        return
+                    call = event.call
+                    reply = session.arrive(call)
+                    if reply is DISPATCH:
+                        # Skeleton/application code runs on executor
+                        # threads — the loop stays free to read other
+                        # connections meanwhile, but dispatch stays
+                        # serial per connection (ordering guarantee).
+                        reply = await loop.run_in_executor(
+                            None, session.dispatch, call
+                        )
+                        try:
+                            if reply is not None:
+                                try:
+                                    data = machine.emit_reply(reply)
+                                except Exception as exc:
+                                    reply = session.encode_failed(call, exc)
+                                    data = machine.emit_reply(reply)
+                                await conn.send(data)
+                        finally:
+                            session.done(call, reply)
+                    elif reply is not None:
+                        await conn.send(machine.emit_reply(reply))
                 elif kind is LocateRequested:
                     from repro.giop.messages import (
                         LOCATE_OBJECT_HERE,
@@ -604,10 +587,8 @@ class AioOrbServer:
                         if orb._object_key_exists(event.object_key)
                         else LOCATE_UNKNOWN_OBJECT
                     )
-                    write(
-                        machine.emit_locate_reply(event.request_id, status)
-                    )
-                    await writer.drain()
+                    await conn.send(
+                        machine.emit_locate_reply(event.request_id, status))
                 elif kind is CancelReceived:
                     continue  # dispatch here is serial; nothing to cancel
                 elif kind is CloseReceived:
@@ -617,12 +598,10 @@ class AioOrbServer:
                         if recorder is not None:
                             recorder.postmortem(ProtocolError(event.message))
                         return
-                    # Same telnet-forgiveness as the blocking server:
-                    # report the parse failure, keep the connection.
-                    write(machine.emit_reply(_error_reply(
-                        protocol, "Protocol", event.message
-                    )))
-                    await writer.drain()
+                    # Telnet-forgiveness: report the parse failure, keep
+                    # the connection.
+                    await conn.send(machine.emit_reply(
+                        self._core.malformed(event.message)))
         except (ConnectionError, OSError, asyncio.IncompleteReadError) as exc:
             # Connection died mid-frame; nothing to report to the peer,
             # but the flight ring (when armed) becomes a postmortem.
@@ -631,93 +610,8 @@ class AioOrbServer:
                     f"connection died: {exc}", kind="recv-failed"
                 ))
         finally:
-            self._conns.discard(conn)
-            try:
-                writer.close()
-            except Exception:
-                pass
-
-    async def _shed_draining(self, conn, call):
-        """Refuse one request during drain; False ends the connection."""
-        if call.oneway:
-            return True
-        admission = self.orb._admission
-        hint = (admission.shed_draining_one() if admission is not None
-                else 0.05)
-        try:
-            conn.write(conn.machine.emit_reply(_shed_reply(
-                self.orb.protocol, hint, "server draining",
-                request_id=call.request_id,
-            )))
-            await conn.writer.drain()
-        except (ConnectionError, OSError):
-            return False
-        return True
-
-    async def _serve_request(self, loop, conn, call):
-        """Dispatch one request; False ends the connection."""
-        orb = self.orb
-        protocol = orb.protocol
-        machine, writer = conn.machine, conn.writer
-        if call.deadline is not None and call.deadline.expired:
-            # The wire-propagated budget ran out in transit or in the
-            # read queue; the client has stopped waiting.
-            if not call.oneway:
-                conn.write(machine.emit_reply(_error_reply(
-                    protocol,
-                    "DeadlineExceeded",
-                    f"request {call.operation!r} expired before dispatch",
-                    request_id=call.request_id,
-                )))
-                await writer.drain()
-            return True
-        admission = orb._admission
-        admit_time = None
-        if admission is not None:
-            hint = admission.admit(call.operation)
-            if hint is not None:
-                if call.oneway:
-                    return True
-                try:
-                    conn.write(machine.emit_reply(_shed_reply(
-                        protocol, hint, "server overloaded",
-                        request_id=call.request_id,
-                    )))
-                    await writer.drain()
-                except (ConnectionError, OSError):
-                    return False
-                return True
-            admit_time = admission.policy.clock()
-        # Skeleton/application code runs on executor threads — the
-        # loop stays free to read other connections meanwhile, but
-        # dispatch stays serial per connection (ordering guarantee).
-        conn.inflight += 1
-        try:
-            reply = await loop.run_in_executor(
-                None, orb._handle_request, call
-            )
-        finally:
-            conn.inflight -= 1
-            if admit_time is not None:
-                elapsed = admission.policy.clock() - admit_time
-                # Serial dispatch: the sojourn *is* the service time.
-                admission.finished(call.operation, elapsed,
-                                   service_time=elapsed)
-        if call.oneway:
-            return True
-        try:
-            data = machine.emit_reply(reply)
-        except Exception as exc:  # the result itself failed to encode
-            data = machine.emit_reply(_error_reply(
-                protocol, type(exc).__name__, str(exc),
-                request_id=call.request_id,
-            ))
-        try:
-            conn.write(data)
-            await writer.drain()
-        except (ConnectionError, OSError):
-            return False
-        return True
+            self._conns.pop(conn, None)
+            conn.hang_up()
 
 
 # ---------------------------------------------------------------------------

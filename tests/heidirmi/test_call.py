@@ -171,10 +171,12 @@ class TestObjectCommunicator:
         call = Call(REF, "fire", marshaller=protocol.new_marshaller(), oneway=True)
         assert client.invoke(call) is None
 
-    def test_reply_error_helper(self, channels):
+    def test_error_reply_helper(self, channels):
+        from repro.heidirmi.serving import error_reply
+
         protocol = TextProtocol()
         server = ObjectCommunicator(channels.server, protocol)
-        server.reply_error("Protocol", "bad line")
+        server.reply(error_reply(protocol, "Protocol", "bad line"))
         reply = protocol.recv_reply(channels.client)
         assert reply.is_error
         assert reply.repo_id == "Protocol"

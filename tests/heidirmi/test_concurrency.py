@@ -258,8 +258,7 @@ def test_demux_death_closes_channel_and_cache_reopens():
     try:
         assert stub.mark("warm") == "ack:warm"
         shared = next(iter(client.connections._shared.values()))
-        with server._lock:
-            active = list(server._active)
+        active = list(server._server.active)
         for communicator in active:
             communicator.close()
         deadline = time.time() + 10
@@ -288,10 +287,9 @@ def test_reader_died_mid_burst_fails_all_pending_without_deadlock():
         # Wait until the burst is in flight server-side, then poison
         # the client's reply stream from the server end of the wire.
         deadline = time.time() + 10
-        while not server._active and time.time() < deadline:
+        while not server._server.active and time.time() < deadline:
             time.sleep(0.01)
-        with server._lock:
-            active = list(server._active)
+        active = list(server._server.active)
         assert active, "server never saw the burst"
         for communicator in active:
             communicator.channel.send(b"!!garbage mid burst!!\n")

@@ -16,6 +16,7 @@ from repro.heidirmi import HdSkel, HdStub, Orb
 from repro.heidirmi.errors import CommunicationError, RemoteError
 from repro.heidirmi.serialize import TypeRegistry
 from repro.heidirmi.transport import get_transport
+from tests.resilience.rig import SERVER_RUNTIMES, make_server
 
 TYPE_ID = "IDL:Fault/Victim:1.0"
 
@@ -46,7 +47,11 @@ class Victim_skel(HdSkel):
         if mode == "raise":
             raise ValueError("implementation bug")
         if mode == "bad-reply":
-            reply.put_long("not-an-int")  # marshal error while replying
+            # Rejected by the text marshaller here, at the put; by CDR
+            # only when the recorded puts are replayed at emission.
+            reply.put_long("not-an-int")
+        if mode == "unclosed":
+            reply.begin("result")  # no end(): text refuses to emit it
         if mode == "unicode":
             reply.put_string("▭ non-ascii result")
 
@@ -56,17 +61,21 @@ class VictimImpl:
         return text[::-1]
 
 
-@pytest.fixture
-def live():
+def _live(runtime, protocol):
     types = TypeRegistry()
     types.register_interface(TYPE_ID, stub_class=Victim_stub,
                              skeleton_class=Victim_skel)
-    server = Orb(transport="tcp", protocol="text", types=types).start()
-    client = Orb(transport="tcp", protocol="text", types=types)
+    server = make_server(runtime, "tcp", protocol=protocol, types=types)
+    client = Orb(transport="tcp", protocol=protocol, types=types)
     ref = server.register(VictimImpl(), type_id=TYPE_ID)
     yield server, client, client.resolve(ref.stringify())
     client.stop()
     server.stop()
+
+
+@pytest.fixture(params=SERVER_RUNTIMES)
+def live(request):
+    yield from _live(request.param, "text")
 
 
 class TestServerSideFaults:
@@ -80,9 +89,17 @@ class TestServerSideFaults:
         """A reply the marshaller rejects must come back as ERR, and the
         connection must stay usable."""
         _, _, stub = live
-        with pytest.raises(RemoteError):
+        with pytest.raises(RemoteError, match="MarshalError"):
             stub.misbehave("bad-reply")
         assert stub.work("cd") == "dc"
+
+    def test_unencodable_reply_is_typed_error_reply(self, live):
+        """A reply that only fails when emitted (the dispatch itself
+        succeeded) is replaced by a typed ERR, not a dead connection."""
+        _, _, stub = live
+        with pytest.raises(RemoteError, match="MarshalError.*left open"):
+            stub.misbehave("unclosed")
+        assert stub.work("ef") == "fe"
 
     def test_non_ascii_reply_survives(self, live):
         """Regression for the silent-worker-death bug."""
@@ -114,17 +131,17 @@ class TestServerSideFaults:
 
 
 class TestGiopFaults:
-    @pytest.fixture
-    def giop_live(self):
-        types = TypeRegistry()
-        types.register_interface(TYPE_ID, stub_class=Victim_stub,
-                                 skeleton_class=Victim_skel)
-        server = Orb(transport="tcp", protocol="giop", types=types).start()
-        client = Orb(transport="tcp", protocol="giop", types=types)
-        ref = server.register(VictimImpl(), type_id=TYPE_ID)
-        yield server, client, client.resolve(ref.stringify())
-        client.stop()
-        server.stop()
+    @pytest.fixture(params=SERVER_RUNTIMES)
+    def giop_live(self, request):
+        yield from _live(request.param, "giop")
+
+    def test_unencodable_reply_is_typed_error_reply(self, giop_live):
+        """CDR replays the recorded puts at emission, so the bad value
+        surfaces after dispatch returned — still a typed ERR."""
+        _, _, stub = giop_live
+        with pytest.raises(RemoteError, match="MarshalError"):
+            stub.misbehave("bad-reply")
+        assert stub.work("gh") == "hg"
 
     def test_garbage_bytes_do_not_crash_giop_server(self, giop_live):
         server, _, stub = giop_live

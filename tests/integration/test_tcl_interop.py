@@ -5,7 +5,6 @@ This is the paper's §4.2 scenario live: "the integration of an existing
 tcl management GUI application with a CORBA-based distributed system".
 """
 
-import shutil
 import subprocess
 import threading
 
@@ -15,9 +14,11 @@ from repro.heidirmi import HdSkel, HdStub, Orb
 from repro.heidirmi.serialize import GLOBAL_TYPES
 from repro.idl import parse
 from repro.mappings import get_pack
+from repro.mappings.tcl_orb import find_tclsh
 
-tclsh = shutil.which("tclsh")
-pytestmark = pytest.mark.skipif(tclsh is None, reason="tclsh not installed")
+tclsh = find_tclsh()
+pytestmark = pytest.mark.skipif(tclsh is None,
+                                reason="no tclsh with the Itcl package")
 
 CONSOLE_IDL = """\
 interface Console {

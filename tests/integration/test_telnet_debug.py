@@ -8,10 +8,10 @@ sending hand-typed lines.
 
 import pytest
 
-from repro.heidirmi import Orb
 from repro.idl import parse
 from repro.mappings.python_rmi import generate_module
 from repro.heidirmi.transport import get_transport
+from tests.resilience.rig import SERVER_RUNTIMES, make_server
 
 IDL = """\
 interface Deck {
@@ -31,10 +31,10 @@ class DeckImpl:
         return a + b
 
 
-@pytest.fixture(scope="module")
-def server():
+@pytest.fixture(scope="module", params=SERVER_RUNTIMES)
+def server(request):
     generate_module(parse(IDL, filename="Deck.idl"))
-    orb = Orb(transport="tcp", protocol="text").start()
+    orb = make_server(request.param, "tcp", protocol="text")
     ref = orb.register(DeckImpl())
     yield orb, ref
     orb.stop()

@@ -1,12 +1,12 @@
 """Tests for the IDL-Tcl mapping pack — pins the paper's Fig. 10."""
 
-import shutil
 import subprocess
 
 import pytest
 
 from repro.idl import parse
 from repro.mappings import get_pack
+from repro.mappings.tcl_orb import find_tclsh
 
 RECEIVER_IDL = """\
 interface Receiver {
@@ -46,8 +46,9 @@ class ReceiverSkel {
 }
 """
 
-tclsh = shutil.which("tclsh")
-needs_tclsh = pytest.mark.skipif(tclsh is None, reason="tclsh not installed")
+tclsh = find_tclsh()
+needs_tclsh = pytest.mark.skipif(tclsh is None,
+                                 reason="no tclsh with the Itcl package")
 
 
 @pytest.fixture(scope="module")

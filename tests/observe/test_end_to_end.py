@@ -15,6 +15,7 @@ from repro.heidirmi import HdSkel, HdStub, Orb
 from repro.heidirmi.errors import CommunicationError, RemoteError
 from repro.heidirmi.serialize import TypeRegistry
 from repro.observe import Observer
+from tests.resilience.rig import SERVER_RUNTIMES, make_server
 
 TYPE_ID = "IDL:ObserveE2E/Echo:1.0"
 
@@ -75,13 +76,17 @@ def _wait_spans(observer, n, timeout=2.0):
     return observer.exporter.snapshot()
 
 
-@pytest.fixture
-def traced_pair():
-    """Multiplexed text2 server+client, both observed; yields everything."""
+@pytest.fixture(params=SERVER_RUNTIMES)
+def traced_pair(request):
+    """Multiplexed text2 server+client, both observed; yields everything.
+
+    Runs on both server runtimes: spans and metrics come from the one
+    serving core, so neither pump may lack them.
+    """
     server_observer, client_observer = Observer(), Observer()
-    server = Orb(transport="inproc", protocol="text2", types=_registry(),
-                 observer=server_observer).start()
-    client = Orb(transport="inproc", protocol="text2", types=_registry(),
+    server = make_server(request.param, protocol="text2", types=_registry(),
+                         observer=server_observer)
+    client = Orb(transport="tcp", protocol="text2", types=_registry(),
                  multiplex=True, observer=client_observer)
     ref = server.register(_EchoImpl(), type_id=TYPE_ID)
     stub = client.resolve(ref.stringify())
@@ -115,8 +120,8 @@ class TestSingleCall:
         stage_names = [name for name, _ in client_span["stages"]]
         assert stage_names[:3] == ["marshal", "send", "wait"]
         server_stage_names = [name for name, _ in server_span["stages"]]
-        assert server_stage_names[0] == "select"
-        assert "dispatch" in server_stage_names
+        assert server_stage_names[:4] == ["queue", "select", "dispatch",
+                                          "reply"]
 
     def test_metric_catalogue_fills_in(self, traced_pair):
         stub, client_observer, server_observer = traced_pair

@@ -217,14 +217,11 @@ class TestResilienceHealth:
         try:
             impl = MonitorImpl(orb)
             assert impl.health()["status"] == "ok"
-            with orb._lock:
-                orb._draining = True
+            orb._server.core.draining = True
             health = impl.health()
             assert health["status"] == "draining"
             assert health["resilience"]["draining"] is True
         finally:
-            with orb._lock:
-                orb._draining = False
             orb.stop()
 
     def test_breaker_and_budget_state_per_endpoint(self):

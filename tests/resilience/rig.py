@@ -10,6 +10,7 @@ import threading
 import time
 
 from repro.heidirmi import HdSkel, HdStub, Orb
+from repro.heidirmi.objref import ObjectReference
 from repro.heidirmi.serialize import TypeRegistry
 from repro.resilience import Deadline, install_chaos
 
@@ -75,22 +76,76 @@ def registry():
     return types
 
 
+#: The two pumps over the one serving core: ``Orb``'s own threads, or an
+#: ``AioOrbServer`` in front of the Orb's object table.  Tests of server
+#: behaviour parametrize over this and must hold on both.
+SERVER_RUNTIMES = ("blocking", "aio")
+
+
+class AioServed:
+    """An Orb served by an AioOrbServer, shaped like a started Orb.
+
+    The Orb holds the object table (its own acceptor sits unused on
+    inproc, as in perf/server.py); the coroutine server owns the tcp
+    listener, and exported references name *its* endpoint.
+    """
+
+    def __init__(self, orb, transport):
+        from repro.wire.aio import AioOrbServer
+
+        self.orb = orb
+        self.front = AioOrbServer(orb)
+        self._endpoint = (transport, *self.front.start())
+
+    def __getattr__(self, name):
+        return getattr(self.orb, name)
+
+    @property
+    def address(self):
+        return self._endpoint[1:]
+
+    def register(self, impl, type_id=None, oid=None):
+        local = self.orb.register(impl, type_id=type_id, oid=oid)
+        transport, host, port = self._endpoint
+        return ObjectReference(protocol=transport, host=host, port=port,
+                               object_id=local.object_id,
+                               type_id=local.type_id)
+
+    def stop(self, drain=None):
+        self.front.stop(drain=drain)
+        self.orb.stop()
+
+
+def make_server(runtime="blocking", transport="tcp", **orb_kwargs):
+    """A started server on either runtime (see SERVER_RUNTIMES).
+
+    *transport* names what clients connect through; the coroutine
+    server listens on real tcp, so it cannot be ``inproc`` there.
+    """
+    if runtime == "blocking":
+        return Orb(transport=transport, **orb_kwargs).start()
+    return AioServed(Orb(transport="inproc", **orb_kwargs).start(),
+                     transport)
+
+
 def make_pair(protocol="text2", multiplex=False, plan=None, transport="inproc",
               pipeline_workers=0, wrap_accept=False, server_kwargs=None,
-              client_kwargs=None):
+              client_kwargs=None, runtime="blocking"):
     """(server, client, stub, impl) with optional chaos below the wire.
 
-    The server Orb is built on the chaos-wrapped transport name, so the
+    The server is built on the chaos-wrapped transport name, so the
     references it exports route every client connection through the
     chaos layer; with ``wrap_accept=False`` (the default) the server's
     own accepted channels stay clean.
     """
+    if runtime == "aio" and transport == "inproc":
+        transport = "tcp"
     if plan is not None:
         transport = install_chaos(transport, plan, wrap_accept=wrap_accept)
     types = registry()
-    server = Orb(transport=transport, protocol=protocol, types=types,
-                 pipeline_workers=pipeline_workers,
-                 **(server_kwargs or {})).start()
+    server = make_server(runtime, transport, protocol=protocol, types=types,
+                         pipeline_workers=pipeline_workers,
+                         **(server_kwargs or {}))
     client = Orb(transport=transport, protocol=protocol, types=types,
                  multiplex=multiplex, **(client_kwargs or {}))
     impl = EchoImpl()

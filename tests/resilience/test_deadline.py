@@ -18,7 +18,7 @@ from repro.heidirmi.protocol import get_protocol
 from repro.heidirmi.transport import get_transport
 from repro.resilience import Deadline
 
-from tests.resilience.rig import make_pair, stop_pair
+from tests.resilience.rig import SERVER_RUNTIMES, make_pair, stop_pair
 
 #: Scheduling slack allowed on top of a deadline before we call an
 #: enforcement path "late" (CI machines stall threads for tens of ms).
@@ -221,15 +221,17 @@ def test_expired_call_never_blocks_channel_mates():
 # -- server-side drop -------------------------------------------------------
 
 
+@pytest.mark.parametrize("runtime", SERVER_RUNTIMES)
 @pytest.mark.parametrize("protocol_name", ["text", "text2"])
-def test_server_drops_request_that_arrives_expired(protocol_name):
+def test_server_drops_request_that_arrives_expired(protocol_name, runtime):
     """A request whose wire budget reads 0 is shed before dispatch with
     an error reply naming DeadlineExceeded, and the connection lives on."""
-    server, client, stub, impl = make_pair(protocol=protocol_name)
+    server, client, stub, impl = make_pair(protocol=protocol_name,
+                                           runtime=runtime)
     try:
         protocol = get_protocol(protocol_name)
-        _, host, port = stub._hd_ref.bootstrap
-        channel = get_transport("inproc").connect(host, port)
+        transport, host, port = stub._hd_ref.bootstrap
+        channel = get_transport(transport).connect(host, port)
         try:
             doomed = Call(stub.stringify(), "echo",
                           marshaller=protocol.new_marshaller())

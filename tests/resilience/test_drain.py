@@ -25,6 +25,7 @@ from repro.wire.giop import encode_close
 from repro.wire.text import BYE_FRAME, Text2Wire
 
 from tests.resilience.rig import (
+    SERVER_RUNTIMES,
     TYPE_ID,
     Echo_stub,
     EchoImpl,
@@ -57,7 +58,7 @@ def test_giop_close_connection_round_trip():
     assert type(machine.next_event()) is CloseReceived
 
 
-# -- blocking server drain ---------------------------------------------------
+# -- server drain, on both pumps ---------------------------------------------
 
 
 def _slow_call_thread(stub, delay_ms=300):
@@ -75,13 +76,14 @@ def _slow_call_thread(stub, delay_ms=300):
     return thread, result
 
 
+@pytest.mark.parametrize("runtime", SERVER_RUNTIMES)
 @pytest.mark.parametrize("protocol_name", ("text2", "giop"))
 def test_drain_finishes_inflight_and_leaves_no_postmortem(
-        protocol_name, tmp_path):
+        protocol_name, runtime, tmp_path):
     observer = Observer(flight=FlightControl(spool_dir=str(tmp_path)))
     server, client, stub, _ = make_pair(
         protocol=protocol_name, multiplex=True, transport="tcp",
-        client_kwargs={"observer": observer},
+        runtime=runtime, client_kwargs={"observer": observer},
     )
     try:
         thread, result = _slow_call_thread(stub)
@@ -97,10 +99,11 @@ def test_drain_finishes_inflight_and_leaves_no_postmortem(
         stop_pair(server, client)
 
 
-def test_drain_sheds_late_requests_as_retryable():
+@pytest.mark.parametrize("runtime", SERVER_RUNTIMES)
+def test_drain_sheds_late_requests_as_retryable(runtime):
     server, client, stub, _ = make_pair(
         protocol="text2", multiplex=True, transport="tcp",
-        pipeline_workers=2,
+        pipeline_workers=2, runtime=runtime,
     )
     stopper = None
     try:
@@ -123,8 +126,40 @@ def test_drain_sheds_late_requests_as_retryable():
         stop_pair(server, client)
 
 
-def test_drain_without_connections_is_immediate():
-    server, client, stub, _ = make_pair(protocol="text2", transport="tcp")
+@pytest.mark.parametrize("runtime", SERVER_RUNTIMES)
+@pytest.mark.parametrize("protocol_name", ("text2", "giop"))
+def test_busy_connection_at_drain_expiry_gets_no_close_frame(
+        protocol_name, runtime, tmp_path):
+    """A call the server is still executing when the drain budget runs
+    out is not handed back as a clean ``draining`` retry: its connection
+    is force-closed with no BYE/CloseConnection, so the client sees a
+    channel death (breaker-visible, flight postmortem)."""
+    observer = Observer(flight=FlightControl(spool_dir=str(tmp_path)))
+    server, client, stub, _ = make_pair(
+        protocol=protocol_name, multiplex=True, transport="tcp",
+        runtime=runtime, client_kwargs={"observer": observer},
+    )
+    try:
+        thread, result = _slow_call_thread(stub, delay_ms=600)
+        server.stop(drain=0.1)
+        thread.join(timeout=5)
+        error = result.get("error")
+        assert isinstance(error, CommunicationError), result
+        assert error.kind in ("peer-closed", "recv-failed"), error.kind
+        # The channel death left a postmortem bundle (a clean handoff
+        # leaves the spool empty), and no close frame is in its ring.
+        time.sleep(0.1)  # let the demux thread finish spooling
+        bundles = list(tmp_path.iterdir())
+        assert bundles
+        assert "CloseReceived" not in bundles[0].read_text()
+    finally:
+        stop_pair(server, client)
+
+
+@pytest.mark.parametrize("runtime", SERVER_RUNTIMES)
+def test_drain_without_connections_is_immediate(runtime):
+    server, client, stub, _ = make_pair(protocol="text2", transport="tcp",
+                                        runtime=runtime)
     try:
         assert stub.echo("warm") == "ack:warm"
         started = time.monotonic()

@@ -6,6 +6,7 @@ occupy a real server with a slow call and assert the shed reply's typed
 ``Overloaded`` error (and its retry-after hint) on every protocol.
 """
 
+import itertools
 import random
 import threading
 import time
@@ -23,7 +24,7 @@ from repro.resilience import (
     RetryPolicy,
 )
 
-from tests.resilience.rig import make_pair, stop_pair
+from tests.resilience.rig import SERVER_RUNTIMES, make_pair, stop_pair
 
 PROTOCOLS = ("text", "text2", "giop")
 
@@ -259,10 +260,11 @@ def _occupy(stub, delay_ms=300):
     return thread, result
 
 
+@pytest.mark.parametrize("runtime", SERVER_RUNTIMES)
 @pytest.mark.parametrize("protocol_name", PROTOCOLS)
-def test_shed_reply_surfaces_as_overloaded_error(protocol_name):
+def test_shed_reply_surfaces_as_overloaded_error(protocol_name, runtime):
     server, client, stub, _ = make_pair(
-        protocol=protocol_name, transport="tcp",
+        protocol=protocol_name, transport="tcp", runtime=runtime,
         server_kwargs={"admission": AdmissionPolicy(
             max_queue_depth=1, latency_target=60.0)},
     )
@@ -281,6 +283,32 @@ def test_shed_reply_surfaces_as_overloaded_error(protocol_name):
         snap = server._admission.snapshot()
         assert snap["shed"]["depth"] == 1
         assert snap["accepted"] >= 1
+        # The slow call's service time reached the controller: it is
+        # what cost-aware shedding prices the operation with.
+        assert server._admission._op_cost["echo"] >= 0.25
+    finally:
+        stop_pair(server, client)
+
+
+@pytest.mark.parametrize("runtime", SERVER_RUNTIMES)
+def test_request_queued_past_max_age_is_shed_not_run(runtime):
+    # The admission clock is the core's only clock; one that jumps a
+    # second per reading ages every request past the limit between its
+    # admission and its dispatch, whichever thread runs that.
+    ticks = itertools.count()
+    server, client, stub, impl = make_pair(
+        protocol="text2", transport="tcp", runtime=runtime,
+        server_kwargs={"admission": AdmissionPolicy(
+            max_queue_depth=8, max_queue_age=0.5,
+            clock=lambda: float(next(ticks)))},
+    )
+    try:
+        with pytest.raises(OverloadedError, match="queued past max age"):
+            stub.echo("stale")
+        assert impl.echoed == []
+        snap = server._admission.snapshot()
+        assert snap["shed"]["age"] == 1
+        assert snap["depth"] == 0  # the admitted slot was released
     finally:
         stop_pair(server, client)
 
