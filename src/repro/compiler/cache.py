@@ -55,7 +55,3 @@ class TemplateCache:
     def __len__(self):
         with self._lock:
             return len(self._entries)
-
-
-#: Shared process-wide cache used by the CLI.
-GLOBAL_TEMPLATE_CACHE = TemplateCache()

@@ -11,11 +11,13 @@ Examples::
 """
 
 import argparse
+import os
 import sys
 
 from repro.compiler.pipeline import Pipeline
 from repro.est import render_tree
 from repro.idl.errors import IdlError
+from repro.lint.diagnostics import Severity
 from repro.mappings.registry import all_packs, get_pack
 from repro.templates.errors import TemplateError
 
@@ -114,16 +116,17 @@ def main(argv=None):
         print(f"error: cannot read {args.idl}: {exc}", file=sys.stderr)
         return 1
 
+    if args.mapping not in all_packs():
+        print(f"error: unknown mapping {args.mapping!r}", file=sys.stderr)
+        return 1
     pipeline = Pipeline(
         args.mapping,
         lint=not args.no_lint,
         strict_templates=True if args.strict_templates else None,
     )
-    strict = args.strict_templates
-    if not args.no_lint:
-        from repro.lint.diagnostics import Severity
 
-        diagnostics = pipeline.lint_source(
+    try:
+        spec, diagnostics, strict = pipeline.front_end(
             source, filename=args.idl, include_paths=args.include
         )
         reportable = [
@@ -138,15 +141,9 @@ def main(argv=None):
                   "not generating (use --no-lint to override)",
                   file=sys.stderr)
             return 1
-        strict = pipeline.resolve_strict(diagnostics)
-
-    try:
         if args.dump_generator:
             print(pipeline.compile_template().source)
             return 0
-        spec = pipeline.parse(
-            source, filename=args.idl, include_paths=args.include
-        )
         est = pipeline.build_est(spec)
         if args.dump_est:
             print(render_tree(est), end="")
@@ -157,15 +154,13 @@ def main(argv=None):
         if args.ir:
             from repro.est.repository import InterfaceRepository
 
-            import os as _os
-
-            if _os.path.isfile(_os.path.join(args.ir, "index.txt")):
+            if os.path.isfile(os.path.join(args.ir, "index.txt")):
                 repository = InterfaceRepository.load(args.ir)
             else:
                 repository = InterfaceRepository()
-            repository.add(est, name=_os.path.basename(args.idl))
+            repository.add(est, name=os.path.basename(args.idl))
             repository.save(args.ir)
-            print(f"recorded {_os.path.basename(args.idl)} in repository "
+            print(f"recorded {os.path.basename(args.idl)} in repository "
                   f"{args.ir}", file=sys.stderr)
         files = pipeline.generate(spec, est=est, strict=strict)
     except (IdlError, TemplateError) as exc:
@@ -173,15 +168,18 @@ def main(argv=None):
         return 1
 
     if args.output:
-        import os
-
-        os.makedirs(args.output, exist_ok=True)
-        for path, text in files.items():
-            target = os.path.join(args.output, path)
-            os.makedirs(os.path.dirname(target) or args.output, exist_ok=True)
-            with open(target, "w", encoding="utf-8") as handle:
-                handle.write(text)
-            print(f"wrote {target}")
+        try:
+            os.makedirs(args.output, exist_ok=True)
+            for path, text in files.items():
+                target = os.path.join(args.output, path)
+                os.makedirs(os.path.dirname(target) or args.output, exist_ok=True)
+                with open(target, "w", encoding="utf-8") as handle:
+                    handle.write(text)
+                print(f"wrote {target}")
+        except OSError as exc:
+            print(f"error: cannot write to {args.output}: {exc}",
+                  file=sys.stderr)
+            return 1
     else:
         for path, text in files.items():
             print(f"// ==== {path} ====")

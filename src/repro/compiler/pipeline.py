@@ -10,22 +10,25 @@ Each arrow is a method here, so the Fig. 6 bench can show the artifact
 produced at every stage, and the EST-program hand-off can be measured
 against re-parsing (the paper's efficiency argument in Section 4.1).
 
-Compilation is lint-first: before any code is generated, the
-:mod:`repro.lint` passes check the IDL source and the mapping pack's
-templates, and error-severity findings abort with
+Compilation is lint-first, over one parse: :meth:`Pipeline.front_end`
+parses the source once with a collecting reporter, runs the
+:mod:`repro.lint` rules over that tree and adds the mapping pack's
+template findings; error-severity findings abort with
 :class:`repro.lint.diagnostics.LintError` listing *every* problem (no
-fail-fast).  When the lint run is clean and the pack's main template is
-strict-safe, generation runs with ``Runtime(strict=True)`` so a
-regression to an undefined ``${var}`` fails loudly instead of
-substituting "".
+fail-fast), and otherwise the same tree goes on to the EST.  When the
+lint run is clean and the pack's main template is strict-safe,
+generation runs with ``Runtime(strict=True)`` so a regression to an
+undefined ``${var}`` fails loudly instead of substituting "".
 """
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.est import build_est, emit_program, load_program
 from repro.idl import parse as parse_idl
-from repro.lint.diagnostics import LintError, Severity
+from repro.lint.diagnostics import DiagnosticReporter, LintError, Severity
+from repro.lint.idl_rules import lint_spec
 from repro.mappings.registry import get_pack
 
 
@@ -62,12 +65,12 @@ class Pipeline:
         #: off; None (auto) enables it when lint came back clean AND the
         #: pack's main template is strict-safe.
         self.strict_templates = strict_templates
-        self._pack_lint = None  # cached (diagnostics, strict_safe)
 
     # -- individual stages -------------------------------------------------
 
-    def parse(self, source, filename="<string>", include_paths=()):
-        return parse_idl(source, filename=filename, include_paths=include_paths)
+    def parse(self, source, filename="<string>", include_paths=(), reporter=None):
+        return parse_idl(source, filename=filename, include_paths=include_paths,
+                         reporter=reporter)
 
     def build_est(self, spec):
         return build_est(spec)
@@ -82,22 +85,45 @@ class Pipeline:
         """Step 1 of code generation; cached inside the pack."""
         return self.pack.compiled(template_name)
 
+    def front_end(self, source, filename="<string>", include_paths=(),
+                  timings=None):
+        """Parse once, then lint the parsed tree.
+
+        Returns ``(spec, diagnostics, strict)``.  With lint on, every
+        problem is a diagnostic and *spec* is ``None`` after a syntax
+        error, so callers must not generate when a diagnostic is an
+        error.  With lint off the first problem raises, as
+        :func:`repro.idl.parse` does, and *diagnostics* is empty.
+        Seconds spent go into *timings* under ``parse`` and ``lint``.
+        """
+        timings = {} if timings is None else timings
+        reporter = (DiagnosticReporter(default_file=filename, source="idl")
+                    if self.lint else None)
+        start = time.perf_counter()
+        spec = self.parse(source, filename, include_paths, reporter=reporter)
+        timings["parse"] = time.perf_counter() - start
+        if reporter is None:
+            return spec, [], bool(self.strict_templates)
+
+        start = time.perf_counter()
+        if spec is not None:
+            lint_spec(spec, reporter)
+        diagnostics = reporter.diagnostics + self._pack_lint[0]
+        strict = self.resolve_strict(diagnostics)
+        timings["lint"] = time.perf_counter() - start
+        return spec, diagnostics, strict
+
     def lint_source(self, source, filename="<string>", include_paths=()):
-        """Run the IDL lint pass plus the (cached) pack self-lint."""
-        from repro.lint.idl_rules import lint_idl_source
+        """The front end's diagnostics: IDL findings plus the (cached)
+        pack self-lint."""
+        return self.front_end(source, filename, include_paths)[1]
 
-        _, diagnostics = lint_idl_source(
-            source, filename=filename, include_paths=tuple(include_paths)
-        )
-        return list(diagnostics) + list(self._pack_lint_results()[0])
+    @cached_property
+    def _pack_lint(self):
+        """``(diagnostics, strict_safe)`` of the pack's own templates."""
+        from repro.lint.mapping_rules import lint_pack, pack_strict_safe
 
-    def _pack_lint_results(self):
-        if self._pack_lint is None:
-            from repro.lint.mapping_rules import lint_pack, pack_strict_safe
-
-            self._pack_lint = (lint_pack(self.pack),
-                               pack_strict_safe(self.pack))
-        return self._pack_lint
+        return lint_pack(self.pack), pack_strict_safe(self.pack)
 
     def resolve_strict(self, diagnostics):
         """The effective strict-templates setting for one compile."""
@@ -107,7 +133,7 @@ class Pipeline:
             Severity.at_least(d.severity, Severity.WARNING)
             for d in diagnostics
         )
-        return clean and self._pack_lint_results()[1]
+        return clean and self._pack_lint[1]
 
     def generate(self, spec, est=None, variables=None, strict=False):
         """Step 2: run the compiled template against the EST."""
@@ -120,22 +146,10 @@ class Pipeline:
     def run(self, source, filename="<string>", include_paths=()):
         """Full pipeline with per-stage timings; lint-first by default."""
         timings = {}
-
-        diagnostics = []
-        strict = bool(self.strict_templates)
-        if self.lint:
-            start = time.perf_counter()
-            diagnostics = self.lint_source(
-                source, filename=filename, include_paths=include_paths
-            )
-            if any(d.severity == Severity.ERROR for d in diagnostics):
-                raise LintError(diagnostics)
-            strict = self.resolve_strict(diagnostics)
-            timings["lint"] = time.perf_counter() - start
-
-        start = time.perf_counter()
-        spec = self.parse(source, filename=filename, include_paths=include_paths)
-        timings["parse"] = time.perf_counter() - start
+        spec, diagnostics, strict = self.front_end(
+            source, filename, include_paths, timings)
+        if any(d.severity == Severity.ERROR for d in diagnostics):
+            raise LintError(diagnostics)
 
         start = time.perf_counter()
         est = self.build_est(spec)

@@ -38,7 +38,6 @@ from repro.giop.messages import (  # noqa: F401 (re-exported for callers)
     MSG_LOCATE_REQUEST,
     MSG_REPLY,
     MSG_REQUEST,
-    read_message,
 )
 from repro.heidirmi.errors import CommunicationError, ProtocolError
 from repro.heidirmi.protocol import (
@@ -128,9 +127,6 @@ class GiopProtocol(Protocol):
 
     def next_request_id(self):
         return self._request_ids.next()
-
-    # Kept for callers of the old private spelling.
-    _next_request_id = next_request_id
 
     def new_marshaller(self):
         # Parameter payloads are encoded standalone and spliced after the

@@ -242,16 +242,3 @@ def fill_giop_header(buffer, message_type, little_endian=True):
         GIOP_MAGIC, 1, 0, 1 if little_endian else 0, message_type,
         len(buffer) - GIOP_HEADER_SIZE,
     )
-
-
-def read_message(channel):
-    """Read one framed GIOP message from a channel.
-
-    Returns (MessageHeader, body bytes).
-    """
-    header_bytes = channel.recv_exact(GIOP_HEADER_SIZE)
-    header = MessageHeader.decode(header_bytes)
-    if header.message_size > (1 << 24):
-        raise ProtocolError(f"implausible GIOP message size {header.message_size}")
-    body = channel.recv_exact(header.message_size) if header.message_size else b""
-    return header, body

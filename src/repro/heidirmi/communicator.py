@@ -36,7 +36,11 @@ from repro.heidirmi.errors import (
     ProtocolError,
 )
 from repro.wire.bufferplan import BufferPlan
-from repro.wire.correlation import CorrelationTable, is_channel_level_error
+from repro.wire.correlation import (
+    CorrelationTable,
+    channel_level_failure,
+    is_channel_level_error,
+)
 
 
 class _SendBuffer:
@@ -528,15 +532,7 @@ class ObjectCommunicator:
                     # is rejecting.  One of our waiters would otherwise
                     # never complete — fail them all with the server's
                     # diagnosis rather than hang the unlucky one.
-                    try:
-                        detail = reply.get_string()
-                    except Exception:
-                        detail = ""
-                    self._fail_pending(CommunicationError(
-                        "peer reported an uncorrelatable protocol error "
-                        f"[{reply.repo_id}] {detail}".rstrip(),
-                        kind="peer-protocol-error",
-                    ))
+                    self._fail_pending(channel_level_failure(reply))
                     continue
                 self.orphaned_replies += 1
             elif type(waiter) is _BulkCollector:

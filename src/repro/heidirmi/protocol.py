@@ -36,7 +36,6 @@ from repro.wire.text import (
     parse_reply2_line,
     parse_reply_line,
     parse_request2_line,
-    parse_request_id,
     parse_request_line,
 )
 
@@ -335,8 +334,6 @@ class Text2Protocol(TextProtocol):
         if not call.oneway and call.request_id is None:
             call.request_id = self.next_request_id()
         send_frame(channel, encode_request2(call))
-
-    _parse_id = staticmethod(parse_request_id)
 
     _close_line = BYE_LINE
 

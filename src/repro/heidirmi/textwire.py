@@ -330,6 +330,3 @@ class TextUnmarshaller(Unmarshaller):
 
     def at_end(self):
         return self._pos >= len(self._tokens)
-
-    def remaining_tokens(self):
-        return self._tokens[self._pos :]

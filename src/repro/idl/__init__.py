@@ -55,17 +55,29 @@ from repro.idl.types import (
 )
 
 
-def parse(source, filename="<string>", analyze_semantics=True, include_paths=()):
+def parse(source, filename="<string>", analyze_semantics=True, include_paths=(),
+          reporter=None):
     """Parse IDL source text into a :class:`Specification`.
 
     When *analyze_semantics* is true (the default) the resulting tree has
     scoped names resolved, repository IDs assigned, and inheritance
     checked; otherwise the raw syntax tree is returned.
+
+    Without a *reporter* the first problem raises (fail-fast).  With one
+    — the ``error(code, message, location)`` protocol :func:`analyze`
+    takes — every finding is collected instead: a syntax error becomes
+    ``IDL000`` and the result is ``None``.
     """
-    tokens = tokenize(source, filename=filename)
-    spec = parse_tokens(tokens, filename=filename, include_paths=include_paths)
+    try:
+        tokens = tokenize(source, filename=filename)
+        spec = parse_tokens(tokens, filename=filename, include_paths=include_paths)
+    except IdlError as exc:
+        if reporter is None:
+            raise
+        reporter.error("IDL000", exc.message, exc.location)
+        return None
     if analyze_semantics:
-        analyze(spec)
+        analyze(spec, reporter=reporter)
     return spec
 
 

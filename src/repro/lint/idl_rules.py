@@ -1,10 +1,9 @@
 """The IDL lint pass: collect-many semantics plus rules the fail-fast
 checker cannot express.
 
-:func:`lint_idl_source` parses an IDL file, runs
-:class:`repro.idl.semantics.SemanticAnalyzer` with a collecting reporter
-(every ``IDL00x`` problem in one run instead of aborting at the first),
-then applies the pure lint rules over the resolved tree:
+:func:`lint_idl_source` hands :func:`repro.idl.parse` a collecting
+reporter (every ``IDL00x`` problem in one run instead of aborting at the
+first), then applies the pure lint rules over the tree it returns:
 
 - **IDL010** identifiers in one scope that collide case-insensitively —
   IDL is case-insensitive for collision purposes (CORBA 2.3 §3.2.3)
@@ -22,11 +21,7 @@ then applies the pure lint rules over the resolved tree:
   IDL and not flagged.
 """
 
-from repro.idl import ast
-from repro.idl.errors import IdlError, IdlSyntaxError
-from repro.idl.lexer import tokenize
-from repro.idl.parser import parse_tokens
-from repro.idl.semantics import analyze
+from repro.idl import ast, parse
 from repro.idl import types as idl_types
 from repro.lint.diagnostics import DiagnosticReporter, Note, Span
 
@@ -35,17 +30,10 @@ def lint_idl_source(source, filename="<string>", include_paths=(), reporter=None
     """Lint IDL text; returns ``(spec_or_None, diagnostics)``."""
     if reporter is None:
         reporter = DiagnosticReporter(default_file=filename, source="idl")
-    try:
-        tokens = tokenize(source, filename=filename)
-        spec = parse_tokens(tokens, filename=filename, include_paths=include_paths)
-    except IdlSyntaxError as exc:
-        reporter.error("IDL000", exc.message, exc.location)
-        return None, reporter.diagnostics
-    except IdlError as exc:
-        reporter.error("IDL000", exc.message, getattr(exc, "location", None))
-        return None, reporter.diagnostics
-    analyze(spec, reporter=reporter)
-    lint_spec(spec, reporter)
+    spec = parse(source, filename=filename, include_paths=include_paths,
+                 reporter=reporter)
+    if spec is not None:
+        lint_spec(spec, reporter)
     return spec, reporter.diagnostics
 
 
@@ -297,4 +285,3 @@ def _check_recursion(spec, reporter):
                 else:
                     continue
                 break
-    return reporter.diagnostics

@@ -48,7 +48,7 @@ from repro.heidirmi.transport import (
     register_transport,
 )
 from repro.wire.bufferplan import BufferPlan
-from repro.wire.correlation import is_channel_level_error
+from repro.wire.correlation import channel_level_failure, is_channel_level_error
 from repro.wire.events import (
     NEED_DATA,
     CancelReceived,
@@ -642,6 +642,9 @@ class AioClientConnection:
         self._fifo = collections.deque()  # guarded-by: <serial:event-loop>
         self._reader_task = None
         self._closed = False
+        #: Replies that matched no awaiter (their call was abandoned),
+        #: counted as the blocking ObjectCommunicator counts them.
+        self.orphaned_replies = 0
         self._flight = None
         if flight is not None:
             peername = writer.get_extra_info("peername")
@@ -759,19 +762,17 @@ class AioClientConnection:
                 if self._fifo:
                     self._resolve(self._fifo.popleft(), reply)
                 return
-            if is_channel_level_error(reply):
-                # RET2 0 ERR / GIOP id 0: the server could not even
-                # correlate — every call in flight is dead.  Same kind
-                # as the blocking demultiplexer raises for this case.
-                self._fail_pending(CommunicationError(
-                    "channel-level protocol error from peer",
-                    kind="peer-protocol-error",
-                ))
-                return
             future = self._pending.pop(reply.request_id, None)
             if future is not None:
                 self._resolve(future, reply)
-            return  # orphaned reply (abandoned call): drop it
+            elif is_channel_level_error(reply):
+                # RET2 0 ERR / GIOP id 0: the server could not even
+                # correlate — every call in flight is dead.  Same error
+                # as the blocking demultiplexer raises for this case.
+                self._fail_pending(channel_level_failure(reply))
+            else:
+                self.orphaned_replies += 1  # abandoned call's late reply
+            return
         if kind is CloseReceived:
             # BYE / GIOP CloseConnection: the server announced an
             # orderly drain.  Pending calls fail as retryable handoffs

@@ -137,8 +137,10 @@ class BufferPool:
 
     Emitters lease scratch with :meth:`acquire`, hand it to a plan as
     an owned segment, and the flusher's :meth:`BufferPlan.recycle`
-    brings it back.  Buffers keep their grown capacity across reuses,
-    so steady-state emission allocates nothing.
+    brings it back.  What is reused is the ``bytearray`` object, not
+    its storage: :meth:`acquire` clears with ``del buffer[:]``, which on
+    CPython releases the allocation, so a hit saves one small object
+    allocation (see "Audited on tcp, kept" in docs/ARCHITECTURE.md).
     """
 
     def __init__(self, max_buffers=64):
@@ -150,7 +152,7 @@ class BufferPool:
         self._evicted = 0  # guarded-by: self._lock
 
     def acquire(self):
-        """Lease an empty ``bytearray`` (recycled capacity if any)."""
+        """Lease an empty ``bytearray`` (a recycled object if any)."""
         with self._lock:
             self._acquired += 1
             if self._free:

@@ -7,17 +7,22 @@ carried its own id allocator and its own reserved-id folklore.  Now:
   protocol frames (text2 ``CALL2 <id>``, GIOP's native request_id);
 - :data:`RESERVED_CHANNEL_ERROR_ID` (0) is the "no correlation" id a
   server uses when it must reject a request it could not even parse —
-  :func:`is_channel_level_error` is the one test for that case;
+  :func:`is_channel_level_error` is the one test for that case and
+  :func:`channel_level_failure` the one error both clients fail their
+  in-flight calls with;
 - :class:`CorrelationTable` is the completion table mapping in-flight
-  request ids to waiters, used by the blocking
-  :class:`~repro.heidirmi.communicator.ObjectCommunicator` (with real
-  threads) and the asyncio client in :mod:`repro.wire.aio` alike.
+  request ids to waiters of the blocking
+  :class:`~repro.heidirmi.communicator.ObjectCommunicator` (real
+  threads).  The asyncio client in :mod:`repro.wire.aio` does not use
+  it: one event loop owns its state, so it keeps a plain dict (and a
+  FIFO for the serial text protocol) and arms deadlines as loop timers.
 """
 
 import itertools
 import threading
 
 from repro.heidirmi.call import STATUS_ERROR
+from repro.heidirmi.errors import CommunicationError
 
 #: Request id 0 is reserved: real ids start at 1, and an error reply
 #: tagged 0 means "I could not parse the request, so I cannot name the
@@ -29,6 +34,21 @@ def is_channel_level_error(reply):
     """True when *reply* is the reserved uncorrelatable error reply."""
     return (reply.status == STATUS_ERROR
             and reply.request_id == RESERVED_CHANNEL_ERROR_ID)
+
+
+def channel_level_failure(reply):
+    """What every call in flight fails with when *reply* is the reserved
+    error reply: the server's ``[category] detail`` is the only clue to
+    which request it choked on."""
+    try:
+        detail = reply.get_string()
+    except Exception:
+        detail = ""
+    return CommunicationError(
+        "peer reported an uncorrelatable protocol error "
+        f"[{reply.repo_id}] {detail}".rstrip(),
+        kind="peer-protocol-error",
+    )
 
 
 class RequestIdAllocator:
@@ -54,18 +74,17 @@ class CorrelationTable:
 
     The table does not know what a waiter *is* — the blocking
     communicator stores ``concurrent.futures.Future`` and bulk
-    collectors, the asyncio client stores ``asyncio.Future`` — it only
-    owns the id → waiter map and its consistency.  Compound operations
-    (register-many-then-send) take :attr:`lock` directly and work on
-    :attr:`entries`; the common single steps have methods.
+    collectors — it only owns the id → waiter map and its consistency.
+    Compound operations (register-many-then-send) take :attr:`lock`
+    directly and work on :attr:`entries`; the common single steps have
+    methods.
 
     Entries may also carry an **armed deadline**: an absolute monotonic
     expiry filed in :attr:`deadlines` alongside the waiter.  The table
     stays pure — it never reads a clock; the pump passes ``now`` in —
-    so whichever I/O front-end drains it (the blocking demultiplexer's
-    select timeout, the asyncio client's loop timers) can enforce
-    expiry from its own wait primitive instead of every caller
-    re-checking a budget per attempt.
+    so the front-end that drains it (the blocking demultiplexer's
+    select timeout) enforces expiry from its own wait primitive instead
+    of every caller re-checking a budget per attempt.
     """
 
     __slots__ = ("lock", "entries", "deadlines")

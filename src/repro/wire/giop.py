@@ -70,7 +70,7 @@ from repro.wire.events import (
 )
 from repro.wire.machine import CLIENT, WireMachine
 
-#: A body beyond this is an attack or a bug (same cap as read_message).
+#: A body beyond this is an attack or a bug.
 MAX_MESSAGE_SIZE = 1 << 24
 
 _STATUS_TO_GIOP = {

@@ -204,8 +204,6 @@ def encode_reply2(reply):
 
 def parse_request_id(token):
     """A decimal request-id token → int (ids are never negative)."""
-    if token is None:
-        raise ProtocolError("CALL2 needs a request id")
     try:
         request_id = int(token)
     except ValueError:
@@ -412,11 +410,6 @@ BYE_LINE = b"BYE"
 
 #: The encoded close frame (what a draining peer actually sends).
 BYE_FRAME = b"BYE\n"
-
-
-def encode_close2():
-    """The text2 ``BYE`` frame (orderly-close announcement)."""
-    return BYE_FRAME
 
 
 class Text2Wire(TextWire):

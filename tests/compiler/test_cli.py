@@ -58,6 +58,25 @@ class TestCli:
         assert main([str(tmp_path / "absent.idl")]) == 1
         assert "error" in capsys.readouterr().err
 
+    def test_unknown_mapping_reports_error(self, idl_file, capsys):
+        assert main(["--mapping", "nope", str(idl_file)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: unknown mapping 'nope'\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("under_a_file", ("", "out"))
+    def test_unwritable_output_reports_error(self, idl_file, tmp_path, capsys,
+                                             under_a_file):
+        # chmod does not stop root, so the obstacle is a regular file
+        # where the output directory (or its parent) should be.
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        target = str(blocker / under_a_file)
+        assert main(["-o", target, str(idl_file)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write to {target}: ")
+        assert err.count("\n") == 1
+
     def test_syntax_error_reported_not_raised(self, tmp_path, capsys):
         bad = tmp_path / "bad.idl"
         bad.write_text("interface {")

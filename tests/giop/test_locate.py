@@ -14,8 +14,10 @@ from repro.giop.messages import (
 from repro.heidirmi import HdSkel, HdStub, Orb
 from repro.heidirmi.call import Call
 from repro.heidirmi.errors import CommunicationError, ProtocolError
+from repro.heidirmi.protocol import pump_event
 from repro.heidirmi.serialize import TypeRegistry
 from repro.heidirmi.transport import get_transport
+from repro.wire.events import LocateRequested
 
 TYPE_ID = "IDL:Locate/Thing:1.0"
 
@@ -137,9 +139,8 @@ class TestConnectionControl:
         def fake_server():
             server_channel = listener.accept()
             held["channel"] = server_channel  # keep it open
-            from repro.giop.messages import read_message
-
-            read_message(server_channel)  # consume the LocateRequest
+            held["event"] = pump_event(
+                server_channel, GiopProtocol().server_machine())
             server_channel.send(frame_message(MSG_MESSAGE_ERROR, b""))
 
         thread = threading.Thread(target=fake_server, daemon=True)
@@ -148,6 +149,8 @@ class TestConnectionControl:
         try:
             with pytest.raises(ProtocolError):
                 GiopProtocol().locate(channel, b"key")
+            assert type(held["event"]) is LocateRequested
+            assert held["event"].object_key == b"key"
         finally:
             channel.close()
             if "channel" in held:
