@@ -46,7 +46,7 @@ from repro.heidirmi.protocol import (
     pump_event,
     send_frame,
 )
-from repro.wire.correlation import RequestIdAllocator
+from repro.wire.correlation import RequestIdAllocator, draining_failure
 from repro.wire.events import (
     CancelReceived,
     CloseReceived,
@@ -137,9 +137,13 @@ class GiopProtocol(Protocol):
 
     # -- requests ------------------------------------------------------------
 
-    def send_request(self, channel, call):
+    def assign_request_id(self, call):
+        # GIOP frames an id on oneways too.
         if call.request_id is None:
-            call.request_id = self.next_request_id()
+            call.request_id = self._request_ids.next()
+
+    def send_request(self, channel, call):
+        self.assign_request_id(call)
         send_frame(channel, encode_request(call))
         if not getattr(channel, "_multiplexed", False):
             # Serial (one-call-in-flight) clients verify the next reply
@@ -160,9 +164,6 @@ class GiopProtocol(Protocol):
             event = pump_giop_event(channel, machine)
             kind = type(event)
             if kind is RequestReceived:
-                # The reply must echo this id; the communicator replies
-                # through the channel without call context, so stash it.
-                channel._giop_pending_reply_id = event.call.request_id
                 return event.call
             if kind is LocateRequested:
                 self._answer_locate(channel, event, object_exists)
@@ -216,10 +217,12 @@ class GiopProtocol(Protocol):
         if request_id is None:
             request_id = reply.request_id
         if request_id is None:
-            # Serial servers stash the id of the one request in flight;
-            # pipelined servers always set reply.request_id (replies may
-            # leave out of order, so a per-channel stash would cross-wire).
-            request_id = getattr(channel, "_giop_pending_reply_id", 0)
+            # Serial servers echo the id of the one request in flight,
+            # which the channel's server machine remembers from parsing
+            # it; pipelined servers always set reply.request_id (replies
+            # may leave out of order, so a stash would cross-wire).
+            request_id = channel_machine(
+                channel, "server", self.machine_class).pending_reply_id
         send_frame(channel, _encode_reply(reply, request_id=request_id))
 
     def recv_reply(self, channel):
@@ -239,12 +242,7 @@ class GiopProtocol(Protocol):
         if kind is WireViolation:
             raise ProtocolError(event.message)
         if kind is CloseReceived:
-            # The server is draining: it finished what it owed us and is
-            # handing any still-pending calls back as retryable work.
-            raise CommunicationError(
-                "peer sent GIOP CloseConnection (draining)",
-                kind="draining",
-            )
+            raise draining_failure()
         raise ProtocolError(
             f"expected GIOP Reply, got message type "
             f"{_EVENT_MESSAGE_TYPE[kind]}"

@@ -163,11 +163,10 @@ class Call(_DelegatingWriter, _DelegatingReader):
     """
 
     # One Call per request on the hot path: keep instances dict-free.
-    # _giop_request_id is GIOP's server-side stash of the incoming id;
     # admitted_at is the serving core's (admission-clock time the
     # request was admitted, None without admission control).
     __slots__ = ("_m", "_u", "target", "operation", "oneway",
-                 "request_id", "_giop_request_id",
+                 "request_id",
                  "trace_context", "trace_span",
                  "deadline", "idempotent", "_wire_tail", "_dl_token",
                  "admitted_at")

@@ -12,16 +12,20 @@ Two client-side operating modes:
   calling thread.
 - **multiplexed** (``multiplexed=True``, protocols with request ids
   only): many callers share the channel concurrently.  Each request is
-  tagged with a correlation id and registered in a completion table; a
-  single demultiplexing reader thread drains replies off the channel
-  and resolves the matching future.  ``invoke_async`` returns the
-  future; ``invoke`` is just ``invoke_async(...).result()``.
+  registered with the connection's sans-I/O
+  :class:`~repro.wire.correlation.ClientSession`; a single
+  demultiplexing reader thread drains replies off the channel, feeds
+  them to the session and completes the waiters it hands back.  The
+  thread is a *pump*: what a reply, a close, a garbled frame or an
+  expired deadline means is the session's decision, shared with the
+  asyncio client.  ``invoke_async`` returns the future; ``invoke`` is
+  just ``invoke_async(...).result()``.
 
 Oneway batching (``batch_oneways=True``) coalesces small oneway sends
 into one channel write; the buffer flushes when it grows past
-``batch_max_bytes``/``batch_max_calls``, before any two-way send (so
-ordering between a oneway and a later call is preserved), or on an
-explicit :meth:`flush`.
+:data:`BATCH_MAX_BYTES`/:data:`BATCH_MAX_CALLS`, before any two-way
+send (so ordering between a oneway and a later call is preserved), or
+on an explicit :meth:`flush`.
 """
 
 import threading
@@ -31,16 +35,20 @@ from concurrent.futures import TimeoutError as _FutureTimeout
 
 from repro.heidirmi.errors import (
     CommunicationError,
-    DeadlineExceeded,
     HeidiRmiError,
     ProtocolError,
 )
 from repro.wire.bufferplan import BufferPlan
-from repro.wire.correlation import (
-    CorrelationTable,
-    channel_level_failure,
-    is_channel_level_error,
-)
+from repro.wire.correlation import ClientSession
+
+#: A oneway batch flushes once it holds this much.
+BATCH_MAX_BYTES = 8192
+BATCH_MAX_CALLS = 32
+#: Server-side reply coalescing must never withhold replies without
+#: limit, but the bound is looser than the oneway batch so a whole
+#: pipelined window still goes out in one send.
+REPLY_MAX_BYTES = 65536
+REPLY_MAX_CALLS = 256
 
 
 class _SendBuffer:
@@ -66,10 +74,10 @@ class _SendBuffer:
 class _BulkCollector:
     """Completion sink for a whole burst: one event, not one per call.
 
-    The demux reader files each correlated reply into ``replies`` and
-    sets the event when the last lands — far lighter than a
-    ``concurrent.futures.Future`` per call on the hot path.  Only the
-    demux thread mutates it after registration.
+    Completed like a ``Future`` (``set_result`` once per correlated
+    reply, ``set_exception`` on failure), but it files the replies by
+    id and sets its event when the last lands — far lighter than a
+    ``concurrent.futures.Future`` per call on the hot path.
     """
 
     __slots__ = ("replies", "remaining", "event", "error")
@@ -80,13 +88,13 @@ class _BulkCollector:
         self.event = threading.Event()
         self.error = None
 
-    def add(self, request_id, reply):
-        self.replies[request_id] = reply
+    def set_result(self, reply):
+        self.replies[reply.request_id] = reply
         self.remaining -= 1
         if self.remaining <= 0:
             self.event.set()
 
-    def fail(self, exc):
+    def set_exception(self, exc):
         self.error = exc
         self.event.set()
 
@@ -95,9 +103,7 @@ class ObjectCommunicator:
     """One demarcated request/reply stream over a Channel."""
 
     def __init__(self, channel, protocol, multiplexed=False,
-                 batch_oneways=False, batch_max_bytes=8192,
-                 batch_max_calls=32, reply_max_bytes=65536,
-                 reply_max_calls=256, observer=None):
+                 batch_oneways=False, observer=None):
         self.channel = channel
         # Bound once: the exclusive deadline path arms and disarms the
         # channel expiry on every deadlined call, so the two attribute
@@ -117,34 +123,19 @@ class ObjectCommunicator:
             # Protocols with per-channel serial-reply checks (GIOP) relax
             # them when many requests share the channel.
             channel._multiplexed = True
-        # Completion table: request id -> Future or _BulkCollector,
-        # resolved by the demux loop.  The table itself (and the
-        # reserved-id semantics applied in _resolve) is the shared
-        # correlation core from repro.wire; the aliases keep the
-        # compound register-then-send blocks below on the same lock.
-        self._table = CorrelationTable()
-        self._pending = self._table.entries  # guarded-by: self._pending_lock
-        self._pending_lock = self._table.lock
+        # Waiters (Future or _BulkCollector per request) live in the
+        # sans-I/O client session, which also decides what every
+        # inbound event means to them; the demux loop only pumps it.
+        self._session = ClientSession(protocol, getattr(channel, "peer", "?"))
         self._reader = None
         self._reader_lock = threading.Lock()
-        #: Replies whose id matched no waiter (cancelled/buggy peer);
-        #: they are dropped, not delivered — this counts them.
-        self.orphaned_replies = 0
         self._batch_oneways = batch_oneways
-        self._batch_max_bytes = batch_max_bytes
-        self._batch_max_calls = batch_max_calls
         self._batch = bytearray()  # guarded-by: self._batch_lock
         self._batch_calls = 0  # guarded-by: self._batch_lock
         self._batch_lock = threading.Lock()
         # Server-side reply coalescing sink; only the serial request
         # loop touches it, so it needs no lock.  Persistent so each
         # buffered reply encodes straight into it with no fresh buffer.
-        # Bounded by the reply caps above: coalescing must never
-        # withhold replies without limit, but the bound is looser than
-        # the oneway batch so a whole pipelined window still goes out
-        # in one send.
-        self._reply_max_bytes = reply_max_bytes
-        self._reply_max_calls = reply_max_calls
         self._reply_sink = _SendBuffer()  # guarded-by: <serial:server-loop>
         self._sink_replies = 0  # guarded-by: <serial:server-loop>
         # Pre-resolved instruments (repro.observe): resolving each once
@@ -161,6 +152,7 @@ class ObjectCommunicator:
             self._reply_flushes = metrics.counter("rpc.reply_flushes")
             self._oneway_flushes = metrics.counter("rpc.oneway_flushes")
             self._metrics = metrics
+            self._session.tap = self._count_error
         else:
             self._pending_gauge = None
             self._demux_batch = None
@@ -170,24 +162,23 @@ class ObjectCommunicator:
             self._metrics = None
 
     def _count_error(self, exc):
-        """Bump the per-kind channel error counter (observed mode only)."""
-        if self._metrics is not None:
-            kind = getattr(exc, "kind", "communication")
-            self._metrics.counter("channel.errors", kind=kind).inc()
+        """Bump the per-kind channel error counter (the session's tap)."""
+        self._metrics.counter("channel.errors", kind=exc.kind).inc()
 
     # -- client side -------------------------------------------------------
 
+    @property
+    def orphaned_replies(self):
+        """Replies whose id matched no waiter (expired call, buggy
+        peer); they are dropped, not delivered — the session counts."""
+        return self._session.orphaned_replies
+
     def invoke(self, call):
         """Send *call*; return the Reply (or None for oneway calls)."""
-        deadline = call.deadline
         if call.oneway:
-            if deadline is not None and deadline.expired:
-                raise DeadlineExceeded(
-                    f"deadline expired before oneway {call.operation!r} "
-                    "was sent"
-                )
             self._send_oneway(call)
             return None
+        deadline = call.deadline
         if self.multiplexed:
             future = self.invoke_async(call)
             if deadline is None:
@@ -195,15 +186,12 @@ class ObjectCommunicator:
             try:
                 return future.result(timeout=max(0.0, deadline.remaining()))
             except _FutureTimeout:
-                # Only this call's completion-table entry dies; the
-                # demux reader and the shared channel keep serving
-                # channel-mates, and the late reply (if any) is counted
-                # as an orphan.
-                self.abandon(call.request_id)
-                raise DeadlineExceeded(
-                    f"deadline expired waiting for reply to "
-                    f"{call.operation!r} (id {call.request_id})"
-                ) from None
+                # Backstop for a reader stalled mid-frame: the budget
+                # has run out, so this is one more deadline tick.  Only
+                # lapsed entries die; the demux reader and the shared
+                # channel keep serving channel-mates.
+                self._complete(self._session.expire(deadline.expires_at))
+                return future.result()
         self.flush()
         if deadline is not None:
             # Exclusive channels enforce the budget at the socket: a
@@ -248,54 +236,21 @@ class ObjectCommunicator:
         (the Orb wraps exclusive invokes in a worker thread instead).
         """
         future = Future()
-        if call.oneway:
-            try:
-                self._send_oneway(call)
-            except Exception as exc:
-                future.set_exception(exc)
-            else:
-                future.set_result(None)
-            return future
-        if not self.multiplexed:
+        if call.oneway or not self.multiplexed:
             try:
                 future.set_result(self.invoke(call))
             except Exception as exc:
                 future.set_exception(exc)
             return future
-        if call.request_id is None:
-            call.request_id = self.protocol.next_request_id()
-        deadline = call.deadline
-        with self._pending_lock:
-            if self.channel.closed:
-                raise CommunicationError(
-                    f"channel to {self.channel.peer} is closed",
-                    kind="channel-closed",
-                )
-            self._pending[call.request_id] = future
-            if deadline is not None:
-                # Arm the expiry on the completion-table entry: the
-                # demux reader's select timeout enforces it even when
-                # nobody blocks on the future (invoke's result-timeout
-                # backstop still covers mid-frame stalls).
-                self._table.deadlines[call.request_id] = deadline.expires_at
-            depth = len(self._pending)
-        if self._pending_gauge is not None:
-            self._pending_gauge.set(depth)
-        self._ensure_reader()
+        # A deadline is armed on the session entry: the demux reader's
+        # select timeout enforces it even when nobody blocks on the
+        # future.
+        keys = self._register((call,), future)
         try:
             self.flush()
             self.protocol.send_request(self.channel, call)
         except BaseException as exc:
-            with self._pending_lock:
-                self._pending.pop(call.request_id, None)
-                self._table.deadlines.pop(call.request_id, None)
-            if isinstance(exc, CommunicationError):
-                # A failed send killed the channel; spool its flight
-                # ring from this thread.  The demux reader reports the
-                # same death, but an orderly stop can disarm the
-                # recorder before that thread wakes — the once-only
-                # spool guard dedupes when both get there.
-                self._channel_postmortem(exc)
+            self._send_failed(keys, exc)
             raise
         if call.trace_span is not None:
             call.trace_span.stage("send")
@@ -306,8 +261,8 @@ class ObjectCommunicator:
 
         The transmission-policy counterpart of oneway batching for
         two-way traffic: every request in *calls* is tagged, registered
-        in the completion table, encoded back-to-back and flushed with
-        a single send, so a window of W calls costs one syscall instead
+        with the session, encoded back-to-back and flushed with a
+        single send, so a window of W calls costs one syscall instead
         of W — and the whole window completes through one shared
         :class:`_BulkCollector` event instead of a future per call.
         Returns replies in call order (None for oneways).
@@ -318,46 +273,20 @@ class ObjectCommunicator:
             )
         if not isinstance(calls, (list, tuple)):
             calls = list(calls)
-        expected = sum(1 for call in calls if not call.oneway)
-        collector = _BulkCollector(expected)
-        registered = []
+        collector = _BulkCollector(
+            sum(1 for call in calls if not call.oneway))
         buffer = _SendBuffer()
         send_request = self.protocol.send_request
-        next_request_id = self.protocol.next_request_id
-        pending = self._pending
+        registered = self._register(
+            calls, collector, None if deadline is None else deadline.expires_at)
         try:
-            with self._pending_lock:
-                if self.channel.closed:
-                    raise CommunicationError(
-                        f"channel to {self.channel.peer} is closed",
-                        kind="channel-closed",
-                    )
-                for call in calls:
-                    if not call.oneway:
-                        if call.request_id is None:
-                            call.request_id = next_request_id()
-                        pending[call.request_id] = collector
-                        if call.deadline is not None:
-                            self._table.deadlines[call.request_id] = (
-                                call.deadline.expires_at
-                            )
-                        registered.append(call.request_id)
-                    send_request(buffer, call)
-                depth = len(pending)
-            if self._pending_gauge is not None:
-                self._pending_gauge.set(depth)
-            self._ensure_reader()
+            for call in calls:
+                send_request(buffer, call)
             self.flush()
             if buffer.data:
                 self.channel.send(bytes(buffer.data))
         except BaseException as exc:
-            with self._pending_lock:
-                for request_id in registered:
-                    self._pending.pop(request_id, None)
-                    self._table.deadlines.pop(request_id, None)
-            if isinstance(exc, CommunicationError):
-                # Sender-side spool: see invoke_async.
-                self._channel_postmortem(exc)
+            self._send_failed(registered, exc)
             raise
         if registered:
             if deadline is None:
@@ -365,25 +294,36 @@ class ObjectCommunicator:
             elif not collector.event.wait(
                 timeout=max(0.0, deadline.remaining())
             ):
-                # Unregister what is still outstanding so late replies
-                # become counted orphans; channel-mates are untouched.
-                with self._pending_lock:
-                    for request_id in registered:
-                        self._pending.pop(request_id, None)
-                        self._table.deadlines.pop(request_id, None)
-                    depth = len(self._pending)
-                if self._pending_gauge is not None:
-                    self._pending_gauge.set(depth)
-                raise DeadlineExceeded(
-                    f"deadline expired with {collector.remaining} of "
-                    f"{len(registered)} replies outstanding"
-                )
+                # The window's budget ran out: one more deadline tick
+                # (see invoke).  Late replies become counted orphans;
+                # channel-mates are untouched.
+                self._complete(self._session.expire(deadline.expires_at))
             if collector.error is not None:
                 raise collector.error
         return [None if call.oneway else collector.replies[call.request_id]
                 for call in calls]
 
+    def _register(self, calls, waiter, expires_at=None):
+        """File *waiter* with the session for *calls*; a reader is up."""
+        keys = self._session.register(calls, waiter, expires_at)
+        if self._pending_gauge is not None:
+            self._pending_gauge.set(len(self._session))
+        self._ensure_reader()
+        return keys
+
+    def _send_failed(self, keys, exc):
+        """The requests behind *keys* never reached the wire."""
+        self._session.unregister(keys)
+        if isinstance(exc, CommunicationError):
+            # A failed send killed the channel; spool its flight ring
+            # from this thread.  The demux reader reports the same
+            # death, but an orderly stop can disarm the recorder before
+            # that thread wakes — the once-only spool guard dedupes
+            # when both get there.
+            self._channel_postmortem(exc)
+
     def _send_oneway(self, call):
+        self._session.oneway(call, time.monotonic())
         if not self._batch_oneways:
             self.flush()
             self.protocol.send_request(self.channel, call)
@@ -393,8 +333,8 @@ class ObjectCommunicator:
         with self._batch_lock:
             self._batch += buffer.data
             self._batch_calls += 1
-            full = (len(self._batch) >= self._batch_max_bytes
-                    or self._batch_calls >= self._batch_max_calls)
+            full = (len(self._batch) >= BATCH_MAX_BYTES
+                    or self._batch_calls >= BATCH_MAX_CALLS)
         if full:
             self.flush()
 
@@ -416,7 +356,7 @@ class ObjectCommunicator:
         if self._oneway_flushes is not None:
             self._oneway_flushes.inc()
 
-    # -- reply demultiplexing ----------------------------------------------
+    # -- reply demultiplexing: the thread pump over the session ------------
 
     def _ensure_reader(self):
         if self._reader is not None:
@@ -430,22 +370,30 @@ class ObjectCommunicator:
                 )
                 self._reader.start()
 
+    def _complete(self, completions):
+        """Hand each waiter the outcome the session decided for it."""
+        for waiter, outcome in completions:
+            if isinstance(outcome, Exception):
+                waiter.set_exception(outcome)
+            else:
+                waiter.set_result(outcome)
+        if completions and self._pending_gauge is not None:
+            self._pending_gauge.set(len(self._session))
+
     def _enforce_deadlines(self):
         """Park until bytes arrive or the earliest armed expiry passes.
 
         The pump half of deadline enforcement: instead of every caller
         polling its own budget, the demux reader waits on the channel
-        with a timeout equal to the completion table's earliest armed
-        expiry and fails exactly the entries that lapsed — with zero
-        inbound bytes ever required.  Channel-mates and the shared
-        channel itself are untouched; a late reply to an expired id is
-        counted as an orphan like any abandoned call's.
+        with a timeout equal to the session's earliest armed expiry and
+        tells the session the time — with zero inbound bytes ever
+        required.  Channel-mates and the shared channel itself are
+        untouched.
         """
-        table = self._table
-        channel = self.channel
-        wait_readable = getattr(channel, "wait_readable", None)
+        session = self._session
+        wait_readable = getattr(self.channel, "wait_readable", None)
         while True:
-            expiry = table.next_expiry()
+            expiry = session.next_expiry()
             if expiry is None:
                 return
             now = time.monotonic()
@@ -457,23 +405,13 @@ class ObjectCommunicator:
                 if wait_readable(expiry - now):
                     return  # bytes (or channel death): go read them
                 now = time.monotonic()
-            expired = table.expire(now)
-            if expired and self._pending_gauge is not None:
-                self._pending_gauge.set(len(table))
-            for request_id, waiter in expired:
-                exc = DeadlineExceeded(
-                    f"deadline expired waiting for reply "
-                    f"(id {request_id}) from {channel.peer}"
-                )
-                if type(waiter) is _BulkCollector:
-                    waiter.fail(exc)
-                else:
-                    waiter.set_exception(exc)
+            self._complete(session.expire(now))
 
     def _demux_loop(self):
         recv_reply = self.protocol.recv_reply
         channel = self.channel
-        deadlines = self._table.deadlines
+        session = self._session
+        deadlines = session.deadlines
         while True:
             batch = []
             try:
@@ -487,87 +425,25 @@ class ObjectCommunicator:
                 # drain them now and resolve the lot under one lock.
                 while channel.has_buffered:
                     batch.append(recv_reply(channel))
-            except CommunicationError as exc:
-                self._resolve(batch)
-                self._channel_postmortem(exc)
-                # Mark the channel dead before failing waiters: the
-                # multiplexed ConnectionCache only replaces a shared
-                # communicator once it reads as closed, and this reader
-                # thread is never restarted — leaving the channel "open"
-                # would hang every later invoke on it.
-                self.channel.close()
-                self._fail_pending(exc)
-                return
             except Exception as exc:
-                # A framing error leaves the stream position unknown;
-                # nothing after it can be trusted, so the channel dies.
-                # kind="reader-died" distinguishes this from transport
-                # failures (recv-failed/peer-closed), which keep their
-                # own kind from the except branch above.
-                self._resolve(batch)
-                died = CommunicationError(
-                    f"demultiplexer failed: {exc}", kind="reader-died"
-                )
-                self._channel_postmortem(died)
-                self.channel.close()
-                self._fail_pending(died)
+                self._complete(session.replies(batch))
+                self._fail_pending(session.dead(exc))
                 return
             if self._demux_batch is not None:
                 self._demux_batch.record(len(batch))
-            self._resolve(batch)
+            self._complete(session.replies(batch))
 
-    def _resolve(self, replies):
-        if not replies:
-            return
-        waiters, depth = self._table.take(
-            [reply.request_id for reply in replies]
-        )
-        if self._pending_gauge is not None:
-            self._pending_gauge.set(depth)
-        for waiter, reply in zip(waiters, replies):
-            if waiter is None:
-                if is_channel_level_error(reply):
-                    # Id 0 is reserved: the server failed on a request it
-                    # could not even parse, so it cannot name the call it
-                    # is rejecting.  One of our waiters would otherwise
-                    # never complete — fail them all with the server's
-                    # diagnosis rather than hang the unlucky one.
-                    self._fail_pending(channel_level_failure(reply))
-                    continue
-                self.orphaned_replies += 1
-            elif type(waiter) is _BulkCollector:
-                waiter.add(reply.request_id, reply)
-            else:
-                waiter.set_result(reply)
-
-    def abandon(self, request_id):
-        """Drop one pending entry whose caller stopped waiting.
-
-        Used by deadline enforcement on multiplexed channels: the
-        expired call's completion-table entry is removed so the demux
-        reader counts its late reply (if one ever arrives) as an orphan
-        instead of delivering it to nobody — and every channel-mate
-        keeps its own entry.  Returns True if the entry existed.
-        """
-        waiter, depth = self._table.discard(request_id)
-        if self._pending_gauge is not None:
-            self._pending_gauge.set(depth)
-        return waiter is not None
-
-    def _fail_pending(self, exc):
-        pending = self._table.drain()
-        # race-ok: alias refresh after drain swapped the dict; the
-        # channel is already closed, so invoke_async's closed-check
-        # under the lock keeps new registrations out of the old dict.
-        self._pending = self._table.entries
-        if pending and self._metrics is not None:
-            self._count_error(exc)
-            self._pending_gauge.set(0)
-        for waiter in pending.values():
-            if type(waiter) is _BulkCollector:
-                waiter.fail(exc)
-            else:
-                waiter.set_exception(exc)
+    def _fail_pending(self, completions):
+        """The session declared the channel dead: bury it, then fail
+        the waiters it handed back."""
+        reason = self._session.closed
+        self._channel_postmortem(reason)
+        # Mark the channel dead before failing waiters: the multiplexed
+        # ConnectionCache only replaces a shared communicator once it
+        # reads as closed, and the reader thread is never restarted —
+        # leaving the channel "open" would hang every later invoke.
+        self.channel.close()
+        self._complete(completions)
 
     # -- server side -------------------------------------------------------
 
@@ -597,7 +473,7 @@ class ObjectCommunicator:
         requests are already buffered on the channel — correlation ids
         let the client sort the grouped replies out, and one send for a
         backlog of replies beats one syscall each.  Coalescing is capped
-        by ``reply_max_bytes``/``reply_max_calls`` so a saturated
+        by :data:`REPLY_MAX_BYTES`/:data:`REPLY_MAX_CALLS` so a saturated
         pipeline cannot have its replies withheld without bound.
         """
         sink = self._reply_sink
@@ -605,8 +481,8 @@ class ObjectCommunicator:
         self._sink_replies += 1
         if self._coalesced_replies is not None:
             self._coalesced_replies.inc()
-        if (len(sink.data) >= self._reply_max_bytes
-                or self._sink_replies >= self._reply_max_calls):
+        if (len(sink.data) >= REPLY_MAX_BYTES
+                or self._sink_replies >= REPLY_MAX_CALLS):
             self.flush_replies()
 
     def flush_replies(self):
@@ -640,13 +516,7 @@ class ObjectCommunicator:
         recorder = getattr(self.channel, "flight", None)
         if recorder is not None:
             recorder.disarm()
-        self.channel.close()
-        self._fail_pending(
-            CommunicationError(
-                f"channel to {self.channel.peer} was closed",
-                kind="channel-closed",
-            )
-        )
+        self._fail_pending(self._session.close())
 
     @property
     def closed(self):

@@ -23,7 +23,7 @@ from repro.heidirmi.errors import CommunicationError, ProtocolError
 from repro.heidirmi.textwire import TextMarshaller
 from repro.wire import events as wire_events
 from repro.wire.bufferplan import BufferPlan
-from repro.wire.correlation import RequestIdAllocator
+from repro.wire.correlation import RequestIdAllocator, draining_failure
 from repro.wire.text import (
     BYE_FRAME,
     BYE_LINE,
@@ -65,21 +65,13 @@ def send_frame(channel, data):
     channel.send(data)
 
 
-def close_received(role, detail):
-    """The blocking-API exception for an orderly close frame.
-
-    The *role* decides what the close means: a client that receives one
-    mid-wait lost nothing — the server is draining and explicitly hands
-    the call back as a retryable failure (``kind="draining"``, which the
-    default retry policy accepts and the flight recorder treats as
-    clean).  A server that receives one is just watching its peer leave
-    (``kind="peer-closed"``, routine, never a postmortem).
-    """
-    if role == "client":
-        return CommunicationError(
-            f"peer is draining: {detail}", kind="draining"
-        )
-    return CommunicationError(f"peer sent {detail}", kind="peer-closed")
+def peer_closed():
+    """What a *server* raises on an orderly close frame: its peer is
+    just leaving (routine, never a postmortem).  A client that receives
+    one mid-wait gets :func:`~repro.wire.correlation.draining_failure`."""
+    return CommunicationError(
+        "peer sent BYE (orderly close)", kind="peer-closed"
+    )
 
 
 def pump_event(channel, machine):
@@ -160,13 +152,19 @@ class Protocol:
             "it cannot be pipelined or multiplexed"
         )
 
-    def client_machine(self, **kwargs):
-        """A fresh client-role wire machine (parses replies)."""
-        return self.machine_class("client", **kwargs)
+    def assign_request_id(self, call):
+        """Tag *call* with a fresh id if this protocol frames one on it
+        and it has none yet.  The one statement of each protocol's rule:
+        none here (replies correlate by arrival order), two-ways on
+        text2, every request on GIOP."""
 
-    def server_machine(self, **kwargs):
+    def client_machine(self):
+        """A fresh client-role wire machine (parses replies)."""
+        return self.machine_class("client")
+
+    def server_machine(self):
         """A fresh server-role wire machine (parses requests)."""
-        return self.machine_class("server", **kwargs)
+        return self.machine_class("server")
 
     def new_marshaller(self):
         raise NotImplementedError
@@ -242,14 +240,14 @@ class TextProtocol(Protocol):
             if type(event) is wire_events.WireViolation:
                 raise ProtocolError(event.message)
             if type(event) is wire_events.CloseReceived:
-                raise close_received("server", "BYE (orderly close)")
+                raise peer_closed()
             return event.call
         raw = channel.recv_line()
         if raw == self._close_line:
             recorder = getattr(channel, "flight", None)
             if recorder is not None:
                 recorder.record_close(raw, "server")
-            raise close_received("server", "BYE (orderly close)")
+            raise peer_closed()
         line = raw.decode("ascii", errors="replace")
         recorder = getattr(channel, "flight", None)
         if recorder is None:
@@ -274,14 +272,14 @@ class TextProtocol(Protocol):
             if type(event) is wire_events.WireViolation:
                 raise ProtocolError(event.message)
             if type(event) is wire_events.CloseReceived:
-                raise close_received("client", "BYE (orderly close)")
+                raise draining_failure()
             return event.reply
         raw = channel.recv_line()
         if raw == self._close_line:
             recorder = getattr(channel, "flight", None)
             if recorder is not None:
                 recorder.record_close(raw, "client")
-            raise close_received("client", "BYE (orderly close)")
+            raise draining_failure()
         line = raw.decode("ascii", errors="replace")
         recorder = getattr(channel, "flight", None)
         if recorder is None:
@@ -330,9 +328,13 @@ class Text2Protocol(TextProtocol):
     def next_request_id(self):
         return self._request_ids.next()
 
-    def send_request(self, channel, call):
+    def assign_request_id(self, call):
+        # Oneways carry no id — nothing ever correlates back to them.
         if not call.oneway and call.request_id is None:
-            call.request_id = self.next_request_id()
+            call.request_id = self._request_ids.next()
+
+    def send_request(self, channel, call):
+        self.assign_request_id(call)
         send_frame(channel, encode_request2(call))
 
     _close_line = BYE_LINE

@@ -101,6 +101,7 @@ class SemanticAnalyzer:
         self._resolve_types(self._spec, self._root_scope)
         self._assign_repository_ids(self._spec, prefix=self._spec.prefix, path=())
         self._check_operations()
+        self._check_containment()
         return self._spec
 
     def _error(self, code, message, location=None):
@@ -456,6 +457,69 @@ class SemanticAnalyzer:
                 "IDL007",
                 f"duplicate parameter names in operation {op.name!r}", op.location
             )
+
+    # -- pass 5: by-value containment (IDL016) ----------------------------------
+
+    def _check_containment(self):
+        """A struct/union/exception that contains itself by value
+        (directly or through typedefs/members) has no finite
+        representation, and every back end that walks member types
+        would recurse forever on it.  Recursion through a *sequence* is
+        legal IDL and not flagged."""
+        flagged = set()
+        for node in ast.walk(self._spec):
+            if not isinstance(node, _BY_VALUE_DECLS) or id(node) in flagged:
+                continue
+            # DFS over the by-value containment graph looking for a cycle
+            # back to `node`.
+            stack = [(node, [node])]
+            visited = set()
+            while stack:
+                current, path = stack.pop()
+                for embedded in _embedded_declarations(current):
+                    if embedded is node:
+                        cycle = " -> ".join(d.scoped_name() for d in path + [node])
+                        self._error(
+                            "IDL016",
+                            f"{node.scoped_name()!r} contains itself by value "
+                            f"({cycle}); recursion is only legal through a "
+                            "sequence",
+                            node.location,
+                        )
+                        flagged.update(id(d) for d in path)
+                        stack.clear()
+                        break
+                    if id(embedded) not in visited:
+                        visited.add(id(embedded))
+                        stack.append((embedded, path + [embedded]))
+
+
+_BY_VALUE_DECLS = (ast.StructDecl, ast.UnionDecl, ast.ExceptionDecl)
+
+
+def _embedded_declarations(decl):
+    """The declarations *decl*'s members embed by value, in member order.
+
+    Sequences (and object references) break the by-value chain — a
+    recursive sequence member is legal IDL — but arrays and typedef
+    chains do not.
+    """
+    members = decl.cases if isinstance(decl, ast.UnionDecl) else decl.members
+    embedded = []
+    for member in members:
+        idl_type = member.idl_type
+        while True:
+            if isinstance(idl_type, ArrayType):
+                idl_type = idl_type.element
+            elif (isinstance(idl_type, NamedType)
+                    and isinstance(idl_type.declaration, ast.TypedefDecl)):
+                idl_type = idl_type.declaration.aliased_type
+            else:
+                break
+        if (isinstance(idl_type, NamedType)
+                and isinstance(idl_type.declaration, _BY_VALUE_DECLS)):
+            embedded.append(idl_type.declaration)
+    return embedded
 
 
 def evaluate_const(expr):

@@ -14,11 +14,11 @@ first), then applies the pure lint rules over the tree it returns:
   object reference copies the *reference*, not the object, which is
   usually not what the author of an ``incopy`` signature intended;
 - **IDL015** ``oneway`` with ``raises`` — a fire-and-forget call can
-  never deliver the exception;
-- **IDL016** unbounded recursion: a struct/union/exception that
-  contains itself by value (directly or through typedefs/members) has
-  no finite representation.  Recursion through a *sequence* is legal
-  IDL and not flagged.
+  never deliver the exception.
+
+(**IDL016**, by-value self-containment, is a semantic error and lives
+in :func:`repro.idl.semantics.analyze`: back ends recurse over member
+types, so it must be caught whether or not lint runs.)
 """
 
 from repro.idl import ast, parse
@@ -44,7 +44,6 @@ def lint_spec(spec, reporter):
     _check_unused(spec, reporter)
     _check_incopy_interfaces(spec, reporter)
     _check_oneway_raises(spec, reporter)
-    _check_recursion(spec, reporter)
     return reporter.diagnostics
 
 
@@ -220,68 +219,3 @@ def _check_oneway_raises(spec, reporter):
                 "never deliver an exception",
                 node.location,
             )
-
-
-# -- IDL016: unbounded recursion -----------------------------------------------
-
-def _by_value_components(decl):
-    """The member types a struct/union/exception embeds *by value*."""
-    if isinstance(decl, (ast.StructDecl, ast.ExceptionDecl)):
-        return [m.idl_type for m in decl.members]
-    if isinstance(decl, ast.UnionDecl):
-        return [c.idl_type for c in decl.cases]
-    return []
-
-
-def _embedded_declarations(idl_type):
-    """Declarations *idl_type* embeds by value.
-
-    Sequences (and object references) break the by-value chain — a
-    recursive sequence member is legal IDL — but arrays and typedef
-    chains do not.
-    """
-    if isinstance(idl_type, idl_types.NamedType):
-        decl = idl_type.declaration
-        if isinstance(decl, ast.TypedefDecl):
-            return _embedded_declarations(decl.aliased_type)
-        if isinstance(decl, (ast.StructDecl, ast.UnionDecl, ast.ExceptionDecl)):
-            return [decl]
-        return []
-    if isinstance(idl_type, idl_types.ArrayType):
-        return _embedded_declarations(idl_type.element)
-    return []
-
-
-def _check_recursion(spec, reporter):
-    flagged = set()
-    for node in ast.walk(spec):
-        if not isinstance(node, (ast.StructDecl, ast.UnionDecl, ast.ExceptionDecl)):
-            continue
-        if id(node) in flagged:
-            continue
-        # DFS over the by-value containment graph looking for a cycle
-        # back to `node`.
-        stack = [(node, [node])]
-        visited = set()
-        while stack:
-            current, path = stack.pop()
-            for component in _by_value_components(current):
-                for embedded in _embedded_declarations(component):
-                    if embedded is node:
-                        cycle = " -> ".join(d.scoped_name() for d in path + [node])
-                        reporter.error(
-                            "IDL016",
-                            f"{node.scoped_name()!r} contains itself by value "
-                            f"({cycle}); recursion is only legal through a "
-                            "sequence",
-                            node.location,
-                        )
-                        flagged.update(id(d) for d in path)
-                        stack.clear()
-                        break
-                    if id(embedded) not in visited:
-                        visited.add(id(embedded))
-                        stack.append((embedded, path + [embedded]))
-                else:
-                    continue
-                break

@@ -32,7 +32,7 @@ import repro.heidirmi  # noqa: F401  (cycle breaker, see above)
 
 from repro.wire.correlation import (  # noqa: F401
     RESERVED_CHANNEL_ERROR_ID,
-    CorrelationTable,
+    ClientSession,
     RequestIdAllocator,
     is_channel_level_error,
 )
@@ -50,7 +50,7 @@ from repro.wire.events import (  # noqa: F401
 from repro.wire.machine import WireMachine  # noqa: F401
 
 
-def machine_for(protocol_name, role, **kwargs):
+def machine_for(protocol_name, role):
     """Build a wire machine by protocol name (``text``/``text2``/``giop``)."""
     from repro.wire.giop import GiopWire
     from repro.wire.text import Text2Wire, TextWire
@@ -59,4 +59,4 @@ def machine_for(protocol_name, role, **kwargs):
     factory = factories.get(protocol_name)
     if factory is None:
         raise ValueError(f"no wire machine for protocol {protocol_name!r}")
-    return factory(role, **kwargs)
+    return factory(role)

@@ -21,13 +21,14 @@ things, all driven by the exact machines the blocking stack pumps:
     per-connection thread.
 
 ``AioClientConnection``
-    A coroutine client: ``await conn.invoke(call)`` with futures
+    A coroutine client: ``await conn.invoke(call)``.  The coroutine
+    pump over the client session (``repro.wire.correlation``) that the
+    blocking communicator's demultiplexer thread also pumps: futures
     correlated by request id on multiplexing protocols (many awaiters,
-    one connection) and by FIFO order on the classic text protocol.
+    one connection), by arrival order on the classic text protocol.
 """
 
 import asyncio
-import collections
 import concurrent.futures
 import queue
 import socket
@@ -48,13 +49,12 @@ from repro.heidirmi.transport import (
     register_transport,
 )
 from repro.wire.bufferplan import BufferPlan
-from repro.wire.correlation import channel_level_failure, is_channel_level_error
+from repro.wire.correlation import ClientSession
 from repro.wire.events import (
     NEED_DATA,
     CancelReceived,
     CloseReceived,
     LocateRequested,
-    ReplyReceived,
     RequestReceived,
     WireViolation,
 )
@@ -109,6 +109,23 @@ def _set_nodelay(writer):
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         except OSError:
             pass
+
+
+def _peer_of(writer):
+    peername = writer.get_extra_info("peername")
+    return f"{peername[0]}:{peername[1]}" if peername else "?"
+
+
+def _recv_failed(peer, exc):
+    return CommunicationError(
+        f"recv from {peer} failed: {exc}", kind="recv-failed"
+    )
+
+
+def _peer_closed(peer):
+    return CommunicationError(
+        f"peer {peer} closed the connection", kind="peer-closed"
+    )
 
 
 def _write_frame(writer, data):
@@ -222,13 +239,9 @@ class AioChannel(Channel):
             ) from exc
         except (ConnectionError, OSError) as exc:
             self.close()
-            raise CommunicationError(
-                f"recv from {self.peer} failed: {exc}", kind="recv-failed"
-            ) from exc
+            raise _recv_failed(self.peer, exc) from exc
         if not chunk:
-            raise CommunicationError(
-                f"peer {self.peer} closed the connection", kind="peer-closed"
-            )
+            raise _peer_closed(self.peer)
         if self.meter is not None:
             self.meter.received(len(chunk))
         self._buffer += chunk
@@ -318,9 +331,7 @@ class AioListener(Listener):
         # Runs on the loop for every inbound connection; hand the
         # streams to whichever thread is blocked in accept().
         _set_nodelay(writer)
-        peername = writer.get_extra_info("peername")
-        peer = f"{peername[0]}:{peername[1]}" if peername else "?"
-        self._accepted.put(AioChannel(reader, writer, peer=peer))
+        self._accepted.put(AioChannel(reader, writer, peer=_peer_of(writer)))
 
     def accept(self):
         channel = self._accepted.get()
@@ -533,10 +544,8 @@ class AioOrbServer:
         meter = self._meter
         recorder = None
         if self._flight is not None:
-            peername = writer.get_extra_info("peername")
-            peer = f"{peername[0]}:{peername[1]}" if peername else "?"
             recorder = self._flight.new_recorder(
-                orb.protocol.name, "server", peer)
+                orb.protocol.name, "server", _peer_of(writer))
             machine.tap = recorder
         conn = _AioServerConn(machine, writer, meter)
         session = self._conns[conn] = Session(self._core)
@@ -622,12 +631,14 @@ class AioOrbServer:
 class AioClientConnection:
     """A coroutine client over one connection: ``await invoke(call)``.
 
-    On multiplexing protocols (text2, GIOP) every awaiter gets a future
-    keyed by request id, so many coroutines share the connection and
-    replies complete out of order — the asyncio mirror of the blocking
-    ObjectCommunicator's demultiplexer.  On the classic text protocol
-    replies correlate by FIFO order, exactly like the blocking serial
-    path.
+    The coroutine pump over the same sans-I/O
+    :class:`~repro.wire.correlation.ClientSession` the blocking
+    ObjectCommunicator's demultiplexer pumps: every awaiter's future is
+    filed with the session (by request id on text2 and GIOP, so many
+    coroutines share the connection and replies complete out of order;
+    in arrival order on the classic text protocol), and whatever comes
+    off the stream — or a timer going off — is put to the session,
+    which says whom to complete with what.
     """
 
     def __init__(self, protocol, reader, writer, flight=None):
@@ -635,20 +646,11 @@ class AioClientConnection:
         self._reader = reader
         self._writer = writer
         self._machine = protocol.client_machine()
-        self._multiplexed = bool(
-            getattr(protocol, "supports_multiplexing", False)
-        )
-        self._pending = {}  # guarded-by: <serial:event-loop>
-        self._fifo = collections.deque()  # guarded-by: <serial:event-loop>
+        peer = _peer_of(writer)
+        self._session = ClientSession(protocol, peer)
         self._reader_task = None
-        self._closed = False
-        #: Replies that matched no awaiter (their call was abandoned),
-        #: counted as the blocking ObjectCommunicator counts them.
-        self.orphaned_replies = 0
         self._flight = None
         if flight is not None:
-            peername = writer.get_extra_info("peername")
-            peer = f"{peername[0]}:{peername[1]}" if peername else "?"
             self._flight = flight.new_recorder(protocol.name, "client", peer)
             self._machine.tap = self._flight
 
@@ -663,165 +665,99 @@ class AioClientConnection:
         _set_nodelay(writer)
         return cls(protocol, reader, writer, flight=flight)
 
+    @property
+    def orphaned_replies(self):
+        """Replies that matched no awaiter, as the session counts them."""
+        return self._session.orphaned_replies
+
     async def invoke(self, call):
         """Send *call*; await and return its Reply (None for oneways)."""
-        if self._closed:
-            raise CommunicationError(
-                "connection is closed", kind="channel-closed"
-            )
-        needs_id = call.request_id is None and self._multiplexed and (
-            not call.oneway or self._machine.protocol_name == "giop"
-        )
-        if needs_id:
-            # GIOP frames an id on oneways too; text2 oneways carry none.
-            call.request_id = self.protocol.next_request_id()
-        future = None
-        if not call.oneway:
-            future = asyncio.get_running_loop().create_future()
-            if self._multiplexed:
-                self._pending[call.request_id] = future
-            else:
-                self._fifo.append(future)
+        session = self._session
+        loop = asyncio.get_running_loop()
+        if call.oneway:
+            future = None
+            keys = ()
+            session.oneway(call, loop.time())
+        else:
+            future = loop.create_future()
+            keys = session.register((call,), future)
             if call.deadline is not None:
-                self._arm_deadline(call, future)
-        data = self._machine.emit_request(call)
-        if self._flight is not None:
-            self._flight.record_out(
-                data.to_bytes() if type(data) is BufferPlan else data)
-        _write_frame(self._writer, data)
-        await self._writer.drain()
+                # The loop's timer wheel says *when*; the session says
+                # who expired.  Cancelled the moment the future settles,
+                # so completed calls leave no debris.
+                handle = loop.call_at(call.deadline.expires_at, self._tick,
+                                      call.deadline.expires_at)
+                future.add_done_callback(lambda _future: handle.cancel())
+        try:
+            data = self._machine.emit_request(call)
+            if self._flight is not None:
+                self._flight.record_out(
+                    data.to_bytes() if type(data) is BufferPlan else data)
+            _write_frame(self._writer, data)
+            await self._writer.drain()
+        except BaseException:
+            session.unregister(keys)
+            raise
         if future is None:
             return None
-        self._ensure_reader()
-        return await future
-
-    def _arm_deadline(self, call, future):
-        """Enforce *call*'s budget from the loop's shared timer wheel.
-
-        One ``call_later`` on the process-wide loop per deadlined call —
-        every connection shares the same heap of timers — in place of
-        any per-await polling.  Expiry abandons just this call's entry
-        (a late reply is dropped as an orphan) and fails the awaiter
-        with :class:`DeadlineExceeded`; the timer is cancelled the
-        moment the future settles, so completed calls leave no debris.
-        """
-        request_id = call.request_id
-        operation = call.operation
-
-        def _expire():
-            if future.done():
-                return
-            if self._multiplexed:
-                self._pending.pop(request_id, None)
-            else:
-                try:
-                    self._fifo.remove(future)
-                except ValueError:
-                    pass
-            future.set_exception(DeadlineExceeded(
-                f"deadline expired waiting for reply to {operation!r}"
-                + (f" (id {request_id})" if request_id is not None else "")
-            ))
-
-        handle = asyncio.get_running_loop().call_later(
-            max(0.0, call.deadline.remaining()), _expire
-        )
-        future.add_done_callback(lambda _future: handle.cancel())
-
-    def _ensure_reader(self):
         if self._reader_task is None:
             self._reader_task = asyncio.ensure_future(self._read_loop())
+        return await future
+
+    @staticmethod
+    def _complete(completions):
+        """Hand each awaiter the outcome the session decided for it."""
+        for future, outcome in completions:
+            if future.done():
+                continue  # the awaiter was cancelled
+            if isinstance(outcome, Exception):
+                future.set_exception(outcome)
+            else:
+                future.set_result(outcome)
+
+    def _tick(self, now):
+        self._complete(self._session.expire(now))
 
     async def _read_loop(self):
+        session = self._session
+        machine = self._machine
         try:
-            while self._pending or self._fifo:
-                event = self._machine.next_event()
+            while len(session):
+                event = machine.next_event()
                 if event is NEED_DATA:
                     chunk = await self._reader.read(_READ_CHUNK)
                     if not chunk:
-                        raise CommunicationError(
-                            "peer closed the connection", kind="peer-closed"
-                        )
-                    self._machine.receive_data(chunk)
-                    continue
-                self._dispatch_event(event)
-        except asyncio.CancelledError:
-            raise
+                        raise _peer_closed(session.peer)
+                    machine.receive_data(chunk)
+                else:
+                    self._bury(session.event(event))
+        except (ConnectionError, OSError) as exc:
+            self._bury(session.dead(_recv_failed(session.peer, exc)))
         except Exception as exc:
-            if self._flight is not None:
-                self._flight.postmortem(exc)
-            self._fail_pending(exc)
+            self._bury(session.dead(exc))
         finally:
             self._reader_task = None
 
-    def _dispatch_event(self, event):
-        kind = type(event)
-        if kind is ReplyReceived:
-            reply = event.reply
-            if not self._multiplexed:
-                if self._fifo:
-                    self._resolve(self._fifo.popleft(), reply)
-                return
-            future = self._pending.pop(reply.request_id, None)
-            if future is not None:
-                self._resolve(future, reply)
-            elif is_channel_level_error(reply):
-                # RET2 0 ERR / GIOP id 0: the server could not even
-                # correlate — every call in flight is dead.  Same error
-                # as the blocking demultiplexer raises for this case.
-                self._fail_pending(channel_level_failure(reply))
-            else:
-                self.orphaned_replies += 1  # abandoned call's late reply
-            return
-        if kind is CloseReceived:
-            # BYE / GIOP CloseConnection: the server announced an
-            # orderly drain.  Pending calls fail as retryable handoffs
-            # (kind "draining"), and the armed flight ring stays clean.
-            raise CommunicationError(
-                "peer is draining: sent an orderly close", kind="draining"
-            )
-        if kind is WireViolation:
-            if not self._multiplexed and self._fifo:
-                # Serial: the garbled frame *is* the awaited reply.
-                future = self._fifo.popleft()
-                if not future.done():
-                    future.set_exception(ProtocolError(event.message))
-                if not event.recoverable:
-                    raise ProtocolError(event.message)
-                return
-            raise ProtocolError(event.message)
-        # Anything else (locate traffic initiated elsewhere) is ignored.
-
-    @staticmethod
-    def _resolve(future, reply):
-        if not future.done():  # awaiter may have been cancelled
-            future.set_result(reply)
-
-    def _fail_pending(self, exc):
-        pending = list(self._pending.values())
-        self._pending.clear()
-        pending.extend(self._fifo)
-        self._fifo.clear()
-        for future in pending:
-            if not future.done():
-                future.set_exception(exc)
+    def _bury(self, completions):
+        """Complete awaiters; if the session declared the connection
+        dead, spool the flight ring and hang up first."""
+        reason = self._session.closed
+        if reason is not None:
+            if self._flight is not None:
+                self._flight.postmortem(reason)
+            try:
+                self._writer.close()
+            except Exception:
+                pass
+        self._complete(completions)
 
     async def close(self):
-        if self._closed:
-            return
-        self._closed = True
         if self._flight is not None:
             self._flight.disarm()  # orderly close leaves no bundle
         if self._reader_task is not None:
             self._reader_task.cancel()
             self._reader_task = None
-        try:
-            self._writer.close()
-        except Exception:
-            pass
-        self._fail_pending(CommunicationError(
-            "connection is closed", kind="channel-closed"
-        ))
+        self._bury(self._session.close())
 
 
 register_transport("aio", AioTransport)

@@ -1,28 +1,36 @@
-"""Request-id correlation, shared by every protocol and both I/O stacks.
+"""The sans-I/O client session: what a client decides about its calls.
 
-Before this module each protocol (and the blocking communicator)
-carried its own id allocator and its own reserved-id folklore.  Now:
+One connection's worth of client policy, written once and pumped by
+both runtimes — the demultiplexing thread of the blocking
+:class:`~repro.heidirmi.communicator.ObjectCommunicator` and the
+reader coroutine of :class:`~repro.wire.aio.AioClientConnection`:
 
 - :class:`RequestIdAllocator` hands out the ids every multiplexing
   protocol frames (text2 ``CALL2 <id>``, GIOP's native request_id);
 - :data:`RESERVED_CHANNEL_ERROR_ID` (0) is the "no correlation" id a
   server uses when it must reject a request it could not even parse —
   :func:`is_channel_level_error` is the one test for that case and
-  :func:`channel_level_failure` the one error both clients fail their
-  in-flight calls with;
-- :class:`CorrelationTable` is the completion table mapping in-flight
-  request ids to waiters of the blocking
-  :class:`~repro.heidirmi.communicator.ObjectCommunicator` (real
-  threads).  The asyncio client in :mod:`repro.wire.aio` does not use
-  it: one event loop owns its state, so it keeps a plain dict (and a
-  FIFO for the serial text protocol) and arms deadlines as loop timers.
+  :func:`channel_level_failure` the one error in-flight calls fail with;
+- :func:`draining_failure` is the one error an orderly close (text2
+  ``BYE``, GIOP CloseConnection) means to a waiting client;
+- :class:`ClientSession` files a waiter (and its expiry) per request
+  and turns everything that can happen to the connection afterwards —
+  a reply, an orderly close, a garbled frame, the transport dying, a
+  deadline passing, a send that failed — into *completions*:
+  ``(waiter, Reply-or-exception)`` pairs.
+
+The session owns no socket, thread, event loop or clock.  A pump moves
+bytes, tells the session what arrived (and what time it is), and
+completes whatever waiters it is handed back; it never decides what an
+event means, so two pumps cannot disagree.
 """
 
 import itertools
 import threading
 
 from repro.heidirmi.call import STATUS_ERROR
-from repro.heidirmi.errors import CommunicationError
+from repro.heidirmi.errors import CommunicationError, DeadlineExceeded
+from repro.wire.events import CloseReceived, ReplyReceived, WireViolation
 
 #: Request id 0 is reserved: real ids start at 1, and an error reply
 #: tagged 0 means "I could not parse the request, so I cannot name the
@@ -51,6 +59,18 @@ def channel_level_failure(reply):
     )
 
 
+def draining_failure():
+    """What a client's pending calls fail with on an orderly close.
+
+    The server finished what it owed and hands the rest back
+    un-dispatched: ``kind="draining"`` is retryable by default and
+    leaves an armed flight ring clean.
+    """
+    return CommunicationError(
+        "peer is draining: sent an orderly close", kind="draining"
+    )
+
+
 class RequestIdAllocator:
     """Monotonic request ids starting at 1 (0 is reserved).
 
@@ -69,74 +89,172 @@ class RequestIdAllocator:
     __next__ = next
 
 
-class CorrelationTable:
-    """In-flight request ids → waiters, with one shared lock.
+class ClientSession:
+    """In-flight requests of one connection → completions.
 
-    The table does not know what a waiter *is* — the blocking
-    communicator stores ``concurrent.futures.Future`` and bulk
-    collectors — it only owns the id → waiter map and its consistency.
-    Compound operations (register-many-then-send) take :attr:`lock`
-    directly and work on :attr:`entries`; the common single steps have
-    methods.
+    A waiter is whatever the pump completes — a
+    ``concurrent.futures.Future``, a bulk collector, an asyncio future;
+    the session only files it under the request's key and hands it back
+    with its outcome.  On id-framing protocols the key is the request
+    id; on the id-less ``text`` protocol it is a private serial number
+    and a reply answers the oldest entry (arrival order).
 
-    Entries may also carry an **armed deadline**: an absolute monotonic
-    expiry filed in :attr:`deadlines` alongside the waiter.  The table
-    stays pure — it never reads a clock; the pump passes ``now`` in —
-    so the front-end that drains it (the blocking demultiplexer's
-    select timeout) enforces expiry from its own wait primitive instead
-    of every caller re-checking a budget per attempt.
+    An entry may carry an **armed deadline**, an absolute monotonic
+    expiry filed in :attr:`deadlines`.  The session never reads a clock
+    — the pump passes ``now`` to :meth:`expire` from its own wait
+    primitive (a select timeout, a loop timer).
+
+    Every method takes :attr:`lock` at most once, so a registered
+    window and a demultiplexed batch each cost one acquisition.
     """
 
-    __slots__ = ("lock", "entries", "deadlines")
+    __slots__ = ("lock", "entries", "deadlines", "orphaned_replies",
+                 "closed", "peer", "tap", "_assign_id", "_serial")
 
-    def __init__(self):
+    def __init__(self, protocol, peer="?"):
         self.lock = threading.Lock()
         self.entries = {}  # guarded-by: self.lock
-        #: request id → absolute monotonic expiry, a subset of
-        #: :attr:`entries`'s keys.  Compound registration blocks that
-        #: hold :attr:`lock` directly write it in place.
+        #: key → absolute monotonic expiry, a subset of the entries.
         self.deadlines = {}  # guarded-by: self.lock
+        #: Replies that matched no waiter (their call expired, or the
+        #: peer is buggy); they are dropped, not delivered.
+        self.orphaned_replies = 0  # guarded-by: self.lock
+        #: Why the connection is gone (None while it lives).
+        self.closed = None  # guarded-by: self.lock
+        self.peer = peer
+        #: Optional observer upcall ``tap(failure)`` whenever every
+        #: waiter fails at once — like the wire machine's ``tap``, it
+        #: watches and never decides.
+        self.tap = None
+        self._assign_id = protocol.assign_request_id
+        self._serial = (None if protocol.supports_multiplexing
+                        else itertools.count(1))
 
-    def register(self, request_id, waiter, expires_at=None):
-        """File a waiter (optionally deadlined); returns the new depth."""
-        with self.lock:
-            self.entries[request_id] = waiter
-            if expires_at is not None:
-                self.deadlines[request_id] = expires_at
-            return len(self.entries)
+    def __len__(self):
+        return len(self.entries)  # race-ok: GIL-atomic len
 
-    def take(self, request_ids):
-        """Pop each id's waiter (None when absent) under one lock.
+    def _refuse_closed(self):
+        # race-ok: oneway() peeks unlocked; a racing close fails its send
+        if self.closed is not None:
+            raise CommunicationError(
+                f"channel to {self.peer} is closed", kind="channel-closed"
+            )
 
-        Returns ``(waiters, depth)`` with *waiters* in request order —
-        the demultiplexer resolves a whole batch of replies this way.
+    def oneway(self, call, now):
+        """Tag a oneway by the protocol's id rule; nothing waits for it.
+
+        Refused when the connection is gone or the budget ran out
+        before the send.  Lock-free: it files nothing.
         """
-        entries = self.entries
-        deadlines = self.deadlines
-        with self.lock:
-            waiters = [entries.pop(request_id, None)
-                       for request_id in request_ids]
-            if deadlines:
-                for request_id in request_ids:
-                    deadlines.pop(request_id, None)
-            return waiters, len(entries)
+        self._refuse_closed()
+        if call.deadline is not None and call.deadline.expires_at <= now:
+            raise DeadlineExceeded(
+                f"deadline expired before oneway {call.operation!r} was sent"
+            )
+        self._assign_id(call)
 
-    def discard(self, request_id):
-        """Drop one entry (caller stopped waiting).
+    def register(self, calls, waiter, expires_at=None):
+        """Tag *calls* and file *waiter* for each two-way among them.
 
-        Returns ``(waiter_or_None, depth)``.
+        An entry expires at its call's deadline or at *expires_at* (the
+        window's own budget), whichever is sooner.  Returns the keys
+        filed, for :meth:`unregister` should the requests never reach
+        the wire.
         """
+        entries, deadlines, serial = self.entries, self.deadlines, self._serial
+        assign_id = self._assign_id
+        keys = []
         with self.lock:
-            waiter = self.entries.pop(request_id, None)
-            self.deadlines.pop(request_id, None)
-            return waiter, len(self.entries)
+            self._refuse_closed()
+            for call in calls:
+                assign_id(call)
+                if call.oneway:
+                    continue
+                key = call.request_id if serial is None else next(serial)
+                entries[key] = waiter
+                expiry, deadline = expires_at, call.deadline
+                if deadline is not None and (
+                        expiry is None or deadline.expires_at < expiry):
+                    expiry = deadline.expires_at
+                if expiry is not None:
+                    deadlines[key] = expiry
+                keys.append(key)
+        return keys
 
-    def drain(self):
-        """Remove and return every entry (channel death)."""
+    def unregister(self, keys):
+        """Emit or send failed: nothing will answer these entries."""
         with self.lock:
-            entries, self.entries = self.entries, {}
-            self.deadlines.clear()
-        return entries
+            for key in keys:
+                self.entries.pop(key, None)
+                self.deadlines.pop(key, None)
+
+    def _fail_all(self, failure):  # holds-lock: self.lock
+        waiters = [waiter for waiter in self.entries.values()
+                   if waiter is not None]
+        self.entries.clear()
+        self.deadlines.clear()
+        if waiters and self.tap is not None:
+            self.tap(failure)
+        return [(waiter, failure) for waiter in waiters]
+
+    def replies(self, replies):
+        """Completions for a batch of inbound replies, in order."""
+        entries, deadlines = self.entries, self.deadlines
+        done = []
+        with self.lock:
+            for reply in replies:
+                key = reply.request_id
+                if key is None:
+                    key = next(iter(entries), None)  # oldest entry
+                waiter = entries.pop(key, None)
+                if deadlines:
+                    deadlines.pop(key, None)
+                if waiter is not None:
+                    done.append((waiter, reply))
+                elif is_channel_level_error(reply):
+                    # The server could not name the call it rejected;
+                    # one of our waiters would otherwise never complete,
+                    # so all fail with the server's diagnosis.  The
+                    # connection itself survives.
+                    done += self._fail_all(channel_level_failure(reply))
+                else:
+                    self.orphaned_replies += 1
+        return done
+
+    def event(self, event):
+        """Completions for one client-role wire event."""
+        kind = type(event)
+        if kind is ReplyReceived:
+            return self.replies((event.reply,))
+        if kind is CloseReceived:
+            return self.dead(draining_failure())
+        if kind is WireViolation:
+            return self.dead(event.message)
+        return ()  # locate traffic initiated elsewhere
+
+    def dead(self, cause):
+        """The connection is gone: fail every entry, refuse new ones.
+
+        A ``CommunicationError`` (transport death, orderly close) is
+        what the waiters get; anything else — a framing error leaves
+        the stream position unknown, so nothing after it can be trusted
+        — becomes ``kind="reader-died"``.  :attr:`closed` keeps the
+        first cause.
+        """
+        if not isinstance(cause, CommunicationError):
+            cause = CommunicationError(
+                f"demultiplexer failed: {cause}", kind="reader-died"
+            )
+        with self.lock:
+            if self.closed is None:
+                self.closed = cause
+            return self._fail_all(cause)
+
+    def close(self):
+        """This side closed the connection."""
+        return self.dead(CommunicationError(
+            f"channel to {self.peer} was closed", kind="channel-closed"
+        ))
 
     def next_expiry(self):
         """The earliest armed expiry, or None when nothing is deadlined.
@@ -148,34 +266,30 @@ class CorrelationTable:
         if not deadlines:
             return None
         with self.lock:
-            if not deadlines:
-                return None
-            return min(deadlines.values())
+            return min(deadlines.values(), default=None)
 
     def expire(self, now):
-        """Pop every entry whose expiry is ``<= now``.
+        """Completions for every entry whose expiry is ``<= now``.
 
-        Returns ``[(request_id, waiter), ...]`` for the pump to fail;
-        an entry whose waiter was already taken is skipped.  *now* is
-        caller-provided monotonic time — the table owns no clock.
+        On id-framing protocols the entry goes, so a late reply is
+        counted as an orphan.  On the id-less protocol the late reply
+        still arrives *in order*: the slot stays, emptied, so that
+        reply is swallowed instead of answering the next caller.
         """
-        deadlines = self.deadlines
+        entries, deadlines = self.entries, self.deadlines
         if not deadlines:
             return []
+        done = []
         with self.lock:
-            due = [request_id for request_id, expires_at in deadlines.items()
-                   if expires_at <= now]
-            expired = []
-            for request_id in due:
-                del deadlines[request_id]
-                waiter = self.entries.pop(request_id, None)
-                if waiter is not None:
-                    expired.append((request_id, waiter))
-            return expired
-
-    @property
-    def depth(self):
-        return len(self.entries)  # race-ok: GIL-atomic len, metrics only
-
-    def __len__(self):
-        return len(self.entries)  # race-ok: GIL-atomic len, metrics only
+            for key in [key for key, expires_at in deadlines.items()
+                        if expires_at <= now]:
+                del deadlines[key]
+                if self._serial is None:
+                    waiter, tag = entries.pop(key), f" (id {key})"
+                else:
+                    waiter, entries[key], tag = entries[key], None, ""
+                done.append((waiter, DeadlineExceeded(
+                    f"deadline expired waiting for reply{tag} "
+                    f"from {self.peer}"
+                )))
+        return done

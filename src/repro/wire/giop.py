@@ -287,21 +287,15 @@ def encode_close():
 class GiopWire(WireMachine):
     """GIOP 1.0 framing and message parsing as a pure state machine.
 
-    ``multiplexed=False`` arms the serial-reply check: after an
-    ``emit_request`` the next Reply must echo that id (the classic
-    one-call-in-flight client).  Multiplexed users correlate by
-    ``reply.request_id`` themselves, so the check relaxes.  The
-    blocking adapter keeps its own per-channel check for compatibility
-    and builds machines with ``multiplexed=True``.
+    Replies are correlated by whoever drives the machine (the client
+    session, by ``reply.request_id``); the one-call-in-flight check of
+    a serial blocking client is :class:`repro.giop.iiop.GiopProtocol`'s.
     """
 
     protocol_name = "giop"
 
-    def __init__(self, role, multiplexed=True):
+    def __init__(self, role):
         super().__init__(role)
-        self.multiplexed = multiplexed
-        #: Serial clients: the id the next Reply must echo.
-        self.expected_reply_id = None
         #: Server role: the id of the last parsed Request — the id an
         #: id-less emit_reply echoes (serial servers only; pipelined
         #: servers set reply.request_id explicitly).
@@ -412,7 +406,6 @@ class GiopWire(WireMachine):
             oneway=not request.response_expected,
             request_id=request.request_id,
         )
-        call._giop_request_id = request.request_id
         for context in request.service_context:
             if context.context_id == SERVICE_CONTEXT_TRACE:
                 call.trace_context = context.context_data.decode(
@@ -430,13 +423,6 @@ class GiopWire(WireMachine):
     def _parse_reply(self, header, body):
         decoder = self._body_decoder(header, body)
         reply_header = ReplyHeader.decode(decoder)
-        if not self.multiplexed:
-            expected = self.expected_reply_id
-            if expected is not None and reply_header.request_id != expected:
-                raise ProtocolError(
-                    f"reply for request {reply_header.request_id}, "
-                    f"expected {expected}"
-                )
         status = _GIOP_TO_STATUS.get(reply_header.reply_status)
         if status is None:
             raise ProtocolError(
@@ -465,13 +451,7 @@ class GiopWire(WireMachine):
     # -- emission ----------------------------------------------------------
 
     def emit_request(self, call):
-        data = encode_request(call)
-        if not self.multiplexed:
-            # Serial (one-call-in-flight) clients verify the next reply
-            # against this; a demultiplexing driver correlates by
-            # reply.request_id instead, and many ids are in flight.
-            self.expected_reply_id = call.request_id
-        return data
+        return encode_request(call)
 
     def emit_reply(self, reply, request_id=None):
         if request_id is None:

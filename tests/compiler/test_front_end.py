@@ -6,7 +6,10 @@ call counter on ``tokenize``, an AST scan for ``parse_tokens(`` call
 sites, the ``CompileResult.timings`` key sets, and a golden of what the
 two-pass design produced (``front_end_golden.json``, written at the
 commit before the merge by running this file as a script:
-``PYTHONPATH=src python tests/compiler/test_front_end.py``).
+``PYTHONPATH=src python tests/compiler/test_front_end.py``; the seven
+``IDL016.idl`` lint-off entries were re-recorded when ``analyze`` took
+over the containment check — a ``RecursionError`` before, an
+``IdlSemanticError`` / exit 1 since).
 """
 
 import ast
@@ -152,10 +155,6 @@ def snapshot_run(pipeline, path):
                 "diagnostics": _rows(exc.diagnostics)}
     except IdlError as exc:
         return {"raises": type(exc).__name__, "message": str(exc)}
-    except RecursionError:
-        # IDL016.idl with lint off: nothing stops a struct that contains
-        # itself before the EST builder recurses into it.
-        return {"raises": "RecursionError"}
     return {
         "files": {name: _digest(text) for name, text in result.files.items()},
         "diagnostics": _rows(result.lint_diagnostics),
@@ -166,10 +165,7 @@ def snapshot_run(pipeline, path):
 def snapshot_cli(argv):
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        try:
-            status = idlc_main(argv)
-        except RecursionError:
-            status = "RecursionError"
+        status = idlc_main(argv)
     return {"status": status, "stdout": _digest(stdout.getvalue()),
             "stderr": stderr.getvalue()}
 
@@ -207,6 +203,14 @@ def test_output_and_diagnostics_match_the_two_pass_design(monkeypatch):
     raised = {entry.get("raises") for key, entry in golden.items()
               if "IDL000.idl" in key and key.startswith("run ")}
     assert raised == {"LintError", "IdlSyntaxError"}
+    # A struct that contains itself is refused with lint off too, with
+    # the diagnostic lint-on reports — never a traceback.
+    lint_on = golden["run tests/lint/fixtures/IDL016.idl heidi_cpp lint"]
+    lint_off = golden["run tests/lint/fixtures/IDL016.idl heidi_cpp no-lint"]
+    assert lint_off["raises"] == "IdlSemanticError"
+    (code, _, span, message), = lint_on["diagnostics"]
+    assert code == "IDL016"
+    assert lint_off["message"] == f"{span}: {message}"
 
 
 if __name__ == "__main__":

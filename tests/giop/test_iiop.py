@@ -133,10 +133,11 @@ class TestRequestReply:
         protocol.send_request(client, call)
         protocol.recv_request(server)
         # Forge a reply with the wrong id.
-        server._giop_pending_reply_id = 999
+        server._wire_server.pending_reply_id = 999
         reply = Reply(status=STATUS_OK, marshaller=protocol.new_marshaller())
         protocol.send_reply(server, reply)
-        with pytest.raises(ProtocolError, match="expected"):
+        with pytest.raises(ProtocolError, match=(
+                f"reply for request 999, expected {call.request_id}")):
             protocol.recv_reply(client)
 
     def test_oneway_sets_response_not_expected(self, channels):

@@ -8,13 +8,16 @@ must survive both.
 
 import threading
 import time
-from concurrent.futures import Future
 
 import pytest
 
 from repro.heidirmi import HdSkel, HdStub, Orb
 from repro.heidirmi.call import Reply, STATUS_OK
-from repro.heidirmi.communicator import ObjectCommunicator
+from repro.heidirmi.communicator import (
+    REPLY_MAX_BYTES,
+    REPLY_MAX_CALLS,
+    ObjectCommunicator,
+)
 from repro.heidirmi.errors import CommunicationError
 from repro.heidirmi.protocol import get_protocol
 from repro.heidirmi.serialize import TypeRegistry
@@ -308,30 +311,6 @@ def test_reader_died_mid_burst_fails_all_pending_without_deadlock():
         server.stop()
 
 
-def test_uncorrelatable_error_reply_fails_pending():
-    """RET2 0 ERR (a request the server could not parse) must surface.
-
-    The reserved id 0 matches no waiter by construction; if the demux
-    merely counted it as orphaned, the future for the request the
-    server choked on would hang forever.
-    """
-    server, client, stub, _ = run_pair("inproc", "text2", True)
-    try:
-        shared = client.connections.acquire(stub._hd_ref.bootstrap)
-        future = Future()
-        with shared._pending_lock:
-            shared._pending[999] = future
-        shared._ensure_reader()
-        # Simulate a buggy peer layer: an id the server cannot parse
-        # back out, so its error reply cannot name the request.
-        shared.channel.send(b"CALL2 notanumber target op\n")
-        with pytest.raises(CommunicationError, match="uncorrelatable"):
-            future.result(timeout=15)
-    finally:
-        client.stop()
-        server.stop()
-
-
 class _RecordingChannel:
     closed = False
     peer = "fake"
@@ -352,7 +331,7 @@ def test_reply_coalescing_is_bounded_by_call_count():
     protocol = get_protocol("text2")
     channel = _RecordingChannel()
     communicator = ObjectCommunicator(channel, protocol)
-    for index in range(communicator._reply_max_calls):
+    for index in range(REPLY_MAX_CALLS):
         communicator.buffer_reply(_ok_reply(protocol, index + 1))
     assert channel.sends, "reply sink hit the call cap without flushing"
     assert not communicator._reply_sink.data
@@ -363,7 +342,7 @@ def test_reply_coalescing_is_bounded_by_bytes():
     channel = _RecordingChannel()
     communicator = ObjectCommunicator(channel, protocol)
     reply = _ok_reply(protocol, 1)
-    reply.put_string("x" * (communicator._reply_max_bytes + 1))
+    reply.put_string("x" * (REPLY_MAX_BYTES + 1))
     communicator.buffer_reply(reply)
     assert len(channel.sends) == 1
     assert not communicator._reply_sink.data

@@ -12,6 +12,7 @@ import time
 import pytest
 
 from repro.heidirmi import HdSkel, HdStub, Orb
+from repro.heidirmi.call import Call
 from repro.heidirmi.errors import CommunicationError, RemoteError
 from repro.heidirmi.serialize import TypeRegistry
 from repro.observe import Observer
@@ -201,9 +202,9 @@ class TestErrorKinds:
         client = stub._hd_orb
         shared = client.connections.acquire(stub._hd_ref.bootstrap)
         future = Future()
-        with shared._pending_lock:
-            shared._pending[999] = future
-        shared._ensure_reader()
+        shared._register([Call("target", "op", request_id=999,
+                               marshaller=shared.protocol.new_marshaller())],
+                         future)
         # An id the server cannot parse back out: its RET2 0 ERR reply
         # cannot name the request, so every waiter fails together.
         shared.channel.send(b"CALL2 notanumber target op\n")

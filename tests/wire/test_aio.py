@@ -17,7 +17,6 @@ from repro.heidirmi.call import Call
 from repro.heidirmi.errors import CommunicationError, DeadlineExceeded
 from repro.heidirmi.protocol import get_protocol
 from repro.heidirmi.transport import get_transport
-from repro.resilience import Deadline
 from repro.wire.aio import (
     AioClientConnection,
     AioOrbServer,
@@ -252,81 +251,6 @@ class TestAioClientConnection:
             assert sorted(values) == sorted(f"ack:cc{i}" for i in range(6))
         finally:
             stop_pair(server, client)
-
-
-def _echo_call(protocol, reference, token, delay_ms=0, deadline=None):
-    call = Call(reference.stringify(), "echo",
-                marshaller=protocol.new_marshaller())
-    call.put_string(token)
-    call.put_long(delay_ms)
-    if deadline is not None:
-        call.deadline = Deadline.after(deadline)
-    return call
-
-
-class TestAioClientMatchesBlockingClient:
-    """The events ObjectCommunicator counts or explains, the coroutine
-    client counts and explains the same way."""
-
-    @pytest.mark.parametrize("protocol_name", ("text2", "giop"))
-    def test_late_reply_to_abandoned_call_is_counted(self, protocol_name):
-        server, client, stub, _ = make_pair(
-            protocol=protocol_name, transport="tcp"
-        )
-        reference = stub._hd_ref
-        protocol = get_protocol(protocol_name)
-
-        async def drive():
-            connection = await AioClientConnection.open(
-                protocol, reference.host, reference.port
-            )
-            with pytest.raises(DeadlineExceeded):
-                await connection.invoke(_echo_call(
-                    protocol, reference, "slow", delay_ms=300, deadline=0.05))
-            before = connection.orphaned_replies
-            # The abandoned call's reply is on the wire ahead of this one.
-            await asyncio.sleep(0.5)
-            reply = await connection.invoke(
-                _echo_call(protocol, reference, "next"))
-            after = connection.orphaned_replies
-            await connection.close()
-            return before, reply.get_string(), after
-
-        try:
-            assert run_async(drive()) == (0, "ack:next", 1)
-        finally:
-            stop_pair(server, client)
-
-    def test_channel_level_error_carries_the_servers_diagnosis(self):
-        server, client, stub, _ = make_pair(protocol="text2", transport="tcp")
-        reference = stub._hd_ref
-        protocol = get_protocol("text2")
-
-        async def drive():
-            connection = await AioClientConnection.open(
-                protocol, reference.host, reference.port
-            )
-            # An id the server cannot parse back out: its RET2 0 ERR
-            # cannot name the request, so every awaiter fails together.
-            # Written first, it is answered ahead of the call behind it.
-            connection._writer.write(b"CALL2 notanumber target op\n")
-            try:
-                await connection.invoke(
-                    _echo_call(protocol, reference, "behind", delay_ms=200))
-            finally:
-                await connection.close()
-
-        try:
-            with pytest.raises(CommunicationError) as excinfo:
-                run_async(drive())
-        finally:
-            stop_pair(server, client)
-        assert excinfo.value.kind == "peer-protocol-error"
-        # Word for word what ObjectCommunicator._resolve raises.
-        assert re.fullmatch(
-            r"peer reported an uncorrelatable protocol error \[\w+\] .+",
-            str(excinfo.value),
-        )
 
 
 class TestCoroutineEndToEnd:
