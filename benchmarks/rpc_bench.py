@@ -28,7 +28,7 @@ import threading
 import time
 
 from repro.heidirmi import HdSkel, HdStub, Orb
-from repro.heidirmi.errors import CommunicationError, OverloadedError
+from repro.model.errors import CommunicationError, OverloadedError
 from repro.heidirmi.serialize import TypeRegistry
 from repro.observe import FlightControl, Observer
 from repro.observe.cli import percentile
@@ -925,7 +925,7 @@ WIRE_CONFIGURATIONS = (
 def _frame_cost_call(protocol_name):
     """The canonical bench call (echo of a short token) for one
     protocol, shaped like the throughput suite's traffic."""
-    from repro.heidirmi.call import Call
+    from repro.model.call import Call
     from repro.heidirmi.protocol import get_protocol
 
     protocol = get_protocol(protocol_name)
@@ -937,7 +937,7 @@ def _frame_cost_call(protocol_name):
 
 
 def _frame_cost_reply(protocol_name):
-    from repro.heidirmi.call import Reply, STATUS_OK
+    from repro.model.call import Reply, STATUS_OK
     from repro.heidirmi.protocol import get_protocol
 
     protocol = get_protocol(protocol_name)

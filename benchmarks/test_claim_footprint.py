@@ -14,7 +14,7 @@ from benchmarks.conftest import write_artifact
 
 def footprints():
     minimal = subset_report(["repro.heidirmi.orb"])
-    full = subset_report(["repro.heidirmi.orb", "repro.giop.iiop"])
+    full = subset_report(["repro.heidirmi.orb", "repro.heidirmi.iiop"])
     return minimal, full
 
 

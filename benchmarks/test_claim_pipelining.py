@@ -3,8 +3,10 @@
 Sharing one multiplexed, pipelined connection among 16 concurrent
 callers must beat the paper-era exclusive-checkout pattern by at least
 2x on the in-process transport.  Runs the same matrix as
-``run_bench.py`` and leaves the measurement document at the repo root
-(``BENCH_rpc.json``) plus a copy under ``benchmarks/out/``.
+``run_bench.py`` and leaves the measurement document under
+``benchmarks/out/``; the tracked ``BENCH_rpc.json`` at the repo root is
+the baseline CI's ``--compare`` gate reads, and only a deliberate
+``run_bench.py --out BENCH_rpc.json`` re-records it.
 
 Run explicitly (not part of the fast tier-1 suite)::
 
@@ -24,7 +26,13 @@ REPO_ROOT = os.path.abspath(
 OUT_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "out")
 
 
+def _tracked_baseline():
+    with open(os.path.join(REPO_ROOT, "BENCH_rpc.json"), "rb") as handle:
+        return handle.read()
+
+
 def test_multiplexed_pipeline_beats_exclusive_2x():
+    baseline = _tracked_baseline()
     document = run_matrix(
         transport="inproc",
         client_counts=(1, 16),
@@ -33,9 +41,9 @@ def test_multiplexed_pipeline_beats_exclusive_2x():
         pipeline_workers=0,
         trials=3,
     )
-    write_document(document, os.path.join(REPO_ROOT, "BENCH_rpc.json"))
     os.makedirs(OUT_DIR, exist_ok=True)
     write_document(document, os.path.join(OUT_DIR, "BENCH_rpc.json"))
+    assert _tracked_baseline() == baseline
 
     claim = document["claim"]
     assert claim["clients"] == 16

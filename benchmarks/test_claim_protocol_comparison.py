@@ -11,7 +11,7 @@ format may suffice" discussion cuts both ways, and both are measured).
 import pytest
 
 from repro.heidirmi import Orb
-from repro.heidirmi.call import Call
+from repro.model.call import Call
 from repro.idl import parse
 from repro.mappings.python_rmi import generate_module
 from repro.heidirmi.protocol import get_protocol

@@ -84,8 +84,8 @@ def test_server_dispatch_bench(benchmark):
     """Time the pure server-side dispatch path (no sockets): request
     parsing through skeleton dispatch to reply."""
     ns = generate_module(parse(IDL, filename="Sink.idl"))
-    from repro.heidirmi.call import Call
-    from repro.heidirmi.textwire import TextMarshaller, TextUnmarshaller
+    from repro.model.call import Call
+    from repro.wire.textwire import TextMarshaller, TextUnmarshaller
 
     server = Orb(transport="inproc", protocol="text").start()
     ref = server.register(SinkImpl())

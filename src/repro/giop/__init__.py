@@ -10,10 +10,13 @@ the next step.  This package supplies that protocol substrate in Python:
 - :mod:`repro.giop.messages` — GIOP 1.0 message headers
   (Request/Reply/LocateRequest/LocateReply/CloseConnection...);
 - :mod:`repro.giop.ior` — Interoperable Object References with IIOP
-  profiles and ``IOR:`` stringification;
-- :mod:`repro.giop.iiop` — a :class:`repro.heidirmi.protocol.Protocol`
-  implementation, so the very same generated stubs run over GIOP by
-  flipping the ORB's ``protocol`` knob.
+  profiles and ``IOR:`` stringification.
+
+Encodings only: the package imports :mod:`repro.model` and nothing else
+(ARCH001).  The state machine that frames these messages is
+:mod:`repro.wire.giop`, and the blocking pump that makes the very same
+generated stubs run over GIOP by flipping the ORB's ``protocol`` knob
+is :class:`repro.heidirmi.iiop.GiopProtocol`.
 """
 
 from repro.giop.cdr import CdrDecoder, CdrEncoder

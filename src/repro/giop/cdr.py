@@ -18,7 +18,7 @@ restarts at zero — see :meth:`CdrEncoder.encapsulation` and
 
 import struct
 
-from repro.heidirmi.errors import MarshalError
+from repro.model.errors import MarshalError
 
 LITTLE_ENDIAN = 1
 BIG_ENDIAN = 0

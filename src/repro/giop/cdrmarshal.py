@@ -1,14 +1,13 @@
 """CDR-backed Marshaller/Unmarshaller surfaces.
 
-These used to live in :mod:`repro.giop.iiop` (which still re-exports
-them); they sit in their own module now so the sans-I/O GIOP state
-machine (:mod:`repro.wire.giop`) and the blocking protocol adapter can
-share them without a circular import.
+They sit beside :mod:`repro.giop.cdr` so the sans-I/O GIOP state
+machine (:mod:`repro.wire.giop`) and the blocking protocol adapter
+(:mod:`repro.heidirmi.iiop`) share them.
 """
 
 from repro.giop.cdr import CdrDecoder, CdrEncoder  # noqa: F401 (re-export)
-from repro.heidirmi.errors import MarshalError
-from repro.heidirmi.marshal import Marshaller, Unmarshaller
+from repro.model.errors import MarshalError
+from repro.model.marshal import Marshaller, Unmarshaller
 
 
 class CdrMarshaller(Marshaller):

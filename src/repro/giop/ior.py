@@ -7,7 +7,7 @@ opaque object key.  ``IOR:`` stringification is the CDR encapsulation of
 the struct, hex-encoded — byte-for-byte what a classic ORB prints.
 
 :func:`ior_from_reference` / :func:`reference_from_ior` convert between
-IORs and :class:`repro.heidirmi.objref.ObjectReference`, with the
+IORs and :class:`repro.model.objref.ObjectReference`, with the
 HeidiRMI object id travelling in the object key.
 """
 
@@ -15,8 +15,8 @@ import binascii
 from dataclasses import dataclass, field
 
 from repro.giop.cdr import CdrDecoder, CdrEncoder
-from repro.heidirmi.errors import ProtocolError
-from repro.heidirmi.objref import ObjectReference
+from repro.model.errors import ProtocolError
+from repro.model.objref import ObjectReference
 
 TAG_INTERNET_IOP = 0
 TAG_MULTIPLE_COMPONENTS = 1

@@ -16,7 +16,7 @@ import struct
 from dataclasses import dataclass, field
 
 from repro.giop.cdr import CdrDecoder, CdrEncoder
-from repro.heidirmi.errors import ProtocolError
+from repro.model.errors import ProtocolError
 
 GIOP_MAGIC = b"GIOP"
 GIOP_HEADER_SIZE = 12

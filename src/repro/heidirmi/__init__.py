@@ -20,7 +20,7 @@ The :class:`repro.heidirmi.orb.Orb` ties it all together; generated
 Python stubs/skeletons from :mod:`repro.mappings.python_rmi` run on it.
 """
 
-from repro.heidirmi.errors import (
+from repro.model.errors import (
     CircuitOpenError,
     CommunicationError,
     DeadlineExceeded,
@@ -31,8 +31,8 @@ from repro.heidirmi.errors import (
     ProtocolError,
     RemoteError,
 )
-from repro.heidirmi.objref import ObjectReference
-from repro.heidirmi.call import Call, Reply
+from repro.model.objref import ObjectReference
+from repro.model.call import Call, Reply
 from repro.heidirmi.dispatch import (
     HashDispatcher,
     LinearDispatcher,

@@ -22,8 +22,8 @@ IDL type ``any``; plain Python values go in and come out — the tagging
 is entirely the wire's business.
 """
 
-from repro.heidirmi.errors import MarshalError
-from repro.heidirmi.objref import ObjectReference
+from repro.model.errors import MarshalError
+from repro.model.objref import ObjectReference
 from repro.heidirmi.serialize import get_object, put_object
 
 _INT32_MIN, _INT32_MAX = -(2**31), 2**31 - 1

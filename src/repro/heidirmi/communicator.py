@@ -33,7 +33,7 @@ import time
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as _FutureTimeout
 
-from repro.heidirmi.errors import (
+from repro.model.errors import (
     CommunicationError,
     HeidiRmiError,
     ProtocolError,

@@ -26,7 +26,7 @@ same counts mirror into its metrics registry under
 import threading
 
 from repro.heidirmi.communicator import ObjectCommunicator
-from repro.heidirmi.errors import HeidiRmiError
+from repro.model.errors import HeidiRmiError
 
 
 class _BreakerOpen:

@@ -17,13 +17,13 @@ Marshalling is interpreted from the EST type vocabulary at call time:
 the Param/Operation nodes stored in the IR say what to put and get.
 """
 
-from repro.heidirmi.errors import (
+from repro.model.errors import (
     DeadlineExceeded,
     HeidiRmiError,
     MarshalError,
     RemoteError,
 )
-from repro.heidirmi.objref import ObjectReference
+from repro.model.objref import ObjectReference
 from repro.heidirmi.serialize import get_object, put_object
 
 #: EST type category → Call method suffix for scalars.

@@ -23,13 +23,9 @@ Mapping choices:
   as strings, and begin/end are no-ops (CDR composites are unframed).
 """
 
-from repro.giop.cdrmarshal import (  # noqa: F401 (historic re-exports)
-    BufferedCdrMarshaller as _BufferedCdrMarshaller,
-    CdrMarshaller,
-    CdrMarshallerView,
-    CdrUnmarshaller,
-)
-from repro.giop.messages import (  # noqa: F401 (re-exported for callers)
+from repro.giop.cdrmarshal import BufferedCdrMarshaller
+from repro.giop.messages import (
+    GIOP_HEADER_SIZE,
     LOCATE_OBJECT_HERE,
     LOCATE_UNKNOWN_OBJECT,
     MSG_CANCEL_REQUEST,
@@ -38,14 +34,15 @@ from repro.giop.messages import (  # noqa: F401 (re-exported for callers)
     MSG_LOCATE_REQUEST,
     MSG_REPLY,
     MSG_REQUEST,
+    MessageHeader,
 )
-from repro.heidirmi.errors import CommunicationError, ProtocolError
 from repro.heidirmi.protocol import (
     Protocol,
     channel_machine,
     pump_event,
     send_frame,
 )
+from repro.model.errors import CommunicationError, ProtocolError
 from repro.wire.correlation import RequestIdAllocator, draining_failure
 from repro.wire.events import (
     CancelReceived,
@@ -56,7 +53,6 @@ from repro.wire.events import (
     RequestReceived,
     WireViolation,
 )
-from repro.giop.messages import GIOP_HEADER_SIZE, MessageHeader
 from repro.wire.giop import (
     MAX_MESSAGE_SIZE,
     GiopWire,
@@ -133,7 +129,7 @@ class GiopProtocol(Protocol):
         # request/reply header; alignment is fixed up at splice time by
         # re-encoding the header first (headers are variable-length, so
         # the body is encoded into the same stream below).
-        return _BufferedCdrMarshaller()
+        return BufferedCdrMarshaller()
 
     # -- requests ------------------------------------------------------------
 

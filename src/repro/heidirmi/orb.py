@@ -17,9 +17,9 @@ import functools
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.heidirmi.call import Call
+from repro.model.call import Call
 from repro.heidirmi.connection import ConnectionCache
-from repro.heidirmi.errors import (
+from repro.model.errors import (
     CommunicationError,
     DeadlineExceeded,
     HeidiRmiError,
@@ -28,14 +28,14 @@ from repro.heidirmi.errors import (
     RemoteError,
 )
 from repro.heidirmi.exceptions_user import HdUserException
-from repro.heidirmi.objref import ObjectReference
+from repro.model.objref import ObjectReference
 from repro.heidirmi.protocol import get_protocol
 from repro.heidirmi.serialize import GLOBAL_TYPES
 from repro.heidirmi.serving import BlockingServer
 from repro.heidirmi.stub import HdStub
 from repro.heidirmi.transport import get_transport
 from repro.resilience.breaker import BREAKER_CLOSED, BREAKER_OPEN, CircuitBreaker
-from repro.resilience.deadline import Deadline
+from repro.model.deadline import Deadline
 from repro.resilience.engine import PolicyPlan, resilient_invoke, resolve_deadline
 from repro.resilience.overload import AdmissionController
 

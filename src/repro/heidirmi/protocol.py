@@ -16,11 +16,11 @@ protocol/transport seam the paper claims, made literal.
 Implementations: :class:`TextProtocol` here (the paper's newline
 ASCII format), :class:`Text2Protocol` (the same token grammar framed
 with a request id, enabling pipelining and connection multiplexing)
-and :class:`repro.giop.iiop.GiopProtocol`.
+and :class:`repro.heidirmi.iiop.GiopProtocol`.
 """
 
-from repro.heidirmi.errors import CommunicationError, ProtocolError
-from repro.heidirmi.textwire import TextMarshaller
+from repro.model.errors import CommunicationError, ProtocolError
+from repro.wire.textwire import TextMarshaller
 from repro.wire import events as wire_events
 from repro.wire.bufferplan import BufferPlan
 from repro.wire.correlation import RequestIdAllocator, draining_failure
@@ -354,7 +354,7 @@ def get_protocol(name):
     """Look up a protocol by name; GIOP self-registers on import."""
     if name == "giop" and "giop" not in _PROTOCOLS:
         # Imported lazily so the text-only ORB has no GIOP footprint.
-        from repro.giop.iiop import GiopProtocol
+        from repro.heidirmi.iiop import GiopProtocol
 
         _PROTOCOLS["giop"] = GiopProtocol
     factory = _PROTOCOLS.get(name)

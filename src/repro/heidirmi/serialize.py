@@ -17,8 +17,8 @@ for it.
 
 import threading
 
-from repro.heidirmi.errors import MarshalError
-from repro.heidirmi.objref import ObjectReference
+from repro.model.errors import MarshalError
+from repro.model.objref import ObjectReference
 
 
 class HdSerializable:

@@ -28,9 +28,9 @@ import time
 import traceback
 from concurrent.futures import ThreadPoolExecutor
 
-from repro.heidirmi.call import Reply, STATUS_ERROR, STATUS_EXCEPTION, STATUS_OK
+from repro.model.call import Reply, STATUS_ERROR, STATUS_EXCEPTION, STATUS_OK
 from repro.heidirmi.communicator import ObjectCommunicator
-from repro.heidirmi.errors import (
+from repro.model.errors import (
     CommunicationError,
     HeidiRmiError,
     ProtocolError,

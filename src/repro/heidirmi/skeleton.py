@@ -13,7 +13,7 @@ skeleton super-classes in order."
 """
 
 from repro.heidirmi.dispatch import make_dispatcher
-from repro.heidirmi.errors import MethodNotFound
+from repro.model.errors import MethodNotFound
 from repro.heidirmi.serialize import get_object, put_object
 
 

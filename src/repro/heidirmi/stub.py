@@ -8,8 +8,8 @@ Stub *classes* mirror the IDL inheritance graph (``A_stub(S_stub)``),
 so inherited operations come for free.
 """
 
-from repro.heidirmi.call import Call
-from repro.heidirmi.errors import DeadlineExceeded, RemoteError
+from repro.model.call import Call
+from repro.model.errors import DeadlineExceeded, RemoteError
 from repro.heidirmi.serialize import get_object, put_object
 
 

@@ -18,7 +18,7 @@ import threading
 import time
 import weakref
 
-from repro.heidirmi.errors import CommunicationError, DeadlineExceeded
+from repro.model.errors import CommunicationError, DeadlineExceeded
 from repro.wire.bufferplan import BufferPlan
 
 #: Default budget for connection establishment, in seconds.  Only

@@ -1,13 +1,20 @@
 """Architecture rules: layering (ARCH001) and emission (ARCH002).
 
-The wire machines in :mod:`repro.wire` are pure byte/event transducers;
-the whole design collapses if one of them quietly grows a socket.  The
-ARCH001 pass statically walks every module under ``src/repro/wire/`` —
+The runtime has a floor: ``repro.model`` (what a call is), ``repro.giop``
+(CDR and GIOP message encodings) and ``repro.wire`` (the sans-I/O state
+machines) sit below the ORB and must load without it, and the whole
+design collapses if one of the machines quietly grows a socket.  The
+ARCH001 pass statically walks every module under those three packages —
 except ``wire/aio``, which *is* the sanctioned I/O front-end — and
-reports an error for any import of an I/O facility:
+reports an error for:
 
-- the stdlib I/O modules ``socket``, ``selectors``, ``asyncio``;
-- the blocking transport layer ``repro.heidirmi.transport``.
+- any import of the stdlib I/O modules ``socket``, ``selectors``,
+  ``asyncio``;
+- any import of a ``repro`` package the :data:`ALLOWED_PREFIXES` table
+  does not grant that layer (``model`` imports only itself, ``giop``
+  adds ``model``, ``wire`` adds both) — so ``repro.heidirmi``,
+  ``repro.resilience`` and ``repro.observe`` are out of reach from
+  below.
 
 ARCH002 guards the zero-copy emission contract: after the BufferPlan
 refactor, frames in the wire/marshal hot paths are assembled from
@@ -34,13 +41,20 @@ import os
 
 from repro.lint.diagnostics import Diagnostic, Severity, Span
 
-#: Top-level stdlib modules a sans-I/O wire module may never import.
+#: Top-level stdlib modules a module below the runtime may never import.
 BANNED_TOPLEVEL = ("socket", "selectors", "asyncio")
 
-#: Internal modules that would couple the machines to an I/O stack.
-BANNED_MODULES = ("repro.heidirmi.transport",)
+#: The layering table: the ``repro.*`` prefixes each package below the
+#: runtime may import.  Every other ``repro`` module is an upward import.
+ALLOWED_PREFIXES = {
+    "model": ("repro.model",),
+    "giop": ("repro.model", "repro.giop"),
+    "wire": ("repro.model", "repro.giop", "repro.wire"),
+}
 
-#: Files under wire/ allowed to perform I/O (the asyncio front-end).
+#: Files under wire/ exempt from ARCH001: the asyncio front-end does
+#: I/O and drives ``heidirmi.serving``.  It moves out of ``wire/`` once
+#: ``perf/`` (which imports it from here) may change.
 EXEMPT_FILES = ("aio.py",)
 
 #: Files under wire/ exempt from the ARCH002 emission check: the plan
@@ -58,48 +72,64 @@ EMISSION_GIOP_FILES = ("cdr.py", "cdrmarshal.py", "messages.py")
 _EMISSION_ACCESSORS = ("encode", "data", "tobytes", "to_bytes", "payload")
 
 
-def default_wire_dir():
-    """The installed location of the repro.wire package.
+def default_package_root():
+    """The installed location of the ``repro`` package.
 
-    Located from the parent package so the check never executes the
+    Located from the package itself so the check never executes the
     code it is auditing.
     """
     import repro
 
-    return os.path.join(os.path.dirname(repro.__file__), "wire")
+    return os.path.dirname(repro.__file__)
 
 
-def _banned_name(dotted):
-    """The banned facility *dotted* resolves to, or None."""
+def _under(dotted, prefix):
+    return dotted == prefix or dotted.startswith(prefix + ".")
+
+
+def _violation(dotted, package):
+    """``(facility, message)`` when *package* may not import *dotted*."""
     root = dotted.split(".", 1)[0]
     if root in BANNED_TOPLEVEL:
-        return root
-    for banned in BANNED_MODULES:
-        if dotted == banned or dotted.startswith(banned + "."):
-            return banned
-    return None
+        return root, (
+            f"sans-I/O module imports {root!r}: only repro.wire.aio may "
+            "touch sockets or event loops"
+        )
+    allowed = ALLOWED_PREFIXES[package]
+    if root != "repro" or dotted == "repro" or any(
+            _under(dotted, prefix) for prefix in allowed):
+        return None
+    layer = ".".join(dotted.split(".")[:2])
+    return layer, (
+        f"repro.{package} imports upward into {layer!r}: below the "
+        f"runtime it may import only {', '.join(allowed)}"
+    )
 
 
-def _imported_names(node):
+def _imported_names(node, package):
     """Every dotted module name *node* could bind."""
     if isinstance(node, ast.Import):
         return [alias.name for alias in node.names]
     if isinstance(node, ast.ImportFrom):
-        if node.level:  # relative: stays inside repro.wire, always fine
+        module = node.module
+        if node.level:
+            # The three packages are flat, so ``.`` is the package and
+            # ``..`` is ``repro``; resolve, so ``from ..heidirmi import
+            # x`` is seen for what it is.
+            base = ["repro", package][:max(3 - node.level, 0)]
+            module = ".".join(base + ([module] if module else []))
+        if not module:
             return []
-        names = [node.module] if node.module else []
-        # ``from repro.heidirmi import transport`` names the banned
-        # module through the alias list, not the module part.
-        names.extend(
-            f"{node.module}.{alias.name}" for alias in node.names
-            if node.module
-        )
-        return names
+        # ``from repro.heidirmi import transport`` names the module
+        # through the alias list, not the module part.
+        return [module] + [f"{module}.{alias.name}" for alias in node.names]
     return []
 
 
-def lint_wire_source(source, filename="<wire>", tree=None):
-    """ARCH001 findings for one wire module's source text.
+def lint_layering_source(source, package="wire", filename="<wire>",
+                         tree=None):
+    """ARCH001 findings for the source text of one module of *package*
+    (a key of :data:`ALLOWED_PREFIXES`).
 
     *tree* lets a caller that already parsed the module (the flow pass
     shares one parse with this one) skip the re-parse.
@@ -111,7 +141,7 @@ def lint_wire_source(source, filename="<wire>", tree=None):
             return [Diagnostic(
                 code="ARCH001",
                 severity=Severity.ERROR,
-                message=f"cannot parse wire module: {exc.msg}",
+                message=f"cannot parse {package} module: {exc.msg}",
                 span=Span(file=filename, line=exc.lineno or 0),
                 source="arch",
             )]
@@ -121,44 +151,48 @@ def lint_wire_source(source, filename="<wire>", tree=None):
         # import DefaultSelector`` names selectors twice (module part
         # and alias), but it is one violation.
         reported = set()
-        for dotted in _imported_names(node):
-            banned = _banned_name(dotted)
-            if banned is None or banned in reported:
+        for dotted in _imported_names(node, package):
+            found = _violation(dotted, package)
+            if found is None or found[0] in reported:
                 continue
-            reported.add(banned)
+            reported.add(found[0])
             diagnostics.append(Diagnostic(
                 code="ARCH001",
                 severity=Severity.ERROR,
-                message=(
-                    f"sans-I/O wire module imports {banned!r}: only "
-                    "repro.wire.aio may touch sockets or event loops"
-                ),
+                message=found[1],
                 span=Span(file=filename, line=node.lineno),
                 source="arch",
             ))
     return diagnostics
 
 
-def lint_wire_layering(wire_dir=None, preparsed=None):
-    """ARCH001 findings for every non-exempt module under *wire_dir*.
+def lint_layering(package_root=None, preparsed=None):
+    """ARCH001 findings for every non-exempt module of the packages in
+    :data:`ALLOWED_PREFIXES` under *package_root* (default: the
+    installed ``repro``).
 
     *preparsed* maps absolute paths to already-parsed ASTs (from a
     combined ``--arch --concurrency`` run) so each module is parsed at
     most once per invocation.
     """
-    if wire_dir is None:
-        wire_dir = default_wire_dir()
+    if package_root is None:
+        package_root = default_package_root()
     diagnostics = []
-    for name in sorted(os.listdir(wire_dir)):
-        if not name.endswith(".py") or name in EXEMPT_FILES:
-            continue
-        path = os.path.join(wire_dir, name)
-        tree = None
-        if preparsed:
-            tree = preparsed.get(os.path.abspath(path))
-        with open(path, "r", encoding="utf-8") as handle:
-            source = handle.read()
-        diagnostics.extend(lint_wire_source(source, filename=path, tree=tree))
+    for package in ALLOWED_PREFIXES:
+        directory = os.path.join(package_root, package)
+        for name in sorted(os.listdir(directory)):
+            if not name.endswith(".py"):
+                continue
+            if package == "wire" and name in EXEMPT_FILES:
+                continue
+            path = os.path.join(directory, name)
+            tree = None
+            if preparsed:
+                tree = preparsed.get(os.path.abspath(path))
+            with open(path, "r", encoding="utf-8") as handle:
+                source = handle.read()
+            diagnostics.extend(lint_layering_source(
+                source, package, filename=path, tree=tree))
     return diagnostics
 
 
@@ -223,13 +257,6 @@ def lint_emission_source(source, filename="<wire>", tree=None):
     return diagnostics
 
 
-def default_marshal_dir():
-    """The installed location of the repro.giop marshal package."""
-    import repro
-
-    return os.path.join(os.path.dirname(repro.__file__), "giop")
-
-
 def lint_emission_paths(wire_dir=None, marshal_dir=None, preparsed=None):
     """ARCH002 findings across the wire and CDR-marshal hot paths.
 
@@ -239,9 +266,9 @@ def lint_emission_paths(wire_dir=None, marshal_dir=None, preparsed=None):
     a combined ``--arch --concurrency`` run, as for ARCH001.
     """
     if wire_dir is None:
-        wire_dir = default_wire_dir()
+        wire_dir = os.path.join(default_package_root(), "wire")
     if marshal_dir is None:
-        marshal_dir = default_marshal_dir()
+        marshal_dir = os.path.join(default_package_root(), "giop")
     paths = [
         os.path.join(wire_dir, name)
         for name in sorted(os.listdir(wire_dir))

@@ -22,7 +22,7 @@ import ast as python_ast
 import os
 import sys
 
-from repro.lint.arch_rules import lint_emission_paths, lint_wire_layering
+from repro.lint.arch_rules import lint_emission_paths, lint_layering
 from repro.lint.diagnostics import Severity, Span
 from repro.lint.formats import render_json, render_sarif, render_text
 from repro.lint.idl_rules import lint_idl_source
@@ -142,7 +142,7 @@ def main(argv=None):
                 os.path.abspath(module.filename): module.tree
                 for module in program.modules.values()
             }
-        diagnostics.extend(lint_wire_layering(preparsed=preparsed))
+        diagnostics.extend(lint_layering(preparsed=preparsed))
         diagnostics.extend(lint_emission_paths(preparsed=preparsed))
 
     if (not args.targets and not args.mapping and not args.arch

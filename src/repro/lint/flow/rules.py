@@ -18,7 +18,7 @@
 - **CON004** — thread lifecycle: a non-daemon ``threading.Thread`` that
   is never joined outlives shutdown silently.
 - **CON005** — ``CommunicationError(kind=...)`` literals outside the
-  documented vocabulary (``repro.heidirmi.errors``): the observe layer
+  documented vocabulary (``repro.model.errors``): the observe layer
   buckets metrics by kind, so a typo mints an unqueryable bucket.
 """
 
@@ -27,7 +27,7 @@ from repro.lint.diagnostics import Diagnostic, Note, Severity, Span
 __all__ = ["ALLOWED_ERROR_KINDS", "lint_program"]
 
 #: The documented ``CommunicationError.kind`` vocabulary (the PR 3
-#: catalogue in repro.heidirmi.errors, plus the resilience kinds).
+#: catalogue in repro.model.errors, plus the resilience kinds).
 ALLOWED_ERROR_KINDS = frozenset({
     "communication",
     "connect-refused",

@@ -13,7 +13,7 @@ any of those.  The remaining exotics (``fixed``, ``native``, arrays)
 are rejected with a clear error at generation time.
 """
 
-from repro.heidirmi.errors import MarshalError
+from repro.model.errors import MarshalError
 
 #: EST category → Call method suffix for primitives.
 PRIMITIVE_METHOD = {

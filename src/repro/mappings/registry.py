@@ -1,6 +1,6 @@
 """Pack registry: look mappings up by name (CLI, tests, benchmarks)."""
 
-from repro.heidirmi.errors import HeidiRmiError
+from repro.model.errors import HeidiRmiError
 
 _PACKS = {}
 

@@ -3,7 +3,7 @@
 A :class:`Deadline` is an absolute point on the *monotonic* clock plus
 the budget it started from.  It is created client-side (``Orb.invoke``'s
 ``deadline=`` argument, a per-Orb default, or a policy default) and
-travels with the :class:`~repro.heidirmi.call.Call`.
+travels with the :class:`~repro.model.call.Call`.
 
 On the wire only the *remaining budget* is transmitted (``dl=<ms>`` on
 the text protocols, an ASCII-decimal ServiceContext entry on GIOP):

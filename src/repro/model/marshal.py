@@ -9,8 +9,8 @@ such composite data types as structs or sequences can be easily
 represented".
 
 Two implementations ship: the newline-terminated text format
-(:mod:`repro.heidirmi.textwire`) and CDR (:mod:`repro.giop.cdr` via
-:mod:`repro.giop.iiop`).
+(:mod:`repro.wire.textwire`) and CDR (:mod:`repro.giop.cdrmarshal`
+over :mod:`repro.giop.cdr`).
 """
 
 

@@ -20,7 +20,7 @@ directly).
 import json
 import time
 
-from repro.heidirmi.objref import ObjectReference
+from repro.model.objref import ObjectReference
 from repro.heidirmi.skeleton import HdSkel
 from repro.heidirmi.stub import HdStub
 from repro.wire.bufferplan import wire_buffer_stats

@@ -47,7 +47,7 @@ from repro.resilience.chaos import (
     FaultPlan,
     install_chaos,
 )
-from repro.resilience.deadline import Deadline
+from repro.model.deadline import Deadline
 from repro.resilience.overload import (
     AdmissionController,
     AdmissionPolicy,

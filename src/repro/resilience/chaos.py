@@ -36,7 +36,7 @@ import threading
 import time
 import zlib
 
-from repro.heidirmi.errors import CommunicationError
+from repro.model.errors import CommunicationError
 from repro.heidirmi.transport import Transport, get_transport, register_transport
 
 #: Faults drawn per category, in cumulative-probability order.

@@ -35,14 +35,14 @@ callback) and ``resilience.deadline_expired{side}``.
 
 from time import monotonic as _monotonic
 
-from repro.heidirmi.call import STATUS_ERROR
-from repro.heidirmi.errors import (
+from repro.model.call import STATUS_ERROR
+from repro.model.errors import (
     CircuitOpenError,
     CommunicationError,
     DeadlineExceeded,
 )
 from repro.resilience.breaker import BREAKER_CLOSED
-from repro.resilience.deadline import Deadline
+from repro.model.deadline import Deadline
 from repro.resilience.overload import overload_error_from_reply
 from repro.wire.headers import DL_PREFIX, OVERLOADED_CATEGORY
 

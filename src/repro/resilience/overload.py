@@ -46,7 +46,7 @@ injectable clock, so tests are deterministic.
 import threading
 from time import monotonic
 
-from repro.heidirmi.errors import OverloadedError
+from repro.model.errors import OverloadedError
 
 __all__ = [
     "AdmissionPolicy",

@@ -4,31 +4,31 @@ Every HeidiRMI wire protocol (``text``, ``text2``, ``giop``) is
 implemented here as a *pure state machine* in the style of h11/h2:
 bytes go in through :meth:`~repro.wire.machine.WireMachine.feed_bytes`,
 typed events (:mod:`repro.wire.events`) come out, and outgoing messages
-are produced with ``emit_*`` methods that return ``bytes``.  No module
-in this package (except :mod:`repro.wire.aio`) may import ``socket``,
-``selectors``, ``asyncio`` or ``repro.heidirmi.transport`` — the
-ARCH001 lint enforces that forever.
+are produced with ``emit_*`` methods that return buffer plans.  No
+module in this package (except :mod:`repro.wire.aio`) may import
+``socket``, ``selectors`` or ``asyncio``, nor any ``repro`` package
+other than ``repro.model``, ``repro.giop`` and ``repro.wire`` itself —
+the ARCH001 lint enforces that forever, so ``import repro.wire.text``
+loads the text machine and the data model, not the ORB.
 
 Layering (see ``docs/ARCHITECTURE.md``)::
 
-    wire state machine   pure bytes <-> events      (this package)
+    ORB                  dispatch, caches, policy   (heidirmi.orb)
+    communicator         request demarcation        (heidirmi.communicator)
     transport            blocking or asyncio pumps  (heidirmi.transport,
                                                      wire.aio)
-    communicator         request demarcation        (heidirmi.communicator)
-    ORB                  dispatch, caches, policy   (heidirmi.orb)
+    wire state machine   pure bytes <-> events      (this package)
+    CDR + GIOP messages  encoding only              (repro.giop)
+    data model           Call, Reply, errors, ...   (repro.model)
 
-The blocking stack (``repro.heidirmi.protocol``/``repro.giop.iiop``)
+The blocking stack (``repro.heidirmi.protocol``/``repro.heidirmi.iiop``)
 and the asyncio front-end (:mod:`repro.wire.aio`) are both thin byte
 pumps over the identical machines, which is the paper's configurable
-protocol/transport seam made literal.
+protocol/transport seam made literal.  :mod:`repro.wire.aio` is the one
+module here that reaches up (into ``heidirmi.serving`` and
+``heidirmi.transport``); it is not imported by this package's init and
+moves beside ``BlockingServer`` once ``perf/`` can follow it.
 """
-
-# The wire machines import the shared data model (repro.heidirmi.call,
-# .errors, .textwire), and heidirmi's own package init imports back into
-# repro.wire.  Fully initializing heidirmi first reduces a wire-first
-# import to the well-trodden heidirmi-first order, so ``import
-# repro.wire`` is safe whichever package loads first.
-import repro.heidirmi  # noqa: F401  (cycle breaker, see above)
 
 from repro.wire.correlation import (  # noqa: F401
     RESERVED_CHANNEL_ERROR_ID,

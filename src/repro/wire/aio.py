@@ -35,7 +35,7 @@ import socket
 import threading
 import time
 
-from repro.heidirmi.errors import (
+from repro.model.errors import (
     CommunicationError,
     DeadlineExceeded,
     ProtocolError,

@@ -18,7 +18,7 @@ Ownership rules (the whole point of the abstraction):
 - **Borrowed** segments are immutable ``bytes`` (or read-only
   ``memoryview`` fragments of them) shared with a longer-lived owner —
   an interned frame in the :class:`FrameInternCache`, a memoized
-  request tail on a :class:`~repro.heidirmi.call.Call`.  The plan may
+  request tail on a :class:`~repro.model.call.Call`.  The plan may
   read them but never mutates or recycles them; the owner's cache
   eviction is the only invalidation.
 

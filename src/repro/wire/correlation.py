@@ -28,8 +28,8 @@ event means, so two pumps cannot disagree.
 import itertools
 import threading
 
-from repro.heidirmi.call import STATUS_ERROR
-from repro.heidirmi.errors import CommunicationError, DeadlineExceeded
+from repro.model.call import STATUS_ERROR
+from repro.model.errors import CommunicationError, DeadlineExceeded
 from repro.wire.events import CloseReceived, ReplyReceived, WireViolation
 
 #: Request id 0 is reserved: real ids start at 1, and an error reply

@@ -3,7 +3,7 @@
 A machine's :meth:`~repro.wire.machine.WireMachine.next_event` returns
 one of these (or :data:`NEED_DATA` when the buffered bytes do not yet
 hold a complete message).  Events are plain value objects — they carry
-already-parsed :class:`~repro.heidirmi.call.Call`/``Reply`` objects or
+already-parsed :class:`~repro.model.call.Call`/``Reply`` objects or
 raw protocol fields, never channels or sockets.
 """
 

@@ -2,7 +2,7 @@
 
 Framing (the 12-byte header + exact-size body), message parsing, and
 message emission for the GIOP/IIOP path — pure bytes in, events out.
-The blocking :class:`repro.giop.iiop.GiopProtocol` and the asyncio
+The blocking :class:`repro.heidirmi.iiop.GiopProtocol` and the asyncio
 front-end both pump this machine; neither re-implements any framing.
 
 Role rules (what counts as a violation mirrors the pre-refactor
@@ -48,14 +48,14 @@ from repro.giop.messages import (
     ServiceContext,
     frame_message,
 )
-from repro.heidirmi.call import (
+from repro.model.call import (
     STATUS_ERROR,
     STATUS_EXCEPTION,
     STATUS_OK,
     Call,
     Reply,
 )
-from repro.heidirmi.errors import MarshalError, ProtocolError
+from repro.model.errors import MarshalError, ProtocolError
 from repro.wire import headers
 from repro.wire.bufferplan import FRAME_CACHE, SEND_POOL, BufferPlan
 from repro.wire.events import (
@@ -289,7 +289,7 @@ class GiopWire(WireMachine):
 
     Replies are correlated by whoever drives the machine (the client
     session, by ``reply.request_id``); the one-call-in-flight check of
-    a serial blocking client is :class:`repro.giop.iiop.GiopProtocol`'s.
+    a serial blocking client is :class:`repro.heidirmi.iiop.GiopProtocol`'s.
     """
 
     protocol_name = "giop"

@@ -31,8 +31,8 @@ don't recognise the prefix see a human-readable message.
 
 from time import monotonic
 
-from repro.heidirmi.errors import ProtocolError
-from repro.resilience.deadline import Deadline
+from repro.model.errors import ProtocolError
+from repro.model.deadline import Deadline
 
 #: Prefix of the optional trace-context header token.
 CTX_PREFIX = "ctx="

@@ -29,15 +29,15 @@ it before closing.
 
 from time import monotonic as _monotonic
 
-from repro.heidirmi.call import (
+from repro.model.call import (
     STATUS_ERROR,
     STATUS_EXCEPTION,
     STATUS_OK,
     Call,
     Reply,
 )
-from repro.heidirmi.errors import ProtocolError
-from repro.heidirmi.textwire import (
+from repro.model.errors import ProtocolError
+from repro.wire.textwire import (
     TextUnmarshaller,
     escape_token,
     unescape_token,

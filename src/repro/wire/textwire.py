@@ -12,7 +12,7 @@ format:
 - ``{`` and ``}`` tokens delimit composite values (begin/end);
 - ``nil`` is the nil object reference.
 
-Message shapes (see :mod:`repro.heidirmi.protocol`)::
+Message shapes (framed and parsed by :mod:`repro.wire.text`)::
 
     CALL <objref> <operation> <token>...
     ONEWAY <objref> <operation> <token>...
@@ -23,8 +23,8 @@ Message shapes (see :mod:`repro.heidirmi.protocol`)::
 
 import re
 
-from repro.heidirmi.errors import MarshalError, ProtocolError
-from repro.heidirmi.marshal import Marshaller, Unmarshaller
+from repro.model.errors import MarshalError, ProtocolError
+from repro.model.marshal import Marshaller, Unmarshaller
 
 #: The token standing for an empty string (an empty token would vanish).
 _EMPTY = "%e"

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.giop.cdr import CdrDecoder, CdrEncoder
-from repro.heidirmi.errors import MarshalError
+from repro.model.errors import MarshalError
 
 
 def roundtrip(write, read, little_endian=True, start_align=0):

@@ -11,9 +11,9 @@ from hypothesis import given, settings, strategies as st
 from repro.giop.cdr import CdrDecoder
 from repro.giop.ior import IOR
 from repro.giop.messages import MessageHeader, ReplyHeader, RequestHeader
-from repro.heidirmi.errors import MarshalError, ProtocolError
-from repro.heidirmi.objref import ObjectReference
-from repro.heidirmi.textwire import TextUnmarshaller, unescape_token
+from repro.model.errors import MarshalError, ProtocolError
+from repro.model.objref import ObjectReference
+from repro.wire.textwire import TextUnmarshaller, unescape_token
 
 EXPECTED = (MarshalError, ProtocolError)
 

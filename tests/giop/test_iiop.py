@@ -4,10 +4,11 @@ import threading
 
 import pytest
 
-from repro.giop.iiop import CdrMarshaller, CdrUnmarshaller, GiopProtocol
+from repro.giop.cdrmarshal import CdrMarshaller, CdrUnmarshaller
+from repro.heidirmi.iiop import GiopProtocol
 from repro.giop.cdr import CdrDecoder
-from repro.heidirmi.call import Call, Reply, STATUS_ERROR, STATUS_EXCEPTION, STATUS_OK
-from repro.heidirmi.errors import MarshalError, ProtocolError
+from repro.model.call import Call, Reply, STATUS_ERROR, STATUS_EXCEPTION, STATUS_OK
+from repro.model.errors import MarshalError, ProtocolError
 from repro.heidirmi.transport import get_transport
 
 REF = "@tcp:h:1234#9#IDL:X:1.0"

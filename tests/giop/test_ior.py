@@ -11,8 +11,8 @@ from repro.giop.ior import (
     ior_from_reference,
     reference_from_ior,
 )
-from repro.heidirmi.errors import ProtocolError
-from repro.heidirmi.objref import ObjectReference
+from repro.model.errors import ProtocolError
+from repro.model.objref import ObjectReference
 
 
 class TestIIOPProfile:

@@ -4,7 +4,7 @@ import threading
 
 import pytest
 
-from repro.giop.iiop import GiopProtocol
+from repro.heidirmi.iiop import GiopProtocol
 from repro.giop.messages import (
     LOCATE_OBJECT_HERE,
     LOCATE_UNKNOWN_OBJECT,
@@ -12,8 +12,8 @@ from repro.giop.messages import (
     frame_message,
 )
 from repro.heidirmi import HdSkel, HdStub, Orb
-from repro.heidirmi.call import Call
-from repro.heidirmi.errors import CommunicationError, ProtocolError
+from repro.model.call import Call
+from repro.model.errors import CommunicationError, ProtocolError
 from repro.heidirmi.protocol import pump_event
 from repro.heidirmi.serialize import TypeRegistry
 from repro.heidirmi.transport import get_transport

@@ -18,7 +18,7 @@ from repro.giop.messages import (
     ServiceContext,
     frame_message,
 )
-from repro.heidirmi.errors import ProtocolError
+from repro.model.errors import ProtocolError
 
 
 class TestMessageHeader:

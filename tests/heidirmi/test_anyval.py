@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.heidirmi.anyval import get_any, put_any, tag_of
-from repro.heidirmi.call import Call
-from repro.heidirmi.errors import MarshalError
-from repro.heidirmi.textwire import TextMarshaller, TextUnmarshaller
-from repro.giop.iiop import CdrMarshaller, CdrUnmarshaller
+from repro.model.call import Call
+from repro.model.errors import MarshalError
+from repro.wire.textwire import TextMarshaller, TextUnmarshaller
+from repro.giop.cdrmarshal import CdrMarshaller, CdrUnmarshaller
 from repro.giop.cdr import CdrDecoder
 
 

@@ -7,7 +7,7 @@
 import pytest
 
 from repro.heidirmi import HdSkel, HdStub, Orb
-from repro.heidirmi.errors import RemoteError
+from repro.model.errors import RemoteError
 from repro.heidirmi.serialize import TypeRegistry
 
 BASE_ID = "IDL:Builtin/Base:1.0"

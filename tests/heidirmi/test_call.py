@@ -4,11 +4,11 @@ import threading
 
 import pytest
 
-from repro.heidirmi.call import Call, Reply, STATUS_ERROR, STATUS_EXCEPTION, STATUS_OK
+from repro.model.call import Call, Reply, STATUS_ERROR, STATUS_EXCEPTION, STATUS_OK
 from repro.heidirmi.communicator import ObjectCommunicator
-from repro.heidirmi.errors import MarshalError, ProtocolError
+from repro.model.errors import MarshalError, ProtocolError
 from repro.heidirmi.protocol import TextProtocol, get_protocol, register_protocol
-from repro.heidirmi.textwire import TextMarshaller, TextUnmarshaller
+from repro.wire.textwire import TextMarshaller, TextUnmarshaller
 from repro.heidirmi.transport import get_transport
 
 REF = "@tcp:galaxy.nec.com:1234#9876#IDL:Heidi/A:1.0"

@@ -23,7 +23,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 import pytest
 
 from repro.heidirmi import communicator as communicator_module
-from repro.heidirmi.call import (
+from repro.model.call import (
     STATUS_ERROR,
     STATUS_EXCEPTION,
     STATUS_OK,

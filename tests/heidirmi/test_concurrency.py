@@ -12,13 +12,13 @@ import time
 import pytest
 
 from repro.heidirmi import HdSkel, HdStub, Orb
-from repro.heidirmi.call import Reply, STATUS_OK
+from repro.model.call import Reply, STATUS_OK
 from repro.heidirmi.communicator import (
     REPLY_MAX_BYTES,
     REPLY_MAX_CALLS,
     ObjectCommunicator,
 )
-from repro.heidirmi.errors import CommunicationError
+from repro.model.errors import CommunicationError
 from repro.heidirmi.protocol import get_protocol
 from repro.heidirmi.serialize import TypeRegistry
 

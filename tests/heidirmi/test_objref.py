@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.heidirmi import ObjectReference
-from repro.heidirmi.errors import ProtocolError
+from repro.model.errors import ProtocolError
 
 PAPER_REF = "@tcp:galaxy.nec.com:1234#9876#IDL:Heidi/A:1.0"
 

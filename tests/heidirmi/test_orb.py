@@ -3,7 +3,7 @@
 import pytest
 
 from repro.heidirmi import HdSkel, HdStub, Orb
-from repro.heidirmi.errors import HeidiRmiError, RemoteError
+from repro.model.errors import HeidiRmiError, RemoteError
 from repro.heidirmi.serialize import TypeRegistry
 
 TYPE_ID = "IDL:OrbTest/Echo:1.0"
@@ -148,7 +148,7 @@ class TestStubCache:
 
     def test_unknown_type_gets_generic_stub(self, pair, registry):
         _, client = pair
-        from repro.heidirmi.objref import ObjectReference
+        from repro.model.objref import ObjectReference
 
         ref = ObjectReference("inproc", "h", 1, "1", "IDL:Unknown:1.0")
         stub = client.resolve(ref)
@@ -194,7 +194,7 @@ class TestLifecycle:
         with Orb(transport="inproc", types=registry) as orb:
             assert orb.port > 0
         # After exit the listener is gone: connecting fails.
-        from repro.heidirmi.errors import CommunicationError
+        from repro.model.errors import CommunicationError
         from repro.heidirmi.transport import get_transport
 
         with pytest.raises(CommunicationError):

@@ -11,8 +11,8 @@ import socket
 
 import pytest
 
-from repro.heidirmi.call import Call, Reply, STATUS_ERROR, STATUS_EXCEPTION, STATUS_OK
-from repro.heidirmi.errors import ProtocolError
+from repro.model.call import Call, Reply, STATUS_ERROR, STATUS_EXCEPTION, STATUS_OK
+from repro.model.errors import ProtocolError
 from repro.heidirmi.protocol import (
     Text2Protocol,
     TextProtocol,

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.heidirmi.call import Call
-from repro.heidirmi.errors import MarshalError
-from repro.heidirmi.objref import ObjectReference
+from repro.model.call import Call
+from repro.model.errors import MarshalError
+from repro.model.objref import ObjectReference
 from repro.heidirmi.serialize import (
     HdSerializable,
     TypeRegistry,
@@ -12,7 +12,7 @@ from repro.heidirmi.serialize import (
     is_serializable,
     put_object,
 )
-from repro.heidirmi.textwire import TextMarshaller, TextUnmarshaller
+from repro.wire.textwire import TextMarshaller, TextUnmarshaller
 
 
 class Token(HdSerializable):

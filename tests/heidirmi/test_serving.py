@@ -16,7 +16,7 @@ import time
 import pytest
 
 from repro.heidirmi import HdSkel, serving
-from repro.heidirmi.call import Call
+from repro.model.call import Call
 from repro.heidirmi.exceptions_user import HdUserException
 from repro.heidirmi.serialize import TypeRegistry
 from repro.observe import Observer

@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.heidirmi.call import Call, Reply
-from repro.heidirmi.errors import MethodNotFound
+from repro.model.call import Call, Reply
+from repro.model.errors import MethodNotFound
 from repro.heidirmi.skeleton import HdSkel
-from repro.heidirmi.textwire import TextMarshaller, TextUnmarshaller
+from repro.wire.textwire import TextMarshaller, TextUnmarshaller
 
 
 def incoming(operation, tokens=()):

@@ -3,8 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.heidirmi.errors import MarshalError, ProtocolError
-from repro.heidirmi.textwire import (
+from repro.model.errors import MarshalError, ProtocolError
+from repro.wire.textwire import (
     TextMarshaller,
     TextUnmarshaller,
     escape_token,

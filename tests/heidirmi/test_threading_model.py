@@ -13,7 +13,7 @@ import time
 import pytest
 
 from repro.heidirmi import HdSkel, HdStub, Orb
-from repro.heidirmi.errors import HeidiRmiError
+from repro.model.errors import HeidiRmiError
 from repro.heidirmi.serialize import TypeRegistry
 
 TYPE_ID = "IDL:Model/Critical:1.0"

@@ -4,7 +4,7 @@ import threading
 
 import pytest
 
-from repro.heidirmi.errors import CommunicationError
+from repro.model.errors import CommunicationError
 from repro.heidirmi.transport import get_transport, register_transport
 
 

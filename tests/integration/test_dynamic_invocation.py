@@ -5,7 +5,7 @@ import pytest
 from repro.est import InterfaceRepository
 from repro.heidirmi import Orb
 from repro.heidirmi.dii import DynamicCaller
-from repro.heidirmi.errors import HeidiRmiError
+from repro.model.errors import HeidiRmiError
 from repro.idl import parse
 from repro.mappings.python_rmi import generate_module
 

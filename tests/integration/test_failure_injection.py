@@ -13,7 +13,7 @@ import time
 import pytest
 
 from repro.heidirmi import HdSkel, HdStub, Orb
-from repro.heidirmi.errors import CommunicationError, RemoteError
+from repro.model.errors import CommunicationError, RemoteError
 from repro.heidirmi.serialize import TypeRegistry
 from repro.heidirmi.transport import get_transport
 from tests.resilience.rig import SERVER_RUNTIMES, make_server

@@ -1,6 +1,6 @@
 """Seeded CON005: CommunicationError kind outside the vocabulary."""
 
-from repro.heidirmi.errors import CommunicationError
+from repro.model.errors import CommunicationError
 
 
 def fail():

@@ -1,6 +1,6 @@
 """Clean twin of CON005: only documented error kinds are raised."""
 
-from repro.heidirmi.errors import CommunicationError
+from repro.model.errors import CommunicationError
 
 
 def fail():

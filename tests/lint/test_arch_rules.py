@@ -2,11 +2,12 @@
 
 import os
 
+from repro.lint import arch_rules
 from repro.lint.arch_rules import (
     lint_emission_paths,
     lint_emission_source,
-    lint_wire_layering,
-    lint_wire_source,
+    lint_layering,
+    lint_layering_source,
 )
 from repro.lint.cli import main
 from repro.lint.formats import render_text
@@ -16,66 +17,118 @@ ARCH_FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures", "arch")
 
 class TestWireSource:
     def test_clean_module(self):
-        assert lint_wire_source("import struct\nx = 1\n") == []
+        assert lint_layering_source("import struct\nx = 1\n") == []
 
     def test_import_socket(self):
-        findings = lint_wire_source("import socket\n", filename="text.py")
+        findings = lint_layering_source("import socket\n", filename="text.py")
         assert [d.code for d in findings] == ["ARCH001"]
         assert findings[0].span.line == 1
         assert "'socket'" in findings[0].message
 
     def test_import_asyncio_submodule(self):
-        findings = lint_wire_source("import asyncio.streams\n")
+        findings = lint_layering_source("import asyncio.streams\n")
         assert [d.code for d in findings] == ["ARCH001"]
 
     def test_from_import_selectors(self):
-        findings = lint_wire_source(
+        findings = lint_layering_source(
             "from selectors import DefaultSelector\n"
         )
         assert [d.code for d in findings] == ["ARCH001"]
 
+    def test_io_ban_covers_model_and_giop(self):
+        for package in ("model", "giop"):
+            findings = lint_layering_source("import socket\n", package)
+            assert [d.code for d in findings] == ["ARCH001"], package
+
     def test_transport_import_banned(self):
-        findings = lint_wire_source(
+        findings = lint_layering_source(
             "from repro.heidirmi.transport import Channel\n"
         )
         assert [d.code for d in findings] == ["ARCH001"]
 
     def test_transport_via_package_from_import(self):
-        # ``from repro.heidirmi import transport`` names the banned
-        # module through the alias list, not the module part.
-        findings = lint_wire_source(
+        # ``from repro.heidirmi import transport`` names the module
+        # through the alias list as well as the module part: still one
+        # finding for the one statement.
+        findings = lint_layering_source(
             "from repro.heidirmi import transport\n"
         )
         assert [d.code for d in findings] == ["ARCH001"]
 
     def test_function_local_import_caught(self):
-        findings = lint_wire_source(
+        findings = lint_layering_source(
             "def sneak():\n    import socket\n    return socket\n"
         )
         assert [d.code for d in findings] == ["ARCH001"]
         assert findings[0].span.line == 2
 
-    def test_other_heidirmi_imports_allowed(self):
+    def test_function_local_upward_import_caught(self):
+        findings = lint_layering_source(
+            "def sneak():\n"
+            "    from repro.heidirmi.serving import ServerCore\n"
+            "    return ServerCore\n"
+        )
+        assert [d.code for d in findings] == ["ARCH001"]
+        assert findings[0].span.line == 2
+
+    def test_other_heidirmi_imports_banned(self):
+        # The data model lives in repro.model; reaching it through the
+        # runtime package would load the whole ORB.
         source = (
             "from repro.heidirmi.errors import ProtocolError\n"
             "from repro.heidirmi.call import Call\n"
         )
-        assert lint_wire_source(source) == []
+        for package in ("wire", "giop"):
+            findings = lint_layering_source(source, package)
+            assert [d.span.line for d in findings] == [1, 2], package
+            assert "'repro.heidirmi'" in findings[0].message
+
+    def test_each_layer_sees_only_what_is_below_it(self):
+        imports = {
+            "repro.model": "from repro.model.errors import ProtocolError\n",
+            "repro.giop": "from repro.giop.cdr import CdrEncoder\n",
+            "repro.wire": "import repro.wire\n",
+            "repro.resilience": "from repro.resilience import Deadline\n",
+            "repro.observe": "import repro.observe.flight\n",
+        }
+        for package, allowed in arch_rules.ALLOWED_PREFIXES.items():
+            for layer, source in imports.items():
+                findings = lint_layering_source(source, package)
+                assert (findings == []) == (layer in allowed), (package, layer)
+
+    def test_relative_import_is_resolved(self):
+        assert lint_layering_source("from . import events\n") == []
+        assert lint_layering_source("from .events import NEED_DATA\n") == []
+        findings = lint_layering_source("from ..heidirmi import transport\n")
+        assert [d.code for d in findings] == ["ARCH001"]
+        findings = lint_layering_source("from .. import wire\n", "model")
+        assert [d.code for d in findings] == ["ARCH001"]
 
 
 class TestWireLayering:
     def test_shipped_wire_package_is_clean(self):
-        """The repo's own sans-I/O core must satisfy its own contract."""
-        assert lint_wire_layering() == []
+        """The repo's own floor must satisfy its own contract, with
+        the asyncio front-end as the only carve-out."""
+        assert arch_rules.EXEMPT_FILES == ("aio.py",)
+        assert lint_layering() == []
 
     def test_violating_tree(self, tmp_path):
-        (tmp_path / "bad.py").write_text("import socket\n")
-        (tmp_path / "good.py").write_text("import struct\n")
-        (tmp_path / "aio.py").write_text("import asyncio\nimport socket\n")
-        findings = lint_wire_layering(str(tmp_path))
-        # Only bad.py is reported: aio.py is the sanctioned front-end.
-        assert [d.code for d in findings] == ["ARCH001"]
-        assert os.path.basename(findings[0].span.file) == "bad.py"
+        for package in arch_rules.ALLOWED_PREFIXES:
+            (tmp_path / package).mkdir()
+        (tmp_path / "wire" / "bad.py").write_text("import socket\n")
+        (tmp_path / "wire" / "good.py").write_text("import struct\n")
+        (tmp_path / "wire" / "aio.py").write_text(
+            "import asyncio\nfrom repro.heidirmi.serving import ServerCore\n"
+        )
+        (tmp_path / "giop" / "aio.py").write_text("import asyncio\n")
+        (tmp_path / "model" / "up.py").write_text("import repro.wire\n")
+        findings = lint_layering(str(tmp_path))
+        # wire/aio.py is the sanctioned front-end; the file name buys
+        # nothing in another package.
+        assert [d.code for d in findings] == ["ARCH001"] * 3
+        assert [
+            os.path.relpath(d.span.file, str(tmp_path)) for d in findings
+        ] == ["model/up.py", "giop/aio.py", "wire/bad.py"]
 
 
 class TestEmissionSource:

@@ -99,7 +99,7 @@ class TestGenerateModule:
         assert "discriminator=1" in repr(value)
 
     def test_unsupported_type_reports_clearly(self):
-        from repro.heidirmi.errors import MarshalError
+        from repro.model.errors import MarshalError
 
         spec = parse("interface I { void f(in fixed<9,2> amount); };")
         with pytest.raises(MarshalError, match="does not support"):

@@ -12,8 +12,8 @@ import time
 import pytest
 
 from repro.heidirmi import HdSkel, HdStub, Orb
-from repro.heidirmi.call import Call
-from repro.heidirmi.errors import CommunicationError, RemoteError
+from repro.model.call import Call
+from repro.model.errors import CommunicationError, RemoteError
 from repro.heidirmi.serialize import TypeRegistry
 from repro.observe import Observer
 from tests.resilience.rig import SERVER_RUNTIMES, make_server

@@ -14,8 +14,8 @@ import json
 
 import pytest
 
-from repro.heidirmi.call import Call
-from repro.heidirmi.errors import CommunicationError, ProtocolError
+from repro.model.call import Call
+from repro.model.errors import CommunicationError, ProtocolError
 from repro.heidirmi.protocol import get_protocol
 from repro.observe import FlightControl, Observer
 from repro.observe import cli as observe_cli

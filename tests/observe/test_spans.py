@@ -82,7 +82,7 @@ class TestSpan:
         assert nested.parent_id == outer.span_id
 
     def test_fail_records_error_kind(self):
-        from repro.heidirmi.errors import CommunicationError
+        from repro.model.errors import CommunicationError
 
         observer = Observer()
         span = observer.start_span("client", "echo")

@@ -12,7 +12,7 @@ import socket
 import pytest
 
 from repro.heidirmi import HdSkel, HdStub, Orb
-from repro.heidirmi.call import Call
+from repro.model.call import Call
 from repro.heidirmi.protocol import get_protocol
 from repro.heidirmi.serialize import TypeRegistry
 from repro.heidirmi.transport import Channel

@@ -10,7 +10,7 @@ import threading
 import time
 
 from repro.heidirmi import HdSkel, HdStub, Orb
-from repro.heidirmi.objref import ObjectReference
+from repro.model.objref import ObjectReference
 from repro.heidirmi.serialize import TypeRegistry
 from repro.resilience import Deadline, install_chaos
 

@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from repro.heidirmi.errors import CommunicationError, DeadlineExceeded
+from repro.model.errors import CommunicationError, DeadlineExceeded
 from repro.resilience import (
     DEFAULT_RETRYABLE_KINDS,
     FaultPlan,

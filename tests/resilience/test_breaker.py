@@ -6,7 +6,7 @@ open → half-open transition is tested without sleeping.
 
 import pytest
 
-from repro.heidirmi.errors import CircuitOpenError, CommunicationError
+from repro.model.errors import CircuitOpenError, CommunicationError
 from repro.resilience import (
     BREAKER_CLOSED,
     BREAKER_HALF_OPEN,

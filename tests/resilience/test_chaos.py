@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from repro.heidirmi.errors import CommunicationError
+from repro.model.errors import CommunicationError
 from repro.resilience import ChaosChannel, ChaosTransport, FaultPlan
 from repro.resilience.chaos import install_chaos
 

@@ -12,8 +12,8 @@ import time
 
 import pytest
 
-from repro.heidirmi.call import Call
-from repro.heidirmi.errors import DeadlineExceeded, ProtocolError
+from repro.model.call import Call
+from repro.model.errors import DeadlineExceeded, ProtocolError
 from repro.heidirmi.protocol import get_protocol
 from repro.heidirmi.transport import get_transport
 from repro.resilience import Deadline

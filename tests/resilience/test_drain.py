@@ -13,9 +13,9 @@ import time
 import pytest
 
 from repro.heidirmi import Orb
-from repro.heidirmi.call import Call
-from repro.heidirmi.errors import CommunicationError, OverloadedError
-from repro.heidirmi.objref import ObjectReference
+from repro.model.call import Call
+from repro.model.errors import CommunicationError, OverloadedError
+from repro.model.objref import ObjectReference
 from repro.heidirmi.protocol import get_protocol
 from repro.heidirmi.transport import get_transport
 from repro.observe import FlightControl, Observer

@@ -17,8 +17,8 @@ import time
 import pytest
 
 from repro.heidirmi import Orb
-from repro.heidirmi.call import Call
-from repro.heidirmi.errors import DeadlineExceeded
+from repro.model.call import Call
+from repro.model.errors import DeadlineExceeded
 from repro.heidirmi.protocol import get_protocol
 from repro.heidirmi.transport import get_transport
 from repro.observe import Observer

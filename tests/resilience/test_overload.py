@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from repro.heidirmi.errors import CommunicationError, OverloadedError
+from repro.model.errors import CommunicationError, OverloadedError
 from repro.resilience import (
     AdmissionController,
     AdmissionPolicy,

@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from repro.heidirmi.errors import CommunicationError, DeadlineExceeded
+from repro.model.errors import CommunicationError, DeadlineExceeded
 from repro.resilience import (
     DEFAULT_RETRYABLE_KINDS,
     FaultPlan,

@@ -5,7 +5,7 @@ with the protocols' own marshallers, encoded by the wire machines, and
 fed back into wire machines as plain bytes.
 """
 
-from repro.heidirmi.call import Call, Reply, STATUS_OK
+from repro.model.call import Call, Reply, STATUS_OK
 from repro.heidirmi.protocol import get_protocol
 
 PROTOCOLS = ("text", "text2", "giop")

@@ -13,8 +13,8 @@ import threading
 import pytest
 
 from repro.heidirmi import Orb
-from repro.heidirmi.call import Call
-from repro.heidirmi.errors import CommunicationError, DeadlineExceeded
+from repro.model.call import Call
+from repro.model.errors import CommunicationError, DeadlineExceeded
 from repro.heidirmi.protocol import get_protocol
 from repro.heidirmi.transport import get_transport
 from repro.wire.aio import (

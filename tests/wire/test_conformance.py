@@ -16,7 +16,7 @@ from repro.giop.messages import (
     MessageHeader,
     frame_message,
 )
-from repro.heidirmi.call import STATUS_ERROR, STATUS_EXCEPTION, STATUS_OK
+from repro.model.call import STATUS_ERROR, STATUS_EXCEPTION, STATUS_OK
 from repro.wire import NEED_DATA, is_channel_level_error, machine_for
 from repro.wire.events import (
     CancelReceived,

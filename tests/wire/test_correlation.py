@@ -7,10 +7,10 @@ with strings for waiters and numbers for the clock.
 
 import threading
 
-from repro.heidirmi.call import Call, Reply, STATUS_ERROR, STATUS_OK
-from repro.heidirmi.errors import CommunicationError, DeadlineExceeded
+from repro.model.call import Call, Reply, STATUS_ERROR, STATUS_OK
+from repro.model.errors import CommunicationError, DeadlineExceeded
 from repro.heidirmi.protocol import get_protocol
-from repro.heidirmi.textwire import TextMarshaller
+from repro.wire.textwire import TextMarshaller
 from repro.resilience import Deadline
 from repro.wire.correlation import (
     RESERVED_CHANNEL_ERROR_ID,

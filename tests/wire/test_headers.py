@@ -6,7 +6,7 @@ both carriers — text-line tokens and GIOP ServiceContext bodies.
 
 import pytest
 
-from repro.heidirmi.errors import ProtocolError
+from repro.model.errors import ProtocolError
 from repro.resilience import Deadline
 from repro.wire import headers
 

@@ -17,8 +17,8 @@ import time
 
 import pytest
 
-from repro.heidirmi.call import STATUS_ERROR, STATUS_EXCEPTION
-from repro.heidirmi.errors import DeadlineExceeded
+from repro.model.call import STATUS_ERROR, STATUS_EXCEPTION
+from repro.model.errors import DeadlineExceeded
 from repro.heidirmi.protocol import get_protocol
 from repro.observe import Observer
 from repro.wire import machine_for

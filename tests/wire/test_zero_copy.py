@@ -19,7 +19,7 @@ import socket
 import struct
 
 from repro.giop.cdr import CdrEncoder
-from repro.giop.iiop import pump_giop_event
+from repro.heidirmi.iiop import pump_giop_event
 from repro.giop.messages import (
     GIOP_HEADER_SIZE,
     MSG_REPLY,
@@ -29,7 +29,7 @@ from repro.giop.messages import (
     RequestHeader,
     frame_message,
 )
-from repro.heidirmi.call import STATUS_OK
+from repro.model.call import STATUS_OK
 from repro.heidirmi.transport import Channel
 from repro.wire import machine_for
 from repro.wire.bufferplan import FRAME_CACHE
