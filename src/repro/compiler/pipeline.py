@@ -113,11 +113,6 @@ class Pipeline:
         timings["lint"] = time.perf_counter() - start
         return spec, diagnostics, strict
 
-    def lint_source(self, source, filename="<string>", include_paths=()):
-        """The front end's diagnostics: IDL findings plus the (cached)
-        pack self-lint."""
-        return self.front_end(source, filename, include_paths)[1]
-
     @cached_property
     def _pack_lint(self):
         """``(diagnostics, strict_safe)`` of the pack's own templates."""

@@ -97,20 +97,6 @@ def pump_event(channel, machine):
             return event
 
 
-def pump_line_event(channel, machine):
-    """:func:`pump_event` specialised for line-hinted (text) machines.
-
-    ``feed_line`` always produces an event from one complete line, so
-    the hint round-trip disappears; only leftover buffered bytes (a
-    driver that mixed in ``feed_bytes``) take the generic path.
-    """
-    if machine.has_buffered:
-        event = machine.next_event()
-        if event is not wire_events.NEED_DATA:
-            return event
-    return machine.feed_line(channel.recv_line())
-
-
 def channel_machine(channel, role, factory):
     """The per-channel wire machine for *role*, built on first use.
 
@@ -213,9 +199,8 @@ class TextProtocol(Protocol):
     # The receive side mirrors the send side: one blocking ``recv_line``
     # (the channel is the line-demarcating buffer) handed straight to
     # the machines' pure line parsers — this is the per-call hot path.
-    # A per-channel machine exists only when a chunk-style driver fed it
-    # (``feed_bytes``); any bytes it buffered are drained first so no
-    # message can overtake another.  A flight-recorded channel keeps the
+    # No per-channel machine is involved (only GIOP keeps one, see
+    # ``channel_machine``).  A flight-recorded channel keeps the
     # direct parse and taps the recorder with the raw line plus the
     # parsed result — routing every line through a machine just to reach
     # its tap costs double-digit throughput, while the direct tap
@@ -227,21 +212,11 @@ class TextProtocol(Protocol):
 
     #: The raw line that means "orderly close" (None for the classic
     #: protocol, whose only goodbye is EOF; ``BYE`` for text2).  Checked
-    #: on the direct-parse paths below; the machine paths surface the
-    #: same condition as a CloseReceived event.
+    #: on the direct-parse paths below; the wire machines (asyncio
+    #: pumps) surface the same condition as a CloseReceived event.
     _close_line = None
 
     def recv_request(self, channel, object_exists=None):
-        machine = getattr(channel, _SERVER_MACHINE, None)
-        if machine is not None and (
-            machine.has_buffered or machine.tap is not None
-        ):
-            event = pump_line_event(channel, machine)
-            if type(event) is wire_events.WireViolation:
-                raise ProtocolError(event.message)
-            if type(event) is wire_events.CloseReceived:
-                raise peer_closed()
-            return event.call
         raw = channel.recv_line()
         if raw == self._close_line:
             recorder = getattr(channel, "flight", None)
@@ -264,16 +239,6 @@ class TextProtocol(Protocol):
         send_frame(channel, encode_reply(reply))
 
     def recv_reply(self, channel):
-        machine = getattr(channel, _CLIENT_MACHINE, None)
-        if machine is not None and (
-            machine.has_buffered or machine.tap is not None
-        ):
-            event = pump_line_event(channel, machine)
-            if type(event) is wire_events.WireViolation:
-                raise ProtocolError(event.message)
-            if type(event) is wire_events.CloseReceived:
-                raise draining_failure()
-            return event.reply
         raw = channel.recv_line()
         if raw == self._close_line:
             recorder = getattr(channel, "flight", None)

@@ -93,20 +93,6 @@ class TypeRegistry:
 
     # -- registration -----------------------------------------------------
 
-    def register_stub(self, type_id, stub_class, parents=()):
-        info = self._info(type_id)
-        info.stub_class = stub_class
-        if parents:
-            info.parents = tuple(parents)
-        return stub_class
-
-    def register_skeleton(self, type_id, skeleton_class, parents=()):
-        info = self._info(type_id)
-        info.skeleton_class = skeleton_class
-        if parents:
-            info.parents = tuple(parents)
-        return skeleton_class
-
     def register_value(self, type_id, value_class):
         info = self._info(type_id)
         info.value_class = value_class

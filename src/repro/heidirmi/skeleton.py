@@ -129,21 +129,6 @@ class HdSkel:
             return True
         return False
 
-    def _dispatch_class(self, skel_class, call, reply):
-        """Try *skel_class*'s own table, then its parents recursively."""
-        dispatcher = skel_class._own_dispatcher(self._strategy)
-        method_name = dispatcher.lookup(call.operation)
-        if method_name is not None:
-            handler = getattr(skel_class, method_name)
-            handler(self, call, reply)
-            return True
-        for parent in skel_class.__dict__.get(
-            "_hd_parent_skels_", skel_class._hd_parent_skels_
-        ):
-            if self._dispatch_class(parent, call, reply):
-                return True
-        return False
-
     def operations(self):
         """Every operation reachable through this skeleton's hierarchy."""
         names = []

@@ -587,8 +587,8 @@ _TRANSPORTS = {
 
 #: Name → name redirects resolved inside :func:`get_transport`, so every
 #: caller (Orbs, the connection cache, the chaos layer) sees the same
-#: substitution regardless of how it spelled the transport.  The test
-#: suite uses this to re-run entire suites over the asyncio transport.
+#: substitution regardless of how it spelled the transport.  ``perf/``
+#: uses this to put its byte-metering transport under every ``tcp`` user.
 _ALIASES = {}
 
 
@@ -601,11 +601,11 @@ def set_transport_alias(name, target):
 
 
 def get_transport(name):
-    """Look up a transport by protocol name (``tcp``/``inproc``/``aio``)."""
+    """Look up a transport by name: ``tcp``, ``inproc`` or a registered one.
+
+    Aliases (:func:`set_transport_alias`) are resolved first.
+    """
     name = _ALIASES.get(name, name)
-    if name == "aio" and "aio" not in _TRANSPORTS:
-        # Imported lazily so the threads-only ORB never touches asyncio.
-        import repro.wire.aio  # noqa: F401 (registers itself)
     factory = _TRANSPORTS.get(name)
     if factory is None:
         raise CommunicationError(f"unknown transport {name!r}")

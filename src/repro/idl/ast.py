@@ -98,13 +98,6 @@ class Declaration:
             node = getattr(node, "parent", None)
         return separator.join(reversed(parts))
 
-    def enclosing_scopes(self):
-        """Yield enclosing declarations from innermost to outermost."""
-        node = getattr(self, "parent", None)
-        while node is not None:
-            yield node
-            node = getattr(node, "parent", None)
-
     def is_variable_type(self):
         """Whether values of this type have variable marshalled size."""
         return False

@@ -207,21 +207,6 @@ class NamedType(IdlType):
             return False
         return decl.is_variable_type()
 
-    def resolved(self):
-        """Follow typedef chains to the underlying declaration/type."""
-        decl = self.declaration
-        seen = set()
-        while decl is not None and decl.__class__.__name__ == "TypedefDecl":
-            if id(decl) in seen:  # pragma: no cover - cycles rejected earlier
-                break
-            seen.add(id(decl))
-            inner = decl.aliased_type
-            if isinstance(inner, NamedType):
-                decl = inner.declaration
-            else:
-                return inner
-        return decl
-
     def idl_name(self):
         return self.scoped_name
 

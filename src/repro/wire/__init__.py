@@ -25,9 +25,10 @@ The blocking stack (``repro.heidirmi.protocol``/``repro.heidirmi.iiop``)
 and the asyncio front-end (:mod:`repro.wire.aio`) are both thin byte
 pumps over the identical machines, which is the paper's configurable
 protocol/transport seam made literal.  :mod:`repro.wire.aio` is the one
-module here that reaches up (into ``heidirmi.serving`` and
-``heidirmi.transport``); it is not imported by this package's init and
-moves beside ``BlockingServer`` once ``perf/`` can follow it.
+module here that reaches up (into ``heidirmi.serving``, and
+``heidirmi.transport`` for the connect timeout); it is not imported by
+this package's init and moves beside ``BlockingServer`` once ``perf/``
+can follow it.
 """
 
 from repro.wire.correlation import (  # noqa: F401

@@ -2,15 +2,9 @@
 
 This is the module the layering lint (ARCH001) carves out: everything
 else under :mod:`repro.wire` is pure bytes-in/events-out, and *only*
-this module may touch sockets and event loops.  It provides three
-things, all driven by the exact machines the blocking stack pumps:
-
-``AioTransport`` (registered as ``"aio"``)
-    A drop-in :class:`~repro.heidirmi.transport.Transport`: blocking
-    Channels and Listeners whose I/O runs on a shared background
-    asyncio event loop.  An unchanged ORB — threads, communicators,
-    connection cache and all — works over it byte for byte, which is
-    what the interop matrix asserts.
+this module may touch sockets and event loops.  It provides two
+things, the second I/O runtime beside the blocking stack, both driven
+by the exact machines and cores the blocking stack pumps:
 
 ``AioOrbServer``
     A coroutine server front-end for an existing :class:`Orb`'s object
@@ -29,25 +23,12 @@ things, all driven by the exact machines the blocking stack pumps:
 """
 
 import asyncio
-import concurrent.futures
-import queue
 import socket
 import threading
-import time
 
-from repro.model.errors import (
-    CommunicationError,
-    DeadlineExceeded,
-    ProtocolError,
-)
+from repro.model.errors import CommunicationError, ProtocolError
 from repro.heidirmi.serving import DISPATCH, ServerCore, Session
-from repro.heidirmi.transport import (
-    DEFAULT_CONNECT_TIMEOUT,
-    Channel,
-    Listener,
-    Transport,
-    register_transport,
-)
+from repro.heidirmi.transport import DEFAULT_CONNECT_TIMEOUT
 from repro.wire.bufferplan import BufferPlan
 from repro.wire.correlation import ClientSession
 from repro.wire.events import (
@@ -71,12 +52,13 @@ _LOOP_LOCK = threading.Lock()
 
 
 def get_event_loop():
-    """The process-wide event loop backing the blocking ``aio`` facade.
+    """The process-wide event loop synchronous code drives the pumps on.
 
-    Started lazily on a daemon thread; shared by every AioChannel,
-    AioListener and AioOrbServer so cross-connection work (accepting
-    while reading while writing) multiplexes on one loop, which is the
-    point of the exercise.
+    Started lazily on a daemon thread; shared by every AioOrbServer
+    (its blocking ``start``/``stop``) and by whoever submits client
+    coroutines with ``run_coroutine_threadsafe``, so cross-connection
+    work (accepting while reading while writing) multiplexes on one
+    loop, which is the point of the exercise.
     """
     global _LOOP
     loop = _LOOP
@@ -95,11 +77,11 @@ def get_event_loop():
     return loop
 
 
-def _run(coroutine, timeout=None):
+def _run(coroutine):
     """Run *coroutine* on the shared loop, blocking for its result."""
     return asyncio.run_coroutine_threadsafe(
         coroutine, get_event_loop()
-    ).result(timeout)
+    ).result()
 
 
 def _set_nodelay(writer):
@@ -139,258 +121,6 @@ def _write_frame(writer, data):
         writer.writelines(data.segments())
     else:
         writer.write(data)
-
-
-# ---------------------------------------------------------------------------
-# Blocking facade: Channel/Listener/Transport over the loop
-# ---------------------------------------------------------------------------
-
-
-class AioChannel(Channel):
-    """A blocking Channel whose bytes move through an asyncio stream.
-
-    Inherits the receive buffer, ``recv_line``/``recv_exact``,
-    ``has_buffered`` and deadline bookkeeping from :class:`Channel`;
-    only the three primitives that touch the socket (``send``,
-    ``_fill``, ``close``) are rerouted onto the event loop.  Blocking
-    callers therefore observe byte-identical behaviour — same frames,
-    same exception kinds, same deadline semantics.
-    """
-
-    def __init__(self, reader, writer, peer="?"):
-        super().__init__(None, peer=peer)
-        self._reader = reader
-        self._writer = writer
-        self._loop = get_event_loop()
-
-    def set_deadline(self, expires_at):
-        # Plain attribute store: no watchdog here.  There is no kernel
-        # socket to shut down (``_sock`` is None) — the rerouted
-        # primitives below already bound every operation with the
-        # ``future.result(timeout)`` they run on the shared loop.
-        self._deadline = expires_at
-
-    async def _send_async(self, data):
-        _write_frame(self._writer, data)
-        await self._writer.drain()
-
-    async def _fill_async(self):
-        return await self._reader.read(_READ_CHUNK)
-
-    def _remaining(self, verb):
-        if self._deadline is None:
-            return None
-        remaining = self._deadline - time.monotonic()
-        if remaining <= 0.0:
-            self.close()
-            raise DeadlineExceeded(
-                f"deadline expired before {verb} to {self.peer}"
-                if verb == "send"
-                else f"deadline expired waiting for {self.peer}"
-            )
-        return remaining
-
-    def send(self, data):
-        if self._closed:
-            raise CommunicationError(
-                f"channel to {self.peer} is closed", kind="channel-closed"
-            )
-        timeout = self._remaining("send")
-        with self._send_lock:
-            future = asyncio.run_coroutine_threadsafe(
-                self._send_async(data), self._loop
-            )
-            try:
-                future.result(timeout)
-            except concurrent.futures.TimeoutError as exc:
-                future.cancel()
-                self.close()
-                raise DeadlineExceeded(
-                    f"deadline expired in send to {self.peer}"
-                ) from exc
-            except (ConnectionError, OSError) as exc:
-                self.close()
-                raise CommunicationError(
-                    f"send to {self.peer} failed: {exc}", kind="send-failed"
-                ) from exc
-        if self.meter is not None:
-            self.meter.sent(len(data))
-        if self.flight is not None:
-            # The flight ring stores frames by reference: contiguous
-            # immutable bytes, never a plan's pooled segments.
-            self.flight.record_out(
-                data.to_bytes() if type(data) is BufferPlan else data)
-        # No recycle: asyncio's transport may still reference the
-        # plan's segments after drain() returns (write buffering), so
-        # aio paths let the garbage collector reclaim them instead.
-
-    def _fill(self):
-        timeout = self._remaining("recv")
-        future = asyncio.run_coroutine_threadsafe(
-            self._fill_async(), self._loop
-        )
-        try:
-            chunk = future.result(timeout)
-        except concurrent.futures.TimeoutError as exc:
-            future.cancel()
-            self.close()
-            raise DeadlineExceeded(
-                f"deadline expired waiting for {self.peer}"
-            ) from exc
-        except (ConnectionError, OSError) as exc:
-            self.close()
-            raise _recv_failed(self.peer, exc) from exc
-        if not chunk:
-            raise _peer_closed(self.peer)
-        if self.meter is not None:
-            self.meter.received(len(chunk))
-        self._buffer += chunk
-
-    def wait_readable(self, timeout):
-        """Block until a recv would not block, at most *timeout* seconds.
-
-        The aio mirror of ``Channel.wait_readable``: a read is started
-        on the shared loop and awaited for *timeout*.  A chunk that
-        lands is buffered (never dropped), EOF and errors report True
-        so the next recv surfaces them, and only a clean timeout — the
-        coroutine observably cancelled before any data was taken off
-        the stream — reports False.
-        """
-        if len(self._buffer) > self._start:
-            return True
-        if self._closed:
-            return True
-        future = asyncio.run_coroutine_threadsafe(
-            self._fill_async(), self._loop
-        )
-        try:
-            chunk = future.result(timeout)
-        except concurrent.futures.TimeoutError:
-            future.cancel()
-            # The cancel races the read completing: block until the
-            # future settles (the loop settles it on its next pass).
-            # StreamReader.read only takes bytes out of its buffer
-            # after its last await, so a cancelled read loses nothing.
-            try:
-                chunk = future.result()
-            except concurrent.futures.CancelledError:
-                return False
-            except Exception:
-                return True  # let the recv path raise it properly
-        except Exception:
-            return True  # ditto: connection errors surface on recv
-        if chunk:
-            if self.meter is not None:
-                self.meter.received(len(chunk))
-            self._buffer += chunk
-        # An empty chunk is EOF: recv re-reads and raises peer-closed.
-        return True
-
-    def close(self):
-        if self._closed:
-            return
-        self._closed = True
-        writer = self._writer
-
-        def _shutdown():
-            try:
-                writer.close()
-            except Exception:
-                pass
-
-        try:
-            self._loop.call_soon_threadsafe(_shutdown)
-        except RuntimeError:
-            pass  # loop torn down at interpreter exit
-
-
-#: Queue sentinel: the listener was closed under a blocked acceptor.
-_CLOSED = object()
-
-
-class AioListener(Listener):
-    """Accept side of the aio transport: asyncio server, blocking API."""
-
-    def __init__(self, host, port):
-        self._accepted = queue.Queue()
-        self._closed = False
-        try:
-            self._server = _run(self._start(host, port))
-        except OSError as exc:
-            raise CommunicationError(
-                f"cannot bind {host}:{port}: {exc}", kind="bind-failed"
-            ) from exc
-        # Snapshot the bound address: server.sockets empties on close,
-        # but callers still ask where the listener *was* (Orb.port).
-        self._address = self._server.sockets[0].getsockname()[:2]
-
-    async def _start(self, host, port):
-        return await asyncio.start_server(self._on_connect, host, port)
-
-    async def _on_connect(self, reader, writer):
-        # Runs on the loop for every inbound connection; hand the
-        # streams to whichever thread is blocked in accept().
-        _set_nodelay(writer)
-        self._accepted.put(AioChannel(reader, writer, peer=_peer_of(writer)))
-
-    def accept(self):
-        channel = self._accepted.get()
-        if channel is _CLOSED:
-            # Re-post for any other blocked acceptor.
-            self._accepted.put(_CLOSED)
-            raise CommunicationError(
-                "listener closed", kind="listener-closed"
-            )
-        return channel
-
-    def close(self):
-        if self._closed:
-            return
-        self._closed = True
-        try:
-            _run(self._stop())
-        except Exception:
-            pass
-        self._accepted.put(_CLOSED)
-
-    async def _stop(self):
-        self._server.close()
-        await self._server.wait_closed()
-
-    @property
-    def address(self):
-        return self._address
-
-
-class AioTransport(Transport):
-    """TCP through a background asyncio loop, behind the blocking API."""
-
-    name = "aio"
-
-    def listen(self, host, port):
-        return AioListener(host, port)
-
-    def connect(self, host, port, timeout=None):
-        if timeout is None:
-            timeout = DEFAULT_CONNECT_TIMEOUT
-        try:
-            reader, writer = _run(
-                asyncio.wait_for(
-                    asyncio.open_connection(host, port), timeout
-                )
-            )
-        # asyncio.TimeoutError is distinct from TimeoutError on 3.10.
-        except (asyncio.TimeoutError, TimeoutError) as exc:
-            raise CommunicationError(
-                f"connect {host}:{port} timed out after {timeout}s",
-                kind="connect-timeout",
-            ) from exc
-        except (ConnectionError, OSError) as exc:
-            raise CommunicationError(
-                f"cannot connect {host}:{port}: {exc}", kind="connect-refused"
-            ) from exc
-        _set_nodelay(writer)
-        return AioChannel(reader, writer, peer=f"{host}:{port}")
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +197,7 @@ class AioOrbServer:
         # Open connections and their serving sessions.
         self._conns = {}  # guarded-by: <serial:event-loop>
 
-    # -- blocking facade ---------------------------------------------------
+    # -- synchronous side --------------------------------------------------
 
     def start(self):
         """Bind and serve on the shared loop; returns (host, port)."""
@@ -656,8 +386,19 @@ class AioClientConnection:
 
     @classmethod
     async def open(cls, protocol, host, port, flight=None):
+        timeout = DEFAULT_CONNECT_TIMEOUT
         try:
-            reader, writer = await asyncio.open_connection(host, port)
+            reader, writer = await asyncio.wait_for(
+                asyncio.open_connection(host, port), timeout
+            )
+        # asyncio.TimeoutError is distinct from TimeoutError on 3.10;
+        # catch both before OSError so a black-holed endpoint reads
+        # differently from a refused one, as TcpTransport.connect does.
+        except (asyncio.TimeoutError, TimeoutError) as exc:
+            raise CommunicationError(
+                f"connect {host}:{port} timed out after {timeout}s",
+                kind="connect-timeout",
+            ) from exc
         except (ConnectionError, OSError) as exc:
             raise CommunicationError(
                 f"cannot connect {host}:{port}: {exc}", kind="connect-refused"
@@ -759,5 +500,3 @@ class AioClientConnection:
             self._reader_task = None
         self._bury(self._session.close())
 
-
-register_transport("aio", AioTransport)

@@ -1,43 +1,9 @@
 """Shared fixtures: the paper's example IDL, parsed specs, live ORBs."""
 
-import os
-
 import pytest
 
 from repro.idl import parse
 from repro.est import build_est
-
-#: CI re-runs whole suites over another transport by exporting
-#: ``REPRO_TRANSPORT`` (e.g. ``aio``): every Orb and connection built
-#: through ``get_transport`` resolves the alias, so the unchanged
-#: blocking stack runs over the asyncio transport end to end.
-_TRANSPORT_OVERRIDE = os.environ.get("REPRO_TRANSPORT")
-
-#: Files that exercise transport *internals* (socket pairs, the inproc
-#: listener registry) or bind symbolic inproc-only hostnames — rerouting
-#: those would test the override, not the product, so they keep their
-#: native transports.
-_OVERRIDE_EXEMPT = ("test_transport.py", "test_connection.py",
-                    "test_call.py")
-
-
-@pytest.fixture(autouse=True)
-def _transport_override(request):
-    if (
-        _TRANSPORT_OVERRIDE is None
-        or os.path.basename(str(request.node.fspath)) in _OVERRIDE_EXEMPT
-    ):
-        yield
-        return
-    from repro.heidirmi.transport import set_transport_alias
-
-    set_transport_alias("tcp", _TRANSPORT_OVERRIDE)
-    set_transport_alias("inproc", _TRANSPORT_OVERRIDE)
-    try:
-        yield
-    finally:
-        set_transport_alias("tcp", None)
-        set_transport_alias("inproc", None)
 
 #: The IDL of the paper's Fig. 3, completed with a body for S so the
 #: whole file is self-contained.

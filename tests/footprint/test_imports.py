@@ -1,5 +1,6 @@
 """Tests for the static import-closure analysis."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import pytest
 
 import repro
 from repro.footprint.imports import import_closure, module_loc, subset_report
+from repro.lint.arch_rules import _imported_names
 
 #: What a generated text-protocol stub needs at run time.
 CLIENT_ONLY_ROOTS = [
@@ -89,18 +91,26 @@ class TestReport:
         assert minimal < full
 
 
+SRC = os.path.dirname(os.path.dirname(repro.__file__))
+
+
+def _modules_after(script):
+    """``sys.modules`` after running *script* in a fresh interpreter."""
+    result = subprocess.run(
+        [sys.executable, "-c",
+         f"{script}\nimport sys; print(' '.join(sorted(sys.modules)))"],
+        env={**os.environ,
+             "PYTHONPATH": os.pathsep.join((SRC, os.path.dirname(SRC)))},
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    return set(result.stdout.split())
+
+
 def _interpreter_loads(root):
     """The ``repro`` modules in ``sys.modules`` after ``import root``
     in a fresh interpreter."""
-    src = os.path.dirname(os.path.dirname(repro.__file__))
-    result = subprocess.run(
-        [sys.executable, "-c",
-         f"import {root}, sys; print(' '.join(sorted(sys.modules)))"],
-        env={**os.environ, "PYTHONPATH": src},
-        capture_output=True, text=True, timeout=60, check=True,
-    )
     return {
-        name for name in result.stdout.split()
+        name for name in _modules_after(f"import {root}")
         if name == "repro" or name.startswith("repro.")
     }
 
@@ -141,3 +151,40 @@ class TestInterpreterAgrees:
             if name.startswith(("repro.heidirmi", "repro.observe",
                                 "repro.resilience"))
         ]
+
+
+BLOCKING_PAIR = """\
+from tests.resilience.rig import make_pair, stop_pair
+server, client, stub, impl = make_pair(protocol="text", transport="tcp")
+assert stub.echo("x") == "ack:x"
+stop_pair(server, client)
+"""
+
+
+class TestBlockingRuntimeStandsAlone:
+    """asyncio is the second runtime, not something under the first:
+    the blocking ORB neither loads nor names it."""
+
+    def test_blocking_pair_loads_no_asyncio(self):
+        loaded = _modules_after(BLOCKING_PAIR)
+        assert "repro.heidirmi.orb" in loaded
+        assert not [
+            name for name in loaded
+            if name == "repro.wire.aio" or name.split(".")[0] == "asyncio"
+        ]
+
+    def test_heidirmi_never_imports_the_aio_pumps(self):
+        """At module level or inside a function, absolute or relative
+        (docstrings may still mention the module)."""
+        package = os.path.join(os.path.dirname(repro.__file__), "heidirmi")
+        offenders = []
+        for name in sorted(os.listdir(package)):
+            if not name.endswith(".py"):
+                continue
+            with open(os.path.join(package, name), encoding="utf-8") as file:
+                tree = ast.parse(file.read())
+            offenders += [
+                f"{name}:{node.lineno}" for node in ast.walk(tree)
+                if "repro.wire.aio" in _imported_names(node, "heidirmi")
+            ]
+        assert not offenders

@@ -7,8 +7,8 @@ frame material can outlive the ``invoke_async`` call that produced it
 never corrupt what went (or will go) on the wire, nor poison the
 interned frame that the *next* same-shape call borrows.
 
-Runs over the blocking transports natively and over asyncio when CI
-re-runs this directory with ``REPRO_TRANSPORT=aio``.
+Runs over the blocking transports; the asyncio pumps never recycle a
+plan's pooled segments (``repro.wire.aio._write_frame``).
 """
 
 import time

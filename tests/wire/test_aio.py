@@ -1,26 +1,25 @@
 """The asyncio front-end (repro.wire.aio).
 
-Three surfaces: the blocking ``aio`` transport facade under unchanged
-ORBs, the coroutine server front-end over an Orb's object table, and
-the coroutine client — all driven by the same wire machines the
-blocking stack pumps.
+Two surfaces: the coroutine server front-end over an Orb's object
+table and the coroutine client — both driven by the same wire machines
+and sans-I/O cores the blocking stack pumps.  asyncio is the second
+runtime, not a transport: there is no ``transport="aio"``.
 """
 
 import asyncio
 import re
-import threading
 
 import pytest
 
 from repro.heidirmi import Orb
 from repro.model.call import Call
-from repro.model.errors import CommunicationError, DeadlineExceeded
+from repro.model.errors import CommunicationError
 from repro.heidirmi.protocol import get_protocol
 from repro.heidirmi.transport import get_transport
+from repro.wire import aio
 from repro.wire.aio import (
     AioClientConnection,
     AioOrbServer,
-    AioTransport,
     get_event_loop,
 )
 
@@ -40,86 +39,6 @@ def run_async(coroutine, timeout=30):
     return asyncio.run_coroutine_threadsafe(
         coroutine, get_event_loop()
     ).result(timeout)
-
-
-class TestTransportRegistration:
-    def test_lazy_registration_via_get_transport(self):
-        assert isinstance(get_transport("aio"), AioTransport)
-
-    def test_connect_refused_kind(self):
-        transport = get_transport("aio")
-        with pytest.raises(CommunicationError) as excinfo:
-            transport.connect("127.0.0.1", 1, timeout=2)
-        assert excinfo.value.kind in ("connect-refused", "connect-timeout")
-
-    def test_listener_close_unblocks_accept(self):
-        listener = get_transport("aio").listen("127.0.0.1", 0)
-        results = []
-
-        def acceptor():
-            try:
-                listener.accept()
-            except CommunicationError as exc:
-                results.append(exc.kind)
-
-        thread = threading.Thread(target=acceptor)
-        thread.start()
-        listener.close()
-        thread.join(timeout=5)
-        assert results == ["listener-closed"]
-
-
-@pytest.mark.parametrize("protocol_name", PROTOCOLS)
-class TestBlockingFacade:
-    def test_echo_and_oneway(self, protocol_name):
-        server, client, stub, impl = make_pair(
-            protocol=protocol_name, transport="aio"
-        )
-        try:
-            assert stub.echo("hello") == "ack:hello"
-            stub.note("fire")
-            assert stub.echo("again") == "ack:again"
-            assert impl.noted == ["fire"]
-        finally:
-            stop_pair(server, client)
-
-    def test_deadline_expires(self, protocol_name):
-        server, client, stub, impl = make_pair(
-            protocol=protocol_name, transport="aio"
-        )
-        try:
-            with pytest.raises(DeadlineExceeded):
-                stub.echo("slow", delay_ms=500, deadline=0.1)
-        finally:
-            stop_pair(server, client)
-
-
-class TestBlockingFacadeMultiplexed:
-    def test_concurrent_callers_share_one_channel(self):
-        server, client, stub, impl = make_pair(
-            protocol="text2", transport="aio", multiplex=True
-        )
-        try:
-            results = []
-            lock = threading.Lock()
-
-            def worker(i):
-                value = stub.echo(f"m{i}")
-                with lock:
-                    results.append(value)
-
-            threads = [
-                threading.Thread(target=worker, args=(i,)) for i in range(8)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            assert sorted(results) == sorted(
-                f"ack:m{i}" for i in range(8)
-            )
-        finally:
-            stop_pair(server, client)
 
 
 def _rewrite_bootstrap(reference, host, port):
@@ -251,6 +170,34 @@ class TestAioClientConnection:
             assert sorted(values) == sorted(f"ack:cc{i}" for i in range(6))
         finally:
             stop_pair(server, client)
+
+
+class TestAioClientConnect:
+    """Connection establishment fails the way TcpTransport.connect does."""
+
+    def test_refused(self):
+        with pytest.raises(CommunicationError) as excinfo:
+            run_async(AioClientConnection.open(
+                get_protocol("text2"), "127.0.0.1", 1))
+        assert excinfo.value.kind == "connect-refused"
+
+    def test_black_holed_endpoint_times_out(self, monkeypatch):
+        async def never_completes(host, port):
+            await asyncio.Event().wait()
+
+        monkeypatch.setattr(asyncio, "open_connection", never_completes)
+        monkeypatch.setattr(aio, "DEFAULT_CONNECT_TIMEOUT", 0.05)
+        with pytest.raises(CommunicationError) as excinfo:
+            run_async(AioClientConnection.open(
+                get_protocol("text2"), "127.0.0.1", 9), timeout=5)
+        assert excinfo.value.kind == "connect-timeout"
+        assert str(excinfo.value) == (
+            "connect 127.0.0.1:9 timed out after 0.05s")
+
+    def test_asyncio_is_not_a_transport(self):
+        with pytest.raises(CommunicationError,
+                           match="unknown transport 'aio'"):
+            Orb(transport="aio")
 
 
 class TestCoroutineEndToEnd:

@@ -1,4 +1,4 @@
-"""Interop matrix: protocols × header variants × transports.
+"""Interop matrix: protocols × header variants × server runtimes.
 
 Two layers of assertion:
 
@@ -7,10 +7,11 @@ Two layers of assertion:
   adapter emits exactly the bytes the pure wire machine emits.  The
   blocking and asyncio stacks both call the machines, so this pins the
   wire format to one implementation.
-- **Observable behaviour** — a full ORB pair run over the blocking
-  in-process transport and over the asyncio transport behaves the
-  same: same results, same trace propagation (server span parented on
-  the wire-carried client context), same deadline enforcement.
+- **Observable behaviour** — a full ORB pair behaves the same whether
+  the server end is the blocking ``Orb`` or an ``AioOrbServer`` (the
+  two pumps over the one serving core): same results, same trace
+  propagation (server span parented on the wire-carried client
+  context), same deadline enforcement.
 """
 
 import time
@@ -23,7 +24,7 @@ from repro.heidirmi.protocol import get_protocol
 from repro.observe import Observer
 from repro.wire import machine_for
 
-from tests.resilience.rig import make_pair, stop_pair
+from tests.resilience.rig import SERVER_RUNTIMES, make_pair, stop_pair
 from tests.wire.rig import (
     PROTOCOLS,
     FixedDeadline,
@@ -81,6 +82,13 @@ class TestReplyByteIdentity:
         assert bytes(sink.data) == machine_bytes
 
 
+#: The server end of a cell: the blocking ``Orb`` (which ``make_pair``
+#: reaches over the in-process transport) or an ``AioOrbServer`` (over
+#: tcp loopback).  The ids are the ones these cells have always had.
+server_runtimes = pytest.mark.parametrize(
+    "runtime", SERVER_RUNTIMES, ids=("inproc", "aio"))
+
+
 def _wait_spans(observer, n, timeout=5.0):
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
@@ -91,19 +99,19 @@ def _wait_spans(observer, n, timeout=5.0):
     return observer.exporter.snapshot()
 
 
-@pytest.mark.parametrize("transport", ("inproc", "aio"))
+@server_runtimes
 @pytest.mark.parametrize("traced", (False, True), ids=("untraced", "traced"))
 @pytest.mark.parametrize(
     "deadline", (None, 5.0), ids=("no-deadline", "deadline")
 )
 @pytest.mark.parametrize("protocol_name", PROTOCOLS)
 class TestObservableBehaviour:
-    def test_matrix_cell(self, protocol_name, transport, traced, deadline):
+    def test_matrix_cell(self, protocol_name, runtime, traced, deadline):
         client_observer = Observer() if traced else None
         server_observer = Observer() if traced else None
         server, client, stub, impl = make_pair(
             protocol=protocol_name,
-            transport=transport,
+            runtime=runtime,
             server_kwargs={"observer": server_observer},
             client_kwargs={"observer": client_observer},
         )
@@ -115,19 +123,19 @@ class TestObservableBehaviour:
                 server_span = _wait_spans(server_observer, 1)[0]
                 # The wire carried the context: the server span joins
                 # the client's trace and parents on the client span —
-                # identically over threads+sockets and over asyncio.
+                # identically from the threaded and the asyncio server.
                 assert server_span["trace_id"] == client_span["trace_id"]
                 assert server_span["parent_id"] == client_span["span_id"]
         finally:
             stop_pair(server, client)
 
 
-@pytest.mark.parametrize("transport", ("inproc", "aio"))
+@server_runtimes
 @pytest.mark.parametrize("protocol_name", PROTOCOLS)
 class TestDeadlineEquivalence:
-    def test_expiry_behaviour_matches(self, protocol_name, transport):
+    def test_expiry_behaviour_matches(self, protocol_name, runtime):
         server, client, stub, impl = make_pair(
-            protocol=protocol_name, transport=transport
+            protocol=protocol_name, runtime=runtime
         )
         try:
             with pytest.raises(DeadlineExceeded):
