@@ -24,6 +24,24 @@ LITTLE_ENDIAN = 1
 BIG_ENDIAN = 0
 
 
+#: One precompiled ``Struct`` per primitive and byte order, indexed by
+#: the little-endian flag, instead of a format string assembled and
+#: looked up on every value.  Every CDR primitive aligns to its own
+#: size, so the layout's size is also its boundary.
+_LAYOUTS = tuple({code: struct.Struct(order + code) for code in "BhHiIqQfd"}
+                 for order in "><")
+
+
+def utf8(raw, what):
+    """Bytes-like *raw* as text.  Invalid UTF-8 is malformed input like
+    any other, so it is a :class:`MarshalError` — which the wire machine
+    turns into a violation — never a ``UnicodeDecodeError``."""
+    try:
+        return str(raw, "utf-8")
+    except UnicodeDecodeError as exc:
+        raise MarshalError(f"CDR {what} is not valid UTF-8: {exc}") from None
+
+
 class CdrEncoder:
     """Appends CDR-encoded values to a growing buffer.
 
@@ -35,86 +53,83 @@ class CdrEncoder:
     """
 
     def __init__(self, little_endian=True, start_align=0, buffer=None):
-        self.little_endian = little_endian
-        self._prefix = "<" if little_endian else ">"
+        self.little_endian = bool(little_endian)
+        self._layouts = _LAYOUTS[self.little_endian]
         self._start = start_align
         self._data = bytearray() if buffer is None else buffer
 
-    def _align(self, boundary):
-        position = self._start + len(self._data)
-        padding = (-position) % boundary
-        self._data.extend(b"\x00" * padding)
-
-    def _pack(self, fmt, value, boundary):
-        self._align(boundary)
+    def _pack(self, code, value):
+        """Append *value*, zero-padded up to its boundary."""
+        layout = self._layouts[code]
         try:
-            self._data.extend(struct.pack(self._prefix + fmt, value))
+            packed = layout.pack(value)
         except struct.error as exc:
             raise MarshalError(f"cannot CDR-encode {value!r}: {exc}") from exc
+        padding = -(self._start + len(self._data)) & (layout.size - 1)
+        if padding:
+            self._data += bytes(padding)
+        self._data += packed
 
     # -- primitives ------------------------------------------------------
 
     def octet(self, value):
-        self._pack("B", value, 1)
+        self._pack("B", value)
 
     def boolean(self, value):
-        self._pack("B", 1 if value else 0, 1)
+        self._pack("B", 1 if value else 0)
 
     def char(self, value):
         if not isinstance(value, str) or len(value) != 1:
             raise MarshalError(f"char must be one character, got {value!r}")
         encoded = value.encode("latin-1", errors="strict")
-        self._pack("B", encoded[0], 1)
+        self._pack("B", encoded[0])
 
     def short(self, value):
-        self._pack("h", value, 2)
+        self._pack("h", value)
 
     def ushort(self, value):
-        self._pack("H", value, 2)
+        self._pack("H", value)
 
     def long(self, value):
-        self._pack("i", value, 4)
+        self._pack("i", value)
 
     def ulong(self, value):
-        self._pack("I", value, 4)
+        self._pack("I", value)
 
     def longlong(self, value):
-        self._pack("q", value, 8)
+        self._pack("q", value)
 
     def ulonglong(self, value):
-        self._pack("Q", value, 8)
+        self._pack("Q", value)
 
     def float(self, value):
-        self._pack("f", value, 4)
+        self._pack("f", value)
 
     def double(self, value):
-        self._pack("d", value, 8)
+        self._pack("d", value)
 
     def string(self, value):
         """CORBA string: ulong length including NUL, bytes, NUL."""
         if not isinstance(value, str):
             raise MarshalError(f"expected a string, got {value!r}")
         encoded = value.encode("utf-8")
-        self.ulong(len(encoded) + 1)
-        self._data.extend(encoded)
+        self._pack("I", len(encoded) + 1)
+        self._data += encoded
         self._data.append(0)
 
     def octets(self, value):
         """sequence<octet>: ulong count then raw bytes."""
-        self.ulong(len(value))
-        self._data.extend(value)
+        self._pack("I", len(value))
+        self._data += value
 
     def raw(self, value):
         """Raw bytes with no length prefix (pre-encoded material)."""
-        self._data.extend(value)
+        self._data += value
 
     # -- output -------------------------------------------------------------
 
     def data(self):
         return bytes(self._data)
-
-    def __len__(self):
-        return len(self._data)
 
     def encapsulation(self):
         """This buffer as an encapsulation body (with byte-order octet).
@@ -143,8 +158,8 @@ class CdrDecoder:
         # instead of resizing while views are outstanding.
         self._data = (data if isinstance(data, memoryview)
                       else memoryview(data))
-        self.little_endian = little_endian
-        self._prefix = "<" if little_endian else ">"
+        self.little_endian = bool(little_endian)
+        self._layouts = _LAYOUTS[self.little_endian]
         self._start = start_align
         self._pos = 0
 
@@ -156,79 +171,71 @@ class CdrDecoder:
         return cls(data[1:], little_endian=(data[0] == LITTLE_ENDIAN),
                    start_align=1)
 
-    def _align(self, boundary):
-        position = self._start + self._pos
-        self._pos += (-position) % boundary
-
-    def _unpack(self, fmt, size, boundary, what):
-        self._align(boundary)
-        if self._pos + size > len(self._data):
+    def _unpack(self, code, what):
+        layout = self._layouts[code]
+        pos = self._pos
+        pos += -(self._start + pos) & (layout.size - 1)
+        self._pos = end = pos + layout.size
+        if end > len(self._data):
             raise MarshalError(f"CDR buffer exhausted while reading {what}")
-        value = struct.unpack_from(self._prefix + fmt, self._data, self._pos)[0]
-        self._pos += size
-        return value
+        return layout.unpack_from(self._data, pos)[0]
+
+    def _counted(self, what):
+        """The bytes behind a ulong count, as a view (no copy)."""
+        count = self._unpack("I", what)
+        pos = self._pos
+        self._pos = end = pos + count
+        if end > len(self._data):
+            raise MarshalError(f"CDR buffer exhausted while reading {what}")
+        return self._data[pos:end]
 
     # -- primitives -------------------------------------------------------------
 
     def octet(self):
-        return self._unpack("B", 1, 1, "octet")
+        return self._unpack("B", "octet")
 
     def boolean(self):
-        return self._unpack("B", 1, 1, "boolean") != 0
+        return self._unpack("B", "boolean") != 0
 
     def char(self):
-        return chr(self._unpack("B", 1, 1, "char"))
+        return chr(self._unpack("B", "char"))
 
     def short(self):
-        return self._unpack("h", 2, 2, "short")
+        return self._unpack("h", "short")
 
     def ushort(self):
-        return self._unpack("H", 2, 2, "unsigned short")
+        return self._unpack("H", "unsigned short")
 
     def long(self):
-        return self._unpack("i", 4, 4, "long")
+        return self._unpack("i", "long")
 
     def ulong(self):
-        return self._unpack("I", 4, 4, "unsigned long")
+        return self._unpack("I", "unsigned long")
 
     def longlong(self):
-        return self._unpack("q", 8, 8, "long long")
+        return self._unpack("q", "long long")
 
     def ulonglong(self):
-        return self._unpack("Q", 8, 8, "unsigned long long")
+        return self._unpack("Q", "unsigned long long")
 
     def float(self):
-        return self._unpack("f", 4, 4, "float")
+        return self._unpack("f", "float")
 
     def double(self):
-        return self._unpack("d", 8, 8, "double")
+        return self._unpack("d", "double")
 
     def string(self):
-        length = self.ulong()
-        if length == 0:
+        raw = self._counted("string")
+        if not raw:
             raise MarshalError("CORBA string length must include the NUL")
-        if self._pos + length > len(self._data):
-            raise MarshalError("CDR buffer exhausted while reading string")
-        raw = bytes(self._data[self._pos : self._pos + length - 1])
-        terminator = self._data[self._pos + length - 1]
-        if terminator != 0:
+        if raw[-1] != 0:
             raise MarshalError("CORBA string is not NUL-terminated")
-        self._pos += length
-        return raw.decode("utf-8")
+        return utf8(raw[:-1], "string")
 
     def octets(self):
-        count = self.ulong()
-        if self._pos + count > len(self._data):
-            raise MarshalError("CDR buffer exhausted while reading octets")
-        value = bytes(self._data[self._pos : self._pos + count])
-        self._pos += count
-        return value
+        return bytes(self._counted("octets"))
 
     # -- position -------------------------------------------------------------------
-
-    @property
-    def position(self):
-        return self._pos
 
     def at_end(self):
         return self._pos >= len(self._data)

@@ -34,7 +34,6 @@ from repro.giop.messages import (
     MSG_LOCATE_REQUEST,
     MSG_REPLY,
     MSG_REQUEST,
-    MessageHeader,
 )
 from repro.heidirmi.protocol import (
     Protocol,
@@ -54,7 +53,6 @@ from repro.wire.events import (
     WireViolation,
 )
 from repro.wire.giop import (
-    MAX_MESSAGE_SIZE,
     GiopWire,
     encode_close,
     encode_locate_reply,
@@ -88,22 +86,13 @@ def pump_giop_event(channel, machine):
     if machine.has_buffered:
         return pump_event(channel, machine)
     header_bytes = channel.recv_exact(GIOP_HEADER_SIZE)
-    try:
-        header = MessageHeader.decode(header_bytes)
-    except ProtocolError as exc:
-        event = WireViolation(str(exc))
+    header = machine.frame_header(header_bytes)
+    if type(header) is WireViolation:
         if machine.tap is not None:
-            machine.tap.record_in(bytes(header_bytes), event, machine.role)
-        return event
-    if header.message_size > MAX_MESSAGE_SIZE:
-        event = WireViolation(
-            f"implausible GIOP message size {header.message_size}"
-        )
-        if machine.tap is not None:
-            machine.tap.record_in(bytes(header_bytes), event, machine.role)
-        return event
+            machine.tap.record_in(bytes(header_bytes), header, machine.role)
+        return header
     return machine.feed_message(
-        header, channel.recv_exact(header.message_size),
+        header, channel.recv_exact(header[1]),
         raw_header=header_bytes if machine.tap is not None else None,
     )
 
@@ -122,7 +111,9 @@ class GiopProtocol(Protocol):
         self._request_ids = RequestIdAllocator()
 
     def next_request_id(self):
-        return self._request_ids.next()
+        # GIOP's request id is a ulong and 0 is reserved for channel-
+        # level errors: a long-lived client wraps from 2**32 - 1 to 1.
+        return (self._request_ids.next() - 1) % 0xFFFFFFFF + 1
 
     def new_marshaller(self):
         # Parameter payloads are encoded standalone and spliced after the
@@ -136,7 +127,7 @@ class GiopProtocol(Protocol):
     def assign_request_id(self, call):
         # GIOP frames an id on oneways too.
         if call.request_id is None:
-            call.request_id = self._request_ids.next()
+            call.request_id = self.next_request_id()
 
     def send_request(self, channel, call):
         self.assign_request_id(call)
@@ -219,7 +210,7 @@ class GiopProtocol(Protocol):
             # may leave out of order, so a stash would cross-wire).
             request_id = channel_machine(
                 channel, "server", self.machine_class).pending_reply_id
-        send_frame(channel, _encode_reply(reply, request_id=request_id))
+        send_frame(channel, _encode_reply(reply, request_id))
 
     def recv_reply(self, channel):
         machine = channel_machine(channel, "client", self.machine_class)

@@ -21,13 +21,10 @@ MessageError (6)    violation                violation
 ==================  =======================  =======================
 """
 
-import struct
-
 from repro.giop.cdrmarshal import CdrMarshallerView, CdrUnmarshaller
-from repro.giop.cdr import CdrDecoder, CdrEncoder
+from repro.giop.cdr import CdrDecoder, CdrEncoder, utf8
 from repro.giop.messages import (
     GIOP_HEADER_SIZE,
-    fill_giop_header,
     MSG_CANCEL_REQUEST,
     MSG_CLOSE_CONNECTION,
     MSG_LOCATE_REPLY,
@@ -40,13 +37,18 @@ from repro.giop.messages import (
     SERVICE_CONTEXT_DEADLINE,
     SERVICE_CONTEXT_RETRY_AFTER,
     SERVICE_CONTEXT_TRACE,
+    REQUEST_ID_OFFSET,
     LocateReplyHeader,
     LocateRequestHeader,
-    MessageHeader,
-    ReplyHeader,
-    RequestHeader,
     ServiceContext,
+    fill_giop_header,
     frame_message,
+    patch_request_id,
+    read_message_header,
+    read_reply_header,
+    read_request_header,
+    write_reply_header,
+    write_request_header,
 )
 from repro.model.call import (
     STATUS_ERROR,
@@ -97,50 +99,43 @@ TRANSIENT_REPO_ID = "IDL:omg.org/CORBA/TRANSIENT:1.0"
 #: patched in place once the body length is known.
 _HEADER_GAP = bytes(GIOP_HEADER_SIZE)
 
-#: Byte offset of the Request/Reply header's request id when the
-#: service-context sequence is empty: 12-byte GIOP header, then the
-#: ulong context count.  Interned frames are split just past the id so
-#: repeats patch a fresh 20-byte prefix and borrow the immutable rest.
-_REQUEST_ID_OFFSET = GIOP_HEADER_SIZE + 4
-_INTERN_SPLIT = _REQUEST_ID_OFFSET + 4
+#: Interned frames are split just past the request id, so repeats
+#: patch a fresh 20-byte prefix and borrow the immutable rest.
+_INTERN_SPLIT = REQUEST_ID_OFFSET + 4
 
 
-def _framed_plan(message_type, build_body):
-    """One pooled owned segment: header gap, CDR body, patched header."""
+def _plan(message_type, key, request_id, message, write_header, *fields):
+    """The framed plan for one Request or Reply.
+
+    With an intern *key* — only for frames with no service contexts
+    (the id offset is fixed), which are emitted in the encoder's native
+    little-endian order — a repeat copies the cached 20-byte prefix,
+    patches *request_id* into it and borrows the cached immutable tail:
+    the body is neither re-encoded nor re-copied.  Anything else is
+    built into one pooled owned segment (header gap, the header
+    *write_header* makes of *fields*, *message*'s recorded puts, gap
+    patched) which the plan hands on as it is; under a key its two
+    halves are also interned, as copies.
+    """
+    if key is not None:
+        entry = FRAME_CACHE.get(key)
+        if entry is not None:
+            # 20 bytes: a direct bytearray copy beats a pool round-trip
+            # (two lock acquisitions).  It is still an owned segment —
+            # recycle() feeds it back to the pool as scratch.
+            prefix = bytearray(entry[0])
+            patch_request_id(prefix, request_id)
+            return BufferPlan().append_owned(prefix).append_borrowed(entry[1])
     frame = SEND_POOL.acquire()
     frame += _HEADER_GAP
-    build_body(CdrEncoder(buffer=frame))
+    encoder = CdrEncoder(buffer=frame)
+    write_header(encoder, request_id, *fields)
+    message.replay_into(CdrMarshallerView(encoder))
     fill_giop_header(frame, message_type)
+    if key is not None:
+        FRAME_CACHE.put(key, (bytes(memoryview(frame)[:_INTERN_SPLIT]),
+                              bytes(memoryview(frame)[_INTERN_SPLIT:])))
     return BufferPlan().append_owned(frame)
-
-
-def _interned_plan(key, message_type, request_id, build_body):
-    """A plan over the interned frame for *key*, request id patched.
-
-    The cache stores each frame split at :data:`_INTERN_SPLIT`: repeats
-    copy only the 20-byte prefix into a pooled segment, overwrite the
-    request id in place, and borrow the cached immutable tail — the
-    body is never re-encoded or re-copied.  Only valid for frames with
-    no service contexts (the id offset is fixed) emitted in the
-    encoder's native little-endian order.
-    """
-    entry = FRAME_CACHE.get(key)
-    if entry is None:
-        frame = SEND_POOL.acquire()
-        frame += _HEADER_GAP
-        build_body(CdrEncoder(buffer=frame))
-        fill_giop_header(frame, message_type)
-        entry = (bytes(memoryview(frame)[:_INTERN_SPLIT]),
-                 bytes(memoryview(frame)[_INTERN_SPLIT:]))
-        SEND_POOL.release(frame)
-        FRAME_CACHE.put(key, entry)
-    head, tail = entry
-    # The prefix is 20 bytes: a direct bytearray copy beats a pool
-    # round-trip (two lock acquisitions) at this size.  It is still an
-    # owned segment — recycle() feeds it back to the pool as scratch.
-    prefix = bytearray(head)
-    struct.pack_into("<I", prefix, _REQUEST_ID_OFFSET, request_id)
-    return BufferPlan().append_owned(prefix).append_borrowed(tail)
 
 
 def _intern_key(kind, marshalled, *shape):
@@ -163,29 +158,6 @@ def _intern_key(kind, marshalled, *shape):
     return key
 
 
-def _encode_request_body(encoder, call, service_context):
-    RequestHeader(
-        request_id=call.request_id,
-        object_key=call.target.encode("utf-8"),
-        operation=call.operation,
-        response_expected=not call.oneway,
-        service_context=service_context,
-    ).encode(encoder)
-    call.replay_into(CdrMarshallerView(encoder))
-
-
-def _encode_reply_body(encoder, reply, repo_id, request_id, service_context):
-    ReplyHeader(
-        request_id=request_id,
-        reply_status=_STATUS_TO_GIOP[reply.status],
-        service_context=service_context,
-    ).encode(encoder)
-    if reply.status in (STATUS_EXCEPTION, STATUS_ERROR):
-        # CORBA: the exception body leads with its repository ID.
-        encoder.string(repo_id)
-    reply.replay_into(CdrMarshallerView(encoder))
-
-
 def encode_request(call):
     """A framed GIOP Request plan for *call* (request_id must be set
     for two-ways; GIOP frames an id on oneways too, so any id works
@@ -193,15 +165,6 @@ def encode_request(call):
     request_id = call.request_id
     if request_id is None:
         raise ProtocolError("GIOP request needs a request id")
-    if call.trace_context is None and call.deadline is None:
-        # No service contexts → fixed id offset → internable.
-        key = _intern_key("request", call._m, call.target, call.operation,
-                          call.oneway)
-        if key is not None:
-            return _interned_plan(
-                key, MSG_REQUEST, request_id,
-                lambda encoder: _encode_request_body(encoder, call, []),
-            )
     service_context = []
     if call.trace_context is not None:
         # GIOP's native extension point: the trace context travels
@@ -217,19 +180,27 @@ def encode_request(call):
             SERVICE_CONTEXT_DEADLINE,
             headers.deadline_context_data(call.deadline),
         ))
-    return _framed_plan(
-        MSG_REQUEST,
-        lambda encoder: _encode_request_body(encoder, call, service_context),
+    key = None
+    if not service_context:
+        key = _intern_key("request", call._m, call.target, call.operation,
+                          call.oneway)
+    return _plan(
+        MSG_REQUEST, key, request_id, call, write_request_header,
+        call.target.encode("utf-8"), call.operation, not call.oneway,
+        service_context,
     )
 
 
-def encode_reply(reply, request_id=None):
-    """A framed GIOP Reply plan echoing *request_id* (default: the
-    reply's)."""
-    if request_id is None:
-        request_id = reply.request_id
-    if request_id is None:
-        request_id = 0
+def _write_reply_header(encoder, request_id, status, repo_id, service_context):
+    write_reply_header(encoder, request_id, _STATUS_TO_GIOP[status],
+                       service_context)
+    if status in (STATUS_EXCEPTION, STATUS_ERROR):
+        # CORBA: the exception body leads with its repository ID.
+        encoder.string(repo_id)
+
+
+def encode_reply(reply, request_id):
+    """A framed GIOP Reply plan echoing *request_id*."""
     repo_id = reply.repo_id
     service_context = []
     if repo_id == headers.OVERLOADED_CATEGORY and reply.status == STATUS_ERROR:
@@ -240,35 +211,29 @@ def encode_reply(reply, request_id=None):
                 SERVICE_CONTEXT_RETRY_AFTER,
                 headers.retry_after_context_data(retry_after),
             ))
+    key = None
     if not service_context:
         key = _intern_key("reply", reply._m, reply.status, repo_id)
-        if key is not None:
-            return _interned_plan(
-                key, MSG_REPLY, request_id,
-                lambda encoder: _encode_reply_body(
-                    encoder, reply, repo_id, request_id, []),
-            )
-    return _framed_plan(
-        MSG_REPLY,
-        lambda encoder: _encode_reply_body(
-            encoder, reply, repo_id, request_id, service_context),
+    return _plan(
+        MSG_REPLY, key, request_id, reply, _write_reply_header,
+        reply.status, repo_id, service_context,
     )
 
 
-def encode_locate_request(request_id, object_key):
+def _locate_frame(message_type, header):
     encoder = CdrEncoder(start_align=GIOP_HEADER_SIZE)
-    LocateRequestHeader(
-        request_id=request_id, object_key=object_key
-    ).encode(encoder)
-    return frame_message(MSG_LOCATE_REQUEST, encoder.data())
+    header.encode(encoder)
+    return frame_message(message_type, encoder.data())
+
+
+def encode_locate_request(request_id, object_key):
+    return _locate_frame(MSG_LOCATE_REQUEST,
+                         LocateRequestHeader(request_id, object_key))
 
 
 def encode_locate_reply(request_id, locate_status):
-    encoder = CdrEncoder(start_align=GIOP_HEADER_SIZE)
-    LocateReplyHeader(
-        request_id=request_id, locate_status=locate_status
-    ).encode(encoder)
-    return frame_message(MSG_LOCATE_REPLY, encoder.data())
+    return _locate_frame(MSG_LOCATE_REPLY,
+                         LocateReplyHeader(request_id, locate_status))
 
 
 #: CloseConnection has no body, so the frame is a 12-byte constant.
@@ -300,59 +265,63 @@ class GiopWire(WireMachine):
         #: id-less emit_reply echoes (serial servers only; pipelined
         #: servers set reply.request_id explicitly).
         self.pending_reply_id = 0
-        self._header = None  # parsed MessageHeader awaiting its body
+        #: ``(message_type, message_size, little_endian)`` of a frame
+        #: whose header is consumed and whose body is still arriving.
+        self._header = None
 
     def read_hint(self):
         if self._header is None:
             return ("exact", GIOP_HEADER_SIZE - self._available())
-        return ("exact", self._header.message_size - self._available())
+        return ("exact", self._header[1] - self._available())
+
+    def frame_header(self, data, offset=0):
+        """The 12 header bytes at *offset* of *data*, validated:
+        ``(message_type, message_size, little_endian)``, or the
+        :class:`WireViolation` they are.  The one place a frame header
+        is judged — both for bytes buffered here and for a pump that
+        reads the header itself (see :meth:`feed_message`)."""
+        try:
+            header = read_message_header(data, offset)
+        except ProtocolError as exc:
+            return WireViolation(str(exc))
+        if header[1] > MAX_MESSAGE_SIZE:
+            return WireViolation(
+                f"implausible GIOP message size {header[1]}")
+        return header
 
     def _parse_one(self):
-        if self._header is None:
+        header = self._header
+        if header is None:
             if self._available() < GIOP_HEADER_SIZE:
                 return NEED_DATA
-            header_bytes = self._consume(GIOP_HEADER_SIZE)
-            try:
-                header = MessageHeader.decode(header_bytes)
-            except ProtocolError as exc:
-                # The 12 bad bytes are consumed; whatever follows is
-                # re-read as a fresh header (mirrors the blocking
-                # reader, whose ProtocolError left the next bytes
-                # unread in the channel).
-                return WireViolation(str(exc))
-            if header.message_size > MAX_MESSAGE_SIZE:
-                return WireViolation(
-                    f"implausible GIOP message size {header.message_size}"
-                )
+            header = self.frame_header(self._buffer, self._start)
+            # Consumed even when bad: whatever follows is re-read as a
+            # fresh header (mirrors the blocking reader, which leaves
+            # the next bytes unread in the channel).
+            self._start += GIOP_HEADER_SIZE
+            if type(header) is WireViolation:
+                return header
             self._header = header
-        if self._available() < self._header.message_size:
+        if self._available() < header[1]:
             return NEED_DATA
-        header, self._header = self._header, None
-        body = self._consume(header.message_size)
-        try:
-            return self._parse_message(header, body)
-        except (ProtocolError, MarshalError) as exc:
-            # The whole message was consumed, so the stream stays
-            # aligned; the driver may report and continue.
-            return WireViolation(str(exc))
+        self._header = None
+        return self._parse_message(header, self._consume(header[1]))
 
     def feed_message(self, header, body, raw_header=None):
         """One already-framed message → event (exact-read fast path).
 
         A blocking pump that performed the header and body reads
-        itself hands the parts straight to the parser, skipping the
-        buffer round-trip :meth:`feed_frame` would pay.  All state
-        rules (role table, serial checks, pending ids) still apply.
-        Only valid while nothing is buffered in the machine.
+        itself hands :meth:`frame_header`'s verdict and the body
+        straight to the parser, skipping the buffer round-trip
+        :meth:`feed_frame` would pay.  All state rules (role table,
+        serial checks, pending ids) still apply.  Only valid while
+        nothing is buffered in the machine.
 
         *raw_header* is the 12 header bytes as read off the wire; a
         pump driving a tapped machine passes them so the flight record
         holds the replayable full frame (header + body).
         """
-        try:
-            event = self._parse_message(header, body)
-        except (ProtocolError, MarshalError) as exc:
-            event = WireViolation(str(exc))
+        event = self._parse_message(header, body)
         if self.tap is not None and raw_header is not None:
             record = bytearray(raw_header)
             record += body
@@ -366,47 +335,45 @@ class GiopWire(WireMachine):
         )
 
     def _parse_message(self, header, body):
-        message_type = header.message_type
+        """The event for one whole message; a malformed one is a
+        violation — it was consumed whole, so the stream stays aligned
+        and the driver may report and continue."""
+        message_type, _, little_endian = header
         if message_type == MSG_CLOSE_CONNECTION:
             return CloseReceived()
-        if self.role == CLIENT:
-            if message_type == MSG_REPLY:
-                return self._parse_reply(header, body)
-            if message_type == MSG_LOCATE_REPLY:
-                decoder = self._body_decoder(header, body)
-                locate = LocateReplyHeader.decode(decoder)
-                return LocateReplied(locate.request_id, locate.locate_status)
-            return self._unexpected(message_type)
-        if message_type == MSG_REQUEST:
-            return self._parse_request(header, body)
-        if message_type == MSG_LOCATE_REQUEST:
-            decoder = self._body_decoder(header, body)
-            locate = LocateRequestHeader.decode(decoder)
-            return LocateRequested(locate.request_id, locate.object_key)
-        if message_type == MSG_CANCEL_REQUEST:
-            # Body ignored: upcalls here are synchronous, there is
-            # nothing in flight to cancel.
-            return CancelReceived()
+        decoder = CdrDecoder(body, little_endian, GIOP_HEADER_SIZE)
+        try:
+            if self.role == CLIENT:
+                if message_type == MSG_REPLY:
+                    return self._parse_reply(decoder)
+                if message_type == MSG_LOCATE_REPLY:
+                    locate = LocateReplyHeader.decode(decoder)
+                    return LocateReplied(locate.request_id,
+                                         locate.locate_status)
+            elif message_type == MSG_REQUEST:
+                return self._parse_request(decoder)
+            elif message_type == MSG_LOCATE_REQUEST:
+                locate = LocateRequestHeader.decode(decoder)
+                return LocateRequested(locate.request_id, locate.object_key)
+            elif message_type == MSG_CANCEL_REQUEST:
+                # Body ignored: upcalls here are synchronous, there is
+                # nothing in flight to cancel.
+                return CancelReceived()
+        except (ProtocolError, MarshalError) as exc:
+            return WireViolation(str(exc))
         return self._unexpected(message_type)
 
-    @staticmethod
-    def _body_decoder(header, body):
-        return CdrDecoder(
-            body, little_endian=header.little_endian,
-            start_align=GIOP_HEADER_SIZE,
-        )
-
-    def _parse_request(self, header, body):
-        decoder = self._body_decoder(header, body)
-        request = RequestHeader.decode(decoder)
+    def _parse_request(self, decoder):
+        (request_id, object_key, operation, response_expected,
+         service_context, _) = read_request_header(decoder)
         call = Call(
-            request.object_key.decode("utf-8"),
-            request.operation,
+            utf8(object_key, "object key"),
+            operation,
             unmarshaller=CdrUnmarshaller(decoder),
-            oneway=not request.response_expected,
-            request_id=request.request_id,
+            oneway=not response_expected,
+            request_id=request_id,
         )
-        for context in request.service_context:
+        for context in service_context:
             if context.context_id == SERVICE_CONTEXT_TRACE:
                 call.trace_context = context.context_data.decode(
                     "ascii", errors="replace"
@@ -417,17 +384,14 @@ class GiopWire(WireMachine):
                 )
         # The reply to this request must echo its id; serial drivers
         # reply without call context, so remember it here.
-        self.pending_reply_id = request.request_id
+        self.pending_reply_id = request_id
         return RequestReceived(call)
 
-    def _parse_reply(self, header, body):
-        decoder = self._body_decoder(header, body)
-        reply_header = ReplyHeader.decode(decoder)
-        status = _GIOP_TO_STATUS.get(reply_header.reply_status)
+    def _parse_reply(self, decoder):
+        request_id, reply_status, service_context = read_reply_header(decoder)
+        status = _GIOP_TO_STATUS.get(reply_status)
         if status is None:
-            raise ProtocolError(
-                f"unsupported reply status {reply_header.reply_status}"
-            )
+            raise ProtocolError(f"unsupported reply status {reply_status}")
         repo_id = ""
         if status in (STATUS_EXCEPTION, STATUS_ERROR):
             repo_id = decoder.string()
@@ -435,13 +399,13 @@ class GiopWire(WireMachine):
             status=status,
             repo_id=repo_id,
             unmarshaller=CdrUnmarshaller(decoder),
-            request_id=reply_header.request_id,
+            request_id=request_id,
         )
         if repo_id == TRANSIENT_REPO_ID:
             # Translate the CORBA shed spelling back to the shared
             # category; the retry-after hint rides the HDRA context.
             reply.repo_id = headers.OVERLOADED_CATEGORY
-            for context in reply_header.service_context:
+            for context in service_context:
                 if context.context_id == SERVICE_CONTEXT_RETRY_AFTER:
                     reply.retry_after = headers.parse_retry_after_context(
                         context.context_data
@@ -450,21 +414,15 @@ class GiopWire(WireMachine):
 
     # -- emission ----------------------------------------------------------
 
-    def emit_request(self, call):
-        return encode_request(call)
+    emit_request = staticmethod(encode_request)
 
     def emit_reply(self, reply, request_id=None):
         if request_id is None:
             request_id = reply.request_id
         if request_id is None:
             request_id = self.pending_reply_id
-        return encode_reply(reply, request_id=request_id)
+        return encode_reply(reply, request_id)
 
-    def emit_locate_request(self, request_id, object_key):
-        return encode_locate_request(request_id, object_key)
-
-    def emit_locate_reply(self, request_id, locate_status):
-        return encode_locate_reply(request_id, locate_status)
-
-    def emit_close(self):
-        return encode_close()
+    emit_locate_request = staticmethod(encode_locate_request)
+    emit_locate_reply = staticmethod(encode_locate_reply)
+    emit_close = staticmethod(encode_close)

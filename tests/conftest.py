@@ -1,9 +1,16 @@
 """Shared fixtures: the paper's example IDL, parsed specs, live ORBs."""
 
 import pytest
+from hypothesis import settings
 
 from repro.idl import parse
 from repro.est import build_est
+
+# ``--hypothesis-profile=ci`` (what the tier-1 CI step passes): the
+# same examples on every run, and a failure prints the blob that
+# replays it, so a fuzz finding in CI reproduces locally from the log.
+settings.register_profile("ci", derandomize=True, deadline=None,
+                          print_blob=True)
 
 #: The IDL of the paper's Fig. 3, completed with a body for S so the
 #: whole file is self-contained.

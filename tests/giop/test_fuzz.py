@@ -6,6 +6,7 @@ references.  The only acceptable outcomes are a successful parse or a
 typed protocol/marshal error.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.giop.cdr import CdrDecoder, CdrEncoder
@@ -391,3 +392,50 @@ def test_untouched_seed_frames_parse():
             for role in ("client", "server")
         }
         assert kinds - {WireViolation}, frame
+
+
+# -- what the frame fuzz found: bytes that are not UTF-8 ----------------------
+
+
+def _only_event(pump, role, frame):
+    if pump == "feed_bytes":
+        events = machine_for("giop", role).feed_bytes(frame)
+    else:
+        events = [pump_giop_event(BytesChannel(frame),
+                                  machine_for("giop", role))]
+    assert len(events) == 1, events
+    return events[0]
+
+
+@pytest.mark.parametrize("pump", ("feed_bytes", "pump_giop_event"))
+@pytest.mark.parametrize("little_endian", (True, False))
+class TestNotUtf8:
+    """One 0xFF where text belongs used to leave both pumps as a
+    ``UnicodeDecodeError`` — past the violation / MarshalError contract."""
+
+    @pytest.mark.parametrize("text, role", (
+        (b"@tcp:", "server"),               # object key
+        (b"ping\x00", "server"),            # operation name
+        (b"IDL:Test/Oops", "client"),       # exception repository id
+    ))
+    def test_in_a_header_is_a_violation(self, pump, little_endian, text,
+                                        role):
+        frame = (request_frame(little_endian) if role == "server" else
+                 reply_frame(little_endian, REPLY_USER_EXCEPTION,
+                             "IDL:Test/Oops:1.0"))
+        assert text in frame
+        event = _only_event(pump, role,
+                            frame.replace(text, b"\xff" + text[1:]))
+        assert type(event) is WireViolation
+        assert event.recoverable
+        assert "not valid UTF-8" in event.message
+
+    def test_in_a_string_parameter_is_a_marshal_error(self, pump,
+                                                      little_endian):
+        frame = request_frame(little_endian).replace(b"hello", b"\xffello")
+        event = _only_event(pump, "server", frame)
+        assert type(event) is RequestReceived
+        with pytest.raises(MarshalError, match="not valid UTF-8"):
+            event.call.get_string()
+        # The decoder moved past the bad string: the next value reads.
+        assert event.call.get_long() == 42

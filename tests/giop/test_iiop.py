@@ -127,6 +127,23 @@ class TestRequestReply:
             protocol.send_reply(server, reply)
             protocol.recv_reply(client)  # raises on id mismatch
 
+    def test_request_ids_wrap_inside_ulong_skipping_zero(self, channels):
+        """``itertools.count`` never wraps but GIOP's id is a ulong and
+        0 is reserved for channel-level errors: after 2**32 - 1 comes 1,
+        and the call still goes out and comes back."""
+        from repro.wire.correlation import RequestIdAllocator
+
+        client, server = channels
+        protocol = GiopProtocol()
+        protocol._request_ids = RequestIdAllocator(start=(1 << 32) - 2)
+        seen = []
+        for _ in range(4):
+            call = Call(REF, "op", marshaller=protocol.new_marshaller())
+            protocol.send_request(client, call)
+            assert protocol.recv_request(server).request_id == call.request_id
+            seen.append(call.request_id)
+        assert seen == [(1 << 32) - 2, (1 << 32) - 1, 1, 2]
+
     def test_mismatched_reply_id_rejected(self, channels):
         client, server = channels
         protocol = GiopProtocol()

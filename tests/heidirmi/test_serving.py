@@ -16,7 +16,7 @@ import time
 import pytest
 
 from repro.heidirmi import HdSkel, serving
-from repro.model.call import Call
+from repro.model.call import Call, Reply, STATUS_ERROR, STATUS_EXCEPTION
 from repro.heidirmi.exceptions_user import HdUserException
 from repro.heidirmi.serialize import TypeRegistry
 from repro.observe import Observer
@@ -24,7 +24,12 @@ from repro.resilience import AdmissionPolicy, Deadline
 from repro.wire import aio, machine_for
 from repro.wire.events import NEED_DATA
 
-from tests.resilience.rig import SERVER_RUNTIMES, make_server
+from tests.resilience.rig import (
+    SERVER_RUNTIMES,
+    make_pair,
+    make_server,
+    stop_pair,
+)
 
 TYPE_ID = "IDL:Serving/Script:1.0"
 
@@ -105,7 +110,7 @@ class Wire:
         self.sock.sendall(self.machine.emit_request(call).to_bytes())
 
     def replies(self, count):
-        """Read until *count* more replies have arrived."""
+        """Read until *count* more replies have arrived; the last one."""
         while count:
             event = self.machine.next_event()
             if event is NEED_DATA:
@@ -115,6 +120,7 @@ class Wire:
                 self.machine.receive_data(chunk)
             else:
                 count -= 1
+        return event.reply
 
 
 def converse(runtime, protocol_name):
@@ -227,6 +233,45 @@ def test_both_servers_hold_the_same_conversation(protocol_name):
     assert ("echo", ("queue", "select", "dispatch", "reply"),
             ("dispatch.path", "protocol", "status")) in blocking["spans"]
     assert ("echo", (), ("protocol", "shed")) in blocking["spans"]
+
+
+@pytest.mark.parametrize("runtime", SERVER_RUNTIMES)
+def test_non_utf8_bytes_in_a_giop_frame_are_answered(runtime):
+    """A byte that is not UTF-8 — in the object key, the operation
+    name, a string parameter, or a (misdirected) reply's repository id
+    — gets an error reply like any other malformed frame; it used to
+    escape the pump as a ``UnicodeDecodeError``.  The connection and
+    the server both keep serving."""
+    from repro.heidirmi.protocol import get_protocol
+
+    server, client, stub, _ = make_pair(
+        "giop", multiplex=True, transport="tcp", runtime=runtime)
+    wire = Wire("giop", server.address, stub._hd_ref.stringify())
+    try:
+        request = Call(wire.target, "echo", request_id=5,
+                       marshaller=get_protocol("giop").new_marshaller())
+        request.put_string("hello")
+        request.put_long(0)
+        good = wire.machine.emit_request(request).to_bytes()
+        refusal = Reply(status=STATUS_EXCEPTION, repo_id="IDL:Res/No:1.0",
+                        marshaller=get_protocol("giop").new_marshaller())
+        hostile = [
+            good.replace(b"@tcp", b"\xfftcp"),
+            good.replace(b"echo\x00", b"\xffcho\x00"),
+            good.replace(b"hello", b"\xffello"),
+            machine_for("giop", "server").emit_reply(refusal, 5).to_bytes()
+            .replace(b"IDL:Res", b"\xffDL:Res"),
+        ]
+        for frame in hostile:
+            assert b"\xff" in frame
+            wire.sock.sendall(frame)
+            assert wire.replies(1).status == STATUS_ERROR
+        wire.sock.sendall(good)
+        assert wire.replies(1).get_string() == "ack:hello"
+        assert stub.echo("again") == "ack:again"
+    finally:
+        wire.sock.close()
+        stop_pair(server, client)
 
 
 # -- one copy ----------------------------------------------------------------

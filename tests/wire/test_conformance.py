@@ -8,15 +8,24 @@ protocols, which is the point of the shared event vocabulary.
 
 import pytest
 
+from repro.giop.cdr import CdrEncoder
 from repro.giop.messages import (
     GIOP_HEADER_SIZE,
     MSG_CANCEL_REQUEST,
     MSG_REPLY,
     MSG_REQUEST,
+    REPLY_SYSTEM_EXCEPTION,
+    SERVICE_CONTEXT_DEADLINE,
+    SERVICE_CONTEXT_RETRY_AFTER,
+    SERVICE_CONTEXT_TRACE,
     MessageHeader,
+    ReplyHeader,
+    RequestHeader,
+    ServiceContext,
     frame_message,
 )
 from repro.model.call import STATUS_ERROR, STATUS_EXCEPTION, STATUS_OK
+from repro.model.errors import MarshalError
 from repro.wire import NEED_DATA, is_channel_level_error, machine_for
 from repro.wire.events import (
     CancelReceived,
@@ -27,7 +36,8 @@ from repro.wire.events import (
     RequestReceived,
     WireViolation,
 )
-from repro.wire.giop import MAX_MESSAGE_SIZE
+from repro.wire.bufferplan import FRAME_CACHE
+from repro.wire.giop import MAX_MESSAGE_SIZE, TRANSIENT_REPO_ID
 from repro.wire.text import MAX_LINE
 
 from tests.wire.rig import (
@@ -315,3 +325,126 @@ class TestGiopCorrelation:
         event = one_event(machine, data)
         assert type(event) is ReplyReceived
         assert event.reply.request_id == 6
+
+
+class TestGiopServiceContextGolden:
+    """The service-context path, pinned byte for byte in both orders:
+    a Request carrying the trace (HDTC) and deadline (HDDL) contexts
+    and a TRANSIENT Reply carrying retry-after (HDRA)."""
+
+    TRACE = "00f067aa0ba902b7-00f067aa"
+
+    REQUEST = {
+        True: (
+            "47494f50010001008c0000000200000043544448190000003030663036376161"
+            "30626139303262372d30306630363761610000004c4444480400000031353030"
+            "070000000100000026000000407463703a3132372e302e302e313a3939393923"
+            "372349444c3a546573742f4f626a3a312e3000000500000070696e6700000000"
+            "000000000c00000068656c6c6f20776f726c64002a000000"
+        ),
+        False: (
+            "47494f50010000000000008c0000000248445443000000193030663036376161"
+            "30626139303262372d30306630363761610000004844444c0000000431353030"
+            "000000070100000000000026407463703a3132372e302e302e313a3939393923"
+            "372349444c3a546573742f4f626a3a312e3000000000000570696e6700000000"
+            "000000000000000c68656c6c6f20776f726c64000000002a"
+        ),
+    }
+    REPLY = {
+        True: (
+            "47494f5001000101520000000100000041524448030000003235300007000000"
+            "020000002000000049444c3a6f6d672e6f72672f434f5242412f5452414e5349"
+            "454e543a312e300012000000736572766572206f7665726c6f6164656400"
+        ),
+        False: (
+            "47494f5001000001000000520000000148445241000000033235300000000007"
+            "000000020000002049444c3a6f6d672e6f72672f434f5242412f5452414e5349"
+            "454e543a312e300000000012736572766572206f7665726c6f6164656400"
+        ),
+    }
+
+    def overloaded(self):
+        reply = make_reply("giop", status=STATUS_ERROR,
+                           repo_id="Overloaded", text="server overloaded")
+        reply.retry_after = 0.25
+        return reply
+
+    def test_emitted_request(self):
+        data = emitted_request("giop", trace=self.TRACE,
+                               deadline=FixedDeadline(1500))
+        assert bytes(data).hex() == self.REQUEST[True]
+
+    def test_emitted_reply(self):
+        data = machine_for("giop", "server").emit_reply(self.overloaded())
+        assert bytes(data).hex() == self.REPLY[True]
+
+    @pytest.mark.parametrize("little_endian", (True, False))
+    def test_header_classes_spell_the_same_bytes(self, little_endian):
+        def framed(message_type, header, *strings):
+            encoder = CdrEncoder(little_endian=little_endian,
+                                 start_align=GIOP_HEADER_SIZE)
+            header.encode(encoder)
+            for text in strings:
+                encoder.string(text)
+            if message_type == MSG_REQUEST:
+                encoder.long(42)
+            return frame_message(message_type, encoder.data(),
+                                 little_endian=little_endian).hex()
+
+        assert framed(MSG_REQUEST, RequestHeader(
+            request_id=7, object_key=TARGET.encode("utf-8"),
+            operation="ping", service_context=[
+                ServiceContext(SERVICE_CONTEXT_TRACE,
+                               self.TRACE.encode("ascii")),
+                ServiceContext(SERVICE_CONTEXT_DEADLINE, b"1500"),
+            ]), "hello world") == self.REQUEST[little_endian]
+        assert framed(MSG_REPLY, ReplyHeader(
+            request_id=7, reply_status=REPLY_SYSTEM_EXCEPTION,
+            service_context=[
+                ServiceContext(SERVICE_CONTEXT_RETRY_AFTER, b"250")]),
+            TRANSIENT_REPO_ID, "server overloaded"
+        ) == self.REPLY[little_endian]
+
+    @pytest.mark.parametrize("little_endian", (True, False))
+    def test_parsed_back(self, little_endian):
+        event = one_event(machine_for("giop", "server"),
+                          bytes.fromhex(self.REQUEST[little_endian]))
+        call = event.call
+        assert (call.target, call.operation, call.request_id) == (
+            TARGET, "ping", 7)
+        assert call.trace_context == self.TRACE
+        assert 1.0 < call.deadline.remaining() <= 1.5
+        assert (call.get_string(), call.get_long()) == ("hello world", 42)
+        reply = one_event(machine_for("giop", "client"),
+                          bytes.fromhex(self.REPLY[little_endian])).reply
+        assert (reply.status, reply.repo_id, reply.request_id) == (
+            STATUS_ERROR, "Overloaded", 7)
+        assert reply.retry_after == 0.25
+        assert reply.get_string() == "server overloaded"
+
+
+class TestGiopRequestIdRange:
+    """An id outside ``unsigned long`` is a MarshalError whether the
+    frame is built (intern miss) or re-issued from the cache (hit, where
+    a bare ``struct.pack_into`` used to raise ``struct.error``)."""
+
+    @pytest.mark.parametrize("bad_id", (1 << 32, -1))
+    def test_request(self, bad_id):
+        FRAME_CACHE.clear()
+        machine = machine_for("giop", "client")
+        with pytest.raises(MarshalError):  # miss: nothing interned yet
+            machine.emit_request(make_call("giop", request_id=bad_id))
+        machine.emit_request(make_call("giop", request_id=5))
+        with pytest.raises(MarshalError):  # hit: same shape, bad id
+            machine.emit_request(make_call("giop", request_id=bad_id))
+        good = machine.emit_request(make_call("giop", request_id=(1 << 32) - 1))
+        event = one_event(machine_for("giop", "server"), good)
+        assert event.call.request_id == (1 << 32) - 1
+
+    @pytest.mark.parametrize("bad_id", (1 << 32, -1))
+    def test_reply(self, bad_id):
+        FRAME_CACHE.clear()
+        machine = machine_for("giop", "server")
+        machine.emit_reply(make_reply("giop", request_id=5))
+        with pytest.raises(MarshalError):
+            machine.emit_reply(make_reply("giop", request_id=bad_id))
