@@ -14,11 +14,21 @@ Encapsulations (used by IORs and tagged profiles) are byte sequences
 whose first octet is their own byte-order flag and whose alignment
 restarts at zero — see :meth:`CdrEncoder.encapsulation` and
 :meth:`CdrDecoder.from_encapsulation`.
+
+The encoder and decoder *are* the CDR :class:`Marshaller` and
+:class:`Unmarshaller`: each ``put_*``/``get_*`` is the primitive under
+its interface name.  Enums travel as unsigned longs (their index),
+object references as strings (nil is the empty string — a CORBA string
+always carries its NUL, so that is unambiguous), and ``begin``/``end``
+write nothing: CDR composites have no framing.  :class:`CdrRecorder` is
+the marshaller a GIOP stub fills, because the alignment of its values
+is not known until the header in front of them is.
 """
 
 import struct
 
 from repro.model.errors import MarshalError
+from repro.model.marshal import Marshaller, Unmarshaller
 
 LITTLE_ENDIAN = 1
 BIG_ENDIAN = 0
@@ -42,7 +52,16 @@ def utf8(raw, what):
         raise MarshalError(f"CDR {what} is not valid UTF-8: {exc}") from None
 
 
-class CdrEncoder:
+def _encoded(text, encoding, what):
+    """*text* as bytes; the encode-side mirror of :func:`utf8`."""
+    try:
+        return text.encode(encoding)
+    except UnicodeEncodeError as exc:
+        raise MarshalError(
+            f"CDR {what} {text!r} cannot be encoded: {exc}") from None
+
+
+class CdrEncoder(Marshaller):
     """Appends CDR-encoded values to a growing buffer.
 
     *buffer* lets an emitter lease the backing ``bytearray`` from a
@@ -63,7 +82,7 @@ class CdrEncoder:
         layout = self._layouts[code]
         try:
             packed = layout.pack(value)
-        except struct.error as exc:
+        except (struct.error, OverflowError) as exc:
             raise MarshalError(f"cannot CDR-encode {value!r}: {exc}") from exc
         padding = -(self._start + len(self._data)) & (layout.size - 1)
         if padding:
@@ -81,8 +100,7 @@ class CdrEncoder:
     def char(self, value):
         if not isinstance(value, str) or len(value) != 1:
             raise MarshalError(f"char must be one character, got {value!r}")
-        encoded = value.encode("latin-1", errors="strict")
-        self._pack("B", encoded[0])
+        self._pack("B", _encoded(value, "latin-1", "char")[0])
 
     def short(self, value):
         self._pack("h", value)
@@ -112,7 +130,7 @@ class CdrEncoder:
         """CORBA string: ulong length including NUL, bytes, NUL."""
         if not isinstance(value, str):
             raise MarshalError(f"expected a string, got {value!r}")
-        encoded = value.encode("utf-8")
+        encoded = _encoded(value, "utf-8", "string")
         self._pack("I", len(encoded) + 1)
         self._data += encoded
         self._data.append(0)
@@ -126,10 +144,39 @@ class CdrEncoder:
         """Raw bytes with no length prefix (pre-encoded material)."""
         self._data += value
 
+    # -- the Marshaller surface ---------------------------------------------
+
+    put_octet = octet
+    put_boolean = boolean
+    put_char = char
+    put_short = short
+    put_ushort = ushort
+    put_long = long
+    put_ulong = ulong
+    put_longlong = longlong
+    put_ulonglong = ulonglong
+    put_float = float
+    put_double = double
+    put_string = string
+
+    def put_enum(self, name, index):
+        self._pack("I", index)
+
+    def put_objref(self, stringified):
+        self.string(stringified or "")
+
+    def begin(self, name=""):
+        pass
+
+    def end(self):
+        pass
+
     # -- output -------------------------------------------------------------
 
     def data(self):
         return bytes(self._data)
+
+    payload = data
 
     def encapsulation(self):
         """This buffer as an encapsulation body (with byte-order octet).
@@ -147,7 +194,95 @@ class CdrEncoder:
         return cls(little_endian=little_endian, start_align=1)
 
 
-class CdrDecoder:
+def _recorded(put, exact):
+    """The :class:`CdrRecorder` method recording ``(put, value)``.
+
+    Interned frames are found by ``==``, which is coarser than the
+    bytes: ``1 == 1.0 == True`` though only integers pack as a long,
+    and ``0.0 == -0.0`` though their sign bits differ.  A value that is
+    not of the *exact* type, or a zero real, leaves the puts
+    uninternable; what remains is immutable and equal only to itself.
+    """
+    if exact is float:
+        def record(self, value):
+            if type(value) is not float or not value:
+                self._internable = False
+            self._puts.append((put, value))
+    else:
+        def record(self, value):
+            if type(value) is not exact:
+                self._internable = False
+            self._puts.append((put, value))
+    return record
+
+
+class CdrRecorder(Marshaller):
+    """Records typed puts, to be replayed behind a GIOP header.
+
+    GIOP alignment counts from the start of the message and the
+    Request/Reply header length varies (object key, operation name), so
+    a stub's values cannot be packed until the header is written.  The
+    stub fills this recorder with ``(CdrEncoder primitive, value)``
+    pairs; the emitter replays them into the frame's own encoder — or,
+    when :meth:`key` finds the frame interned, packs nothing at all.
+    Values are judged at replay: a bad one raises at send time.
+    """
+
+    __slots__ = ("_puts", "_internable")
+
+    def __init__(self):
+        self._puts = []
+        self._internable = True
+
+    put_octet = _recorded(CdrEncoder.octet, int)
+    put_char = _recorded(CdrEncoder.char, str)
+    put_short = _recorded(CdrEncoder.short, int)
+    put_ushort = _recorded(CdrEncoder.ushort, int)
+    put_long = _recorded(CdrEncoder.long, int)
+    put_ulong = _recorded(CdrEncoder.ulong, int)
+    put_longlong = _recorded(CdrEncoder.longlong, int)
+    put_ulonglong = _recorded(CdrEncoder.ulonglong, int)
+    put_float = _recorded(CdrEncoder.float, float)
+    put_double = _recorded(CdrEncoder.double, float)
+    put_string = _recorded(CdrEncoder.string, str)
+
+    def put_boolean(self, value):
+        self._puts.append((CdrEncoder.octet, 1 if value else 0))
+
+    def put_enum(self, name, index):
+        self.put_ulong(index)
+
+    def put_objref(self, stringified):
+        self.put_string(stringified or "")
+
+    def begin(self, name=""):
+        pass  # nothing to record: framing-free composites add no bytes
+
+    def end(self):
+        pass
+
+    def replay(self, encoder):
+        for put, value in self._puts:
+            put(encoder, value)
+
+    def key(self, *shape):
+        """The intern key of the frame these puts make behind the
+        header fields *shape*, or ``None`` when it cannot be interned.
+        Equal keys mean byte-identical frames (see :func:`_recorded`),
+        and the tuple is a snapshot: puts made after the emit cannot
+        reach the cached frame."""
+        if self._internable:
+            return (*shape, tuple(self._puts))
+        return None
+
+    def payload(self):
+        """The puts encoded standalone (sizing; no header, align 0)."""
+        encoder = CdrEncoder()
+        self.replay(encoder)
+        return encoder.data()
+
+
+class CdrDecoder(Unmarshaller):
     """Pulls CDR-encoded values off a byte buffer."""
 
     def __init__(self, data, little_endian=True, start_align=0):
@@ -234,6 +369,37 @@ class CdrDecoder:
 
     def octets(self):
         return bytes(self._counted("octets"))
+
+    # -- the Unmarshaller surface ---------------------------------------------
+
+    get_octet = octet
+    get_boolean = boolean
+    get_char = char
+    get_short = short
+    get_ushort = ushort
+    get_long = long
+    get_ulong = ulong
+    get_longlong = longlong
+    get_ulonglong = ulonglong
+    get_float = float
+    get_double = double
+    get_string = string
+
+    def get_enum(self, members):
+        index = self._unpack("I", "enum")
+        if index >= len(members):
+            raise MarshalError(
+                f"enum index {index} out of range for {tuple(members)}")
+        return index
+
+    def get_objref(self):
+        return self.string() or None
+
+    def begin(self, name=""):
+        pass
+
+    def end(self):
+        pass
 
     # -- position -------------------------------------------------------------------
 

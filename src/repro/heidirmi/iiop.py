@@ -23,7 +23,7 @@ Mapping choices:
   as strings, and begin/end are no-ops (CDR composites are unframed).
 """
 
-from repro.giop.cdrmarshal import BufferedCdrMarshaller
+from repro.giop.cdr import CdrRecorder
 from repro.giop.messages import (
     GIOP_HEADER_SIZE,
     LOCATE_OBJECT_HERE,
@@ -116,11 +116,9 @@ class GiopProtocol(Protocol):
         return (self._request_ids.next() - 1) % 0xFFFFFFFF + 1
 
     def new_marshaller(self):
-        # Parameter payloads are encoded standalone and spliced after the
-        # request/reply header; alignment is fixed up at splice time by
-        # re-encoding the header first (headers are variable-length, so
-        # the body is encoded into the same stream below).
-        return BufferedCdrMarshaller()
+        # CDR aligns from the start of the message, so the parameters
+        # are recorded and packed behind the header at emit time.
+        return CdrRecorder()
 
     # -- requests ------------------------------------------------------------
 

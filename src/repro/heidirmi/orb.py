@@ -23,6 +23,7 @@ from repro.model.errors import (
     CommunicationError,
     DeadlineExceeded,
     HeidiRmiError,
+    MarshalError,
     ObjectNotFound,
     ProtocolError,
     RemoteError,
@@ -475,23 +476,33 @@ class Orb:
                         target=call.target)
         try:
             reply = communicator.invoke(call)
-        except DeadlineExceeded:
-            # One expired call must not take the shared channel from
-            # its channel-mates: a still-open (multiplexed) channel
-            # goes back, only a closed one is discarded.
-            if communicator.closed:
-                self.connections.discard(communicator)
-            else:
-                self.connections.release(bootstrap, communicator)
-            raise
-        except CommunicationError as exc:
-            self.connections.discard(communicator, reason=exc)
+        except BaseException as exc:
+            self._settle_failed(bootstrap, communicator, exc)
             raise
         self.connections.release(bootstrap, communicator)
         if self.trace is not None:
             self._event("call:reply",
                         status=None if reply is None else reply.status)
         return reply
+
+    def _settle_failed(self, bootstrap, communicator, exc):
+        """Give back or drop *communicator* after *exc* ended a call on
+        it, so that no failure leaks a checked-out connection."""
+        if isinstance(exc, (DeadlineExceeded, MarshalError)):
+            # The channel is intact unless the deadline closed it: one
+            # expired call must not take a shared channel from its
+            # channel-mates, and an encode error (GIOP judges values
+            # at emit, after the acquire) put nothing on the wire.
+            if communicator.closed:
+                self.connections.discard(communicator)
+            else:
+                self.connections.release(bootstrap, communicator)
+        elif isinstance(exc, CommunicationError):
+            self.connections.discard(communicator, reason=exc)
+        elif not communicator.multiplexed:
+            # Anything else leaves an exclusive channel's stream
+            # position unknown; a shared one is its demux reader's.
+            self.connections.discard(communicator)
 
     def invoke_async(self, reference, call):
         """Invoke *call* without blocking; returns a Future of the Reply.
@@ -525,9 +536,10 @@ class Orb:
         def _round_trip():
             try:
                 reply = communicator.invoke(call)
-            except CommunicationError as exc:
-                self.connections.discard(communicator, reason=exc)
-                self._finish_client_span(call, error=exc)
+            except BaseException as exc:
+                self._settle_failed(bootstrap, communicator, exc)
+                if isinstance(exc, CommunicationError):
+                    self._finish_client_span(call, error=exc)
                 raise
             self.connections.release(bootstrap, communicator)
             self._finish_client_span(call, reply=reply)
@@ -566,19 +578,8 @@ class Orb:
         try:
             replies = communicator.invoke_pipelined_sync(calls,
                                                          deadline=deadline)
-        except DeadlineExceeded as exc:
-            # Same rule as _invoke_once: channel-mates keep a healthy
-            # shared channel; only a closed one is discarded.
-            if communicator.closed:
-                self.connections.discard(communicator)
-            else:
-                self.connections.release(bootstrap, communicator)
-            if self.observer is not None:
-                for call in calls:
-                    self._finish_client_span(call, error=exc)
-            raise
         except CommunicationError as exc:
-            self.connections.discard(communicator, reason=exc)
+            self._settle_failed(bootstrap, communicator, exc)
             if self.observer is not None:
                 for call in calls:
                     self._finish_client_span(call, error=exc)

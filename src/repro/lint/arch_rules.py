@@ -21,7 +21,7 @@ refactor, frames in the wire/marshal hot paths are assembled from
 pooled segments and borrowed fragments, never by gluing byte strings
 together (each ``+`` or ``b"".join`` re-copies the frame).  The pass
 flags, in every wire module except ``aio``/``bufferplan`` and in the
-CDR marshal layer (``repro.giop`` ``cdr``/``cdrmarshal``/``messages``):
+CDR marshal layer (``repro.giop`` ``cdr``/``messages``):
 
 - ``join`` called on a bytes literal (``b"".join(parts)``);
 - ``+`` with a bytes-literal operand (``header + b"\\n"``);
@@ -64,7 +64,7 @@ EMISSION_EXEMPT_FILES = ("aio.py", "bufferplan.py")
 
 #: Modules under repro.giop that belong to the marshal hot path and
 #: are therefore also covered by ARCH002.
-EMISSION_GIOP_FILES = ("cdr.py", "cdrmarshal.py", "messages.py")
+EMISSION_GIOP_FILES = ("cdr.py", "messages.py")
 
 #: Attribute calls whose result is emitted frame material; adding one
 #: to anything is the encode-then-concatenate shape ARCH002 exists to

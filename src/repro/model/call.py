@@ -24,9 +24,6 @@ class _DelegatingWriter:
 
     __slots__ = ()
 
-    def __init__(self, marshaller):
-        self._m = marshaller
-
     def put_boolean(self, value):
         self._m.put_boolean(value)
 
@@ -78,28 +75,17 @@ class _DelegatingWriter:
     def payload(self):
         return self._m.payload()
 
-    def replay_into(self, marshaller):
-        """Re-apply the recorded puts into another marshaller.
-
-        Supported when the underlying marshaller records operations
-        (GIOP needs this to re-encode parameters at the correct
-        alignment after its variable-length header).
-        """
-        replay = getattr(self._m, "replay", None)
-        if replay is None:
-            raise MarshalError(
-                f"{type(self._m).__name__} does not support replay"
-            )
-        replay(marshaller)
+    def replay_into(self, encoder):
+        """Re-apply the recorded puts to *encoder* (GIOP packs the
+        parameters only once the header before them is written); a
+        marshaller that does not record raises :class:`MarshalError`."""
+        self._m.replay(encoder)
 
 
 class _DelegatingReader:
     """Shared get-surface that forwards to an unmarshaller."""
 
     __slots__ = ()
-
-    def __init__(self, unmarshaller):
-        self._u = unmarshaller
 
     def get_boolean(self):
         return self._u.get_boolean()
@@ -173,8 +159,6 @@ class Call(_DelegatingWriter, _DelegatingReader):
 
     def __init__(self, target, operation, marshaller=None, unmarshaller=None,
                  oneway=False, request_id=None, idempotent=False):
-        # The mixin __init__s are one-line slot stores; assign directly
-        # (one Call per request — the two calls are measurable).
         if marshaller is not None:
             self._m = marshaller
         if unmarshaller is not None:

@@ -8,10 +8,16 @@ and end functions that permit structuring of the call request so that
 such composite data types as structs or sequences can be easily
 represented".
 
-Two implementations ship: the newline-terminated text format
-(:mod:`repro.wire.textwire`) and CDR (:mod:`repro.giop.cdrmarshal`
-over :mod:`repro.giop.cdr`).
+One class per encoding implements each interface: the
+newline-terminated text format's ``TextMarshaller`` /
+``TextUnmarshaller`` (:mod:`repro.wire.textwire`) and CDR's
+``CdrEncoder`` / ``CdrDecoder`` (:mod:`repro.giop.cdr`).  GIOP stubs
+fill a third marshaller, ``CdrRecorder``, which packs nothing itself:
+CDR aligns from the start of the message, so its values are replayed
+into a ``CdrEncoder`` once the header in front of them is written.
 """
+
+from repro.model.errors import MarshalError
 
 
 class Marshaller:
@@ -74,6 +80,17 @@ class Marshaller:
     def payload(self):
         """The encoded payload bytes."""
         raise NotImplementedError
+
+    def replay(self, encoder):
+        """Re-apply the puts to *encoder*.  Only a marshaller that
+        records them can, so an emitter that replays (GIOP) refuses
+        any other with a typed error."""
+        raise MarshalError(f"{type(self).__name__} does not record its puts")
+
+    def key(self, *shape):
+        """A recorder's intern key for its frame behind the header
+        fields *shape*; ``None`` — build it — from anything else."""
+        return None
 
 
 class Unmarshaller:

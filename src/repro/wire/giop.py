@@ -21,7 +21,6 @@ MessageError (6)    violation                violation
 ==================  =======================  =======================
 """
 
-from repro.giop.cdrmarshal import CdrMarshallerView, CdrUnmarshaller
 from repro.giop.cdr import CdrDecoder, CdrEncoder, utf8
 from repro.giop.messages import (
     GIOP_HEADER_SIZE,
@@ -130,32 +129,12 @@ def _plan(message_type, key, request_id, message, write_header, *fields):
     frame += _HEADER_GAP
     encoder = CdrEncoder(buffer=frame)
     write_header(encoder, request_id, *fields)
-    message.replay_into(CdrMarshallerView(encoder))
+    message.replay_into(encoder)
     fill_giop_header(frame, message_type)
     if key is not None:
         FRAME_CACHE.put(key, (bytes(memoryview(frame)[:_INTERN_SPLIT]),
                               bytes(memoryview(frame)[_INTERN_SPLIT:])))
     return BufferPlan().append_owned(frame)
-
-
-def _intern_key(kind, marshalled, *shape):
-    """An intern key, or ``None`` when the call shape is uncacheable.
-
-    *marshalled* must be a recording marshaller whose operations are
-    all hashable — a mutable argument (e.g. a ``bytearray`` payload)
-    makes the shape unhashable and the frame uninternable, which is
-    also what keeps later caller mutations from reaching a cached
-    frame.
-    """
-    operations = getattr(marshalled, "_operations", None)
-    if operations is None:
-        return None
-    key = (kind, *shape, tuple(operations))
-    try:
-        hash(key)
-    except TypeError:
-        return None
-    return key
 
 
 def encode_request(call):
@@ -182,8 +161,7 @@ def encode_request(call):
         ))
     key = None
     if not service_context:
-        key = _intern_key("request", call._m, call.target, call.operation,
-                          call.oneway)
+        key = call._m.key("request", call.target, call.operation, call.oneway)
     return _plan(
         MSG_REQUEST, key, request_id, call, write_request_header,
         call.target.encode("utf-8"), call.operation, not call.oneway,
@@ -213,7 +191,7 @@ def encode_reply(reply, request_id):
             ))
     key = None
     if not service_context:
-        key = _intern_key("reply", reply._m, reply.status, repo_id)
+        key = reply._m.key("reply", reply.status, repo_id)
     return _plan(
         MSG_REPLY, key, request_id, reply, _write_reply_header,
         reply.status, repo_id, service_context,
@@ -369,7 +347,7 @@ class GiopWire(WireMachine):
         call = Call(
             utf8(object_key, "object key"),
             operation,
-            unmarshaller=CdrUnmarshaller(decoder),
+            unmarshaller=decoder,
             oneway=not response_expected,
             request_id=request_id,
         )
@@ -398,7 +376,7 @@ class GiopWire(WireMachine):
         reply = Reply(
             status=status,
             repo_id=repo_id,
-            unmarshaller=CdrUnmarshaller(decoder),
+            unmarshaller=decoder,
             request_id=request_id,
         )
         if repo_id == TRANSIENT_REPO_ID:

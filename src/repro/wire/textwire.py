@@ -61,8 +61,12 @@ def escape_token(text):
         return _EMPTY
     if _NEEDS_ESCAPE_RE.search(text) is None:
         return text  # pure printable ASCII already; nothing to escape
+    try:
+        encoded = text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise MarshalError(f"{text!r} cannot be encoded: {exc}") from None
     out = []
-    for byte in text.encode("utf-8"):
+    for byte in encoded:
         if _needs_escape(byte):
             out.append(f"%{byte:02X}")
         else:
@@ -119,8 +123,10 @@ class TextMarshaller(Marshaller):
         self._put_int(value, 0, 2**8 - 1)
 
     def put_char(self, value):
-        if not isinstance(value, str) or len(value) != 1:
-            raise MarshalError(f"char must be a 1-character string, got {value!r}")
+        # An IDL char is 8 bits (ISO 8859-1) on every protocol; CDR
+        # could not carry more.
+        if not isinstance(value, str) or len(value) != 1 or value > "\xff":
+            raise MarshalError(f"not an ISO 8859-1 char: {value!r}")
         self._tokens.append(escape_token(value))
 
     def put_short(self, value):

@@ -5,7 +5,7 @@ import struct
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.giop.cdr import CdrDecoder, CdrEncoder
+from repro.giop.cdr import CdrDecoder, CdrEncoder, CdrRecorder
 from repro.model.errors import MarshalError
 
 
@@ -155,6 +155,20 @@ class TestErrors:
         with pytest.raises(MarshalError):
             CdrEncoder().octet(300)
 
+    def test_float_overflow_is_a_marshal_error(self):
+        """struct raises OverflowError, not struct.error, for this."""
+        with pytest.raises(MarshalError, match="cannot CDR-encode 1e\\+300"):
+            CdrEncoder().float(1e300)
+
+    @pytest.mark.parametrize("put, text", [
+        (CdrEncoder.char, "\u20ac"),      # beyond CDR's 8-bit char
+        (CdrEncoder.string, "\ud800"),    # a lone surrogate
+        (CdrEncoder.put_objref, "@\udfff"),
+    ])
+    def test_unencodable_text_is_a_marshal_error(self, put, text):
+        with pytest.raises(MarshalError, match="cannot be encoded"):
+            put(CdrEncoder(), text)
+
 
 _PRIMS = [
     ("octet", st.integers(0, 255)),
@@ -190,3 +204,115 @@ def test_mixed_sequence_roundtrip(items, little_endian, start_align):
     for method, value in items:
         assert getattr(decoder, method)() == value
     assert decoder.at_end() or decoder.remaining() == 0
+
+
+# -- the Marshaller/Unmarshaller surface, recorded and direct ---------------
+
+_REF = "@tcp:h:1#1#IDL:X:1.0"
+_MEMBERS = ("Start", "Stop", "Pause")
+
+#: put name → (values, the plain primitive writing one, the get
+#: reading it back).  Only put_enum/put_objref are not the primitive
+#: under another name.
+_SURFACE = {
+    "put_boolean": (st.booleans(), CdrEncoder.boolean,
+                    CdrDecoder.get_boolean),
+    "put_octet": (st.integers(0, 255), CdrEncoder.octet,
+                  CdrDecoder.get_octet),
+    "put_char": (st.characters(max_codepoint=0xFF), CdrEncoder.char,
+                 CdrDecoder.get_char),
+    "put_short": (st.integers(-(2**15), 2**15 - 1), CdrEncoder.short,
+                  CdrDecoder.get_short),
+    "put_ushort": (st.integers(0, 2**16 - 1), CdrEncoder.ushort,
+                   CdrDecoder.get_ushort),
+    "put_long": (st.integers(-(2**31), 2**31 - 1), CdrEncoder.long,
+                 CdrDecoder.get_long),
+    "put_ulong": (st.integers(0, 2**32 - 1), CdrEncoder.ulong,
+                  CdrDecoder.get_ulong),
+    "put_longlong": (st.integers(-(2**63), 2**63 - 1), CdrEncoder.longlong,
+                     CdrDecoder.get_longlong),
+    "put_ulonglong": (st.integers(0, 2**64 - 1), CdrEncoder.ulonglong,
+                      CdrDecoder.get_ulonglong),
+    "put_float": (st.floats(width=32, allow_nan=False), CdrEncoder.float,
+                  CdrDecoder.get_float),
+    "put_double": (st.floats(allow_nan=False), CdrEncoder.double,
+                   CdrDecoder.get_double),
+    "put_string": (st.text(max_size=20), CdrEncoder.string,
+                   CdrDecoder.get_string),
+    "put_enum": (st.sampled_from(range(len(_MEMBERS))), CdrEncoder.ulong,
+                 lambda d: d.get_enum(_MEMBERS)),
+    "put_objref": (st.sampled_from((None, _REF)),
+                   lambda e, v: e.string(v or ""),
+                   CdrDecoder.get_objref),
+}
+
+_typed_put = st.sampled_from(sorted(_SURFACE)).flatmap(
+    lambda name: _SURFACE[name][0].map(lambda value: (name, value)))
+
+#: A flat run of puts, or a begin/end-bracketed (possibly nested) one.
+_put_runs = st.recursive(
+    st.lists(_typed_put, max_size=6),
+    lambda inner: st.tuples(inner, inner).map(
+        lambda pair: [("begin", "s"), *pair[0], ("end", None), *pair[1]]),
+    max_leaves=4,
+)
+
+
+def _apply(marshaller, puts):
+    for name, value in puts:
+        if name == "begin":
+            marshaller.begin(value)
+        elif name == "end":
+            marshaller.end()
+        elif name == "put_enum":
+            marshaller.put_enum(_MEMBERS[value], value)
+        else:
+            getattr(marshaller, name)(value)
+
+
+@given(puts=_put_runs, little_endian=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_recorded_puts_replay_as_plain_primitives(puts, little_endian):
+    """A recorder replayed behind a header of any length, and the
+    encoder's own put_* surface, both write exactly what the plain
+    primitives write at that alignment; the decoder's get_* surface
+    reads it back and stops exactly at the end."""
+    recorder = CdrRecorder()
+    _apply(recorder, puts)
+    values = [(name, value) for name, value in puts
+              if name not in ("begin", "end")]
+    for header in range(17):
+        plain = CdrEncoder(little_endian, start_align=header)
+        for name, value in values:
+            _SURFACE[name][1](plain, value)
+        body = plain.data()
+
+        behind = CdrEncoder(little_endian, buffer=bytearray(header))
+        recorder.replay(behind)
+        assert behind.data()[header:] == body
+        direct = CdrEncoder(little_endian, start_align=header)
+        _apply(direct, puts)
+        assert direct.payload() == body
+        if header == 0 and little_endian:
+            assert recorder.payload() == body  # the standalone encode
+
+        decoder = CdrDecoder(body, little_endian, start_align=header)
+        decoder.begin("s")
+        for name, value in values:
+            assert not decoder.at_end()
+            assert _SURFACE[name][2](decoder) == value
+        decoder.end()
+        assert decoder.at_end()
+
+        if body:
+            short = CdrDecoder(body[:-1], little_endian, start_align=header)
+            with pytest.raises(MarshalError):
+                for name, _ in values:
+                    _SURFACE[name][2](short)
+
+
+def test_get_enum_out_of_range():
+    encoder = CdrEncoder()
+    encoder.put_enum("Pause", 2)
+    with pytest.raises(MarshalError, match="out of range"):
+        CdrDecoder(encoder.payload()).get_enum(_MEMBERS[:2])

@@ -4,9 +4,8 @@ import threading
 
 import pytest
 
-from repro.giop.cdrmarshal import CdrMarshaller, CdrUnmarshaller
 from repro.heidirmi.iiop import GiopProtocol
-from repro.giop.cdr import CdrDecoder
+from repro.giop.cdr import CdrDecoder, CdrEncoder
 from repro.model.call import Call, Reply, STATUS_ERROR, STATUS_EXCEPTION, STATUS_OK
 from repro.model.errors import MarshalError, ProtocolError
 from repro.heidirmi.transport import get_transport
@@ -31,26 +30,26 @@ def channels():
 
 class TestCdrCallSurface:
     def test_enum_travels_as_index(self):
-        marshaller = CdrMarshaller()
+        marshaller = CdrEncoder()
         marshaller.put_enum("Stop", 1)
         decoder = CdrDecoder(marshaller.payload())
         assert decoder.ulong() == 1
 
     def test_enum_range_checked_on_get(self):
-        marshaller = CdrMarshaller()
+        marshaller = CdrEncoder()
         marshaller.put_enum("X", 5)
-        unmarshaller = CdrUnmarshaller(CdrDecoder(marshaller.payload()))
+        unmarshaller = CdrDecoder(marshaller.payload())
         with pytest.raises(MarshalError):
             unmarshaller.get_enum(("A", "B"))
 
     def test_objref_nil_is_empty_string(self):
-        marshaller = CdrMarshaller()
+        marshaller = CdrEncoder()
         marshaller.put_objref(None)
-        unmarshaller = CdrUnmarshaller(CdrDecoder(marshaller.payload()))
+        unmarshaller = CdrDecoder(marshaller.payload())
         assert unmarshaller.get_objref() is None
 
     def test_begin_end_are_noops(self):
-        marshaller = CdrMarshaller()
+        marshaller = CdrEncoder()
         marshaller.begin("s")
         marshaller.put_long(1)
         marshaller.end()

@@ -7,8 +7,7 @@ from repro.heidirmi.anyval import get_any, put_any, tag_of
 from repro.model.call import Call
 from repro.model.errors import MarshalError
 from repro.wire.textwire import TextMarshaller, TextUnmarshaller
-from repro.giop.cdrmarshal import CdrMarshaller, CdrUnmarshaller
-from repro.giop.cdr import CdrDecoder
+from repro.giop.cdr import CdrDecoder, CdrEncoder
 
 
 def text_roundtrip(value):
@@ -22,12 +21,11 @@ def text_roundtrip(value):
 
 
 def cdr_roundtrip(value):
-    marshaller = CdrMarshaller()
-    call = Call("@tcp:h:1#1#IDL:X:1.0", "op", marshaller=marshaller)
+    encoder = CdrEncoder()
+    call = Call("@tcp:h:1#1#IDL:X:1.0", "op", marshaller=encoder)
     put_any(call, value)
-    decoder = CdrDecoder(marshaller.payload())
     incoming = Call("@tcp:h:1#1#IDL:X:1.0", "op",
-                    unmarshaller=CdrUnmarshaller(decoder))
+                    unmarshaller=CdrDecoder(encoder.payload()))
     return get_any(incoming)
 
 

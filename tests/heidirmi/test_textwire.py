@@ -115,6 +115,18 @@ class TestPrimitives:
     def test_char(self):
         assert roundtrip(lambda m: m.put_char(" "),
                          lambda u: u.get_char()) == " "
+        assert roundtrip(lambda m: m.put_char("\xe9"),
+                         lambda u: u.get_char()) == "\xe9"
+
+    def test_char_is_eight_bits_as_on_cdr(self):
+        with pytest.raises(MarshalError, match="ISO 8859-1"):
+            TextMarshaller().put_char("\u20ac")
+
+    @pytest.mark.parametrize("put", ["put_string", "put_objref", "put_enum"])
+    def test_unencodable_text_is_a_marshal_error(self, put):
+        args = ("\ud800", 0) if put == "put_enum" else ("\ud800",)
+        with pytest.raises(MarshalError, match="cannot be encoded"):
+            getattr(TextMarshaller(), put)(*args)
 
     def test_enum_by_name(self):
         members = ("Start", "Stop")

@@ -13,10 +13,15 @@ import time
 import pytest
 
 from repro.heidirmi import HdSkel, HdStub, Orb
-from repro.model.errors import CommunicationError, RemoteError
+from repro.model.errors import CommunicationError, MarshalError, RemoteError
 from repro.heidirmi.serialize import TypeRegistry
 from repro.heidirmi.transport import get_transport
-from tests.resilience.rig import SERVER_RUNTIMES, make_server
+from tests.resilience.rig import (
+    SERVER_RUNTIMES,
+    make_pair,
+    make_server,
+    stop_pair,
+)
 
 TYPE_ID = "IDL:Fault/Victim:1.0"
 
@@ -158,6 +163,60 @@ class TestGiopFaults:
         channel.close()
         time.sleep(0.05)
         assert stub.work("fine") == "enif"
+
+
+class TestEncodeErrors:
+    """A value the protocol cannot encode costs the call and nothing
+    else: a MarshalError on every protocol (text judges at the put,
+    before a connection is acquired; GIOP at emit, after), and the next
+    call rides the same connection."""
+
+    @pytest.mark.parametrize("token, delay_ms", [
+        ("b", 2**40),       # no long
+        ("\ud800", 0),      # no UTF-8
+    ], ids=["long-out-of-range", "lone-surrogate"])
+    @pytest.mark.parametrize("protocol, multiplex", [
+        ("text", False), ("text2", False), ("text2", True),
+        ("giop", False), ("giop", True),
+    ])
+    def test_bad_call_then_good_call(self, protocol, multiplex, token,
+                                     delay_ms):
+        server, client, stub, impl = make_pair(protocol, multiplex)
+        try:
+            with pytest.raises(MarshalError):
+                stub.echo(token, delay_ms=delay_ms)
+            assert stub.echo("c") == "ack:c"
+            assert impl.echoed == ["c"]
+            assert client.connections.stats["opened"] == 1
+            if not multiplex:
+                assert client.connections.idle_count == 1
+        finally:
+            stop_pair(server, client)
+
+    @pytest.mark.parametrize("protocol", ["text", "giop"])
+    def test_unexpected_failure_drops_the_exclusive_connection(
+            self, protocol, monkeypatch):
+        """Anything but an encode error leaves the stream position
+        unknown: the checked-out connection is closed, not leaked."""
+        server, client, stub, _ = make_pair(protocol)
+        try:
+            assert stub.echo("a") == "ack:a"
+            bootstrap = stub._hd_ref.bootstrap
+            held = client.connections.acquire(bootstrap)
+            client.connections.release(bootstrap, held)
+
+            def boom(channel, call):
+                raise RuntimeError("mid-send")
+
+            monkeypatch.setattr(client.protocol, "send_request", boom)
+            with pytest.raises(RuntimeError):
+                stub.echo("b")
+            monkeypatch.undo()
+            assert held.closed
+            assert client.connections.idle_count == 0
+            assert stub.echo("c") == "ack:c"
+        finally:
+            stop_pair(server, client)
 
 
 class TestClientSideFaults:

@@ -18,6 +18,8 @@ Two hazards the BufferPlan refactor introduces, both pinned here:
 import socket
 import struct
 
+from hypothesis import given, settings, strategies as st
+
 from repro.giop.cdr import CdrEncoder
 from repro.heidirmi.iiop import pump_giop_event
 from repro.giop.messages import (
@@ -30,6 +32,7 @@ from repro.giop.messages import (
     frame_message,
 )
 from repro.model.call import STATUS_OK
+from repro.model.errors import MarshalError
 from repro.heidirmi.transport import Channel
 from repro.wire import machine_for
 from repro.wire.bufferplan import FRAME_CACHE
@@ -117,6 +120,69 @@ class TestInternIsolation:
 
         fresh = make_reply("giop")
         assert bytes(machine.emit_reply(fresh)) == snapshot
+
+
+#: Values Python calls equal although CDR spells them differently (or
+#: refuses one and packs the other), and a few it does not.
+_NAN = float("nan")
+_LOOKALIKES = (0.0, -0.0, 0, False, 1, 1.0, True, _NAN, float("inf"),
+               float("-inf"), 2**31 - 1, float(2**31 - 1), 2**40, "", "\xe9")
+_PUTS = ("put_boolean", "put_octet", "put_char", "put_short", "put_long",
+         "put_ulong", "put_longlong", "put_float", "put_double", "put_string")
+
+
+@st.composite
+def _equal_put_runs(draw):
+    """Two runs of the same puts whose values compare equal pairwise."""
+    names = draw(st.lists(st.sampled_from(_PUTS), min_size=1, max_size=4))
+    first = [draw(st.sampled_from(_LOOKALIKES)) for _ in names]
+    second = [
+        draw(st.sampled_from([v for v in _LOOKALIKES if v is f or v == f]))
+        for f in first
+    ]
+    return names, first, second
+
+
+class TestInternKeyIsByteFaithful:
+    """A hit must be indistinguishable from a miss: the frame a cached
+    entry answers with is the frame a build would have made, and what a
+    build refuses a hit refuses too."""
+
+    @staticmethod
+    def _emit(reply, names, values):
+        try:
+            if reply:
+                message = make_reply("giop")
+                emit = machine_for("giop", "server").emit_reply
+            else:
+                message = make_call("giop", payload=False)
+                emit = machine_for("giop", "client").emit_request
+            for name, value in zip(names, values):
+                getattr(message, name)(value)
+            return bytes(emit(message))
+        except MarshalError as exc:
+            return str(exc)
+
+    @given(runs=_equal_put_runs(), reply=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_possible_hit_equals_forced_miss(self, runs, reply):
+        names, first, second = runs
+        FRAME_CACHE.clear()
+        self._emit(reply, names, first)
+        possible_hit = self._emit(reply, names, second)
+        FRAME_CACHE.clear()
+        assert possible_hit == self._emit(reply, names, second)
+
+    def test_hits_survive(self):
+        """The faithful key still interns the ordinary shapes."""
+        FRAME_CACHE.clear()
+        before = FRAME_CACHE.stats()["hits"]
+        for _ in range(3):
+            call = make_call("giop")
+            call.put_double(2.5)
+            call.put_octet(7)
+            machine_for("giop", "client").emit_request(call)
+        assert FRAME_CACHE.stats()["hits"] == before + 2
 
 
 class TestBigEndianRoundTrip:
