@@ -2,24 +2,27 @@
 
 "An ObjectCommunicator provides the abstraction of a communication
 channel on which individual requests can be demarcated" (paper,
-Section 3.1).  It pairs a transport channel with a protocol; the client
-side invokes calls through it, the server side pulls requests off it.
+Section 3.1).  It pairs a transport channel with its end of the
+connection's wire machine (built once, for the communicator's role),
+sends what the machine emits and reads one event per frame through the
+protocol's one read; the client side invokes calls through it, the
+server side pulls events off it.
 
-Two client-side operating modes:
+Every client call is registered with the connection's sans-I/O
+:class:`~repro.wire.correlation.ClientSession`, and every event read
+goes to that session, which decides what a reply, a close, a garbled
+frame or an expired deadline means — the same session the asyncio
+client pumps.  Two client-side operating modes differ only in who
+pumps:
 
 - **exclusive** (the default, the paper's model): one call in flight at
-  a time; ``invoke`` sends the request and blocks for the reply on the
-  calling thread.
+  a time; ``invoke`` sends the request and the calling thread pumps
+  until the session completes its call.
 - **multiplexed** (``multiplexed=True``, protocols with request ids
-  only): many callers share the channel concurrently.  Each request is
-  registered with the connection's sans-I/O
-  :class:`~repro.wire.correlation.ClientSession`; a single
-  demultiplexing reader thread drains replies off the channel, feeds
-  them to the session and completes the waiters it hands back.  The
-  thread is a *pump*: what a reply, a close, a garbled frame or an
-  expired deadline means is the session's decision, shared with the
-  asyncio client.  ``invoke_async`` returns the future; ``invoke`` is
-  just ``invoke_async(...).result()``.
+  only): many callers share the channel concurrently; a single
+  demultiplexing reader thread pumps for all of them.
+  ``invoke_async`` returns the future; ``invoke`` is just
+  ``invoke_async(...).result()``.
 
 Oneway batching (``batch_oneways=True``) coalesces small oneway sends
 into one channel write; the buffer flushes when it grows past
@@ -28,18 +31,21 @@ send (so ordering between a oneway and a later call is preserved), or
 on an explicit :meth:`flush`.
 """
 
+import functools
 import threading
 import time
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as _FutureTimeout
 
+from repro.heidirmi.protocol import send_frame
 from repro.model.errors import (
     CommunicationError,
+    DeadlineExceeded,
     HeidiRmiError,
-    ProtocolError,
 )
 from repro.wire.bufferplan import BufferPlan
 from repro.wire.correlation import ClientSession
+from repro.wire.events import ReplyReceived
 
 #: A oneway batch flushes once it holds this much.
 BATCH_MAX_BYTES = 8192
@@ -99,11 +105,31 @@ class _BulkCollector:
         self.event.set()
 
 
+class _Pumped:
+    """The waiter every exclusive round trip files.
+
+    Its thread is the pump: it takes the call's outcome from the
+    completion the session hands back, so there is nothing to wait on
+    and nothing to fill — completing it (a concurrent :meth:`close`
+    failing it) does nothing.
+    """
+
+    __slots__ = ()
+
+    def set_result(self, outcome):
+        pass
+
+    set_exception = set_result
+
+
+_PUMPED = _Pumped()
+
+
 class ObjectCommunicator:
     """One demarcated request/reply stream over a Channel."""
 
     def __init__(self, channel, protocol, multiplexed=False,
-                 batch_oneways=False, observer=None):
+                 batch_oneways=False, observer=None, role="client"):
         self.channel = channel
         # Bound once: the exclusive deadline path arms and disarms the
         # channel expiry on every deadlined call, so the two attribute
@@ -119,14 +145,21 @@ class ObjectCommunicator:
                 "be multiplexed; use 'text2' or 'giop'"
             )
         self.multiplexed = multiplexed
-        if multiplexed:
-            # Protocols with per-channel serial-reply checks (GIOP) relax
-            # them when many requests share the channel.
-            channel._multiplexed = True
-        # Waiters (Future or _BulkCollector per request) live in the
-        # sans-I/O client session, which also decides what every
-        # inbound event means to them; the demux loop only pumps it.
-        self._session = ClientSession(protocol, getattr(channel, "peer", "?"))
+        #: This end's wire machine.  A flight-recorded channel's
+        #: recorder is its tap, so every inbound event lands in the
+        #: ring with its exact frame bytes.
+        self.machine = machine = protocol.machine_class(role)
+        machine.tap = getattr(channel, "flight", None)
+        self._emit_request = machine.emit_request
+        self._emit_reply = machine.emit_reply
+        #: Block for the next inbound wire event (the protocol's read).
+        self.next_event = functools.partial(
+            protocol.read_event, channel, machine)
+        # Waiters (_PUMPED, a Future or a _BulkCollector per request) live
+        # in the sans-I/O client session, which also decides what every
+        # inbound event means to them; this class only pumps it.
+        self._session = ClientSession(
+            protocol, getattr(channel, "peer", "?"), multiplexed)
         self._reader = None
         self._reader_lock = threading.Lock()
         self._batch_oneways = batch_oneways
@@ -167,18 +200,13 @@ class ObjectCommunicator:
 
     # -- client side -------------------------------------------------------
 
-    @property
-    def orphaned_replies(self):
-        """Replies whose id matched no waiter (expired call, buggy
-        peer); they are dropped, not delivered — the session counts."""
-        return self._session.orphaned_replies
-
     def invoke(self, call):
         """Send *call*; return the Reply (or None for oneway calls)."""
         if call.oneway:
             self._send_oneway(call)
             return None
         deadline = call.deadline
+        session = self._session
         if self.multiplexed:
             future = self.invoke_async(call)
             if deadline is None:
@@ -190,41 +218,49 @@ class ObjectCommunicator:
                 # has run out, so this is one more deadline tick.  Only
                 # lapsed entries die; the demux reader and the shared
                 # channel keep serving channel-mates.
-                self._complete(self._session.expire(deadline.expires_at))
+                self._complete(session.expire(deadline.expires_at))
                 return future.result()
-        self.flush()
+        # Exclusive: the calling thread is the pump, putting events to
+        # the session until one completes this call — the only call the
+        # connection has in flight, so the completion is its own.
+        if self._batch:  # flush()'s own unlocked peek, without the call
+            self.flush()
+        keys = session.register((call,), _PUMPED)
         if deadline is not None:
-            # Exclusive channels enforce the budget at the socket: a
-            # timed-out channel closes (its stream position is unknown).
+            # Exclusive channels time out at the socket: the deadline
+            # watchdog shuts the channel at expiry, which is this
+            # pump's tick (the stream position is unknown after it).
             self._set_deadline(deadline.expires_at)
         try:
-            self.protocol.send_request(self.channel, call)
+            try:
+                send_frame(self.channel, self._emit_request(call))
+            except BaseException:
+                session.unregister(keys)  # the caller settles the channel
+                raise
             if call.trace_span is not None:
                 call.trace_span.stage("send")
-            return self._recv_reply_checked()
+            event, read = session.event, self.next_event
+            try:
+                done = event(read())
+                while not done:
+                    done = event(read())
+            except DeadlineExceeded:
+                done = session.expire(time.monotonic())
+            except Exception as exc:
+                done = session.dead(exc)
         finally:
             if deadline is not None:
                 # Disarming is a plain attribute store, harmless even
                 # on a channel the deadline just killed.
                 self._set_deadline(None)
-
-    def _recv_reply_checked(self):
-        """recv_reply with framing errors normalized to channel failures.
-
-        A ProtocolError mid-reply leaves the stream position unknown —
-        the exclusive mirror of the demux reader dying — so the channel
-        closes and the caller sees ``kind="peer-protocol-error"``
-        (which the connection cache then discards) instead of a leaked,
-        poisoned communicator going back into the pool.
-        """
-        try:
-            return self.protocol.recv_reply(self.channel)
-        except ProtocolError as exc:
-            self.channel.close()
-            raise CommunicationError(
-                f"unparseable reply from {self.channel.peer}: {exc}",
-                kind="peer-protocol-error",
-            ) from exc
+        if session.closed is not None:
+            self._bury(session.closed)
+        # Nothing completed: a concurrent close() took the call first,
+        # and the cause it recorded is the call's.
+        outcome = done[0][1] if done else session.closed
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
 
     def invoke_async(self, call):
         """Send *call* without waiting; returns a Future of the Reply.
@@ -248,7 +284,7 @@ class ObjectCommunicator:
         keys = self._register((call,), future)
         try:
             self.flush()
-            self.protocol.send_request(self.channel, call)
+            send_frame(self.channel, self._emit_request(call))
         except BaseException as exc:
             self._send_failed(keys, exc)
             raise
@@ -276,12 +312,13 @@ class ObjectCommunicator:
         collector = _BulkCollector(
             sum(1 for call in calls if not call.oneway))
         buffer = _SendBuffer()
-        send_request = self.protocol.send_request
+        emit_request = self._emit_request
+        # Registering tags every call with its id, ahead of the emit.
         registered = self._register(
             calls, collector, None if deadline is None else deadline.expires_at)
         try:
             for call in calls:
-                send_request(buffer, call)
+                buffer.send(emit_request(call))
             self.flush()
             if buffer.data:
                 self.channel.send(bytes(buffer.data))
@@ -326,10 +363,10 @@ class ObjectCommunicator:
         self._session.oneway(call, time.monotonic())
         if not self._batch_oneways:
             self.flush()
-            self.protocol.send_request(self.channel, call)
+            send_frame(self.channel, self._emit_request(call))
             return
         buffer = _SendBuffer()
-        self.protocol.send_request(buffer, call)
+        buffer.send(self._emit_request(call))
         with self._batch_lock:
             self._batch += buffer.data
             self._batch_calls += 1
@@ -370,8 +407,24 @@ class ObjectCommunicator:
                 )
                 self._reader.start()
 
+    def _bury(self, reason):
+        """The session declared the connection dead for *reason*: spool
+        the flight ring and close the channel."""
+        self._channel_postmortem(reason)
+        self.channel.close()
+
     def _complete(self, completions):
-        """Hand each waiter the outcome the session decided for it."""
+        """Hand each waiter the outcome the session decided for it —
+        after burying the channel if the session has declared the
+        connection dead."""
+        reason = self._session.closed
+        if reason is not None:
+            # Mark the channel dead before failing waiters: the
+            # multiplexed ConnectionCache only replaces a shared
+            # communicator once it reads as closed, and the reader
+            # thread is never restarted — leaving the channel "open"
+            # would hang every later invoke.
+            self._bury(reason)
         for waiter, outcome in completions:
             if isinstance(outcome, Exception):
                 waiter.set_exception(outcome)
@@ -408,55 +461,40 @@ class ObjectCommunicator:
             self._complete(session.expire(now))
 
     def _demux_loop(self):
-        recv_reply = self.protocol.recv_reply
+        read = self.next_event
         channel = self.channel
         session = self._session
         deadlines = session.deadlines
-        while True:
+        while session.closed is None:
             batch = []
             try:
                 # One dict truthiness test on the no-deadline hot path;
                 # armed entries route through the select-timeout wait.
                 if deadlines and not channel.has_buffered:
                     self._enforce_deadlines()
-                batch.append(recv_reply(channel))
+                event = read()
+                batch.append(event)
                 # Servers coalesce replies into one send, so more whole
                 # replies usually sit in the receive buffer already —
                 # drain them now and resolve the lot under one lock.
-                while channel.has_buffered:
-                    batch.append(recv_reply(channel))
+                # Anything but a reply goes to the session at once.
+                while type(event) is ReplyReceived and channel.has_buffered:
+                    event = read()
+                    batch.append(event)
             except Exception as exc:
-                self._complete(session.replies(batch))
-                self._fail_pending(session.dead(exc))
+                self._complete(session.events(batch) + session.dead(exc))
                 return
             if self._demux_batch is not None:
                 self._demux_batch.record(len(batch))
-            self._complete(session.replies(batch))
-
-    def _fail_pending(self, completions):
-        """The session declared the channel dead: bury it, then fail
-        the waiters it handed back."""
-        reason = self._session.closed
-        self._channel_postmortem(reason)
-        # Mark the channel dead before failing waiters: the multiplexed
-        # ConnectionCache only replaces a shared communicator once it
-        # reads as closed, and the reader thread is never restarted —
-        # leaving the channel "open" would hang every later invoke.
-        self.channel.close()
-        self._complete(completions)
+            self._complete(session.events(batch))
 
     # -- server side -------------------------------------------------------
-
-    def next_request(self, object_exists=None):
-        """Block for the next incoming request Call."""
-        return self.protocol.recv_request(self.channel,
-                                          object_exists=object_exists)
 
     def reply(self, reply):
         sink = self._reply_sink
         if sink.data:
             # Earlier coalesced replies ride along in the same send.
-            self.protocol.send_reply(sink, reply)
+            sink.send(self._emit_reply(reply))
             data = bytes(sink.data)
             sink.data.clear()
             self._sink_replies = 0
@@ -464,7 +502,7 @@ class ObjectCommunicator:
             if self._reply_flushes is not None:
                 self._reply_flushes.inc()
             return
-        self.protocol.send_reply(self.channel, reply)
+        send_frame(self.channel, self._emit_reply(reply))
 
     def buffer_reply(self, reply):
         """Hold *reply* to coalesce with the next reply's send.
@@ -477,7 +515,7 @@ class ObjectCommunicator:
         pipeline cannot have its replies withheld without bound.
         """
         sink = self._reply_sink
-        self.protocol.send_reply(sink, reply)
+        sink.send(self._emit_reply(reply))
         self._sink_replies += 1
         if self._coalesced_replies is not None:
             self._coalesced_replies.inc()
@@ -506,17 +544,15 @@ class ObjectCommunicator:
 
     def _channel_postmortem(self, reason):
         """Spool the channel's flight bundle for an abnormal death."""
-        recorder = getattr(self.channel, "flight", None)
-        if recorder is not None:
-            recorder.postmortem(reason)
+        if self.machine.tap is not None:
+            self.machine.tap.postmortem(reason)
 
     def close(self):
         # Orderly teardown: a disarmed recorder never spools, so cache
         # eviction and Orb.stop() leave no bogus "postmortem" bundles.
-        recorder = getattr(self.channel, "flight", None)
-        if recorder is not None:
-            recorder.disarm()
-        self._fail_pending(self._session.close())
+        if self.machine.tap is not None:
+            self.machine.tap.disarm()
+        self._complete(self._session.close())
 
     @property
     def closed(self):

@@ -1,18 +1,22 @@
 """The serving core and the blocking pump that drives it (Fig. 5).
 
-Every decision a server makes about one request lives in
+Every decision a server makes about one connection lives in
 :class:`ServerCore` and its per-connection :class:`Session`, once:
 
-    account (stats, ``rpc.requests``, server span, trace event)
+    the event: a request, a locate, a cancel, an orderly close, a
+      malformed message (answered, the connection kept) or one the
+      stream cannot survive (spooled, the connection closed)
+    → account (stats, ``rpc.requests``, server span, trace event)
     → expired on arrival → draining → admission
     → dispatch (re-checked first: expired or over-age while it waited)
     → ``admission.finished`` → reply / encode-failure reply
-    → malformed-request reply → idle (for the orderly drain)
+    → idle (for the orderly drain)
 
-The core does no I/O and starts nothing: a parsed ``Call`` goes in, and
-out comes a ``Reply`` to write, ``None`` (nothing to say), or
-``DISPATCH`` — run ``session.dispatch(call)``, a plain blocking
-callable, wherever the pump likes (the reader thread, a pool worker,
+The core does no I/O and starts nothing: a wire event goes in, and out
+comes a ``Reply`` to write, a ``LocateReplied`` to emit, ``None``
+(nothing to say), ``CLOSE`` (end the connection) or ``DISPATCH`` — run
+``session.dispatch(event.call)``, a plain blocking callable, wherever
+the pump likes (the reader thread, a pool worker,
 ``loop.run_in_executor``).  Its only clock is the admission policy's.
 
 A *pump* owns how bytes are read, where ``dispatch`` runs, and how a
@@ -37,10 +41,21 @@ from repro.model.errors import (
 )
 from repro.heidirmi.exceptions_user import HdUserException
 from repro.observe import context as _trace_state
+from repro.wire.events import (
+    CloseReceived,
+    LocateReplied,
+    LocateRequested,
+    RequestReceived,
+    WireViolation,
+)
 from repro.wire.headers import OVERLOADED_CATEGORY, overload_message
 
-#: ``Session.arrive`` outcome: run ``session.dispatch(call)``.
+#: ``Session.event`` / ``Session.arrive`` outcome: run
+#: ``session.dispatch(call)``.
 DISPATCH = object()
+
+#: ``Session.event`` outcome: the connection is over; close it.
+CLOSE = object()
 
 
 def error_reply(protocol, category, message, request_id=None):
@@ -89,9 +104,10 @@ class ServerCore:
     def malformed(self, message):
         """The reply to a request that did not parse.
 
-        It carries no id (there is none to echo — ``RET2 0 ERR``); the
-        pump keeps the connection, which is what makes telnet debugging
-        possible.
+        It carries no id (there is none to echo), so it leaves with the
+        reserved id 0 — ``RET2 0 ERR``, a GIOP Reply to request 0 —
+        and the connection is kept, which is what makes telnet
+        debugging possible.  The only reply that names no request.
         """
         return error_reply(self.protocol, "Protocol", message)
 
@@ -231,16 +247,19 @@ class ServerCore:
 class Session:
     """One connection's share of the core: what the pump calls.
 
-    Per request the pump calls :meth:`arrive`; on ``DISPATCH`` it runs
-    :meth:`dispatch` somewhere, writes the Reply that returns (asking
-    :meth:`encode_failed` for a substitute if it will not encode), and
-    reports :meth:`done`.  :attr:`idle` is the drain's question.
+    Per inbound wire event the pump calls :meth:`event`; on
+    ``DISPATCH`` it runs :meth:`dispatch` somewhere, writes the Reply
+    that returns (asking :meth:`encode_failed` for a substitute if it
+    will not encode), and reports :meth:`done`.  :attr:`idle` is the
+    drain's question.  *flight* is the connection's flight recorder, if
+    it has one.
     """
 
-    __slots__ = ("core", "_inflight")
+    __slots__ = ("core", "flight", "_inflight")
 
-    def __init__(self, core):
+    def __init__(self, core, flight=None):
         self.core = core
+        self.flight = flight
         # Admitted requests the pump has not reported done.  A deque
         # because append/pop are atomic: the reading thread (or loop)
         # appends, whichever thread writes the reply pops, no lock.
@@ -250,6 +269,41 @@ class Session:
     def idle(self):
         """Nothing admitted is unfinished: safe to announce a close."""
         return not self._inflight
+
+    def event(self, event):
+        """What the pump does about one server-role wire event.
+
+        A request is :meth:`arrive`'s to decide; a LocateRequest is
+        answered with the :class:`LocateReplied` to emit; a malformed
+        message with :meth:`ServerCore.malformed`'s reply, keeping the
+        connection; a CancelRequest with nothing (dispatch is
+        synchronous, there is nothing to cancel).  An orderly close
+        ends the connection — ``CLOSE`` — and so does a violation the
+        stream cannot survive, once the flight ring is spooled.
+        """
+        kind = type(event)
+        if kind is RequestReceived:
+            return self.arrive(event.call)
+        if kind is WireViolation:
+            if event.recoverable:
+                return self.core.malformed(event.message)
+            if self.flight is not None:
+                self.flight.postmortem(ProtocolError(event.message))
+            return CLOSE
+        if kind is LocateRequested:
+            # GIOP-only traffic: the text-only server never loads this.
+            from repro.giop.messages import (
+                LOCATE_OBJECT_HERE,
+                LOCATE_UNKNOWN_OBJECT,
+            )
+
+            here = self.core.orb._object_key_exists(event.object_key)
+            return LocateReplied(
+                event.request_id,
+                LOCATE_OBJECT_HERE if here else LOCATE_UNKNOWN_OBJECT)
+        if kind is CloseReceived:
+            return CLOSE
+        return None
 
     def arrive(self, call):
         """Account for one parsed request and decide what happens to it.
@@ -448,9 +502,12 @@ class BlockingServer:
 
     def _close_orderly(self, communicator):
         """Flush withheld replies, announce the close, close the socket."""
+        # Classic text has no close frame; EOF is its only goodbye.
+        emit_close = getattr(communicator.machine, "emit_close", None)
         try:
             communicator.flush_replies()
-            self.orb.protocol.send_close(communicator.channel)
+            if emit_close is not None:
+                communicator.channel.send(emit_close())
         except (CommunicationError, OSError):
             pass  # peer already gone; the close below still runs
         communicator.close()
@@ -491,8 +548,8 @@ class BlockingServer:
         if flight is not None:
             flight.attach(channel, self.orb.protocol.name, "server")
         communicator = ObjectCommunicator(channel, self.orb.protocol,
-                                          observer=observer)
-        communicator.session = Session(self.core)
+                                          observer=observer, role="server")
+        communicator.session = Session(self.core, communicator.machine.tap)
         with self._lock:
             self.active.add(communicator)
         try:
@@ -515,9 +572,8 @@ class BlockingServer:
         """
         if getattr(reason, "kind", None) == "peer-closed":
             return
-        recorder = getattr(communicator.channel, "flight", None)
-        if recorder is not None:
-            recorder.postmortem(reason)
+        if communicator.machine.tap is not None:
+            communicator.machine.tap.postmortem(reason)
 
     # -- serving -----------------------------------------------------------
 
@@ -530,11 +586,10 @@ class BlockingServer:
                   if workers > 0 else None)
         # Hoisted out of the per-request loop: these run once per call.
         channel = communicator.channel
-        next_request = communicator.next_request
-        object_key_exists = self.orb._object_key_exists
-        arrive = session.arrive
+        next_event = communicator.next_event
+        decide = session.event
         dispatch = session.dispatch
-        while self.running and not communicator.closed:
+        while self.running and not channel.closed:
             if not channel.has_buffered:
                 # The read-ahead backlog drained: nothing further can
                 # coalesce with any withheld replies (the next request
@@ -547,21 +602,21 @@ class BlockingServer:
                     self._postmortem(communicator, exc)
                     return
             try:
-                call = next_request(object_exists=object_key_exists)
+                event = next_event()
             except CommunicationError as exc:
                 self._postmortem(communicator, exc)
                 return
-            except ProtocolError as exc:
-                reply = self.core.malformed(str(exc))
-            else:
-                reply = arrive(call)
-            if reply is not DISPATCH:
-                if reply is not None:
+            outcome = decide(event)
+            if outcome is not DISPATCH:
+                if outcome is CLOSE:
+                    return
+                if outcome is not None:
                     try:
-                        communicator.reply(reply)
+                        self._answer(communicator, outcome)
                     except CommunicationError:
                         pass  # peer already gone; the next read says so
                 continue
+            call = event.call
             if (
                 window is not None
                 and not call.oneway
@@ -614,6 +669,15 @@ class BlockingServer:
         window.release()
         if self._pipeline_gauge is not None:
             self._pipeline_gauge.add(-1)
+
+    @staticmethod
+    def _answer(communicator, outcome):
+        """Write what the session answered without a dispatch."""
+        if type(outcome) is LocateReplied:
+            communicator.channel.send(communicator.machine.emit_locate_reply(
+                outcome.request_id, outcome.status))
+        else:
+            communicator.reply(outcome)
 
     @staticmethod
     def _write(communicator, call, reply, coalesce=False):

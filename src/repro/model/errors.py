@@ -32,10 +32,12 @@ class CommunicationError(HeidiRmiError):
     - ``peer-closed`` — the peer shut the connection down (EOF or a
       protocol-level close notification);
     - ``channel-closed`` — this side already closed the channel;
-    - ``reader-died`` — the demultiplexing reply reader failed, taking
-      every pending call on the shared channel with it;
+    - ``reader-died`` — the reply stream could not be read on (a
+      garbled frame), taking every pending call on the channel with it;
     - ``peer-protocol-error`` — the peer reported a request it could
-      not parse (e.g. ``RET2 0 ERR``), failing the whole channel;
+      not parse (``RET2 0 ERR``, a GIOP reply to id 0), failing every
+      pending call, or answered a request an exclusive connection did
+      not have in flight;
     - ``frame-overflow`` — a message exceeded the wire-format bounds;
     - ``deadline-exceeded`` — the call's deadline budget ran out
       (raised as :class:`DeadlineExceeded`, also a ``TimeoutError``);

@@ -6,13 +6,10 @@ seam), so recording the wire is one hook per boundary:
 
 - **inbound** — machines carry a class-level ``tap = None``; with a
   recorder attached, every parsed event is recorded together with the
-  exact consumed frame bytes (`direction="in"`), whichever driver fed
-  the machine (blocking pump, ``feed_line``/``feed_message`` fast
-  paths, or the asyncio front-end's chunk loop).  The blocking text
-  protocols never pay the machine detour: their ``recv_*`` fast paths
-  tap the recorder directly with the raw line and the parsed result
-  (:meth:`FlightRecorder.record_request` and friends), which writes
-  the identical record for a fraction of the cost;
+  exact consumed frame bytes (`direction="in"`) through the one tap,
+  :meth:`FlightRecorder.record_in`, whichever pump fed the machine
+  (the blocking communicator's ``feed_line``/``feed_message`` reads,
+  the generic hint pump, or the asyncio pumps' chunk loops);
 - **outbound** — transport channels carry a class-level
   ``flight = None`` (the same idiom as the byte ``meter``); every
   successful ``send`` records the raw frame (`direction="out"`).
@@ -53,21 +50,24 @@ BUNDLE_VERSION = 1
 #: BYE / GIOP CloseConnection handoff of a server winding down).
 _CLEAN_KINDS = frozenset({"channel-closed", "draining"})
 
-#: Lazy summary renderers for the direct-parse taps: the hot path
-#: stores the one or two scalars a summary interpolates (a tuple), and
-#: materialization renders the string here — in the exact repr format
-#: of the corresponding :mod:`repro.wire.events` class, so a bundle
-#: replayed through a fresh machine still compares equal.  The
-#: replay-determinism tests pin this coupling.
+#: Lazy summaries for the per-call events, keyed by event class name:
+#: the tap stores the two scalars a request's or a reply's summary
+#: interpolates (a tuple), and materialization renders the string in
+#: the exact repr format of the :mod:`repro.wire.events` class, so a
+#: bundle replayed through a fresh machine still compares equal.  The
+#: rarer events (closes, locates, violations) keep their repr as is.
+#: The replay-determinism tests pin this coupling.
+_SCALARS = {
+    "RequestReceived":
+        lambda event: (event.call.operation, event.call.request_id),
+    "ReplyReceived":
+        lambda event: (event.reply.status, event.reply.request_id),
+}
 _RENDERERS = {
     "RequestReceived":
         lambda s: f"RequestReceived({s[0]!r}, id={s[1]})",
     "ReplyReceived":
         lambda s: f"ReplyReceived({s[0]!r}, id={s[1]})",
-    "WireViolation":
-        lambda s: f"WireViolation({s[0]!r})",
-    "CloseReceived":
-        lambda s: "CloseReceived()",
 }
 
 
@@ -81,9 +81,9 @@ class FlightRecord:
     turns garbage the refcounter would free instantly into cyclic-GC
     survivors that every collection re-traces, which costs double-digit
     throughput.  A ring of scalars-and-strings is invisible to the
-    cyclic collector.  The direct-parse taps go one step further and
+    cyclic collector.  Requests and replies go one step further and
     store only the summary's interpolated scalars (a tuple), rendered
-    on demand by :data:`_RENDERERS`; machine taps store the ready repr.
+    on demand by :data:`_RENDERERS`.
     Outbound records decode at replay time (``kind="Data"``).
     ``frame`` holds at most the recorder's ``max_frame_bytes``;
     ``frame_len`` is the original length, so truncation is always
@@ -185,75 +185,12 @@ class FlightRecorder:
         length = len(frame)
         if length > self._limit:
             frame = frame[:self._limit]
+        kind = type(event).__name__
+        scalars = _SCALARS.get(kind)
         self._append((
-            self._seq(), _monotonic(), DIR_IN, role,
-            type(event).__name__, repr(event), frame, length,
-        ))
-
-    # The direct-parse taps below serve the blocking text protocols'
-    # fast path: one ``recv_line`` + pure line parse, no machine, no
-    # event object.  Each stores the scalars its summary interpolates
-    # (rendered lazily by :data:`_RENDERERS` in the exact format of the
-    # corresponding ``repro.wire.events`` repr), so replaying the frame
-    # through a fresh machine still compares equal
-    # (``ReplayedRecord.matches_live``).  *raw* is the channel's fresh
-    # line with the terminator already stripped; it is restored here so
-    # the recorded frame is replayable byte-for-byte.
-
-    def record_request(self, raw, call):
-        """Direct-parse tap: one request line decoded without a machine."""
-        if type(raw) is bytearray:
-            raw += b"\n"
-        else:
-            raw = raw + b"\n"
-        length = len(raw)
-        if length > self._limit:
-            raw = raw[:self._limit]
-        self._append((
-            self._seq(), _monotonic(), DIR_IN, "server", "RequestReceived",
-            (call.operation, call.request_id), raw, length,
-        ))
-
-    def record_reply(self, raw, reply):
-        """Direct-parse tap: one reply line decoded without a machine."""
-        if type(raw) is bytearray:
-            raw += b"\n"
-        else:
-            raw = raw + b"\n"
-        length = len(raw)
-        if length > self._limit:
-            raw = raw[:self._limit]
-        self._append((
-            self._seq(), _monotonic(), DIR_IN, "client", "ReplyReceived",
-            (reply.status, reply.request_id), raw, length,
-        ))
-
-    def record_close(self, raw, role):
-        """Direct-parse tap: an orderly-close line (text2 ``BYE``)."""
-        if type(raw) is bytearray:
-            raw += b"\n"
-        else:
-            raw = raw + b"\n"
-        length = len(raw)
-        if length > self._limit:
-            raw = raw[:self._limit]
-        self._append((
-            self._seq(), _monotonic(), DIR_IN, role, "CloseReceived",
-            (), raw, length,
-        ))
-
-    def record_violation(self, raw, message, role):
-        """Direct-parse tap: a line the parser rejected (still recorded)."""
-        if type(raw) is bytearray:
-            raw += b"\n"
-        else:
-            raw = raw + b"\n"
-        length = len(raw)
-        if length > self._limit:
-            raw = raw[:self._limit]
-        self._append((
-            self._seq(), _monotonic(), DIR_IN, role, "WireViolation",
-            (message,), raw, length,
+            self._seq(), _monotonic(), DIR_IN, role, kind,
+            repr(event) if scalars is None else scalars(event),
+            frame, length,
         ))
 
     def record_out(self, data):
@@ -344,12 +281,6 @@ class FlightControl:
                 self, protocol, side, peer=getattr(inner, "peer", "?")
             )
             inner.flight = recorder
-        # Machines stashed on the channel before attachment (or on the
-        # outermost wrapper) pick the tap up now.
-        for attribute in ("_wire_client", "_wire_server"):
-            machine = getattr(channel, attribute, None)
-            if machine is not None:
-                machine.tap = recorder
         return recorder
 
     # -- spooling ----------------------------------------------------------

@@ -141,9 +141,10 @@ class FaultPlan:
 class ChaosChannel:
     """Delegating channel wrapper that injects send/recv faults.
 
-    Unknown attributes fall through to the inner channel, so protocol
-    scratch attributes (``_multiplexed``, ``_giop_last_request_id``...)
-    land on the wrapper and behave exactly as on a bare Channel.
+    Unknown attributes fall through to the inner channel (its peer, its
+    flight recorder, deadline arming, ``has_buffered``), so the wrapper
+    is a drop-in Channel: a communicator reads through the faulted
+    ``recv_*`` below and needs nothing else from it.
     """
 
     def __init__(self, inner, plan, channel_id):

@@ -21,14 +21,17 @@ Layering (see ``docs/ARCHITECTURE.md``)::
     CDR + GIOP messages  encoding only              (repro.giop)
     data model           Call, Reply, errors, ...   (repro.model)
 
-The blocking stack (``repro.heidirmi.protocol``/``repro.heidirmi.iiop``)
-and the asyncio front-end (:mod:`repro.wire.aio`) are both thin byte
-pumps over the identical machines, which is the paper's configurable
-protocol/transport seam made literal.  :mod:`repro.wire.aio` is the one
-module here that reaches up (into ``heidirmi.serving``, and
-``heidirmi.transport`` for the connect timeout); it is not imported by
-this package's init and moves beside ``BlockingServer`` once ``perf/``
-can follow it.
+The blocking communicator (``repro.heidirmi.communicator``, reading
+one frame per event through its protocol's one read) and the asyncio
+pumps (:mod:`repro.wire.aio`) are both thin byte pumps over the
+identical machines, and hand every event to the same two sessions —
+:class:`~repro.wire.correlation.ClientSession` on a client,
+``repro.heidirmi.serving.Session`` on a server — which is the paper's
+configurable protocol/transport seam made literal.
+:mod:`repro.wire.aio` is the one module here that reaches up (into
+``heidirmi.serving``, and ``heidirmi.transport`` for the connect
+timeout); it is not imported by this package's init and moves beside
+``BlockingServer`` once ``perf/`` can follow it.
 """
 
 from repro.wire.correlation import (  # noqa: F401

@@ -9,9 +9,9 @@ by the exact machines and cores the blocking stack pumps:
 ``AioOrbServer``
     A coroutine server front-end for an existing :class:`Orb`'s object
     table: one task per connection, chunk reads fed straight into a
-    server-role wire machine, every request put to the same serving
-    core the blocking server asks (``repro.heidirmi.serving``), its
-    dispatch run in an executor.  No ObjectCommunicator, no
+    server-role wire machine, every event put to the same serving
+    session the blocking server asks (``repro.heidirmi.serving``), its
+    dispatches run in an executor.  No ObjectCommunicator, no
     per-connection thread.
 
 ``AioClientConnection``
@@ -26,19 +26,12 @@ import asyncio
 import socket
 import threading
 
-from repro.model.errors import CommunicationError, ProtocolError
-from repro.heidirmi.serving import DISPATCH, ServerCore, Session
+from repro.model.errors import CommunicationError
+from repro.heidirmi.serving import CLOSE, DISPATCH, ServerCore, Session
 from repro.heidirmi.transport import DEFAULT_CONNECT_TIMEOUT
 from repro.wire.bufferplan import BufferPlan
 from repro.wire.correlation import ClientSession
-from repro.wire.events import (
-    NEED_DATA,
-    CancelReceived,
-    CloseReceived,
-    LocateRequested,
-    RequestReceived,
-    WireViolation,
-)
+from repro.wire.events import NEED_DATA, LocateReplied
 
 _READ_CHUNK = 65536
 
@@ -168,11 +161,12 @@ class AioOrbServer:
     The asyncio pump over :mod:`repro.heidirmi.serving`: one task per
     connection replaces one thread per connection.  Chunks come off the
     stream and go into a server-role wire machine (the same
-    ``machine_class`` the blocking server pumps); each RequestReceived
-    is put to the connection's serving ``Session``, and what it says to
-    dispatch runs in the loop's default executor, so skeletons and
-    application code still run on plain threads and never see the event
-    loop.  Every reply — results, sheds, expiry drops, protocol errors —
+    ``machine_class`` the blocking server pumps); each event is put to
+    the connection's serving ``Session`` — the one the blocking server
+    asks — and what it says to dispatch runs in the loop's default
+    executor, so skeletons and application code still run on plain
+    threads and never see the event loop.  Every reply — results,
+    sheds, expiry drops, locates, protocol errors —
     is the core's, emitted by the machine, byte-identical to the
     blocking server's.
 
@@ -269,16 +263,16 @@ class AioOrbServer:
 
     async def _serve_connection(self, reader, writer):
         _set_nodelay(writer)
-        orb = self.orb
-        machine = orb.protocol.server_machine()
+        protocol = self.orb.protocol
+        machine = protocol.machine_class("server")
         meter = self._meter
         recorder = None
         if self._flight is not None:
             recorder = self._flight.new_recorder(
-                orb.protocol.name, "server", _peer_of(writer))
+                protocol.name, "server", _peer_of(writer))
             machine.tap = recorder
         conn = _AioServerConn(machine, writer, meter)
-        session = self._conns[conn] = Session(self._core)
+        session = self._conns[conn] = Session(self._core, recorder)
         loop = asyncio.get_running_loop()
         try:
             while True:
@@ -291,56 +285,33 @@ class AioOrbServer:
                         meter.received(len(chunk))
                     machine.receive_data(chunk)
                     continue
-                kind = type(event)
-                if kind is RequestReceived:
+                outcome = session.event(event)
+                if outcome is DISPATCH:
+                    # Skeleton/application code runs on executor
+                    # threads — the loop stays free to read other
+                    # connections meanwhile, but dispatch stays serial
+                    # per connection (ordering guarantee).
                     call = event.call
-                    reply = session.arrive(call)
-                    if reply is DISPATCH:
-                        # Skeleton/application code runs on executor
-                        # threads — the loop stays free to read other
-                        # connections meanwhile, but dispatch stays
-                        # serial per connection (ordering guarantee).
-                        reply = await loop.run_in_executor(
-                            None, session.dispatch, call
-                        )
-                        try:
-                            if reply is not None:
-                                try:
-                                    data = machine.emit_reply(reply)
-                                except Exception as exc:
-                                    reply = session.encode_failed(call, exc)
-                                    data = machine.emit_reply(reply)
-                                await conn.send(data)
-                        finally:
-                            session.done(call, reply)
-                    elif reply is not None:
-                        await conn.send(machine.emit_reply(reply))
-                elif kind is LocateRequested:
-                    from repro.giop.messages import (
-                        LOCATE_OBJECT_HERE,
-                        LOCATE_UNKNOWN_OBJECT,
+                    reply = await loop.run_in_executor(
+                        None, session.dispatch, call
                     )
-
-                    status = (
-                        LOCATE_OBJECT_HERE
-                        if orb._object_key_exists(event.object_key)
-                        else LOCATE_UNKNOWN_OBJECT
-                    )
-                    await conn.send(
-                        machine.emit_locate_reply(event.request_id, status))
-                elif kind is CancelReceived:
-                    continue  # dispatch here is serial; nothing to cancel
-                elif kind is CloseReceived:
+                    try:
+                        if reply is not None:
+                            try:
+                                data = machine.emit_reply(reply)
+                            except Exception as exc:
+                                reply = session.encode_failed(call, exc)
+                                data = machine.emit_reply(reply)
+                            await conn.send(data)
+                    finally:
+                        session.done(call, reply)
+                elif outcome is CLOSE:
                     return
-                elif kind is WireViolation:
-                    if not event.recoverable:
-                        if recorder is not None:
-                            recorder.postmortem(ProtocolError(event.message))
-                        return
-                    # Telnet-forgiveness: report the parse failure, keep
-                    # the connection.
-                    await conn.send(machine.emit_reply(
-                        self._core.malformed(event.message)))
+                elif type(outcome) is LocateReplied:
+                    await conn.send(machine.emit_locate_reply(
+                        outcome.request_id, outcome.status))
+                elif outcome is not None:
+                    await conn.send(machine.emit_reply(outcome))
         except (ConnectionError, OSError, asyncio.IncompleteReadError) as exc:
             # Connection died mid-frame; nothing to report to the peer,
             # but the flight ring (when armed) becomes a postmortem.
@@ -375,7 +346,7 @@ class AioClientConnection:
         self.protocol = protocol
         self._reader = reader
         self._writer = writer
-        self._machine = protocol.client_machine()
+        self._machine = protocol.machine_class("client")
         peer = _peer_of(writer)
         self._session = ClientSession(protocol, peer)
         self._reader_task = None
@@ -405,11 +376,6 @@ class AioClientConnection:
             ) from exc
         _set_nodelay(writer)
         return cls(protocol, reader, writer, flight=flight)
-
-    @property
-    def orphaned_replies(self):
-        """Replies that matched no awaiter, as the session counts them."""
-        return self._session.orphaned_replies
 
     async def invoke(self, call):
         """Send *call*; await and return its Reply (None for oneways)."""

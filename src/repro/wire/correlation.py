@@ -1,9 +1,11 @@
 """The sans-I/O client session: what a client decides about its calls.
 
 One connection's worth of client policy, written once and pumped by
-both runtimes — the demultiplexing thread of the blocking
-:class:`~repro.heidirmi.communicator.ObjectCommunicator` and the
-reader coroutine of :class:`~repro.wire.aio.AioClientConnection`:
+every client runtime — the blocking
+:class:`~repro.heidirmi.communicator.ObjectCommunicator` (its
+demultiplexing thread, or the calling thread of an exclusive round
+trip) and the reader coroutine of
+:class:`~repro.wire.aio.AioClientConnection`:
 
 - :class:`RequestIdAllocator` hands out the ids every multiplexing
   protocol frames (text2 ``CALL2 <id>``, GIOP's native request_id);
@@ -17,7 +19,12 @@ reader coroutine of :class:`~repro.wire.aio.AioClientConnection`:
   and turns everything that can happen to the connection afterwards —
   a reply, an orderly close, a garbled frame, the transport dying, a
   deadline passing, a send that failed — into *completions*:
-  ``(waiter, Reply-or-exception)`` pairs.
+  ``(waiter, Reply-or-exception)`` pairs.  One correlation rule per
+  connection mode: on a multiplexed connection a reply for an id not
+  in flight is a counted orphan (its call expired); on an exclusive
+  one nothing can be orphaned — an expired exclusive call takes its
+  channel with it — so such a reply is a ``peer-protocol-error`` and
+  the connection dies.
 
 The session owns no socket, thread, event loop or clock.  A pump moves
 bytes, tells the session what arrived (and what time it is), and
@@ -93,7 +100,8 @@ class ClientSession:
     """In-flight requests of one connection → completions.
 
     A waiter is whatever the pump completes — a
-    ``concurrent.futures.Future``, a bulk collector, an asyncio future;
+    ``concurrent.futures.Future``, a bulk collector, the slot of an
+    exclusive round trip, an asyncio future;
     the session only files it under the request's key and hands it back
     with its outcome.  On id-framing protocols the key is the request
     id; on the id-less ``text`` protocol it is a private serial number
@@ -109,10 +117,14 @@ class ClientSession:
     """
 
     __slots__ = ("lock", "entries", "deadlines", "orphaned_replies",
-                 "closed", "peer", "tap", "_assign_id", "_serial")
+                 "closed", "peer", "tap", "multiplexed", "_assign_id",
+                 "_serial")
 
-    def __init__(self, protocol, peer="?"):
+    def __init__(self, protocol, peer="?", multiplexed=True):
         self.lock = threading.Lock()
+        #: False for a one-call-at-a-time connection, where a reply to
+        #: an id not in flight cannot be an orphan.
+        self.multiplexed = multiplexed
         self.entries = {}  # guarded-by: self.lock
         #: key → absolute monotonic expiry, a subset of the entries.
         self.deadlines = {}  # guarded-by: self.lock
@@ -133,12 +145,10 @@ class ClientSession:
     def __len__(self):
         return len(self.entries)  # race-ok: GIL-atomic len
 
-    def _refuse_closed(self):
-        # race-ok: oneway() peeks unlocked; a racing close fails its send
-        if self.closed is not None:
-            raise CommunicationError(
-                f"channel to {self.peer} is closed", kind="channel-closed"
-            )
+    def _closed_error(self):
+        return CommunicationError(
+            f"channel to {self.peer} is closed", kind="channel-closed"
+        )
 
     def oneway(self, call, now):
         """Tag a oneway by the protocol's id rule; nothing waits for it.
@@ -146,7 +156,9 @@ class ClientSession:
         Refused when the connection is gone or the budget ran out
         before the send.  Lock-free: it files nothing.
         """
-        self._refuse_closed()
+        # race-ok: an unlocked peek; a racing close fails the send
+        if self.closed is not None:
+            raise self._closed_error()
         if call.deadline is not None and call.deadline.expires_at <= now:
             raise DeadlineExceeded(
                 f"deadline expired before oneway {call.operation!r} was sent"
@@ -161,24 +173,25 @@ class ClientSession:
         filed, for :meth:`unregister` should the requests never reach
         the wire.
         """
-        entries, deadlines, serial = self.entries, self.deadlines, self._serial
-        assign_id = self._assign_id
+        entries, serial, assign_id = self.entries, self._serial, self._assign_id
         keys = []
         with self.lock:
-            self._refuse_closed()
+            if self.closed is not None:
+                raise self._closed_error()
             for call in calls:
                 assign_id(call)
                 if call.oneway:
                     continue
                 key = call.request_id if serial is None else next(serial)
                 entries[key] = waiter
-                expiry, deadline = expires_at, call.deadline
-                if deadline is not None and (
-                        expiry is None or deadline.expires_at < expiry):
-                    expiry = deadline.expires_at
-                if expiry is not None:
-                    deadlines[key] = expiry
                 keys.append(key)
+                deadline = call.deadline
+                if deadline is not None:
+                    self.deadlines[key] = (
+                        deadline.expires_at if expires_at is None
+                        else min(deadline.expires_at, expires_at))
+                elif expires_at is not None:
+                    self.deadlines[key] = expires_at
         return keys
 
     def unregister(self, keys):
@@ -197,40 +210,48 @@ class ClientSession:
             self.tap(failure)
         return [(waiter, failure) for waiter in waiters]
 
-    def replies(self, replies):
-        """Completions for a batch of inbound replies, in order."""
+    def event(self, event):
+        """Completions for one client-role wire event."""
+        return self.events((event,))
+
+    def events(self, events):
+        """Completions for a batch of client-role wire events, in order,
+        under one acquisition of the lock."""
         entries, deadlines = self.entries, self.deadlines
         done = []
         with self.lock:
-            for reply in replies:
-                key = reply.request_id
-                if key is None:
-                    key = next(iter(entries), None)  # oldest entry
-                waiter = entries.pop(key, None)
-                if deadlines:
-                    deadlines.pop(key, None)
-                if waiter is not None:
-                    done.append((waiter, reply))
-                elif is_channel_level_error(reply):
-                    # The server could not name the call it rejected;
-                    # one of our waiters would otherwise never complete,
-                    # so all fail with the server's diagnosis.  The
-                    # connection itself survives.
-                    done += self._fail_all(channel_level_failure(reply))
-                else:
-                    self.orphaned_replies += 1
+            for event in events:
+                kind = type(event)
+                if kind is ReplyReceived:
+                    reply = event.reply
+                    key = reply.request_id
+                    if key is None:
+                        key = next(iter(entries), None)  # oldest entry
+                    waiter = entries.pop(key, None)
+                    if deadlines:
+                        deadlines.pop(key, None)
+                    if waiter is not None:
+                        done.append((waiter, reply))
+                    elif is_channel_level_error(reply):
+                        # The server could not name the call it
+                        # rejected; one of our waiters would otherwise
+                        # never complete, so all fail with the server's
+                        # diagnosis.  The connection itself survives.
+                        done += self._fail_all(channel_level_failure(reply))
+                    elif self.multiplexed:
+                        self.orphaned_replies += 1
+                    else:
+                        done += self._die(CommunicationError(
+                            f"reply for request {key}, expected "
+                            f"{next(iter(entries), None)}",
+                            kind="peer-protocol-error"))
+                elif kind is CloseReceived:
+                    done += self._die(draining_failure())
+                elif kind is WireViolation:
+                    done += self._die(event.message)
+                # Anything else (a LocateReply) answers traffic the
+                # session never filed.
         return done
-
-    def event(self, event):
-        """Completions for one client-role wire event."""
-        kind = type(event)
-        if kind is ReplyReceived:
-            return self.replies((event.reply,))
-        if kind is CloseReceived:
-            return self.dead(draining_failure())
-        if kind is WireViolation:
-            return self.dead(event.message)
-        return ()  # locate traffic initiated elsewhere
 
     def dead(self, cause):
         """The connection is gone: fail every entry, refuse new ones.
@@ -241,14 +262,17 @@ class ClientSession:
         — becomes ``kind="reader-died"``.  :attr:`closed` keeps the
         first cause.
         """
+        with self.lock:
+            return self._die(cause)
+
+    def _die(self, cause):  # holds-lock: self.lock
         if not isinstance(cause, CommunicationError):
             cause = CommunicationError(
-                f"demultiplexer failed: {cause}", kind="reader-died"
+                f"reply reader failed: {cause}", kind="reader-died"
             )
-        with self.lock:
-            if self.closed is None:
-                self.closed = cause
-            return self._fail_all(cause)
+        if self.closed is None:
+            self.closed = cause
+        return self._fail_all(cause)
 
     def close(self):
         """This side closed the connection."""

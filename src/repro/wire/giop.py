@@ -2,8 +2,9 @@
 
 Framing (the 12-byte header + exact-size body), message parsing, and
 message emission for the GIOP/IIOP path — pure bytes in, events out.
-The blocking :class:`repro.heidirmi.iiop.GiopProtocol` and the asyncio
-front-end both pump this machine; neither re-implements any framing.
+The blocking communicator (through
+:func:`repro.heidirmi.iiop.pump_giop_event`) and the asyncio pumps
+both drive this machine; neither re-implements any framing.
 
 Role rules (what counts as a violation mirrors the pre-refactor
 blocking code exactly, message text included):
@@ -59,6 +60,7 @@ from repro.model.call import (
 from repro.model.errors import MarshalError, ProtocolError
 from repro.wire import headers
 from repro.wire.bufferplan import FRAME_CACHE, SEND_POOL, BufferPlan
+from repro.wire.correlation import RESERVED_CHANNEL_ERROR_ID
 from repro.wire.events import (
     NEED_DATA,
     CancelReceived,
@@ -230,19 +232,15 @@ def encode_close():
 class GiopWire(WireMachine):
     """GIOP 1.0 framing and message parsing as a pure state machine.
 
-    Replies are correlated by whoever drives the machine (the client
-    session, by ``reply.request_id``); the one-call-in-flight check of
-    a serial blocking client is :class:`repro.heidirmi.iiop.GiopProtocol`'s.
+    The machine keeps no correlation state: a reply carries the id it
+    was given, and what an id means is the client session's decision
+    (``repro.wire.correlation``), in every connection mode.
     """
 
     protocol_name = "giop"
 
     def __init__(self, role):
         super().__init__(role)
-        #: Server role: the id of the last parsed Request — the id an
-        #: id-less emit_reply echoes (serial servers only; pipelined
-        #: servers set reply.request_id explicitly).
-        self.pending_reply_id = 0
         #: ``(message_type, message_size, little_endian)`` of a frame
         #: whose header is consumed and whose body is still arriving.
         self._header = None
@@ -291,9 +289,8 @@ class GiopWire(WireMachine):
         A blocking pump that performed the header and body reads
         itself hands :meth:`frame_header`'s verdict and the body
         straight to the parser, skipping the buffer round-trip
-        :meth:`feed_frame` would pay.  All state rules (role table,
-        serial checks, pending ids) still apply.  Only valid while
-        nothing is buffered in the machine.
+        :meth:`feed_frame` would pay.  The role table still applies.
+        Only valid while nothing is buffered in the machine.
 
         *raw_header* is the 12 header bytes as read off the wire; a
         pump driving a tapped machine passes them so the flight record
@@ -360,9 +357,6 @@ class GiopWire(WireMachine):
                 call.deadline = headers.parse_deadline_context(
                     context.context_data
                 )
-        # The reply to this request must echo its id; serial drivers
-        # reply without call context, so remember it here.
-        self.pending_reply_id = request_id
         return RequestReceived(call)
 
     def _parse_reply(self, decoder):
@@ -395,10 +389,16 @@ class GiopWire(WireMachine):
     emit_request = staticmethod(encode_request)
 
     def emit_reply(self, reply, request_id=None):
+        """The reply frame, echoing *request_id* or the reply's own id.
+
+        A reply with neither answers a request that did not parse, so
+        it names none: the reserved id 0, exactly as text2's
+        ``RET2 0 ERR``.
+        """
         if request_id is None:
             request_id = reply.request_id
         if request_id is None:
-            request_id = self.pending_reply_id
+            request_id = RESERVED_CHANNEL_ERROR_ID
         return encode_reply(reply, request_id)
 
     emit_locate_request = staticmethod(encode_locate_request)

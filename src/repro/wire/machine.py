@@ -6,12 +6,12 @@ events out:
 
 - an asyncio (or any other) pump calls ``feed_bytes(chunk)`` with
   whatever arrived and handles the returned events;
-- the blocking adapters in ``repro.heidirmi.protocol`` instead ask
-  :meth:`read_hint` what the machine needs next (a line, or an exact
-  byte count), perform that one blocking read, and feed the exact
-  frame — so the blocking stack issues the *same reads against the
-  same channel methods* as it did before the refactor, which keeps
-  fault-injection points and deterministic chaos schedules intact.
+- a blocking pump instead performs one blocking read per frame (the
+  protocol's ``read_event``: a line for the text machines, or the exact
+  byte counts :meth:`read_hint` names) and feeds the exact frame — so
+  the blocking stack reads through the channel's own methods, which
+  keeps fault-injection points and deterministic chaos schedules
+  intact.
 
 Machines are per-direction: a ``role="client"`` machine parses replies,
 a ``role="server"`` machine parses requests.  Emission (``emit_*``) is
@@ -97,22 +97,13 @@ class WireMachine:
     def feed_frame(self, data):
         """One exact frame from a hint-driven pump: buffer, parse once.
 
-        Semantically ``receive_data(data)`` + ``next_event()``.  A
-        blocking driver that already performed the exact read a
+        A blocking pump that already performed the exact read a
         :meth:`read_hint` asked for uses this to skip the speculative
         parse of an empty buffer that a feed-then-poll loop would pay
         on every frame.
         """
         self._append(data)
-        event = self._parse_one()
-        if event is not NEED_DATA:
-            if self.tap is not None:
-                self.tap.record_in(
-                    self._buffer[self._tap_mark:self._start], event, self.role
-                )
-            self._compact()
-            self._tap_mark = self._start
-        return event
+        return self.next_event()
 
     def read_hint(self):
         """What one blocking read should fetch next.
@@ -129,11 +120,6 @@ class WireMachine:
     def has_buffered(self):
         """Unparsed bytes sitting in the machine?"""
         return len(self._buffer) > self._start
-
-    @property
-    def buffered(self):
-        """The unparsed bytes (a copy; diagnostics only)."""
-        return bytes(self._buffer[self._start:])
 
     def _available(self):
         return len(self._buffer) - self._start

@@ -1,8 +1,9 @@
 """Sans-I/O state machines for the text and text2 wire protocols.
 
-The parse and emit logic that used to live inline in
-``repro.heidirmi.protocol`` — these functions are the single source of
-truth now; the blocking protocol classes are thin pumps over them.
+The only place a text request or reply line is emitted or parsed: the
+blocking communicator reads one line per event through
+:meth:`TextWire.feed_line`, the asyncio pumps feed chunks through
+``feed_bytes``, and both go through the same per-line parse.
 
 Message shapes (one printable-ASCII line each, ``\\n``-terminated)::
 
@@ -336,8 +337,19 @@ class TextWire(WireMachine):
 
     _parse_request = staticmethod(parse_request_line)
     _parse_reply = staticmethod(parse_reply_line)
-    _encode_request = staticmethod(encode_request)
-    _encode_reply = staticmethod(encode_reply)
+
+    #: The raw line that means "orderly close" (terminator excluded):
+    #: none for the classic protocol, whose only goodbye is EOF.
+    _close_line = None
+
+    def __init__(self, role):
+        super().__init__(role)
+        # The role fixes which grammar every line is parsed with, so the
+        # per-line path picks neither the parser nor the event class.
+        if role == CLIENT:
+            self._parse_line, self._event = self._parse_reply, ReplyReceived
+        else:
+            self._parse_line, self._event = self._parse_request, RequestReceived
 
     def read_hint(self):
         return ("line",)
@@ -363,7 +375,7 @@ class TextWire(WireMachine):
     def feed_line(self, raw):
         """One complete line (terminator already stripped) → event.
 
-        The zero-copy fast path of the blocking pump: the channel's
+        The blocking read of both text protocols: the channel's
         ``recv_line`` has already demarcated the line, so when nothing
         is buffered the machine parses it in place instead of paying a
         copy into its own buffer and a second newline scan.  With bytes
@@ -388,21 +400,20 @@ class TextWire(WireMachine):
         return event
 
     def _event_for_line(self, raw):
-        line = raw.decode("ascii", errors="replace")
+        # The close line is accepted in both roles (either side may
+        # announce an orderly close); one short compare per line.
+        if raw == self._close_line:
+            return CloseReceived()
         try:
-            if self.role == CLIENT:
-                return ReplyReceived(self._parse_reply(line))
-            return RequestReceived(self._parse_request(line))
+            return self._event(
+                self._parse_line(raw.decode("ascii", "replace")))
         except ProtocolError as exc:
             return WireViolation(str(exc))
 
     # -- emission ----------------------------------------------------------
 
-    def emit_request(self, call):
-        return self._encode_request(call)
-
-    def emit_reply(self, reply):
-        return self._encode_reply(reply)
+    emit_request = staticmethod(encode_request)
+    emit_reply = staticmethod(encode_reply)
 
 
 #: The text2 orderly-close line (terminator excluded, like recv_line).
@@ -419,15 +430,10 @@ class Text2Wire(TextWire):
 
     _parse_request = staticmethod(parse_request2_line)
     _parse_reply = staticmethod(parse_reply2_line)
-    _encode_request = staticmethod(encode_request2)
-    _encode_reply = staticmethod(encode_reply2)
+    _close_line = BYE_LINE
 
-    def _event_for_line(self, raw):
-        # ``BYE`` is accepted in both roles (either side may announce an
-        # orderly close); one 3-byte compare on the per-line path.
-        if raw == BYE_LINE:
-            return CloseReceived()
-        return super()._event_for_line(raw)
+    emit_request = staticmethod(encode_request2)
+    emit_reply = staticmethod(encode_reply2)
 
     def emit_close(self):
         """The orderly-close frame this machine's peer will parse."""

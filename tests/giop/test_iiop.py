@@ -4,11 +4,21 @@ import threading
 
 import pytest
 
+from repro.heidirmi.communicator import ObjectCommunicator
 from repro.heidirmi.iiop import GiopProtocol
 from repro.giop.cdr import CdrDecoder, CdrEncoder
 from repro.model.call import Call, Reply, STATUS_ERROR, STATUS_EXCEPTION, STATUS_OK
-from repro.model.errors import MarshalError, ProtocolError
+from repro.model.errors import CommunicationError, MarshalError
 from repro.heidirmi.transport import get_transport
+from repro.wire.events import WireViolation
+
+from tests.wire.rig import (
+    read_event,
+    recv_reply,
+    recv_request,
+    send_reply,
+    send_request,
+)
 
 REF = "@tcp:h:1234#9#IDL:X:1.0"
 
@@ -64,8 +74,8 @@ class TestRequestReply:
         call.put_octet(1)
         call.put_double(2.5)  # exercises alignment after variable header
         call.put_string("s")
-        protocol.send_request(client, call)
-        received = protocol.recv_request(server)
+        send_request(protocol, client, call)
+        received = recv_request(protocol, server)
         assert received.target == REF
         assert received.operation == "mix"
         assert received.get_octet() == 1
@@ -75,14 +85,14 @@ class TestRequestReply:
     def test_reply_roundtrip(self, channels):
         client, server = channels
         protocol = GiopProtocol()
-        # Prime the request ids by sending a request first.
         call = Call(REF, "op", marshaller=protocol.new_marshaller())
-        protocol.send_request(client, call)
-        protocol.recv_request(server)
-        reply = Reply(status=STATUS_OK, marshaller=protocol.new_marshaller())
+        send_request(protocol, client, call)
+        request = recv_request(protocol, server)
+        reply = Reply(status=STATUS_OK, marshaller=protocol.new_marshaller(),
+                      request_id=request.request_id)
         reply.put_long(-12)
-        protocol.send_reply(server, reply)
-        received = protocol.recv_reply(client)
+        send_reply(protocol, server, reply)
+        received = recv_reply(protocol, client)
         assert received.is_ok
         assert received.get_long() == -12
 
@@ -90,13 +100,13 @@ class TestRequestReply:
         client, server = channels
         protocol = GiopProtocol()
         call = Call(REF, "op", marshaller=protocol.new_marshaller())
-        protocol.send_request(client, call)
-        protocol.recv_request(server)
+        send_request(protocol, client, call)
+        recv_request(protocol, server)
         reply = Reply(status=STATUS_EXCEPTION, repo_id="IDL:Bad:1.0",
                       marshaller=protocol.new_marshaller())
         reply.put_string("detail")
-        protocol.send_reply(server, reply)
-        received = protocol.recv_reply(client)
+        send_reply(protocol, server, reply)
+        received = recv_reply(protocol, client)
         assert received.is_exception
         assert received.repo_id == "IDL:Bad:1.0"
         assert received.get_string() == "detail"
@@ -105,13 +115,13 @@ class TestRequestReply:
         client, server = channels
         protocol = GiopProtocol()
         call = Call(REF, "op", marshaller=protocol.new_marshaller())
-        protocol.send_request(client, call)
-        protocol.recv_request(server)
+        send_request(protocol, client, call)
+        recv_request(protocol, server)
         reply = Reply(status=STATUS_ERROR, repo_id="MethodNotFound",
                       marshaller=protocol.new_marshaller())
         reply.put_string("no method")
-        protocol.send_reply(server, reply)
-        received = protocol.recv_reply(client)
+        send_reply(protocol, server, reply)
+        received = recv_reply(protocol, client)
         assert received.is_error
         assert received.repo_id == "MethodNotFound"
 
@@ -120,11 +130,12 @@ class TestRequestReply:
         protocol = GiopProtocol()
         for _ in range(3):
             call = Call(REF, "op", marshaller=protocol.new_marshaller())
-            protocol.send_request(client, call)
-            protocol.recv_request(server)
-            reply = Reply(status=STATUS_OK, marshaller=protocol.new_marshaller())
-            protocol.send_reply(server, reply)
-            protocol.recv_reply(client)  # raises on id mismatch
+            send_request(protocol, client, call)
+            request = recv_request(protocol, server)
+            reply = Reply(status=STATUS_OK, marshaller=protocol.new_marshaller(),
+                          request_id=request.request_id)
+            send_reply(protocol, server, reply)
+            assert recv_reply(protocol, client).request_id == call.request_id
 
     def test_request_ids_wrap_inside_ulong_skipping_zero(self, channels):
         """``itertools.count`` never wraps but GIOP's id is a ulong and
@@ -138,38 +149,47 @@ class TestRequestReply:
         seen = []
         for _ in range(4):
             call = Call(REF, "op", marshaller=protocol.new_marshaller())
-            protocol.send_request(client, call)
-            assert protocol.recv_request(server).request_id == call.request_id
+            send_request(protocol, client, call)
+            assert recv_request(protocol, server).request_id == call.request_id
             seen.append(call.request_id)
         assert seen == [(1 << 32) - 2, (1 << 32) - 1, 1, 2]
 
     def test_mismatched_reply_id_rejected(self, channels):
+        """One call at a time, a reply for another id cannot be an
+        orphan: the exclusive client fails the call and its channel."""
         client, server = channels
         protocol = GiopProtocol()
+
+        def forge():
+            recv_request(protocol, server)
+            reply = Reply(status=STATUS_OK, request_id=999,
+                          marshaller=protocol.new_marshaller())
+            send_reply(protocol, server, reply)
+
+        thread = threading.Thread(target=forge)
+        thread.start()
         call = Call(REF, "op", marshaller=protocol.new_marshaller())
-        protocol.send_request(client, call)
-        protocol.recv_request(server)
-        # Forge a reply with the wrong id.
-        server._wire_server.pending_reply_id = 999
-        reply = Reply(status=STATUS_OK, marshaller=protocol.new_marshaller())
-        protocol.send_reply(server, reply)
-        with pytest.raises(ProtocolError, match=(
-                f"reply for request 999, expected {call.request_id}")):
-            protocol.recv_reply(client)
+        with pytest.raises(CommunicationError, match=(
+                f"reply for request 999, expected 1")) as excinfo:
+            ObjectCommunicator(client, protocol).invoke(call)
+        thread.join()
+        assert excinfo.value.kind == "peer-protocol-error"
+        assert call.request_id == 1 and client.closed
 
     def test_oneway_sets_response_not_expected(self, channels):
         client, server = channels
         protocol = GiopProtocol()
         call = Call(REF, "fire", marshaller=protocol.new_marshaller(),
                     oneway=True)
-        protocol.send_request(client, call)
-        received = protocol.recv_request(server)
+        send_request(protocol, client, call)
+        received = recv_request(protocol, server)
         assert received.oneway
 
     def test_wrong_message_type_rejected(self, channels):
         client, server = channels
         protocol = GiopProtocol()
         call = Call(REF, "op", marshaller=protocol.new_marshaller())
-        protocol.send_request(client, call)  # a Request arrives...
-        with pytest.raises(ProtocolError, match="expected GIOP Reply"):
-            protocol.recv_reply(server)  # ...where a Reply was expected
+        send_request(protocol, client, call)  # a Request arrives...
+        event = read_event(protocol, server, "client")  # ...at a client
+        assert type(event) is WireViolation
+        assert event.message.startswith("expected GIOP Reply")

@@ -4,7 +4,7 @@ import threading
 
 import pytest
 
-from repro.heidirmi.iiop import GiopProtocol
+from repro.heidirmi.iiop import GiopProtocol, locate
 from repro.giop.messages import (
     LOCATE_OBJECT_HERE,
     LOCATE_UNKNOWN_OBJECT,
@@ -18,6 +18,9 @@ from repro.heidirmi.protocol import pump_event
 from repro.heidirmi.serialize import TypeRegistry
 from repro.heidirmi.transport import get_transport
 from repro.wire.events import LocateRequested
+from repro.wire.giop import GiopWire
+
+from tests.wire.rig import recv_reply, send_request
 
 TYPE_ID = "IDL:Locate/Thing:1.0"
 
@@ -57,8 +60,7 @@ class TestLocateRequest:
         server, ref = live_giop
         channel = direct_channel(server)
         try:
-            protocol = GiopProtocol()
-            status = protocol.locate(channel, ref.stringify().encode())
+            status = locate(channel, ref.stringify().encode())
             assert status == LOCATE_OBJECT_HERE
         finally:
             channel.close()
@@ -68,7 +70,7 @@ class TestLocateRequest:
         bad = ref.stringify().replace(f"#{ref.object_id}#", "#does-not-exist#")
         channel = direct_channel(server)
         try:
-            status = GiopProtocol().locate(channel, bad.encode())
+            status = locate(channel, bad.encode())
             assert status == LOCATE_UNKNOWN_OBJECT
         finally:
             channel.close()
@@ -77,7 +79,7 @@ class TestLocateRequest:
         server, _ = live_giop
         channel = direct_channel(server)
         try:
-            status = GiopProtocol().locate(channel, b"\xff\xfenot-a-ref")
+            status = locate(channel, b"\xff\xfenot-a-ref")
             assert status == LOCATE_UNKNOWN_OBJECT
         finally:
             channel.close()
@@ -89,12 +91,12 @@ class TestLocateRequest:
         channel = direct_channel(server)
         try:
             protocol = GiopProtocol()
-            assert protocol.locate(channel, ref.stringify().encode()) \
+            assert locate(channel, ref.stringify().encode()) \
                 == LOCATE_OBJECT_HERE
             call = Call(ref.stringify(), "poke",
                         marshaller=protocol.new_marshaller())
-            protocol.send_request(channel, call)
-            reply = protocol.recv_reply(channel)
+            send_request(protocol, channel, call)
+            reply = recv_reply(protocol, channel)
             assert reply.get_long() == 7
         finally:
             channel.close()
@@ -104,8 +106,7 @@ class TestConnectionControl:
     def test_close_connection_ends_server_loop(self, live_giop):
         server, ref = live_giop
         channel = direct_channel(server)
-        protocol = GiopProtocol()
-        protocol.close_connection(channel)
+        channel.send(GiopWire("client").emit_close())
         # The server drops the connection; a subsequent read sees EOF.
         with pytest.raises(CommunicationError):
             channel.recv_exact(1)
@@ -125,8 +126,8 @@ class TestConnectionControl:
             protocol = GiopProtocol()
             call = Call(ref.stringify(), "poke",
                         marshaller=protocol.new_marshaller())
-            protocol.send_request(channel, call)
-            assert protocol.recv_reply(channel).get_long() == 7
+            send_request(protocol, channel, call)
+            assert recv_reply(protocol, channel).get_long() == 7
         finally:
             channel.close()
 
@@ -140,7 +141,7 @@ class TestConnectionControl:
             server_channel = listener.accept()
             held["channel"] = server_channel  # keep it open
             held["event"] = pump_event(
-                server_channel, GiopProtocol().server_machine())
+                server_channel, GiopWire("server"))
             server_channel.send(frame_message(MSG_MESSAGE_ERROR, b""))
 
         thread = threading.Thread(target=fake_server, daemon=True)
@@ -148,7 +149,7 @@ class TestConnectionControl:
         channel = get_transport("inproc").connect(*listener.address)
         try:
             with pytest.raises(ProtocolError):
-                GiopProtocol().locate(channel, b"key")
+                locate(channel, b"key")
             assert type(held["event"]) is LocateRequested
             assert held["event"].object_key == b"key"
         finally:

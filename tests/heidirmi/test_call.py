@@ -8,8 +8,17 @@ from repro.model.call import Call, Reply, STATUS_ERROR, STATUS_EXCEPTION, STATUS
 from repro.heidirmi.communicator import ObjectCommunicator
 from repro.model.errors import MarshalError, ProtocolError
 from repro.heidirmi.protocol import TextProtocol, get_protocol, register_protocol
+from repro.wire.events import WireViolation
 from repro.wire.textwire import TextMarshaller, TextUnmarshaller
 from repro.heidirmi.transport import get_transport
+
+from tests.wire.rig import (
+    read_event,
+    recv_reply,
+    recv_request,
+    send_reply,
+    send_request,
+)
 
 REF = "@tcp:galaxy.nec.com:1234#9876#IDL:Heidi/A:1.0"
 
@@ -84,7 +93,7 @@ class TestTextProtocolFraming:
         call = Call(REF, "play", marshaller=protocol.new_marshaller())
         call.put_string("movie one")
         call.put_long(3)
-        protocol.send_request(channels.client, call)
+        send_request(protocol, channels.client, call)
         line = channels.server.recv_line()
         assert line == (
             b"CALL @tcp:galaxy.nec.com:1234#9876#IDL:Heidi/A:1.0 play "
@@ -95,8 +104,8 @@ class TestTextProtocolFraming:
         protocol = TextProtocol()
         call = Call(REF, "play", marshaller=protocol.new_marshaller())
         call.put_string("x")
-        protocol.send_request(channels.client, call)
-        received = protocol.recv_request(channels.server)
+        send_request(protocol, channels.client, call)
+        received = recv_request(protocol, channels.server)
         assert received.target == REF
         assert received.operation == "play"
         assert received.get_string() == "x"
@@ -104,16 +113,16 @@ class TestTextProtocolFraming:
     def test_oneway_verb(self, channels):
         protocol = TextProtocol()
         call = Call(REF, "fire", marshaller=protocol.new_marshaller(), oneway=True)
-        protocol.send_request(channels.client, call)
-        received = protocol.recv_request(channels.server)
+        send_request(protocol, channels.client, call)
+        received = recv_request(protocol, channels.server)
         assert received.oneway
 
     def test_ok_reply_roundtrip(self, channels):
         protocol = TextProtocol()
         reply = Reply(status=STATUS_OK, marshaller=protocol.new_marshaller())
         reply.put_long(42)
-        protocol.send_reply(channels.server, reply)
-        received = protocol.recv_reply(channels.client)
+        send_reply(protocol, channels.server, reply)
+        received = recv_reply(protocol, channels.client)
         assert received.is_ok
         assert received.get_long() == 42
 
@@ -122,26 +131,26 @@ class TestTextProtocolFraming:
         reply = Reply(status=STATUS_EXCEPTION, repo_id="IDL:Heidi/Bad:1.0",
                       marshaller=protocol.new_marshaller())
         reply.put_string("why")
-        protocol.send_reply(channels.server, reply)
-        received = protocol.recv_reply(channels.client)
+        send_reply(protocol, channels.server, reply)
+        received = recv_reply(protocol, channels.client)
         assert received.is_exception
         assert received.repo_id == "IDL:Heidi/Bad:1.0"
         assert received.get_string() == "why"
 
     def test_malformed_request_raises_protocol_error(self, channels):
         channels.client.send(b"NONSENSE\n")
-        with pytest.raises(ProtocolError):
-            TextProtocol().recv_request(channels.server)
+        event = read_event(TextProtocol(), channels.server, "server")
+        assert type(event) is WireViolation
 
     def test_malformed_reply_raises(self, channels):
         channels.server.send(b"NOT A REPLY\n")
-        with pytest.raises(ProtocolError):
-            TextProtocol().recv_reply(channels.client)
+        event = read_event(TextProtocol(), channels.client, "client")
+        assert type(event) is WireViolation
 
     def test_empty_args_request(self, channels):
         protocol = TextProtocol()
         call = Call(REF, "ping", marshaller=protocol.new_marshaller())
-        protocol.send_request(channels.client, call)
+        send_request(protocol, channels.client, call)
         assert channels.server.recv_line().endswith(b" ping")
 
 
@@ -149,10 +158,10 @@ class TestObjectCommunicator:
     def test_invoke_and_reply(self, channels):
         protocol = TextProtocol()
         client = ObjectCommunicator(channels.client, protocol)
-        server = ObjectCommunicator(channels.server, protocol)
+        server = ObjectCommunicator(channels.server, protocol, role="server")
 
         def serve_one():
-            call = server.next_request()
+            call = server.next_event().call
             reply = Reply(status=STATUS_OK, marshaller=protocol.new_marshaller())
             reply.put_string(call.get_string().upper())
             server.reply(reply)
@@ -177,7 +186,7 @@ class TestObjectCommunicator:
         protocol = TextProtocol()
         server = ObjectCommunicator(channels.server, protocol)
         server.reply(error_reply(protocol, "Protocol", "bad line"))
-        reply = protocol.recv_reply(channels.client)
+        reply = recv_reply(protocol, channels.client)
         assert reply.is_error
         assert reply.repo_id == "Protocol"
         assert reply.get_string() == "bad line"

@@ -1,4 +1,4 @@
-"""One client core, two pumps: the blocking and asyncio clients agree.
+"""One client core, three pumps: every client agrees.
 
 The mirror of ``test_serving.py``.  A raw-socket scripted *server*
 holds the same conversation — ok, user exception, oneway, out-of-order
@@ -9,20 +9,27 @@ reset, a local close — with ``ObjectCommunicator(multiplexed=True)``
 and with ``AioClientConnection``.  The request bytes, what every step
 raised or returned, the orphan count and the (empty) pending table must
 not depend on which pump carried them: both only move bytes for the
-one sans-I/O ``ClientSession``.
+one sans-I/O ``ClientSession``.  The exclusive ``ObjectCommunicator``
+— the calling thread pumps its own call — takes every step a
+one-call-at-a-time client can take and must log what the other two do.
 """
 
 import ast
 import asyncio
 import inspect
+import os
 import socket
 import struct
+import threading
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
 
 import pytest
 
+import repro
+from repro.heidirmi import Orb, iiop
 from repro.heidirmi import communicator as communicator_module
+from repro.heidirmi import protocol as protocol_module
 from repro.model.call import (
     STATUS_ERROR,
     STATUS_EXCEPTION,
@@ -30,6 +37,7 @@ from repro.model.call import (
     Call,
     Reply,
 )
+from repro.model.objref import ObjectReference
 from repro.heidirmi.communicator import ObjectCommunicator
 from repro.heidirmi.protocol import get_protocol
 from repro.heidirmi.transport import get_transport
@@ -129,6 +137,20 @@ class BlockingPump:
         self.workers.shutdown()
 
 
+class ExclusivePump(BlockingPump):
+    """ObjectCommunicator's exclusive round trip: the calling thread
+    (a worker here, so the script can answer) pumps its own call."""
+
+    def __init__(self, protocol, host, port):
+        self.communicator = ObjectCommunicator(
+            get_transport("tcp").connect(host, port), protocol)
+        self.session = self.communicator._session
+        self.workers = ThreadPoolExecutor(max_workers=1)
+
+    def start(self, call):
+        return self.workers.submit(self.communicator.invoke, call)
+
+
 class AioPump:
     """AioClientConnection's reader coroutine."""
 
@@ -214,9 +236,16 @@ class Conversation:
 
 
 def converse(pump_class, protocol_name, listener):
-    """Hold the scripted conversation; returns what must not vary."""
+    """Hold the scripted conversation; returns what must not vary.
+
+    An exclusive pump takes the steps a one-call-at-a-time client can
+    take, with the same request ids: its two calls go one after the
+    other, and the call that runs out its budget takes the connection
+    with it, so the steps after it start on a fresh one.
+    """
     talk = Conversation(pump_class, protocol_name, listener)
     multiplexed = protocol_name != "text"
+    exclusive = pump_class is ExclusivePump
 
     # -- first connection: everything a connection survives ------------------
     talk.connect()
@@ -233,27 +262,40 @@ def converse(pump_class, protocol_name, listener):
     (noted,) = peer.requests(1)
     assert noted.oneway and noted.get_string() == "by the way"
 
-    (first, second), (one, two) = talk.exchange("first", "second")
-    if multiplexed:
-        peer.reply(two.request_id, "second")
-        peer.reply(one.request_id, "first")
-    else:  # replies answer in arrival order, whatever they say
-        peer.reply(None, "first")
-        peer.reply(None, "second")
-    talk.note("two in flight", first, second)
+    if exclusive:
+        answered = []
+        for argument in ("first", "second"):
+            (future,), (request,) = talk.exchange(argument)
+            peer.reply(request.request_id, argument)
+            answered.append(future)
+        talk.note("two in flight", *answered)
+    else:
+        (first, second), (one, two) = talk.exchange("first", "second")
+        if multiplexed:
+            peer.reply(two.request_id, "second")
+            peer.reply(one.request_id, "first")
+        else:  # replies answer in arrival order, whatever they say
+            peer.reply(None, "first")
+            peer.reply(None, "second")
+        talk.note("two in flight", first, second)
 
     # Silence past the deadline; then the abandoned call's reply turns
     # up after all, ahead of the reply to the call behind it.
     (late,), (abandoned,) = talk.exchange("slow", budget=True)
     talk.note("silence past the deadline", late)
-    (behind,), (request,) = talk.exchange("behind")
-    peer.reply(abandoned.request_id, "late")
-    if multiplexed:
-        peer.reply(777, "never issued")
-    peer.reply(request.request_id, "behind")
-    talk.note("late reply is not delivered", behind)
+    if exclusive:
+        talk.hang_up()
+        talk.connect()
+        pump, peer = talk.pump, talk.peer
+    else:
+        (behind,), (request,) = talk.exchange("behind")
+        peer.reply(abandoned.request_id, "late")
+        if multiplexed:
+            peer.reply(777, "never asked for")
+        peer.reply(request.request_id, "behind")
+        talk.note("late reply is not delivered", behind)
 
-    if multiplexed:
+    if multiplexed and not exclusive:
         # The server could not parse a request, so it cannot say whose.
         waiting, _ = talk.exchange("a", "b")
         peer.reply(0, "cannot parse that", status=STATUS_ERROR,
@@ -275,7 +317,7 @@ def converse(pump_class, protocol_name, listener):
 
     # -- a garbled frame: nothing after it can be trusted --------------------
     talk.connect()
-    waiting, _ = talk.exchange("a", "b")
+    waiting, _ = talk.exchange(*(("a",) if exclusive else ("a", "b")))
     talk.peer.sock.sendall(GARBAGE[protocol_name])
     talk.note("garbled frame", *waiting)
     talk.refused_now("after the garbage")
@@ -343,7 +385,7 @@ def test_both_clients_hold_the_same_conversation(protocol_name, listener):
     assert log["after the close"] == log["after the garbage"] == refused
     (kind, died, message), again = log["garbled frame"]
     assert (kind, died) == ("CommunicationError", "reader-died")
-    assert message.startswith("demultiplexer failed: ")
+    assert message.startswith("reply reader failed: ")
     assert again == (kind, died, message)
     (kind, cut, message), = log["peer reset"]
     assert (kind, cut) == ("CommunicationError", "recv-failed")
@@ -380,6 +422,131 @@ def test_the_idless_protocol_correlates_by_arrival_order(listener):
     assert talk.pending == [0, 0, 0, 0]
 
 
+@pytest.mark.parametrize("protocol_name", ("text", "text2", "giop"))
+def test_the_exclusive_client_logs_what_the_others_do(protocol_name,
+                                                     listener):
+    """Every step a one-call-at-a-time client takes — ok, user
+    exception, oneway, silence past the deadline, a request that will
+    not encode, an orderly close, a garbled frame, a peer reset, a
+    local close — ends the way it ends on the multiplexed pumps (the
+    coroutine one for id-less ``text``, which only it multiplexes)."""
+    other = converse(BlockingPump if protocol_name != "text" else AioPump,
+                     protocol_name, listener)
+    exclusive = converse(ExclusivePump, protocol_name, listener)
+    logged = {}
+    for step, outcomes in other.log:
+        logged.setdefault(step, set()).update(outcomes)
+    closes = (["orderly close mid-wait", "after the close"]
+              if protocol_name != "text" else [])
+    assert [step for step, _ in exclusive.log] == [
+        "ok", "user exception", "two in flight",
+        "silence past the deadline", "will not encode", *closes,
+        "garbled frame", "after the garbage", "peer reset", "local close",
+    ]
+    for step, outcomes in exclusive.log:
+        assert set(outcomes) == logged[step], step
+    # Nothing can be orphaned one call at a time.  (An id-less expired
+    # call keeps its emptied slot in the session of its dead channel.)
+    assert exclusive.orphans == [0, 0, 0, 0, 0]
+    assert exclusive.pending == [int(protocol_name == "text"), 0, 0, 0, 0]
+
+
+#: What a call gets when the only reply to it names another request:
+#: one rule per connection mode, the same on every protocol.  An
+#: exclusive connection has no other call a reply could be for.
+MISDIRECTED = {
+    ("exclusive", "wrong id"): ("CommunicationError", "peer-protocol-error"),
+    ("exclusive", "id 0"): ("CommunicationError", "peer-protocol-error"),
+    ("multiplexed", "wrong id"): ("DeadlineExceeded", "deadline-exceeded"),
+    ("multiplexed", "id 0"): ("CommunicationError", "peer-protocol-error"),
+}
+
+
+class ScriptedListener:
+    """Answers the first request it reads with *answer* — a reply for
+    request 42, or the reserved id 0's ``ERR Protocol`` — and every
+    later one, on any connection, with an echo."""
+
+    def __init__(self, protocol_name, answer):
+        self.protocol_name = protocol_name
+        self.answer = answer
+        self.sock = socket.create_server(("127.0.0.1", 0))
+        self.address = self.sock.getsockname()
+        threading.Thread(target=self._accept, daemon=True).start()
+
+    def _accept(self):
+        while True:
+            try:
+                sock, _ = self.sock.accept()
+            except OSError:
+                return
+            threading.Thread(target=self._serve, args=(sock,),
+                             daemon=True).start()
+
+    def _serve(self, sock):
+        machine = machine_for(self.protocol_name, "server")
+        new_marshaller = get_protocol(self.protocol_name).new_marshaller
+        with sock:
+            while True:
+                event = machine.next_event()
+                if event is NEED_DATA:
+                    try:
+                        chunk = sock.recv(65536)
+                    except OSError:
+                        return
+                    if not chunk:
+                        return
+                    machine.receive_data(chunk)
+                    continue
+                call, answer, self.answer = event.call, self.answer, None
+                if answer == "id 0":
+                    reply = Reply(status=STATUS_ERROR, repo_id="Protocol",
+                                  request_id=0, marshaller=new_marshaller())
+                    reply.put_string("bad line")
+                else:
+                    reply = Reply(
+                        request_id=42 if answer else call.request_id,
+                        marshaller=new_marshaller())
+                    reply.put_string(call.get_string())
+                sock.sendall(machine.emit_reply(reply).to_bytes())
+
+    def close(self):
+        self.sock.close()
+
+
+@pytest.mark.parametrize("answer", ("wrong id", "id 0"))
+@pytest.mark.parametrize("mode", ("exclusive", "multiplexed"))
+@pytest.mark.parametrize("protocol_name", ("text2", "giop"))
+def test_a_misdirected_reply_means_one_thing_per_mode(protocol_name, mode,
+                                                      answer):
+    server = ScriptedListener(protocol_name, answer)
+    client = Orb(protocol=protocol_name, multiplex=mode == "multiplexed")
+    host, port = server.address
+    reference = ObjectReference(protocol="tcp", host=host, port=port,
+                                object_id="1", type_id=TARGET.split("#")[-1])
+
+    def echo(text, deadline=None):
+        call = client.create_call(reference, "echo")
+        call.put_string(text)
+        return client.invoke(reference, call, deadline=deadline)
+
+    try:
+        with pytest.raises(Exception) as excinfo:
+            echo("hello", deadline=0.5)
+        failure = excinfo.value
+        assert (type(failure).__name__, getattr(failure, "kind", None)) \
+            == MISDIRECTED[(mode, answer)]
+        if mode == "exclusive":
+            # The connection was discarded, not pooled: the next call
+            # opens another one, which the script answers properly.
+            assert echo("again").get_string() == "again"
+            assert client.connections.stats == {
+                "hits": 0, "misses": 2, "opened": 2, "evicted": 0}
+    finally:
+        client.stop()
+        server.close()
+
+
 # -- one copy ----------------------------------------------------------------
 
 
@@ -394,6 +561,19 @@ def _class(module, name):
                 if isinstance(node, ast.ClassDef) and node.name == name)
 
 
+#: What only ``ClientSession`` and ``serving.Session`` decide: code that
+#: names one of these is deciding what an event means.
+DECISIONS = {
+    "draining_failure", "peer_closed", "channel_level_failure",
+    "is_channel_level_error", "WireViolation", "CloseReceived",
+    "LocateRequested", "orphaned_replies",
+}
+
+#: The text line parsers: only the text wire machine may call them.
+LINE_PARSERS = {"parse_request_line", "parse_request2_line",
+                "parse_reply_line", "parse_reply2_line"}
+
+
 def _decisions(node):
     """The client decisions a pump must leave to the session."""
     found = set()
@@ -405,13 +585,8 @@ def _decisions(node):
                 and isinstance(n.value, ast.Constant) \
                 and n.value.value in ("draining", "reader-died"):
             found.add(f'kind="{n.value.value}"')
-        if isinstance(n, ast.AugAssign) \
-                and isinstance(n.target, ast.Attribute) \
-                and n.target.attr == "orphaned_replies":
-            found.add("orphaned_replies +=")
-    return found | (_names_used(node) & {
-        "is_channel_level_error", "channel_level_failure", "protocol_name",
-        "_pending", "_fifo", "WireViolation", "CloseReceived"})
+    return found | (_names_used(node) & (DECISIONS | {
+        "protocol_name", "_pending", "_fifo"}))
 
 
 def test_the_session_does_no_io_and_the_pumps_make_no_decisions():
@@ -423,9 +598,26 @@ def test_the_session_does_no_io_and_the_pumps_make_no_decisions():
     assert {n.attr for n in ast.walk(session)
             if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
             and n.value.id == "threading"} == {"Lock"}
-    assert not _decisions(ast.parse(inspect.getsource(communicator_module)))
+    # The communicator pumps both modes; the protocols are a name, a
+    # machine, a marshaller, an id rule and a read.
+    for module in (communicator_module, protocol_module, iiop):
+        assert not _decisions(ast.parse(inspect.getsource(module))), module
     assert not _decisions(_class(aio, "AioClientConnection"))
-    # One class holds the pending table: the two pumps only hold it.
+    # One class holds the pending table: the pumps only hold it.
     classes = [node.name for node in session.body
                if isinstance(node, ast.ClassDef)]
     assert classes == ["RequestIdAllocator", "ClientSession"]
+
+
+def test_no_line_is_parsed_outside_the_text_machine():
+    root = os.path.dirname(repro.__file__)
+    parsing = set()
+    for folder, _, files in os.walk(root):
+        for name in files:
+            if name.endswith(".py"):
+                path = os.path.join(folder, name)
+                with open(path, encoding="utf-8") as handle:
+                    tree = ast.parse(handle.read())
+                if _names_used(tree) & LINE_PARSERS:
+                    parsing.add(os.path.relpath(path, root))
+    assert parsing == {os.path.join("wire", "text.py")}

@@ -163,7 +163,7 @@ def converse(runtime, protocol_name):
         first.replies(1)
         core.draining = False
         first.sock.sendall(MALFORMED[protocol_name])
-        first.replies(1)
+        malformed = first.replies(1)
         first.send("bad", 8)
         first.replies(1)
         first.send("echo", 9, "still here")
@@ -181,6 +181,8 @@ def converse(runtime, protocol_name):
     return {
         "first": first.raw,
         "second": second.raw,
+        "malformed": (malformed.request_id, malformed.status,
+                      malformed.repo_id),
         "requests": server.stats["requests"],
         "metrics": sorted(
             (name, tuple(sorted(entry["labels"].items())))
@@ -208,7 +210,10 @@ def test_both_servers_hold_the_same_conversation(protocol_name):
     assert blocking["requests"] == coroutine["requests"] == 9
     assert blocking["metrics"] == coroutine["metrics"]
     assert blocking["spans"] == coroutine["spans"]
-    # And the conversation said what it should have.
+    # And the conversation said what it should have.  A frame that did
+    # not parse names no request: the reserved id 0 on every protocol.
+    assert blocking["malformed"] == coroutine["malformed"] \
+        == (0, STATUS_ERROR, "Protocol")
     if protocol_name == "text2":
         lines = blocking["first"].split(b"\n")[:-1]
         assert lines[5].startswith(b"RET2 0 ERR Protocol ")
@@ -274,12 +279,65 @@ def test_non_utf8_bytes_in_a_giop_frame_are_answered(runtime):
         stop_pair(server, client)
 
 
+@pytest.mark.parametrize("runtime", SERVER_RUNTIMES)
+def test_an_unparseable_giop_request_is_answered_with_id_0(runtime):
+    """A request that does not parse names no request to answer: the
+    error reply goes out with the reserved id 0 — as text2's
+    ``RET2 0 ERR`` — never with the id of the request before it."""
+    from repro.giop.messages import GIOP_HEADER_SIZE
+    from repro.heidirmi.protocol import get_protocol
+
+    server, client, stub, _ = make_pair(
+        "giop", multiplex=True, transport="tcp", runtime=runtime)
+    wire = Wire("giop", server.address, stub._hd_ref.stringify())
+    try:
+        request = Call(wire.target, "echo", request_id=5,
+                       marshaller=get_protocol("giop").new_marshaller())
+        request.put_string("hello")
+        request.put_long(0)
+        good = bytearray(wire.machine.emit_request(request).to_bytes())
+        wire.sock.sendall(good)
+        assert wire.replies(1).request_id == 5
+        # The same frame as request 6, its object-key length garbled:
+        # header (12), service contexts (4), request id (4), response
+        # flag + padding (4), then the key length.
+        garbled = bytearray(good)
+        garbled[GIOP_HEADER_SIZE + 4:GIOP_HEADER_SIZE + 8] = \
+            (6).to_bytes(4, "little")
+        garbled[GIOP_HEADER_SIZE + 12:GIOP_HEADER_SIZE + 16] = \
+            (10 ** 6).to_bytes(4, "little")
+        wire.sock.sendall(garbled)
+        refusal = wire.replies(1)
+        assert (refusal.request_id, refusal.status, refusal.repo_id) \
+            == (0, STATUS_ERROR, "Protocol")
+        # And the connection is still serving.
+        wire.sock.sendall(good)
+        assert wire.replies(1).get_string() == "ack:hello"
+    finally:
+        wire.sock.close()
+        stop_pair(server, client)
+
+
 # -- one copy ----------------------------------------------------------------
 
 
 def _names_used(node):
     return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} | \
         {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+
+
+#: What only ``ClientSession`` and ``serving.Session`` decide: a pump
+#: that names one of these is deciding what an event means.
+DECISIONS = {
+    "draining_failure", "peer_closed", "channel_level_failure",
+    "is_channel_level_error", "WireViolation", "CloseReceived",
+    "LocateRequested", "orphaned_replies",
+}
+
+
+def _class(tree, name):
+    return next(node for node in tree.body
+                if isinstance(node, ast.ClassDef) and node.name == name)
 
 
 def test_the_core_does_no_io_and_the_aio_pump_makes_no_decisions():
@@ -292,7 +350,13 @@ def test_the_core_does_no_io_and_the_aio_pump_makes_no_decisions():
     assert not used & {"socket", "selectors", "asyncio", "threading",
                        "Thread", "transport", "ObjectCommunicator",
                        "time", "sleep"}
-    pump = _names_used(ast.parse(inspect.getsource(aio)))
+    aio_tree = ast.parse(inspect.getsource(aio))
+    pump = _names_used(aio_tree)
     assert not pump & {"Reply", "STATUS_ERROR", "OVERLOADED_CATEGORY",
                        "overload_message", "admit", "finished", "over_age",
                        "shed_draining_one", "start_span"}
+    # Neither server pump — the blocking one included — decides what an
+    # event means: each hands every event to the session.
+    for pump in (_class(tree, "BlockingServer"),
+                 _class(aio_tree, "AioOrbServer")):
+        assert not _names_used(pump) & DECISIONS, pump.name

@@ -205,10 +205,10 @@ class TestEncodeErrors:
             held = client.connections.acquire(bootstrap)
             client.connections.release(bootstrap, held)
 
-            def boom(channel, call):
+            def boom(data):
                 raise RuntimeError("mid-send")
 
-            monkeypatch.setattr(client.protocol, "send_request", boom)
+            monkeypatch.setattr(held.channel, "send", boom)
             with pytest.raises(RuntimeError):
                 stub.echo("b")
             monkeypatch.undo()

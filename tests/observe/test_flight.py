@@ -1,11 +1,11 @@
 """Flight recorder: ring capture, postmortem bundles, deterministic replay.
 
-The acceptance bar from the issue: live captures replay identically
-through fresh wire machines on every protocol, and a chaos-killed
-channel leaves a replayable bundle whose decoded events match what the
-live tap recorded.  The summary-format coupling between the
-direct-parse taps and the ``repro.wire.events`` reprs is pinned here —
-if an event repr changes, these tests name the drift.
+The acceptance bar: live captures replay identically through fresh wire
+machines on every protocol, and a chaos-killed channel leaves a
+replayable bundle whose decoded events match what the live tap
+recorded.  The summary-format coupling between the tap's stored
+scalars and the ``repro.wire.events`` reprs is pinned here — if an
+event repr changes, these tests name the drift.
 """
 
 import asyncio
@@ -70,36 +70,43 @@ class TestRingCapture:
         assert len(record.frame) == 8
 
     def test_direct_request_tap_matches_event_repr(self):
+        # A request keeps only the scalars of its summary; the rendered
+        # summary must be the event's repr all the same.
         recorder = FlightControl().new_recorder("text2", "server")
         line = b"CALL2 7 obj42 mul 3 4"
-        call = parse_request2_line(line.decode())
-        recorder.record_request(bytearray(line), call)
+        event = wire_events.RequestReceived(parse_request2_line(line.decode()))
+        recorder.record_in(bytearray(line + b"\n"), event, "server")
         record = recorder.snapshot()[0]
-        assert record.summary == repr(wire_events.RequestReceived(call))
+        assert record.summary == repr(event)
         assert bytes(record.frame) == line + b"\n"
         assert record.role == "server"
 
     def test_direct_reply_tap_matches_event_repr(self):
         recorder = FlightControl().new_recorder("text2", "client")
         line = b"RET2 7 OK 12"
-        reply = parse_reply2_line(line.decode())
-        recorder.record_reply(bytearray(line), reply)
+        event = wire_events.ReplyReceived(parse_reply2_line(line.decode()))
+        recorder.record_in(bytearray(line + b"\n"), event, "client")
         record = recorder.snapshot()[0]
-        assert record.summary == repr(wire_events.ReplyReceived(reply))
+        assert record.summary == repr(event)
         assert bytes(record.frame) == line + b"\n"
+        assert record.role == "client"
 
     def test_violation_tap_matches_machine_decoding(self):
-        # The direct path records the parse error; a fresh machine fed
-        # the same line must produce the identical WireViolation repr —
-        # this is exactly what replay will compare.
+        # The tap records the parse error; a fresh machine fed the same
+        # line must produce the identical WireViolation repr — this is
+        # exactly what replay will compare.
         recorder = FlightControl().new_recorder("text2", "server")
         line = b"GIBBERISH x y"
         with pytest.raises(ProtocolError) as excinfo:
             parse_request2_line(line.decode())
-        recorder.record_violation(bytearray(line), str(excinfo.value),
-                                  "server")
+        recorder.record_in(bytearray(line + b"\n"),
+                           wire_events.WireViolation(str(excinfo.value)),
+                           "server")
         machine_event = Text2Wire("server").feed_line(bytearray(line))
-        assert recorder.snapshot()[0].summary == repr(machine_event)
+        record = recorder.snapshot()[0]
+        assert record.summary == repr(machine_event)
+        assert bytes(record.frame) == line + b"\n"
+        assert record.role == "server"
 
     def test_machine_tap_records_event_and_frame(self):
         recorder = FlightControl().new_recorder("text2", "client")

@@ -18,6 +18,8 @@ from repro.heidirmi.serialize import TypeRegistry
 from repro.heidirmi.transport import Channel
 from repro.observe import Observer
 
+from tests.wire.rig import recv_request, send_request
+
 TYPE_ID = "IDL:ObserveTest/Echo:1.0"
 TARGET = f"@inproc:ctx-test:1#7#{TYPE_ID}"
 TOKEN = "00112233445566ff-89abcdef"
@@ -46,8 +48,8 @@ class TestWireRoundTrip:
     def test_context_round_trips(self, channel_pair, name):
         client, server = channel_pair
         protocol = get_protocol(name)
-        protocol.send_request(client, _request(protocol, TOKEN))
-        received = protocol.recv_request(server)
+        send_request(protocol, client, _request(protocol, TOKEN))
+        received = recv_request(protocol, server)
         assert received.trace_context == TOKEN
         assert received.target == TARGET
         assert received.operation == "echo"
@@ -57,8 +59,8 @@ class TestWireRoundTrip:
     def test_untraced_request_parses_unchanged(self, channel_pair, name):
         client, server = channel_pair
         protocol = get_protocol(name)
-        protocol.send_request(client, _request(protocol))
-        received = protocol.recv_request(server)
+        send_request(protocol, client, _request(protocol))
+        received = recv_request(protocol, server)
         assert received.trace_context is None
         assert received.target == TARGET
         assert received.get_string() == "hello"
@@ -67,8 +69,8 @@ class TestWireRoundTrip:
     def test_context_rides_oneways(self, channel_pair, name):
         client, server = channel_pair
         protocol = get_protocol(name)
-        protocol.send_request(client, _request(protocol, TOKEN, oneway=True))
-        received = protocol.recv_request(server)
+        send_request(protocol, client, _request(protocol, TOKEN, oneway=True))
+        received = recv_request(protocol, server)
         assert received.oneway
         assert received.trace_context == TOKEN
 
@@ -76,7 +78,7 @@ class TestWireRoundTrip:
         """The token sits between the verb and the target, ctx=-prefixed."""
         client, server = channel_pair
         protocol = get_protocol("text")
-        protocol.send_request(client, _request(protocol, TOKEN))
+        send_request(protocol, client, _request(protocol, TOKEN))
         line = server.recv_line().decode("ascii")
         verb, ctx, target = line.split()[:3]
         assert verb == "CALL"
@@ -111,7 +113,7 @@ class TestWireRoundTrip:
         header.encode(encoder)
         encoder.string("hello")  # the echo parameter
         client.send(frame_message(MSG_REQUEST, encoder.data()))
-        received = get_protocol("giop").recv_request(server)
+        received = recv_request(get_protocol("giop"), server)
         assert received.trace_context == TOKEN
         assert received.get_string() == "hello"
 

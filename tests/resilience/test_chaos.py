@@ -5,7 +5,13 @@ import time
 import pytest
 
 from repro.model.errors import CommunicationError
-from repro.resilience import ChaosChannel, ChaosTransport, FaultPlan
+from repro.resilience import (
+    ChaosChannel,
+    ChaosTransport,
+    FaultPlan,
+    ResiliencePolicy,
+    RetryPolicy,
+)
 from repro.resilience.chaos import install_chaos
 
 from tests.resilience.rig import make_pair, stop_pair
@@ -157,17 +163,54 @@ def test_mid_frame_disconnect_surfaces_as_send_failed():
         stop_pair(server, client)
 
 
-def test_garbage_reply_exclusive_surfaces_as_peer_protocol_error():
+def test_garbage_reply_exclusive_fails_the_call_as_reader_died():
+    """A garbled reply means on an exclusive connection what it means
+    on a multiplexed one: the reply stream is lost (``reader-died``)."""
     plan = FaultPlan(script={("recv", 1): "garbage"})
     server, client, stub, _ = make_pair(plan=plan)
     try:
         assert stub.echo("warm") == "ack:warm"
         with pytest.raises(CommunicationError) as excinfo:
             stub.echo("x")
-        assert excinfo.value.kind == "peer-protocol-error"
+        assert excinfo.value.kind == "reader-died"
         # The poisoned channel was closed and discarded; a fresh one
         # serves its first (clean) read normally.
         assert stub.echo("y") == "ack:y"
+    finally:
+        stop_pair(server, client)
+
+
+def test_garbage_reply_exclusive_is_resent_only_when_idempotent():
+    """``reader-died`` is a default retryable kind, so an idempotent call
+    whose reply came back garbled on an exclusive connection is sent
+    again on a fresh one — the server runs it twice — while a call not
+    marked idempotent fails on the first garbled reply."""
+    plan = FaultPlan(script={("recv", 1): "garbage"})
+    policy = ResiliencePolicy(retry=RetryPolicy(max_attempts=2,
+                                                base_delay=0.0))
+    server, client, stub, impl = make_pair(
+        plan=plan, client_kwargs={"resilience": policy})
+    # The garbage replaces the real reply at the client, so the server
+    # may still be running the call when the client gives up on it.
+    def executed(count):
+        give_up = time.monotonic() + 5.0
+        while len(impl.echoed) < count and time.monotonic() < give_up:
+            time.sleep(0.005)
+        return impl.echoed
+
+    try:
+        assert stub.echo("warm") == "ack:warm"
+        # Connection 1's second read is garbled; connection 2's first
+        # read is clean.
+        assert stub.echo("x", idempotent=True) == "ack:x"
+        assert executed(3) == ["warm", "x", "x"]
+        assert client.connections.stats["opened"] == 2
+        # Connection 2's second read is garbled too, and nothing resends.
+        with pytest.raises(CommunicationError) as excinfo:
+            stub.echo("y")
+        assert excinfo.value.kind == "reader-died"
+        assert executed(4) == ["warm", "x", "x", "y"]
+        assert client.connections.stats["opened"] == 2
     finally:
         stop_pair(server, client)
 

@@ -13,12 +13,14 @@ import time
 import pytest
 
 from repro.model.call import Call
-from repro.model.errors import DeadlineExceeded, ProtocolError
+from repro.model.errors import DeadlineExceeded
 from repro.heidirmi.protocol import get_protocol
 from repro.heidirmi.transport import get_transport
 from repro.resilience import Deadline
+from repro.wire.events import WireViolation
 
 from tests.resilience.rig import SERVER_RUNTIMES, make_pair, stop_pair
+from tests.wire.rig import read_event, recv_reply, recv_request, send_request
 
 #: Scheduling slack allowed on top of a deadline before we call an
 #: enforcement path "late" (CI machines stall threads for tens of ms).
@@ -99,8 +101,8 @@ def test_deadline_token_round_trips(protocol_name):
                 marshaller=protocol.new_marshaller())
     call.put_string("tok")
     call.deadline = Deadline.after(30.0)
-    protocol.send_request(channel, call)
-    received = protocol.recv_request(channel)
+    send_request(protocol, channel, call)
+    received = recv_request(protocol, channel)
     assert received.deadline is not None
     # The server re-anchors the remaining budget on its own clock.
     assert 25.0 < received.deadline.remaining() <= 30.1
@@ -115,8 +117,8 @@ def test_no_deadline_sends_no_token(protocol_name):
     call = Call("@x:h:1#oid#IDL:Res/Echo:1.0", "echo",
                 marshaller=protocol.new_marshaller())
     call.put_string("tok")
-    protocol.send_request(channel, call)
-    received = protocol.recv_request(channel)
+    send_request(protocol, channel, call)
+    received = recv_request(protocol, channel)
     assert received.deadline is None
     assert received.get_string() == "tok"
 
@@ -128,8 +130,8 @@ def test_expired_deadline_travels_as_zero(protocol_name):
     call = Call("@x:h:1#oid#IDL:Res/Echo:1.0", "echo",
                 marshaller=protocol.new_marshaller())
     call.deadline = Deadline.after(0.0)
-    protocol.send_request(channel, call)
-    received = protocol.recv_request(channel)
+    send_request(protocol, channel, call)
+    received = recv_request(protocol, channel)
     assert received.deadline is not None
     assert received.deadline.expired
 
@@ -142,8 +144,7 @@ def test_malformed_deadline_token_is_rejected(line):
     protocol = get_protocol("text")
     channel = LoopbackChannel()
     channel.send(line)
-    with pytest.raises(ProtocolError):
-        protocol.recv_request(channel)
+    assert type(read_event(protocol, channel, "server")) is WireViolation
 
 
 def test_ctx_and_dl_tokens_compose_in_either_order():
@@ -151,7 +152,7 @@ def test_ctx_and_dl_tokens_compose_in_either_order():
     for header in ("ctx=00ff-01 dl=5000", "dl=5000 ctx=00ff-01"):
         channel = LoopbackChannel()
         channel.send(f"CALL2 7 {header} @x:h:1#o#t op\n".encode("ascii"))
-        received = protocol.recv_request(channel)
+        received = recv_request(protocol, channel)
         assert received.trace_context == "00ff-01"
         assert received.deadline is not None
         assert received.request_id == 7
@@ -238,8 +239,8 @@ def test_server_drops_request_that_arrives_expired(protocol_name, runtime):
             doomed.put_string("doomed")
             doomed.put_long(0)
             doomed.deadline = Deadline.after(0.0)
-            protocol.send_request(channel, doomed)
-            reply = protocol.recv_reply(channel)
+            send_request(protocol, channel, doomed)
+            reply = recv_reply(protocol, channel)
             assert not reply.is_ok
             assert reply.repo_id == "DeadlineExceeded"
             assert impl.echoed == [], "an expired request was dispatched"
@@ -248,8 +249,8 @@ def test_server_drops_request_that_arrives_expired(protocol_name, runtime):
                            marshaller=protocol.new_marshaller())
             healthy.put_string("alive")
             healthy.put_long(0)
-            protocol.send_request(channel, healthy)
-            reply = protocol.recv_reply(channel)
+            send_request(protocol, channel, healthy)
+            reply = recv_reply(protocol, channel)
             assert reply.is_ok and reply.get_string() == "ack:alive"
         finally:
             channel.close()
@@ -265,7 +266,7 @@ def test_stub_maps_server_side_expiry_to_deadline_exceeded(monkeypatch):
         protocol = get_protocol("text2")
         channel = LoopbackChannel()
         channel.send(b"RET2 9 ERR DeadlineExceeded expired%20in%20queue\n")
-        error_reply = protocol.recv_reply(channel)
+        error_reply = recv_reply(protocol, channel)
         monkeypatch.setattr(client, "invoke",
                             lambda reference, call, deadline=None: error_reply)
         with pytest.raises(DeadlineExceeded, match="expired"):

@@ -2,11 +2,14 @@
 
 Nothing in this package opens a socket: calls and replies are built
 with the protocols' own marshallers, encoded by the wire machines, and
-fed back into wire machines as plain bytes.
+fed back into wire machines as plain bytes — or sent over whatever
+channel a test hands the helpers at the bottom.
 """
 
 from repro.model.call import Call, Reply, STATUS_OK
-from repro.heidirmi.protocol import get_protocol
+from repro.model.errors import CommunicationError
+from repro.heidirmi.protocol import get_protocol, send_frame
+from repro.wire.events import ReplyReceived, RequestReceived
 
 PROTOCOLS = ("text", "text2", "giop")
 
@@ -75,10 +78,63 @@ def one_event(machine, data):
 
 
 class RecordingSink:
-    """A write-only fake channel capturing what a blocking send emits."""
+    """A fake channel capturing what a blocking send emits; reading it
+    finds the peer gone, so a round trip ends right after its send."""
+
+    peer = "sink"
+    closed = False
 
     def __init__(self):
         self.data = bytearray()
 
     def send(self, data):
         self.data += data
+
+    def _gone(self, *_):
+        raise CommunicationError("the sink never answers", kind="peer-closed")
+
+    recv_line = recv_exact = _gone
+
+    def set_deadline(self, expires_at):
+        pass
+
+    def close(self):
+        self.closed = True
+
+
+# -- the machine surface over a channel --------------------------------------
+#
+# What a communicator does with each end's wire machine, for tests that
+# drive one frame at a time over a channel pair: the protocol's id rule
+# and the machine's emit on the way out, the protocol's one read on the
+# way in.
+
+
+def send_request(protocol, channel, call):
+    """Send *call* as a client does: tagged by the protocol's id rule."""
+    protocol.assign_request_id(call)
+    send_frame(channel, protocol.machine_class("client").emit_request(call))
+
+
+def send_reply(protocol, channel, reply):
+    """Send *reply* as a server does."""
+    send_frame(channel, protocol.machine_class("server").emit_reply(reply))
+
+
+def read_event(protocol, channel, role):
+    """The next event a *role* end reads off *channel*."""
+    return protocol.read_event(channel, protocol.machine_class(role))
+
+
+def recv_request(protocol, channel):
+    """The next request a server reads off *channel*."""
+    event = read_event(protocol, channel, "server")
+    assert type(event) is RequestReceived, event
+    return event.call
+
+
+def recv_reply(protocol, channel):
+    """The next reply a client reads off *channel*."""
+    event = read_event(protocol, channel, "client")
+    assert type(event) is ReplyReceived, event
+    return event.reply

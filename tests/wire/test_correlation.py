@@ -18,12 +18,17 @@ from repro.wire.correlation import (
     RequestIdAllocator,
     is_channel_level_error,
 )
-from repro.wire.events import LocateReplied, WireViolation
+from repro.wire.events import LocateReplied, ReplyReceived, WireViolation
 
 
 def _reply(status, request_id):
     return Reply(status=status, marshaller=TextMarshaller(),
                  request_id=request_id)
+
+
+def _arrive(session, replies):
+    """Completions for *replies* read off the wire in one batch."""
+    return session.events([ReplyReceived(reply) for reply in replies])
 
 
 def _calls(count, expires_at=None, oneway=False):
@@ -108,7 +113,7 @@ class TestSession:
         assert session.register(calls[1:], "b") == [2]
         batch = [_reply(STATUS_OK, 2), _reply(STATUS_OK, 99),
                  _reply(STATUS_OK, 1)]
-        assert session.replies(batch) == [("b", batch[0]), ("a", batch[2])]
+        assert _arrive(session, batch) == [("b", batch[0]), ("a", batch[2])]
         assert session.orphaned_replies == 1
         assert len(session) == 0
 
@@ -117,7 +122,7 @@ class TestSession:
         session.lock = lock = _CountingLock()
         keys = session.register(_calls(32, expires_at=50.0), "w")
         assert lock.acquisitions == 1
-        session.replies([_reply(STATUS_OK, key) for key in keys])
+        _arrive(session, [_reply(STATUS_OK, key) for key in keys])
         assert lock.acquisitions == 2
         assert not session.deadlines
 
@@ -141,7 +146,7 @@ class TestSession:
         assert [waiter for waiter, _ in session.expire(9.0)] == ["window"]
         assert len(session) == 1 and session.next_expiry() is None
         # The expired calls' replies, should they still come, are orphans.
-        assert session.replies([_reply(STATUS_OK, 1)]) == []
+        assert _arrive(session, [_reply(STATUS_OK, 1)]) == []
         assert session.orphaned_replies == 1
 
     def test_arrival_order_keeps_an_expired_calls_place(self):
@@ -153,7 +158,7 @@ class TestSession:
         assert str(failure) == "deadline expired waiting for reply from host:1"
         assert len(session) == 2
         late, mine = _reply(STATUS_OK, None), _reply(STATUS_OK, None)
-        assert session.replies([late, mine]) == [("behind", mine)]
+        assert _arrive(session, [late, mine]) == [("behind", mine)]
         assert session.orphaned_replies == 1 and len(session) == 0
 
     def test_reserved_id_fails_everyone_but_not_the_connection(self):
@@ -161,7 +166,7 @@ class TestSession:
         failures = []
         session.tap = failures.append
         session.register(_calls(2), "w")
-        (_, first), (_, second) = session.replies([_reply(STATUS_ERROR, 0)])
+        (_, first), (_, second) = _arrive(session, [_reply(STATUS_ERROR, 0)])
         assert first is second and first.kind == "peer-protocol-error"
         assert failures == [first]
         assert session.closed is None
@@ -173,7 +178,7 @@ class TestSession:
         (_, first), (_, second) = session.event(WireViolation("bad frame"))
         assert first is second is session.closed
         assert first.kind == "reader-died"
-        assert str(first) == "demultiplexer failed: bad frame"
+        assert str(first) == "reply reader failed: bad frame"
         # The first cause stands; later ones find nobody to fail.
         assert session.close() == [] and session.closed is first
         for refused in (lambda: session.register(_calls(1), "late"),
@@ -210,3 +215,25 @@ class TestSession:
         session.register(_calls(1), "w")
         assert list(session.event(LocateReplied(7, 1))) == []
         assert len(session) == 1
+
+    def test_one_call_at_a_time_nothing_is_an_orphan(self):
+        """On an exclusive connection a reply for an id not in flight
+        cannot answer an expired call (that call took its channel with
+        it): the connection dies, on every protocol."""
+        for name in ("text2", "giop"):
+            session = ClientSession(get_protocol(name), peer="host:1",
+                                    multiplexed=False)
+            session.register(_calls(1), "w")
+            (waiter, failure), = _arrive(session, [_reply(STATUS_OK, 42)])
+            assert waiter == "w" and failure is session.closed
+            assert failure.kind == "peer-protocol-error"
+            assert str(failure) == "reply for request 42, expected 1"
+            assert session.orphaned_replies == 0
+
+    def test_the_reserved_id_means_the_same_one_call_at_a_time(self):
+        session = ClientSession(get_protocol("text2"), multiplexed=False)
+        session.register(_calls(1), "w")
+        (_, failure), = _arrive(session, [_reply(STATUS_ERROR, 0)])
+        assert failure.kind == "peer-protocol-error"
+        assert str(failure).startswith(
+            "peer reported an uncorrelatable protocol error")

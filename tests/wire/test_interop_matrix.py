@@ -3,10 +3,10 @@
 Two layers of assertion:
 
 - **Byte identity** — for every protocol and every header variant
-  (traced/untraced × deadline/no-deadline), the blocking protocol
-  adapter emits exactly the bytes the pure wire machine emits.  The
-  blocking and asyncio stacks both call the machines, so this pins the
-  wire format to one implementation.
+  (traced/untraced × deadline/no-deadline), what the blocking
+  communicator sends on a round trip is exactly the bytes the pure wire
+  machine emits.  The blocking and asyncio stacks both call the
+  machines, so this pins the wire format to one implementation.
 - **Observable behaviour** — a full ORB pair behaves the same whether
   the server end is the blocking ``Orb`` or an ``AioOrbServer`` (the
   two pumps over the one serving core): same results, same trace
@@ -18,8 +18,10 @@ import time
 
 import pytest
 
+from repro.heidirmi.communicator import ObjectCommunicator
 from repro.model.call import STATUS_ERROR, STATUS_EXCEPTION
-from repro.model.errors import DeadlineExceeded
+from repro.model.deadline import Deadline
+from repro.model.errors import CommunicationError, DeadlineExceeded
 from repro.heidirmi.protocol import get_protocol
 from repro.observe import Observer
 from repro.wire import machine_for
@@ -27,7 +29,6 @@ from repro.wire import machine_for
 from tests.resilience.rig import SERVER_RUNTIMES, make_pair, stop_pair
 from tests.wire.rig import (
     PROTOCOLS,
-    FixedDeadline,
     RecordingSink,
     make_call,
     make_reply,
@@ -35,12 +36,43 @@ from tests.wire.rig import (
 
 TRACE = "00aa11bb22cc33dd-4455667788990011"
 
+
+class FrozenBudget(Deadline):
+    """A deadline a communicator can arm (an hour out) whose rendered
+    budget stays *ms*, so two encodings compare byte for byte."""
+
+    def __init__(self, ms):
+        super().__init__(time.monotonic() + 3600.0)
+        self.ms = ms
+
+    def remaining_ms(self):
+        return self.ms
+
+
 HEADER_VARIANTS = [
     pytest.param(None, None, id="plain"),
     pytest.param(TRACE, None, id="traced"),
-    pytest.param(None, FixedDeadline(ms=2500), id="deadline"),
-    pytest.param(TRACE, FixedDeadline(ms=2500), id="traced-deadline"),
+    pytest.param(None, FrozenBudget(ms=2500), id="deadline"),
+    pytest.param(TRACE, FrozenBudget(ms=2500), id="traced-deadline"),
 ]
+
+
+def sent_by_communicator(protocol_name, call):
+    """What a blocking communicator sends for *call*: a two-way's round
+    trip ends at the sink's silence, right after the send."""
+    if call.deadline is not None:
+        # The text protocols' untraced ``dl=`` token is the one header
+        # rendered from the live clock unless the engine stamped it.
+        call._dl_token = f"dl={call.deadline.remaining_ms()}"
+    machine_bytes = machine_for(protocol_name, "client").emit_request(call)
+    sink = RecordingSink()
+    communicator = ObjectCommunicator(sink, get_protocol(protocol_name))
+    if call.oneway:
+        communicator.invoke(call)
+    else:
+        with pytest.raises(CommunicationError):
+            communicator.invoke(call)
+    return machine_bytes, bytes(sink.data)
 
 
 @pytest.mark.parametrize("trace,deadline", HEADER_VARIANTS)
@@ -48,23 +80,15 @@ HEADER_VARIANTS = [
 class TestByteIdentity:
     def test_request_bytes_match(self, protocol_name, trace, deadline):
         call = make_call(protocol_name, trace=trace, deadline=deadline)
-        machine_bytes = machine_for(
-            protocol_name, "client"
-        ).emit_request(call)
-        sink = RecordingSink()
-        get_protocol(protocol_name).send_request(sink, call)
-        assert bytes(sink.data) == machine_bytes
+        machine_bytes, sent = sent_by_communicator(protocol_name, call)
+        assert sent == machine_bytes
 
     def test_oneway_bytes_match(self, protocol_name, trace, deadline):
         call = make_call(
             protocol_name, oneway=True, trace=trace, deadline=deadline
         )
-        machine_bytes = machine_for(
-            protocol_name, "client"
-        ).emit_request(call)
-        sink = RecordingSink()
-        get_protocol(protocol_name).send_request(sink, call)
-        assert bytes(sink.data) == machine_bytes
+        machine_bytes, sent = sent_by_communicator(protocol_name, call)
+        assert sent == machine_bytes
 
 
 @pytest.mark.parametrize("status", (STATUS_EXCEPTION, STATUS_ERROR))
@@ -78,7 +102,8 @@ class TestReplyByteIdentity:
             protocol_name, "server"
         ).emit_reply(reply)
         sink = RecordingSink()
-        get_protocol(protocol_name).send_reply(sink, reply)
+        ObjectCommunicator(sink, get_protocol(protocol_name),
+                           role="server").reply(reply)
         assert bytes(sink.data) == machine_bytes
 
 
