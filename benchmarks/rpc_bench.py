@@ -85,12 +85,10 @@ def _registry():
 
 
 def _run_once(transport, protocol, mode, clients, calls_per_client,
-              window, pipeline_workers, client_kwargs=None,
-              server_kwargs=None):
+              window, client_kwargs=None, server_kwargs=None):
     """One timed run; returns elapsed seconds (replies all verified)."""
     types = _registry()
     server = Orb(transport=transport, protocol=protocol, types=types,
-                 pipeline_workers=pipeline_workers,
                  **(server_kwargs or {})).start()
     client = Orb(transport=transport, protocol=protocol, types=types,
                  multiplex=(mode == "multiplexed"),
@@ -149,11 +147,11 @@ def _run_once(transport, protocol, mode, clients, calls_per_client,
 
 
 def measure(transport, protocol, mode, clients, calls_per_client,
-            window=64, pipeline_workers=0, trials=3):
+            window=64, trials=3):
     """Calls/sec for one configuration, best of *trials* runs."""
     elapsed = min(
         _run_once(transport, protocol, mode, clients, calls_per_client,
-                  window, pipeline_workers)
+                  window)
         for _ in range(trials)
     )
     total = clients * calls_per_client
@@ -170,16 +168,14 @@ def measure(transport, protocol, mode, clients, calls_per_client,
 
 
 def run_matrix(transport="inproc", client_counts=(1, 16),
-               calls_per_client=200, window=64, pipeline_workers=0,
-               trials=3):
+               calls_per_client=200, window=64, trials=3):
     """The full measurement document (machine info + every config)."""
     results = []
     for clients in client_counts:
         for protocol, mode in CONFIGURATIONS:
             results.append(measure(
                 transport, protocol, mode, clients, calls_per_client,
-                window=window, pipeline_workers=pipeline_workers,
-                trials=trials,
+                window=window, trials=trials,
             ))
     document = {
         "benchmark": "rpc_throughput",
@@ -193,21 +189,19 @@ def run_matrix(transport="inproc", client_counts=(1, 16),
             "client_counts": list(client_counts),
             "calls_per_client": calls_per_client,
             "window": window,
-            "pipeline_workers": pipeline_workers,
             "trials": trials,
         },
         "results": results,
     }
     document["claim"] = measure_claim(
         transport, max(client_counts), calls_per_client,
-        window=window, pipeline_workers=pipeline_workers,
-        trials=max(trials, 4),
+        window=window, trials=max(trials, 4),
     )
     return document
 
 
 def measure_claim(transport, clients, calls_per_client, window=64,
-                  pipeline_workers=0, trials=4):
+                  trials=4):
     """The headline comparison: multiplexed text2 vs exclusive text.
 
     Measured as interleaved pairs (exclusive run, then multiplexed run,
@@ -220,9 +214,9 @@ def measure_claim(transport, clients, calls_per_client, window=64,
     multiplexed_best = None
     for _ in range(trials):
         exclusive = _run_once(transport, "text", "exclusive", clients,
-                              calls_per_client, window, pipeline_workers)
+                              calls_per_client, window)
         multiplexed = _run_once(transport, "text2", "multiplexed", clients,
-                                calls_per_client, window, pipeline_workers)
+                                calls_per_client, window)
         if exclusive_best is None or exclusive < exclusive_best:
             exclusive_best = exclusive
         if multiplexed_best is None or multiplexed < multiplexed_best:
@@ -280,12 +274,11 @@ def _stage_quantiles(spans):
     }
 
 
-def _run_traced_once(transport, protocol, mode, calls, pipeline_workers):
+def _run_traced_once(transport, protocol, mode, calls):
     """One traced run; returns (client spans, server spans, elapsed s)."""
     types = _registry()
     client_observer, server_observer = Observer(), Observer()
     server = Orb(transport=transport, protocol=protocol, types=types,
-                 pipeline_workers=pipeline_workers,
                  observer=server_observer).start()
     client = Orb(transport=transport, protocol=protocol, types=types,
                  multiplex=(mode == "multiplexed"),
@@ -309,7 +302,7 @@ def _run_traced_once(transport, protocol, mode, calls, pipeline_workers):
 
 
 def measure_flight_claim(transport, clients, calls_per_client, window=64,
-                         pipeline_workers=0, trials=4):
+                         trials=4):
     """What the flight recorder costs: recorder-on vs recorder-off.
 
     Interleaved pairs on the multiplexed text2 axis — the hottest path
@@ -326,13 +319,13 @@ def measure_flight_claim(transport, clients, calls_per_client, window=64,
     for _ in range(trials):
         off = _run_once(
             transport, "text2", "multiplexed", clients, calls_per_client,
-            window, pipeline_workers,
+            window,
             client_kwargs={"observer": Observer()},
             server_kwargs={"observer": Observer()},
         )
         on = _run_once(
             transport, "text2", "multiplexed", clients, calls_per_client,
-            window, pipeline_workers,
+            window,
             client_kwargs={"observer": Observer(flight=FlightControl())},
             server_kwargs={"observer": Observer(flight=FlightControl())},
         )
@@ -351,8 +344,8 @@ def measure_flight_claim(transport, clients, calls_per_client, window=64,
     }
 
 
-def run_traced(transport="inproc", calls=100, pipeline_workers=0,
-               clients=8, calls_per_client=150, trials=4):
+def run_traced(transport="inproc", calls=100, clients=8,
+               calls_per_client=150, trials=4):
     """The traced suite: per-stage latency attribution under tracing.
 
     Runs each configuration with observers on both ends, then reduces
@@ -365,7 +358,7 @@ def run_traced(transport="inproc", calls=100, pipeline_workers=0,
     all_spans = []
     for protocol, mode in TRACED_CONFIGURATIONS:
         client_spans, server_spans, elapsed = _run_traced_once(
-            transport, protocol, mode, calls, pipeline_workers
+            transport, protocol, mode, calls
         )
         all_spans.extend(client_spans)
         all_spans.extend(server_spans)
@@ -393,15 +386,13 @@ def run_traced(transport="inproc", calls=100, pipeline_workers=0,
         "params": {
             "transport": transport,
             "calls": calls,
-            "pipeline_workers": pipeline_workers,
             "claim_clients": clients,
             "claim_calls_per_client": calls_per_client,
             "claim_trials": trials,
         },
         "results": results,
         "claim": measure_flight_claim(
-            transport, clients, calls_per_client,
-            pipeline_workers=pipeline_workers, trials=trials,
+            transport, clients, calls_per_client, trials=trials,
         ),
     }
     return document, all_spans
@@ -480,7 +471,7 @@ def _run_faulted_once(transport, mode, rate, calls, seed, deadline):
 
 
 def measure_resilience_claim(transport, clients, calls_per_client,
-                             window=64, pipeline_workers=0, trials=4):
+                             window=64, trials=4):
     """The overhead check: a resilience-configured ORB at zero faults.
 
     Interleaved pairs (no-policy run, then policy run, repeated; best
@@ -500,9 +491,9 @@ def measure_resilience_claim(transport, clients, calls_per_client,
     policy_best = None
     for _ in range(trials):
         bare = _run_once(transport, "text2", "exclusive", clients,
-                         calls_per_client, window, pipeline_workers)
+                         calls_per_client, window)
         policy = _run_once(transport, "text2", "exclusive", clients,
-                           calls_per_client, window, pipeline_workers,
+                           calls_per_client, window,
                            client_kwargs=policy_kwargs)
         if bare_best is None or bare < bare_best:
             bare_best = bare
@@ -520,15 +511,22 @@ def measure_resilience_claim(transport, clients, calls_per_client,
 
 #: Runs one timed blocking-exclusive text2 workload against whatever
 #: tree sys.argv points it at, printing the elapsed seconds.  Works
-#: against this tree and against older checkouts alike (``_run_once``
-#: has had this signature prefix since the benchmark was introduced).
+#: against this tree and against older checkouts alike: ``_run_once``
+#: has had this signature prefix since the benchmark was introduced,
+#: and older trees take one more required argument (a server worker
+#: count, 0 for the serial server every tree has).
 _BASELINE_SNIPPET = (
     "import sys\n"
+    "from inspect import Parameter, signature\n"
     "sys.path.insert(0, sys.argv[1])\n"
     "sys.path.insert(0, sys.argv[2])\n"
     "from rpc_bench import _run_once\n"
-    "print(_run_once('inproc', 'text2', 'exclusive',\n"
-    "                int(sys.argv[3]), int(sys.argv[4]), 64, 0))\n"
+    "args = ['inproc', 'text2', 'exclusive',\n"
+    "        int(sys.argv[3]), int(sys.argv[4]), 64]\n"
+    "if list(signature(_run_once).parameters.values())[6].default \\\n"
+    "        is Parameter.empty:\n"
+    "    args.append(0)\n"
+    "print(_run_once(*args))\n"
 )
 
 
@@ -613,8 +611,7 @@ def run_faults(transport="inproc", calls=300, seed=42, deadline=5.0,
         },
         "results": results,
         "claim": measure_resilience_claim(
-            transport, clients, calls_per_client,
-            pipeline_workers=0, trials=trials,
+            transport, clients, calls_per_client, trials=trials,
         ),
     }
     if baseline_root is not None:
@@ -979,8 +976,8 @@ def measure_frame_costs():
 
 
 def run_wire_cost(transport="inproc", client_counts=(1, 16, 256),
-                  calls_total=3200, window=64, pipeline_workers=0,
-                  trials=3, pre_refactor=None):
+                  calls_total=3200, window=64, trials=3,
+                  pre_refactor=None):
     """The wire-cost document: frame costs plus calls/s per protocol.
 
     *calls_total* is split across the callers of each cell so every
@@ -995,8 +992,7 @@ def run_wire_cost(transport="inproc", client_counts=(1, 16, 256),
         for protocol, mode in WIRE_CONFIGURATIONS:
             results.append(measure(
                 transport, protocol, mode, clients, calls_per_client,
-                window=window, pipeline_workers=pipeline_workers,
-                trials=trials,
+                window=window, trials=trials,
             ))
     claim_clients = 16 if 16 in client_counts else max(client_counts)
     claim = {
@@ -1031,7 +1027,6 @@ def run_wire_cost(transport="inproc", client_counts=(1, 16, 256),
             "client_counts": list(client_counts),
             "calls_total": calls_total,
             "window": window,
-            "pipeline_workers": pipeline_workers,
             "trials": trials,
         },
         "frame_costs": measure_frame_costs(),

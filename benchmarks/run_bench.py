@@ -115,8 +115,6 @@ def main(argv=None):
                         help="calls per client per configuration")
     parser.add_argument("--window", type=int, default=64,
                         help="burst size for pipelined (multiplexed) rows")
-    parser.add_argument("--workers", type=int, default=0,
-                        help="server pipeline workers (0 = serial loop)")
     parser.add_argument("--trials", type=int, default=3,
                         help="timed runs per configuration (best is kept)")
     parser.add_argument("--out", default=None,
@@ -220,7 +218,6 @@ def main(argv=None):
         client_counts=tuple(args.clients),
         calls_per_client=args.calls,
         window=args.window,
-        pipeline_workers=args.workers,
         trials=args.trials,
     )
     path = write_document(document, args.out)
@@ -257,7 +254,7 @@ def run_matrix_row(args, clients):
 
     return measure(
         args.transport, "text2", "multiplexed", clients, args.calls,
-        window=args.window, pipeline_workers=args.workers,
+        window=args.window,
         # Extra trials: the retry exists to separate noise from a real
         # regression, and best-of-more discriminates better.
         trials=args.trials + 2,
@@ -335,7 +332,6 @@ def _main_traced(args):
     document, spans = run_traced(
         transport=args.transport,
         calls=args.calls,
-        pipeline_workers=args.workers,
         trials=claim_trials,
     )
     out = args.out
@@ -385,7 +381,6 @@ def _main_traced(args):
             remeasure=lambda: measure_flight_claim(
                 args.transport, claim["clients"],
                 claim["calls_per_client"],
-                pipeline_workers=args.workers,
                 # Extra trials: best-of-more separates scheduler noise
                 # from a real recorder hot-path regression.
                 trials=claim_trials + 2,
@@ -599,7 +594,6 @@ def _main_wire(args):
         transport=args.transport,
         calls_total=args.wire_calls,
         window=args.window,
-        pipeline_workers=args.workers,
         trials=args.trials,
         pre_refactor=pre_refactor,
     )
@@ -659,7 +653,7 @@ def run_wire_row(args, clients, calls_per_client):
 
     return measure(
         args.transport, "giop", "multiplexed", clients, calls_per_client,
-        window=args.window, pipeline_workers=args.workers,
+        window=args.window,
         # Extra trials: the retry exists to separate noise from a real
         # regression, and best-of-more discriminates better.
         trials=args.trials + 2,

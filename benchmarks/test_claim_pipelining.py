@@ -38,7 +38,6 @@ def test_multiplexed_pipeline_beats_exclusive_2x():
         client_counts=(1, 16),
         calls_per_client=200,
         window=64,
-        pipeline_workers=0,
         trials=3,
     )
     os.makedirs(OUT_DIR, exist_ok=True)

@@ -24,11 +24,7 @@ pumps:
   ``invoke_async`` returns the future; ``invoke`` is just
   ``invoke_async(...).result()``.
 
-Oneway batching (``batch_oneways=True``) coalesces small oneway sends
-into one channel write; the buffer flushes when it grows past
-:data:`BATCH_MAX_BYTES`/:data:`BATCH_MAX_CALLS`, before any two-way
-send (so ordering between a oneway and a later call is preserved), or
-on an explicit :meth:`flush`.
+A oneway is one frame sent at once, in call order with the two-ways.
 """
 
 import functools
@@ -47,12 +43,9 @@ from repro.wire.bufferplan import BufferPlan
 from repro.wire.correlation import ClientSession
 from repro.wire.events import ReplyReceived
 
-#: A oneway batch flushes once it holds this much.
-BATCH_MAX_BYTES = 8192
-BATCH_MAX_CALLS = 32
 #: Server-side reply coalescing must never withhold replies without
-#: limit, but the bound is looser than the oneway batch so a whole
-#: pipelined window still goes out in one send.
+#: limit, but the bound is loose enough that a whole pipelined window
+#: still goes out in one send.
 REPLY_MAX_BYTES = 65536
 REPLY_MAX_CALLS = 256
 
@@ -128,8 +121,8 @@ _PUMPED = _Pumped()
 class ObjectCommunicator:
     """One demarcated request/reply stream over a Channel."""
 
-    def __init__(self, channel, protocol, multiplexed=False,
-                 batch_oneways=False, observer=None, role="client"):
+    def __init__(self, channel, protocol, multiplexed=False, observer=None,
+                 role="client"):
         self.channel = channel
         # Bound once: the exclusive deadline path arms and disarms the
         # channel expiry on every deadlined call, so the two attribute
@@ -162,10 +155,6 @@ class ObjectCommunicator:
             protocol, getattr(channel, "peer", "?"), multiplexed)
         self._reader = None
         self._reader_lock = threading.Lock()
-        self._batch_oneways = batch_oneways
-        self._batch = bytearray()  # guarded-by: self._batch_lock
-        self._batch_calls = 0  # guarded-by: self._batch_lock
-        self._batch_lock = threading.Lock()
         # Server-side reply coalescing sink; only the serial request
         # loop touches it, so it needs no lock.  Persistent so each
         # buffered reply encodes straight into it with no fresh buffer.
@@ -183,7 +172,6 @@ class ObjectCommunicator:
                                                     128, 256, 512))
             self._coalesced_replies = metrics.counter("rpc.replies_coalesced")
             self._reply_flushes = metrics.counter("rpc.reply_flushes")
-            self._oneway_flushes = metrics.counter("rpc.oneway_flushes")
             self._metrics = metrics
             self._session.tap = self._count_error
         else:
@@ -191,7 +179,6 @@ class ObjectCommunicator:
             self._demux_batch = None
             self._coalesced_replies = None
             self._reply_flushes = None
-            self._oneway_flushes = None
             self._metrics = None
 
     def _count_error(self, exc):
@@ -223,8 +210,6 @@ class ObjectCommunicator:
         # Exclusive: the calling thread is the pump, putting events to
         # the session until one completes this call — the only call the
         # connection has in flight, so the completion is its own.
-        if self._batch:  # flush()'s own unlocked peek, without the call
-            self.flush()
         keys = session.register((call,), _PUMPED)
         if deadline is not None:
             # Exclusive channels time out at the socket: the deadline
@@ -283,7 +268,6 @@ class ObjectCommunicator:
         # future.
         keys = self._register((call,), future)
         try:
-            self.flush()
             send_frame(self.channel, self._emit_request(call))
         except BaseException as exc:
             self._send_failed(keys, exc)
@@ -295,8 +279,7 @@ class ObjectCommunicator:
     def invoke_pipelined_sync(self, calls, deadline=None):
         """Send a burst in ONE write and block until every reply lands.
 
-        The transmission-policy counterpart of oneway batching for
-        two-way traffic: every request in *calls* is tagged, registered
+        Every request in *calls* is tagged, registered
         with the session, encoded back-to-back and flushed with a
         single send, so a window of W calls costs one syscall instead
         of W — and the whole window completes through one shared
@@ -319,7 +302,6 @@ class ObjectCommunicator:
         try:
             for call in calls:
                 buffer.send(emit_request(call))
-            self.flush()
             if buffer.data:
                 self.channel.send(bytes(buffer.data))
         except BaseException as exc:
@@ -361,37 +343,7 @@ class ObjectCommunicator:
 
     def _send_oneway(self, call):
         self._session.oneway(call, time.monotonic())
-        if not self._batch_oneways:
-            self.flush()
-            send_frame(self.channel, self._emit_request(call))
-            return
-        buffer = _SendBuffer()
-        buffer.send(self._emit_request(call))
-        with self._batch_lock:
-            self._batch += buffer.data
-            self._batch_calls += 1
-            full = (len(self._batch) >= BATCH_MAX_BYTES
-                    or self._batch_calls >= BATCH_MAX_CALLS)
-        if full:
-            self.flush()
-
-    def flush(self):
-        """Push any batched oneway bytes onto the wire."""
-        # Unlocked empty peek: flush-before-send ordering only matters
-        # for the calling thread's OWN earlier oneways, and those are
-        # visible to its own len() read; racing appends by other threads
-        # carry no ordering promise against this call.
-        if not self._batch:
-            return
-        with self._batch_lock:
-            if not self._batch:
-                return
-            data = bytes(self._batch)
-            self._batch.clear()
-            self._batch_calls = 0
-        self.channel.send(data)
-        if self._oneway_flushes is not None:
-            self._oneway_flushes.inc()
+        send_frame(self.channel, self._emit_request(call))
 
     # -- reply demultiplexing: the thread pump over the session ------------
 

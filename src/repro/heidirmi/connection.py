@@ -46,8 +46,7 @@ class ConnectionCache:
     """Pool of communicators keyed by bootstrap tuple."""
 
     def __init__(self, transport_factory, protocol, enabled=True, max_idle=8,
-                 mode="exclusive", communicator_options=None, observer=None,
-                 connect_timeout=None):
+                 mode="exclusive", observer=None, connect_timeout=None):
         if mode not in ("exclusive", "multiplexed"):
             raise HeidiRmiError(
                 f"unknown connection mode {mode!r}; "
@@ -61,7 +60,6 @@ class ConnectionCache:
         #: Connection-establishment budget in seconds; None defers to
         #: the transport's own default (30 s for tcp).
         self._connect_timeout = connect_timeout
-        self._options = dict(communicator_options or {})
         self._idle = {}  # guarded-by: self._lock
         self._shared = {}  # guarded-by: self._lock
         self._lock = threading.Lock()
@@ -117,19 +115,15 @@ class ConnectionCache:
             # configured establishment timeout, never widen it.
             timeout = (connect_timeout if timeout is None
                        else min(timeout, connect_timeout))
-        try:
-            channel = transport.connect(host, port, timeout=timeout)
-        except TypeError:
-            # Custom transports registered before connect() grew a
-            # timeout parameter keep working unconfigured.
-            channel = transport.connect(host, port)
+        channel = transport.connect(host, port, timeout=timeout)
         if self._meter is not None:
             channel.meter = self._meter
         flight = getattr(self._observer, "flight", None)
         if flight is not None:
             flight.attach(channel, self._protocol.name, "client")
         return ObjectCommunicator(
-            channel, self._protocol, multiplexed=multiplexed, **self._options
+            channel, self._protocol, multiplexed=multiplexed,
+            observer=self._observer,
         )
 
     def acquire(self, bootstrap, connect_timeout=None, deadline=None):
@@ -253,16 +247,6 @@ class ConnectionCache:
             if self._shared.get(bootstrap) is not None:
                 return True
             return bool(self._idle.get(bootstrap))
-
-    def flush_all(self):
-        """Flush batched oneway buffers on every live communicator."""
-        with self._lock:
-            communicators = list(self._shared.values())
-            for pool in self._idle.values():
-                communicators.extend(pool)
-        for communicator in communicators:
-            if not communicator.closed:
-                communicator.flush()
 
     def close_all(self):
         with self._lock:

@@ -57,12 +57,9 @@ class Orb:
         cache_connections=True,
         threading_model="threaded",
         multiplex=False,
-        pipeline_workers=0,
-        batch_oneways=False,
         trace=None,
         observer=None,
         connect_timeout=None,
-        default_deadline=None,
         resilience=None,
         admission=None,
         monitor=False,
@@ -126,22 +123,15 @@ class Orb:
                 f"protocol {self.protocol.name!r} has no request ids and "
                 "cannot be multiplexed; use protocol='text2' or 'giop'"
             )
-        #: >0 enables the server-side pipeline: the connection reader
-        #: reads ahead and dispatches to this many pooled workers, so
-        #: replies on id-carrying protocols can complete out of order.
-        self.pipeline_workers = int(pipeline_workers)
         #: Connection-establishment budget in seconds; None defers to
         #: the transport default (30 s for tcp).
         self.connect_timeout = connect_timeout
-        #: Default per-call deadline (seconds or a Deadline budget)
-        #: applied when neither the call nor the invoke carries one.
-        self.default_deadline = default_deadline
         #: :class:`repro.resilience.ResiliencePolicy` (retry, breaker,
         #: default deadline) — None keeps the pre-resilience hot path.
         self.resilience = resilience
         # One extra boolean test on Orb.invoke is all the resilience
         # layer costs an unconfigured Orb.
-        self._resilient = resilience is not None or default_deadline is not None
+        self._resilient = resilience is not None
         if self._resilient:
             # Every invoke on this Orb takes the resilient path, so
             # bind the engine as the *instance's* invoke: stubs reach
@@ -175,8 +165,6 @@ class Orb:
             self.protocol,
             enabled=cache_connections,
             mode="multiplexed" if self.multiplex else "exclusive",
-            communicator_options={"batch_oneways": batch_oneways,
-                                  "observer": observer},
             observer=observer,
             connect_timeout=connect_timeout,
         )
@@ -184,7 +172,7 @@ class Orb:
         self._pool_lock = threading.Lock()
         #: Counters read by the caching benchmarks.  Mutated through
         #: _count() under _stats_lock — concurrent client threads and
-        #: pipelined server workers all bump them.
+        #: server connection threads all bump them.
         self._stats_lock = threading.Lock()
         self.stats = {  # guarded-by: self._stats_lock
             "stub_hits": 0,
@@ -517,7 +505,8 @@ class Orb:
         if span is not None:
             span.stage("marshal")
         bootstrap = reference.bootstrap
-        communicator = self.connections.acquire(bootstrap)
+        communicator = self.connections.acquire(bootstrap, None,
+                                                call.deadline)
         if self.trace is not None:
             self._event("call:invoke", operation=call.operation,
                         target=call.target)
@@ -568,12 +557,11 @@ class Orb:
             if deadline is not None:
                 for call in calls:
                     call.deadline = deadline
-        bootstrap = reference.bootstrap
-        communicator = self.connections.acquire(bootstrap)
-        if not communicator.multiplexed:
-            self.connections.release(bootstrap, communicator)
+        if not self.multiplex:
             return [self.invoke(reference, call, deadline=deadline)
                     for call in calls]
+        bootstrap = reference.bootstrap
+        communicator = self.connections.acquire(bootstrap, None, deadline)
         self._count("calls", len(calls))
         try:
             replies = communicator.invoke_pipelined_sync(calls,
@@ -589,10 +577,6 @@ class Orb:
             for call, reply in zip(calls, replies):
                 self._finish_client_span(call, reply=reply)
         return replies
-
-    def flush(self):
-        """Flush any batched oneway sends on cached client connections."""
-        self.connections.flush_all()
 
     def rebuild_exception(self, reply):
         """Turn an EXC reply back into the declared exception instance."""
@@ -621,8 +605,6 @@ class Orb:
         policy = self.resilience
         retry = policy.retry if policy is not None else None
         budget = policy.default_deadline if policy is not None else None
-        if budget is None:
-            budget = self.default_deadline
         if budget is not None and not isinstance(budget, Deadline):
             budget = float(budget)
         retry_budget = None

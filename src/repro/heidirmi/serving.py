@@ -16,21 +16,20 @@ The core does no I/O and starts nothing: a wire event goes in, and out
 comes a ``Reply`` to write, a ``LocateReplied`` to emit, ``None``
 (nothing to say), ``CLOSE`` (end the connection) or ``DISPATCH`` — run
 ``session.dispatch(event.call)``, a plain blocking callable, wherever
-the pump likes (the reader thread, a pool worker,
-``loop.run_in_executor``).  Its only clock is the admission policy's.
+the pump likes (the reader thread, ``loop.run_in_executor``).  Its only
+clock is the admission policy's.
 
 A *pump* owns how bytes are read, where ``dispatch`` runs, and how a
 ``Reply`` is written or coalesced — nothing else.  Two exist:
 :class:`BlockingServer` below (acceptor thread, a reader thread per
-connection, optional pipeline pool) and the coroutine
-``repro.wire.aio.AioOrbServer``.
+connection) and the coroutine ``repro.wire.aio.AioOrbServer``.  Both
+dispatch one connection's requests serially, in arrival order.
 """
 
 import collections
 import threading
 import time
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 
 from repro.model.call import Reply, STATUS_ERROR, STATUS_EXCEPTION, STATUS_OK
 from repro.heidirmi.communicator import ObjectCommunicator
@@ -261,8 +260,8 @@ class Session:
         self.core = core
         self.flight = flight
         # Admitted requests the pump has not reported done.  A deque
-        # because append/pop are atomic: the reading thread (or loop)
-        # appends, whichever thread writes the reply pops, no lock.
+        # because append/pop are atomic: the pump appends and pops, the
+        # drain reads ``idle`` from another thread, no lock.
         self._inflight = collections.deque()
 
     @property
@@ -355,8 +354,8 @@ class Session:
         """Run one admitted request; returns its Reply, None for oneways.
 
         A plain blocking callable.  However long the request waited
-        between :meth:`arrive` and here (a pool queue, an executor
-        hand-off, or no time at all) is the span's ``queue`` stage, and
+        between :meth:`arrive` and here (an executor hand-off, or no
+        time at all) is the span's ``queue`` stage, and
         a request that out-waited its deadline or the admission
         policy's max queue age is refused instead of run: the caller
         has most likely given up, and doing the work anyway is the
@@ -413,10 +412,9 @@ class BlockingServer:
 
     "When a client connects to the bootstrap port, a new
     ObjectCommunicator is wrapped around the resulting connection."
-    With ``pipeline_workers > 0`` the connection's reader reads ahead
-    and hands id-carrying two-way requests to a worker pool, so replies
-    complete out of order and one slow call no longer stalls the
-    connection.
+    The connection's reader thread dispatches each request inline, so
+    a slow upcall holds back the requests behind it on the same
+    connection; exclusive client connections get a thread each.
     """
 
     def __init__(self, orb):
@@ -428,13 +426,9 @@ class BlockingServer:
         #: Accepted communicators, closed on stop() so reader threads
         #: blocked in recv unwind promptly.
         self.active = set()  # guarded-by: self._lock
-        self._pool = None  # guarded-by: self._lock
         observer = orb.observer
-        self._pipeline_gauge = self._meter = None
-        if observer is not None:
-            self._pipeline_gauge = observer.metrics.gauge(
-                "rpc.pipeline_inflight")
-            self._meter = observer.channel_meter("server")
+        self._meter = (observer.channel_meter("server")
+                       if observer is not None else None)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -452,7 +446,7 @@ class BlockingServer:
         return True
 
     def stop(self, drain=None):
-        """Close the listener, every accepted connection, and the pool."""
+        """Close the listener and every accepted connection."""
         if drain is not None:
             self._drain(float(drain))
         with self._lock:
@@ -460,13 +454,10 @@ class BlockingServer:
             self.core.draining = False
             active = list(self.active)
             self.active.clear()
-            pool, self._pool = self._pool, None
         if was_running:
             self.listener.close()
             for communicator in active:
                 communicator.close()
-        if pool is not None:
-            pool.shutdown(wait=False)
 
     def _drain(self, timeout):
         """Orderly-drain phase of ``stop(drain=...)``.
@@ -511,15 +502,6 @@ class BlockingServer:
         except (CommunicationError, OSError):
             pass  # peer already gone; the close below still runs
         communicator.close()
-
-    def _executor(self):
-        with self._lock:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=max(1, self.orb.pipeline_workers),
-                    thread_name_prefix="heidirmi-dispatch",
-                )
-            return self._pool
 
     # -- accepting ---------------------------------------------------------
 
@@ -579,11 +561,6 @@ class BlockingServer:
 
     def _serve(self, communicator):
         session = communicator.session
-        workers = self.orb.pipeline_workers
-        # Bounded read-ahead: at most this many requests of one
-        # connection sit in (or wait for) the pool.
-        window = (threading.Semaphore(max(2, workers * 2))
-                  if workers > 0 else None)
         # Hoisted out of the per-request loop: these run once per call.
         channel = communicator.channel
         next_event = communicator.next_event
@@ -591,7 +568,7 @@ class BlockingServer:
         dispatch = session.dispatch
         while self.running and not channel.closed:
             if not channel.has_buffered:
-                # The read-ahead backlog drained: nothing further can
+                # The receive backlog drained: nothing further can
                 # coalesce with any withheld replies (the next request
                 # may be a oneway, or never come at all), so push them
                 # out before blocking — otherwise a burst ending in a
@@ -617,25 +594,6 @@ class BlockingServer:
                         pass  # peer already gone; the next read says so
                 continue
             call = event.call
-            if (
-                window is not None
-                and not call.oneway
-                and call.request_id is not None
-            ):
-                # Oneways stay inline (their per-connection ordering is
-                # a guarantee) and id-less requests stay serial (replies
-                # would be correlated by order alone).
-                window.acquire()
-                if self._pipeline_gauge is not None:
-                    self._pipeline_gauge.add(1)
-                try:
-                    self._executor().submit(
-                        self._serve_pooled, communicator, call, window)
-                    continue
-                except RuntimeError:
-                    # The pool shut down mid-stop: finish this request
-                    # inline, like any other caught in flight by stop().
-                    self._release(window)
             reply = dispatch(call)
             # More requests already waiting: coalesce this reply with
             # theirs into one send (ids let the client demultiplex, so
@@ -650,26 +608,6 @@ class BlockingServer:
             finally:
                 session.done(call, reply, coalesce)
 
-    def _serve_pooled(self, communicator, call, window):
-        """Pipeline worker body: dispatch one read-ahead request."""
-        session = communicator.session
-        reply = None
-        try:
-            reply = self._write(communicator, call, session.dispatch(call))
-        except CommunicationError:
-            pass  # connection died; the reader loop notices too
-        except Exception:  # defensive: bug in the pipeline itself
-            self.orb._event("orb:server-loop-error",
-                            error=traceback.format_exc())
-        finally:
-            session.done(call, reply)
-            self._release(window)
-
-    def _release(self, window):
-        window.release()
-        if self._pipeline_gauge is not None:
-            self._pipeline_gauge.add(-1)
-
     @staticmethod
     def _answer(communicator, outcome):
         """Write what the session answered without a dispatch."""
@@ -680,7 +618,7 @@ class BlockingServer:
             communicator.reply(outcome)
 
     @staticmethod
-    def _write(communicator, call, reply, coalesce=False):
+    def _write(communicator, call, reply, coalesce):
         """Send (or buffer) *reply*; returns the Reply that went out.
 
         A reply that will not encode (a result value the marshaller

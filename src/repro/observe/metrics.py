@@ -8,8 +8,8 @@ pre-resolved object — the registry dict is never touched per call.
 
 Recording is deliberately lock-cheap: each instrument has its own small
 lock, held only for the few arithmetic operations of one update, so
-concurrent client threads, the demux reader and pipelined server
-workers never contend on a registry-wide lock.
+concurrent client threads, the demux reader and server connection
+threads never contend on a registry-wide lock.
 """
 
 import bisect

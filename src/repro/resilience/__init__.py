@@ -30,8 +30,8 @@ it lives in stubs or skeletons:
   latency (``slow``) and garbage frames underneath any protocol.
 
 Everything is off by default: an ``Orb`` constructed without a
-``resilience=`` policy (and without ``default_deadline=``) runs the
-exact pre-resilience hot path.  See ``docs/RESILIENCE.md``.
+``resilience=`` policy runs the exact pre-resilience hot path.  See
+``docs/RESILIENCE.md``.
 """
 
 from repro.resilience.breaker import (

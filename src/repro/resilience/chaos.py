@@ -262,10 +262,7 @@ class ChaosTransport(Transport):
                 f"{timeout if timeout is not None else '?'}s",
                 kind="connect-timeout",
             )
-        try:
-            channel = self._inner.connect(host, port, timeout=timeout)
-        except TypeError:
-            channel = self._inner.connect(host, port)
+        channel = self._inner.connect(host, port, timeout=timeout)
         return ChaosChannel(channel, self.plan, self.plan.next_channel_id())
 
 

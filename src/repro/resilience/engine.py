@@ -95,7 +95,7 @@ class PolicyPlan:
 
 
 def resolve_deadline(orb, deadline, call=None):
-    """Effective deadline: explicit arg > call's own > policy > Orb default.
+    """Effective deadline: explicit arg > call's own > policy default.
 
     The all-``None`` path allocates nothing and returns None — callers
     on the no-deadline hot path must not pay for a Deadline they do not
@@ -106,12 +106,9 @@ def resolve_deadline(orb, deadline, call=None):
         deadline = call.deadline
     if deadline is None:
         policy = orb.resilience
-        if policy is not None and policy.default_deadline is not None:
-            deadline = policy.default_deadline
-        else:
-            deadline = orb.default_deadline
-        if deadline is None:
+        if policy is None or policy.default_deadline is None:
             return None
+        deadline = policy.default_deadline
     return Deadline.coerce(deadline)
 
 

@@ -79,8 +79,8 @@ class ResiliencePolicy:
     """The bundle an Orb is configured with: ``Orb(resilience=...)``.
 
     Every part is optional; omitted parts simply do nothing.  An Orb
-    without a ResiliencePolicy (and without ``default_deadline=``) runs
-    the pre-resilience hot path untouched.
+    without a ResiliencePolicy runs the pre-resilience hot path
+    untouched.
     """
 
     def __init__(self, retry=None, breaker=None, default_deadline=None,

@@ -1,8 +1,9 @@
 """One serving core, two pumps: the blocking and asyncio servers agree.
 
 The same scripted conversation — ok, user exception, oneway, ``dl=0``,
-admission shed, draining shed, a malformed frame, a result that will
-not encode — is held over a raw socket with each server runtime; the
+admission shed, a request queued behind a slow one on its connection,
+draining shed, a malformed frame, a result that will not encode — is
+held over a raw socket with each server runtime; the
 reply bytes, the request count, the metric catalogue and the server
 span shapes must not depend on which pump carried them.
 """
@@ -45,7 +46,7 @@ MALFORMED = {
 #: bytes (coalesced replies, flushes, the client-side demultiplexer the
 #: same class carries).  The asyncio pump writes each reply as it comes.
 COMMUNICATOR_METRICS = {
-    "rpc.replies_coalesced", "rpc.reply_flushes", "rpc.oneway_flushes",
+    "rpc.replies_coalesced", "rpc.reply_flushes",
     "rpc.pending_replies", "rpc.demux_batch_replies",
 }
 
@@ -156,8 +157,14 @@ def converse(runtime, protocol_name):
         assert impl.holding.wait(10)
         second.send("echo", 6, "excess")
         second.replies(1)
+        # One connection's requests are dispatched serially, in order:
+        # this one waits behind the held call and is answered after it.
+        # The pause gives a server that reads ahead time to take it
+        # early (and shed it, the one admission slot being held).
+        first.send("echo", 10, "queued")
+        time.sleep(0.1)
         impl.release.set()
-        first.replies(1)
+        first.replies(2)
         core.draining = True
         first.send("echo", 7, "too late")
         first.replies(1)
@@ -170,7 +177,7 @@ def converse(runtime, protocol_name):
         first.replies(1)
         # The last span closes after its reply is on the wire.
         deadline = time.monotonic() + 5
-        while (len(observer.exporter.snapshot()) < 9
+        while (len(observer.exporter.snapshot()) < 10
                and time.monotonic() < deadline):
             time.sleep(0.005)
     finally:
@@ -207,7 +214,7 @@ def test_both_servers_hold_the_same_conversation(protocol_name):
                            for runtime in SERVER_RUNTIMES)
     assert blocking["first"] == coroutine["first"]
     assert blocking["second"] == coroutine["second"]
-    assert blocking["requests"] == coroutine["requests"] == 9
+    assert blocking["requests"] == coroutine["requests"] == 10
     assert blocking["metrics"] == coroutine["metrics"]
     assert blocking["spans"] == coroutine["spans"]
     # And the conversation said what it should have.  A frame that did
@@ -216,13 +223,14 @@ def test_both_servers_hold_the_same_conversation(protocol_name):
         == (0, STATUS_ERROR, "Protocol")
     if protocol_name == "text2":
         lines = blocking["first"].split(b"\n")[:-1]
-        assert lines[5].startswith(b"RET2 0 ERR Protocol ")
-        assert lines[:5] + lines[6:] == [
+        assert lines[6].startswith(b"RET2 0 ERR Protocol ")
+        assert lines[:6] + lines[7:] == [
             b"RET2 1 OK hello",
             b"RET2 2 EXC IDL:Serving/Refused:1.0",
             b"RET2 4 ERR DeadlineExceeded "
             b"request%20'echo'%20expired%20before%20dispatch",
             b"RET2 5 OK held",
+            b"RET2 10 OK queued",
             b"RET2 7 ERR Overloaded ra=10%20server%20draining",
             b"RET2 8 ERR MarshalError "
             b"expected%20an%20integer,%20got%20'not-an-int'",
@@ -234,7 +242,7 @@ def test_both_servers_hold_the_same_conversation(protocol_name):
     assert {"rpc.requests", "rpc.dispatch_us", "overload.shed",
             "resilience.deadline_expired", "channel.bytes_received",
             } <= names
-    assert len(blocking["spans"]) == 9
+    assert len(blocking["spans"]) == 10
     assert ("echo", ("queue", "select", "dispatch", "reply"),
             ("dispatch.path", "protocol", "status")) in blocking["spans"]
     assert ("echo", (), ("protocol", "shed")) in blocking["spans"]

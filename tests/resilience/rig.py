@@ -129,8 +129,8 @@ def make_server(runtime="blocking", transport="tcp", **orb_kwargs):
 
 
 def make_pair(protocol="text2", multiplex=False, plan=None, transport="inproc",
-              pipeline_workers=0, wrap_accept=False, server_kwargs=None,
-              client_kwargs=None, runtime="blocking"):
+              wrap_accept=False, server_kwargs=None, client_kwargs=None,
+              runtime="blocking"):
     """(server, client, stub, impl) with optional chaos below the wire.
 
     The server is built on the chaos-wrapped transport name, so the
@@ -144,7 +144,6 @@ def make_pair(protocol="text2", multiplex=False, plan=None, transport="inproc",
         transport = install_chaos(transport, plan, wrap_accept=wrap_accept)
     types = registry()
     server = make_server(runtime, transport, protocol=protocol, types=types,
-                         pipeline_workers=pipeline_workers,
                          **(server_kwargs or {}))
     client = Orb(transport=transport, protocol=protocol, types=types,
                  multiplex=multiplex, **(client_kwargs or {}))

@@ -15,8 +15,8 @@ import pytest
 from repro.model.call import Call
 from repro.model.errors import DeadlineExceeded
 from repro.heidirmi.protocol import get_protocol
-from repro.heidirmi.transport import get_transport
-from repro.resilience import Deadline
+from repro.heidirmi.transport import get_transport, register_transport
+from repro.resilience import Deadline, ResiliencePolicy
 from repro.wire.events import WireViolation
 
 from tests.resilience.rig import SERVER_RUNTIMES, make_pair, stop_pair
@@ -188,7 +188,7 @@ def test_slow_call_fails_within_deadline(protocol, multiplex):
 def test_per_orb_default_deadline_applies():
     server, client, stub, _ = make_pair(
         protocol="text2", multiplex=True,
-        client_kwargs={"default_deadline": 0.15},
+        client_kwargs={"resilience": ResiliencePolicy(default_deadline=0.15)},
     )
     try:
         with pytest.raises(DeadlineExceeded):
@@ -200,6 +200,52 @@ def test_per_orb_default_deadline_applies():
         assert stub.echo("fast") == "ack:fast"
     finally:
         stop_pair(server, client)
+
+
+class _TimeoutRecordingTransport:
+    """inproc, remembering the timeout every connect is handed."""
+
+    def __init__(self, timeouts):
+        self.timeouts = timeouts
+        self._inner = get_transport("inproc")
+
+    def listen(self, host, port):
+        return self._inner.listen(host, port)
+
+    def connect(self, host, port, timeout=None):
+        self.timeouts.append(timeout)
+        return self._inner.connect(host, port, timeout=timeout)
+
+
+@pytest.mark.parametrize("how", ("invoke_bulk", "invoke_async"))
+@pytest.mark.parametrize("multiplex", (False, True),
+                         ids=("exclusive", "multiplexed"))
+def test_deadline_bounds_connection_setup(multiplex, how):
+    """Every invoke path hands the call's remaining budget to connect,
+    not the transport's own (30 s for tcp) default."""
+    from repro.heidirmi.transport import _TRANSPORTS
+
+    timeouts = []
+    register_transport("deadline-recording",
+                       lambda: _TimeoutRecordingTransport(timeouts))
+    server, client, stub, _ = make_pair(
+        protocol="text2", multiplex=multiplex, transport="deadline-recording")
+    try:
+        call = stub._new_call("echo")
+        call.put_string("x")
+        call.put_long(0)
+        if how == "invoke_bulk":
+            [reply] = client.invoke_bulk(stub._hd_ref, [call], deadline=0.2)
+        else:
+            call.deadline = Deadline.after(0.2)
+            reply = client.invoke_async(stub._hd_ref, call).result(timeout=10)
+        assert reply.get_string() == "ack:x"
+        assert timeouts and all(
+            timeout is not None and 0.0 < timeout <= 0.2
+            for timeout in timeouts), timeouts
+    finally:
+        stop_pair(server, client)
+        _TRANSPORTS.pop("deadline-recording", None)
 
 
 def test_expired_call_never_blocks_channel_mates():

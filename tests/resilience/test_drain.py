@@ -102,8 +102,7 @@ def test_drain_finishes_inflight_and_leaves_no_postmortem(
 @pytest.mark.parametrize("runtime", SERVER_RUNTIMES)
 def test_drain_sheds_late_requests_as_retryable(runtime):
     server, client, stub, _ = make_pair(
-        protocol="text2", multiplex=True, transport="tcp",
-        pipeline_workers=2, runtime=runtime,
+        protocol="text2", multiplex=True, transport="tcp", runtime=runtime,
     )
     stopper = None
     try:
