@@ -28,7 +28,7 @@ is not known until the header in front of them is.
 import struct
 
 from repro.model.errors import MarshalError
-from repro.model.marshal import Marshaller, Unmarshaller
+from repro.model.marshal import RUN_KINDS, Marshaller, Unmarshaller
 
 LITTLE_ENDIAN = 1
 BIG_ENDIAN = 0
@@ -40,6 +40,9 @@ BIG_ENDIAN = 0
 #: size, so the layout's size is also its boundary.
 _LAYOUTS = tuple({code: struct.Struct(order + code) for code in "BhHiIqQfd"}
                  for order in "><")
+
+#: Run kind → its ``struct`` code.
+_RUN_CODES = dict(zip(RUN_KINDS, "BhHiIqQfd"))
 
 
 def utf8(raw, what):
@@ -78,9 +81,12 @@ class CdrEncoder(Marshaller):
         self._data = bytearray() if buffer is None else buffer
 
     def _pack(self, code, value):
-        """Append *value*, zero-padded up to its boundary."""
+        """Append *value*, zero-padded up to its boundary.  ``struct``
+        would pack ``True`` as 1; a number kind refuses it, as text does."""
         layout = self._layouts[code]
         try:
+            if value.__class__ is bool:
+                raise struct.error("a bool is not a number")
             packed = layout.pack(value)
         except (struct.error, OverflowError) as exc:
             raise MarshalError(f"cannot CDR-encode {value!r}: {exc}") from exc
@@ -158,6 +164,22 @@ class CdrEncoder(Marshaller):
     put_float = float
     put_double = double
     put_string = string
+
+    def put_seq(self, kind, values):
+        """One alignment and one pack for the run; a run ``struct``
+        refuses (or that holds a bool) is re-walked element by element
+        to raise that element's error."""
+        code = _RUN_CODES[kind]
+        try:
+            if bool in set(map(type, values)):
+                raise struct.error("a bool is not a number")
+            packed = struct.pack(f"{'><'[self.little_endian]}{len(values)}{code}", *values)
+        except (struct.error, OverflowError):
+            return Marshaller.put_seq(self, kind, values)
+        if packed:  # an empty run, like an empty loop, is not aligned
+            size = self._layouts[code].size
+            self._data += bytes(-(self._start + len(self._data)) & (size - 1))
+        self._data += packed
 
     def put_enum(self, name, index):
         self._pack("I", index)
@@ -249,6 +271,16 @@ class CdrRecorder(Marshaller):
     def put_boolean(self, value):
         self._puts.append((CdrEncoder.octet, 1 if value else 0))
 
+    def put_seq(self, kind, values):
+        """One ``(run, values)`` pair, internable on the same terms as
+        the puts it stands for."""
+        values = tuple(values)
+        types = set(map(type, values))
+        exact = {float} if kind in ("float", "double") else {int}
+        if not types <= exact or float in types and 0.0 in values:
+            self._internable = False
+        self._puts.append((_RUNS[kind], values))
+
     def put_enum(self, name, index):
         self.put_ulong(index)
 
@@ -280,6 +312,11 @@ class CdrRecorder(Marshaller):
         encoder = CdrEncoder()
         self.replay(encoder)
         return encoder.data()
+
+
+#: The put a :class:`CdrRecorder` records for a run of each kind.
+_RUNS = {kind: lambda encoder, values, kind=kind: encoder.put_seq(kind, values)
+         for kind in RUN_KINDS}
 
 
 class CdrDecoder(Unmarshaller):
@@ -384,6 +421,19 @@ class CdrDecoder(Unmarshaller):
     get_float = float
     get_double = double
     get_string = string
+
+    def get_seq(self, kind, count):
+        """One bounds check, made before anything is allocated, and one
+        unpack; a run that overruns the buffer is re-walked element by
+        element to raise the first missing element's error."""
+        code = _RUN_CODES[kind]
+        size = self._layouts[code].size
+        pos = self._pos + (-(self._start + self._pos) & (size - 1) if count else 0)
+        if pos + count * size > len(self._data):
+            return Unmarshaller.get_seq(self, kind, count)
+        self._pos = pos + count * size
+        return list(struct.unpack_from(
+            f"{'><'[self.little_endian]}{count}{code}", self._data, pos))
 
     def get_enum(self, members):
         index = self._unpack("I", "enum")

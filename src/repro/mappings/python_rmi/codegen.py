@@ -14,6 +14,7 @@ are rejected with a clear error at generation time.
 """
 
 from repro.model.errors import MarshalError
+from repro.model.marshal import RUN_KINDS
 
 #: EST category → Call method suffix for primitives.
 PRIMITIVE_METHOD = {
@@ -82,6 +83,13 @@ def put_lines(node, name, direction="in", obj="call", depth=0, helper="self"):
     return _put(TypeView(node), name, direction, obj, depth, helper)
 
 
+def _run_kind(element):
+    """The ``put_seq``/``get_seq`` kind for a sequence of *element*, or
+    None when its elements are marshalled one by one."""
+    kind = PRIMITIVE_METHOD.get(element.category)
+    return kind if kind in RUN_KINDS else None
+
+
 def _put(view, name, direction, obj, depth, helper):
     category = view.category
     if category in PRIMITIVE_METHOD:
@@ -104,13 +112,17 @@ def _put(view, name, direction, obj, depth, helper):
         element = view.element
         if element is None:
             _unsupported("sequence without element info", "here")
-        item = f"_e{depth}"
-        inner = _put(element, item, direction, obj, depth + 1, helper)
+        kind = _run_kind(element)
+        if kind:
+            body = [f"{obj}.put_seq({kind!r}, {name})"]
+        else:
+            item = f"_e{depth}"
+            inner = _put(element, item, direction, obj, depth + 1, helper)
+            body = [f"for {item} in {name}:", *[f"    {line}" for line in inner]]
         return [
             f"{obj}.begin('sequence')",
             f"{obj}.put_ulong(len({name}))",
-            f"for {item} in {name}:",
-            *[f"    {line}" for line in inner],
+            *body,
             f"{obj}.end()",
         ]
     _unsupported(category, f"for value {name!r}")
@@ -144,17 +156,20 @@ def _get(view, target, obj, depth, helper):
         element = view.element
         if element is None:
             _unsupported("sequence without element info", "here")
-        index = f"_i{depth}"
-        item = f"_v{depth}"
-        inner = _get(element, item, obj, depth + 1, helper)
-        return [
-            f"{obj}.begin('sequence')",
-            f"{target} = []",
-            f"for {index} in range({obj}.get_ulong()):",
-            *[f"    {line}" for line in inner],
-            f"    {target}.append({item})",
-            f"{obj}.end()",
-        ]
+        kind = _run_kind(element)
+        if kind:
+            body = [f"{target} = {obj}.get_seq({kind!r}, {obj}.get_ulong())"]
+        else:
+            index = f"_i{depth}"
+            item = f"_v{depth}"
+            inner = _get(element, item, obj, depth + 1, helper)
+            body = [
+                f"{target} = []",
+                f"for {index} in range({obj}.get_ulong()):",
+                *[f"    {line}" for line in inner],
+                f"    {target}.append({item})",
+            ]
+        return [f"{obj}.begin('sequence')", *body, f"{obj}.end()"]
     _unsupported(category, f"for target {target!r}")
 
 

@@ -60,6 +60,9 @@ class _DelegatingWriter:
     def put_string(self, value):
         self._m.put_string(value)
 
+    def put_seq(self, kind, values):
+        self._m.put_seq(kind, values)
+
     def put_enum(self, name, index):
         self._m.put_enum(name, index)
 
@@ -122,6 +125,9 @@ class _DelegatingReader:
 
     def get_string(self):
         return self._u.get_string()
+
+    def get_seq(self, kind, count):
+        return self._u.get_seq(kind, count)
 
     def get_enum(self, members):
         return self._u.get_enum(members)

@@ -15,9 +15,21 @@ newline-terminated text format's ``TextMarshaller`` /
 fill a third marshaller, ``CdrRecorder``, which packs nothing itself:
 CDR aligns from the start of the message, so its values are replayed
 into a ``CdrEncoder`` once the header in front of them is written.
+
+A sequence of one numeric primitive may cross the surface as one *run*
+(``put_seq``/``get_seq``) instead of one put per element.  The base
+classes define a run as that loop, so a marshaller that does not
+implement runs still works; the encodings implement them as one pack
+or one join and, when a run fails its check, re-walk the loop to raise
+the failing element's error.
 """
 
 from repro.model.errors import MarshalError
+
+#: The primitive kinds a run may carry: ``put_seq(kind, values)`` means
+#: ``put_<kind>`` for each value.
+RUN_KINDS = ("octet", "short", "ushort", "long", "ulong", "longlong",
+             "ulonglong", "float", "double")
 
 
 class Marshaller:
@@ -60,6 +72,13 @@ class Marshaller:
 
     def put_string(self, value):
         raise NotImplementedError
+
+    def put_seq(self, kind, values):
+        """The elements of a sequence of the *kind* primitive (one of
+        :data:`RUN_KINDS`); the count and the begin/end are the
+        caller's.  Same payload as putting them one by one."""
+        for value in values:
+            getattr(self, "put_" + kind)(value)
 
     def put_enum(self, name, index):
         """Enums carry both spellings: text writes *name*, CDR *index*."""
@@ -133,6 +152,11 @@ class Unmarshaller:
 
     def get_string(self):
         raise NotImplementedError
+
+    def get_seq(self, kind, count):
+        """A list of *count* values of the *kind* primitive, as
+        :meth:`Marshaller.put_seq` wrote them."""
+        return [getattr(self, "get_" + kind)() for _ in range(count)]
 
     def get_enum(self, members):
         """Return the enum *index*; *members* is the name tuple."""

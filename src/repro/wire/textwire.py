@@ -22,9 +22,10 @@ Message shapes (framed and parsed by :mod:`repro.wire.text`)::
 """
 
 import re
+import struct
 
 from repro.model.errors import MarshalError, ProtocolError
-from repro.model.marshal import Marshaller, Unmarshaller
+from repro.model.marshal import RUN_KINDS, Marshaller, Unmarshaller
 
 #: The token standing for an empty string (an empty token would vanish).
 _EMPTY = "%e"
@@ -48,6 +49,79 @@ BEGIN_TOKEN = "{"
 END_TOKEN = "}"
 TRUE_TOKEN = "T"
 FALSE_TOKEN = "F"
+
+#: Run kind → (its name in errors, its Python type, low, high): the one
+#: table the scalar puts and gets and the runs all read.  A real's
+#: range is what CDR can pack (see :func:`_fits`).
+_NUMBERS = {
+    "octet": ("octet", int, 0, 2**8 - 1),
+    "short": ("short", int, -(2**15), 2**15 - 1),
+    "ushort": ("unsigned short", int, 0, 2**16 - 1),
+    "long": ("long", int, -(2**31), 2**31 - 1),
+    "ulong": ("unsigned long", int, 0, 2**32 - 1),
+    "longlong": ("long long", int, -(2**63), 2**63 - 1),
+    "ulonglong": ("unsigned long long", int, 0, 2**64 - 1),
+    "float": ("float", float, None, None),
+    "double": ("double", float, None, None),
+}
+
+
+def _fits(kind, values):
+    """Whether every one of the numbers *values* is in *kind*'s range.
+    For a real that is whether CDR can pack it: one CDR would overflow
+    is out of range on every protocol, though a token could spell it."""
+    _, exact, low, high = _NUMBERS[kind]
+    if exact is int:
+        return not values or low <= min(values) and max(values) <= high
+    try:
+        struct.pack(f"<{len(values)}{kind[0]}", *values)
+    except (struct.error, OverflowError):
+        return False
+    return True
+
+
+def _put_integer(kind):
+    """:class:`TextMarshaller`'s put for the *kind* integer."""
+    _, _, low, high = _NUMBERS[kind]
+
+    def put(self, value):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise MarshalError(f"expected an integer, got {value!r}")
+        if not low <= value <= high:
+            raise MarshalError(f"integer {value} out of range [{low}, {high}]")
+        self._tokens.append(str(value))
+    return put
+
+
+def _put_real(kind):
+    """:class:`TextMarshaller`'s put for the *kind* real."""
+    layout = struct.Struct("<" + kind[0])
+
+    def put(self, value):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise MarshalError(f"expected a real number, got {value!r}")
+        try:
+            layout.pack(value)
+        except (struct.error, OverflowError):
+            raise MarshalError(f"real out of range for {kind}") from None
+        self._tokens.append(repr(float(value)))
+    return put
+
+
+def _get_number(kind):
+    """:class:`TextUnmarshaller`'s get for the *kind* number."""
+    what, exact, low, high = _NUMBERS[kind]
+
+    def get(self):
+        token = self._next(what)
+        try:
+            value = exact(token)
+        except ValueError:
+            raise MarshalError(f"expected {what}, got token {token!r}") from None
+        if low is not None and not low <= value <= high:
+            raise MarshalError(f"{what} {value} out of range [{low}, {high}]")
+        return value
+    return get
 
 
 def escape_token(text):
@@ -119,8 +193,8 @@ class TextMarshaller(Marshaller):
     def put_boolean(self, value):
         self._tokens.append(TRUE_TOKEN if value else FALSE_TOKEN)
 
-    def put_octet(self, value):
-        self._put_int(value, 0, 2**8 - 1)
+    (put_octet, put_short, put_ushort, put_long, put_ulong, put_longlong,
+     put_ulonglong) = map(_put_integer, RUN_KINDS[:7])
 
     def put_char(self, value):
         # An IDL char is 8 bits (ISO 8859-1) on every protocol; CDR
@@ -129,41 +203,17 @@ class TextMarshaller(Marshaller):
             raise MarshalError(f"not an ISO 8859-1 char: {value!r}")
         self._tokens.append(escape_token(value))
 
-    def put_short(self, value):
-        self._put_int(value, -(2**15), 2**15 - 1)
+    put_float, put_double = map(_put_real, RUN_KINDS[7:])
 
-    def put_ushort(self, value):
-        self._put_int(value, 0, 2**16 - 1)
-
-    def put_long(self, value):
-        self._put_int(value, -(2**31), 2**31 - 1)
-
-    def put_ulong(self, value):
-        self._put_int(value, 0, 2**32 - 1)
-
-    def put_longlong(self, value):
-        self._put_int(value, -(2**63), 2**63 - 1)
-
-    def put_ulonglong(self, value):
-        self._put_int(value, 0, 2**64 - 1)
-
-    def _put_int(self, value, low, high):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise MarshalError(f"expected an integer, got {value!r}")
-        if not low <= value <= high:
-            raise MarshalError(f"integer {value} out of range [{low}, {high}]")
-        self._tokens.append(str(value))
-
-    def put_float(self, value):
-        self._put_real(value)
-
-    def put_double(self, value):
-        self._put_real(value)
-
-    def _put_real(self, value):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise MarshalError(f"expected a real number, got {value!r}")
-        self._tokens.append(repr(float(value)))
+    def put_seq(self, kind, values):
+        """The run as one type and range check and one extend of its
+        tokens; a run that is not all exact ``int`` (or ``float``) in
+        range is re-walked element by element to raise that element's
+        error."""
+        if set(map(type, values)) <= {_NUMBERS[kind][1]} and _fits(kind, values):
+            self._tokens.extend(map(repr, values))
+        else:
+            Marshaller.put_seq(self, kind, values)
 
     def put_string(self, value):
         if not isinstance(value, str):
@@ -247,8 +297,8 @@ class TextUnmarshaller(Unmarshaller):
             return False
         raise MarshalError(f"expected T/F boolean token, got {token!r}")
 
-    def get_octet(self):
-        return self._get_int("octet", 0, 2**8 - 1)
+    (get_octet, get_short, get_ushort, get_long, get_ulong, get_longlong,
+     get_ulonglong, get_float, get_double) = map(_get_number, RUN_KINDS)
 
     def get_char(self):
         value = unescape_token(self._next("char"))
@@ -256,46 +306,25 @@ class TextUnmarshaller(Unmarshaller):
             raise MarshalError(f"char token decodes to {value!r}, not 1 character")
         return value
 
-    def get_short(self):
-        return self._get_int("short", -(2**15), 2**15 - 1)
-
-    def get_ushort(self):
-        return self._get_int("unsigned short", 0, 2**16 - 1)
-
-    def get_long(self):
-        return self._get_int("long", -(2**31), 2**31 - 1)
-
-    def get_ulong(self):
-        return self._get_int("unsigned long", 0, 2**32 - 1)
-
-    def get_longlong(self):
-        return self._get_int("long long", -(2**63), 2**63 - 1)
-
-    def get_ulonglong(self):
-        return self._get_int("unsigned long long", 0, 2**64 - 1)
-
-    def _get_int(self, what, low, high):
-        token = self._next(what)
-        try:
-            value = int(token)
-        except ValueError:
-            raise MarshalError(f"expected {what}, got token {token!r}") from None
-        if not low <= value <= high:
-            raise MarshalError(f"{what} {value} out of range [{low}, {high}]")
-        return value
-
-    def get_float(self):
-        return self._get_real("float")
-
-    def get_double(self):
-        return self._get_real("double")
-
-    def _get_real(self, what):
-        token = self._next(what)
-        try:
-            return float(token)
-        except ValueError:
-            raise MarshalError(f"expected {what}, got token {token!r}") from None
+    def get_seq(self, kind, count):
+        """The run's tokens converted in one call.  The count is checked
+        against the tokens left before anything is converted; a run that
+        overruns them or holds a bad token is re-walked element by
+        element to raise that element's error."""
+        _, exact, low, _ = _NUMBERS[kind]
+        end = self._pos + count
+        if end <= len(self._tokens):
+            try:
+                values = list(map(exact, self._tokens[self._pos:end]))
+            except ValueError:
+                pass
+            else:
+                # A real is not range-checked on the way in: nor is it
+                # by get_float / get_double.
+                if low is None or _fits(kind, values):
+                    self._pos = end
+                    return values
+        return Unmarshaller.get_seq(self, kind, count)
 
     def get_string(self):
         return unescape_token(self._next("string"))

@@ -34,9 +34,14 @@ from repro.footprint import count_package_lines, subset_report
 #: server connection and one send path per oneway — the server's
 #: read-ahead pool and the client's oneway batch buffer deleted with
 #: the two Orb options that selected them: 5223 → 5114 (heidirmi 2733 →
-#: 2624).
+#: 2624).  Marshal runs — a sequence of one numeric primitive put and
+#: got in one call, one ``struct`` pack on CDR and one join on text, in
+#: place of a delegated put per element — raised it on purpose, for the
+#: bulk rows' CPU: 5114 → 5173 (model 343 → 354, wire 1584 → 1599, giop
+#: 563 → 596; the text numeric puts and gets became factories over one
+#: range table, which paid for most of the text side).
 RUNTIME_PACKAGES = ("model", "heidirmi", "wire", "giop")
-RUNTIME_CODE_CEILING = 5114
+RUNTIME_CODE_CEILING = 5173
 #: The text-only blocking client: stub, connection cache, text pump
 #: and tcp/inproc transports (the paper's 700-line Tcl ORB is the
 #: yardstick, C1/C5).
@@ -81,14 +86,17 @@ def test_runtime_code_lines_do_not_grow():
 # text client 2598 → 2526, the GIOP machine 1529 → 1527, the text
 # machine 1316 → 1315.  Deleting the dispatch pool, the oneway batch
 # buffer and the second default-deadline route: orb 4851 → 4739, text
-# client 2526 → 2478.  The ids are fixed names so that lowering a
+# client 2526 → 2478.  Marshal runs (raised on purpose, see above):
+# orb 4739 → 4765, the text machine 1315 → 1341, the GIOP machine 1527
+# → 1571, text client 2478 → 2504; the compiler's ceiling comes down to
+# the 3271 it measures.  The ids are fixed names so that lowering a
 # ceiling does not rename the test.
 @pytest.mark.parametrize("roots, ceiling", (
-    pytest.param("repro.heidirmi.orb", 4739, id="repro.heidirmi.orb"),
-    pytest.param("repro.compiler.cli", 3291, id="repro.compiler.cli"),
-    pytest.param("repro.wire.text", 1315, id="repro.wire.text"),
-    pytest.param("repro.wire.giop", 1527, id="repro.wire.giop"),
-    pytest.param(TEXT_CLIENT_ROOTS, 2478, id="text-client"),
+    pytest.param("repro.heidirmi.orb", 4765, id="repro.heidirmi.orb"),
+    pytest.param("repro.compiler.cli", 3271, id="repro.compiler.cli"),
+    pytest.param("repro.wire.text", 1341, id="repro.wire.text"),
+    pytest.param("repro.wire.giop", 1571, id="repro.wire.giop"),
+    pytest.param(TEXT_CLIENT_ROOTS, 2504, id="text-client"),
 ))
 def test_import_closure_does_not_grow(roots, ceiling):
     total = subset_report(roots)["<total>"]

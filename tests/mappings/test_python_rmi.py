@@ -237,3 +237,123 @@ class TestImplScaffoldTemplate:
         finally:
             client.stop()
             server.stop()
+
+
+RUNS_IDL = """\
+module Runs {
+  struct Sample { long id; double value; string tag; };
+  struct Taps { sequence<short> taps; string name; };
+  typedef sequence<long> LongSeq;
+  typedef sequence<double> DoubleSeq;
+  typedef sequence<LongSeq> Matrix;
+  typedef sequence<Sample> SampleSeq;
+  interface Shapes {
+    LongSeq longs(in LongSeq xs);
+    DoubleSeq doubles(in DoubleSeq xs);
+    Taps taps(in Taps t);
+    Matrix matrix(in Matrix m);
+    SampleSeq samples(in SampleSeq s);
+  };
+};
+"""
+
+
+class ShapesImpl:
+    """Returns each argument as it came, so a round trip is an echo."""
+
+    _hd_type_id_ = "IDL:Runs/Shapes:1.0"
+
+    def longs(self, xs):
+        return xs
+
+    def doubles(self, xs):
+        return xs
+
+    def taps(self, t):
+        return t
+
+    def matrix(self, m):
+        return m
+
+    def samples(self, s):
+        return s
+
+
+class TestSequenceRuns:
+    """A sequence of a numeric primitive is marshalled as one run
+    (``put_seq``/``get_seq``); every other element type keeps its loop."""
+
+    @pytest.fixture(scope="class")
+    def source(self):
+        spec = parse(RUNS_IDL, filename="Runs.idl")
+        return get_pack("python_rmi").generate(spec).files()["Runs_rmi.py"]
+
+    @staticmethod
+    def _body(source, name):
+        """The stub method *name*."""
+        stub = source.split("class Runs_Shapes_stub", 1)[1]
+        return stub.split(f"def {name}(", 1)[1].split("\n    def ", 1)[0]
+
+    def test_runs_are_emitted_exactly_for_numeric_elements(self, source):
+        # longs, doubles and matrix rows, each in the stub and in the
+        # skeleton's reply, plus the Taps member.
+        assert source.count("put_seq(") == source.count("get_seq(") == 7
+        assert "call.put_seq('long', xs)" in self._body(source, "longs")
+        assert "_result = reply.get_seq('double', reply.get_ulong())" in (
+            self._body(source, "doubles"))
+        taps = source.split("class Runs_Taps", 1)[1].split("\nclass ", 1)[0]
+        assert "call.put_seq('short', self.taps)" in taps
+        assert "_taps = call.get_seq('short', call.get_ulong())" in taps
+        matrix = self._body(source, "matrix")
+        assert "for _e0 in m:" in matrix
+        assert "call.put_seq('long', _e0)" in matrix
+        assert "_v0 = reply.get_seq('long', reply.get_ulong())" in matrix
+        samples = self._body(source, "samples")
+        assert "seq(" not in samples
+        assert "_e0._hd_struct_put(call, self._orb)" in samples
+
+    ARGUMENTS = {
+        "longs": [-(2**31), 0, 7, 2**31 - 1],
+        "doubles": [0.5, -0.0, 1e300, float("inf")],
+        "matrix": [[1, 2, 3], [], [-4]],
+    }
+
+    @pytest.mark.parametrize("protocol", ("text", "text2", "giop"))
+    def test_every_shape_round_trips_like_the_dii(self, protocol):
+        from repro.est import InterfaceRepository
+        from repro.heidirmi import Orb
+        from repro.heidirmi.dii import DynamicCaller
+
+        ns = generate_module(parse(RUNS_IDL, filename="Runs.idl"))
+        repository = InterfaceRepository()
+        repository.add(parse(RUNS_IDL, filename="Runs.idl"))
+        Sample, Taps = ns["Runs_Sample"], ns["Runs_Taps"]
+        arguments = dict(
+            self.ARGUMENTS,
+            taps=Taps(taps=[-(2**15), 3, 2**15 - 1], name="t"),
+            samples=[Sample(1, 0.25, "a"), Sample(-2, 1e-9, "b c")],
+        )
+        server = Orb(transport="inproc", protocol=protocol).start()
+        client = Orb(transport="inproc", protocol=protocol)
+        try:
+            ref = server.register(ShapesImpl())
+            stub = client.resolve(ref.stringify())
+            caller = DynamicCaller(client, repository)
+            for operation, argument in arguments.items():
+                result = getattr(stub, operation)(argument)
+                assert result == argument, operation
+                assert _plain(result) == caller.invoke(
+                    ref, operation, argument), operation
+        finally:
+            client.stop()
+            server.stop()
+
+
+def _plain(value):
+    """A generated struct as the dict the DII returns for it."""
+    if isinstance(value, list):
+        return [_plain(item) for item in value]
+    if hasattr(value, "_hd_struct_put"):
+        return {name: _plain(getattr(value, name))
+                for name in vars(value)}
+    return value
