@@ -11,17 +11,18 @@ Run:  python examples/custom_mapping.py
 """
 
 from repro.idl import parse
-from repro.mappings.base import MappingPack
+from repro.mappings.base import MappingPack, TypeView
 from repro.mappings.registry import register_pack
 
 SERVICE_IDL = """\
 module Billing {
   enum Currency { USD, EUR, JPY };
-  struct Invoice { string id; double total; Currency currency; };
+  typedef double Amount;
+  struct Invoice { string id; Amount total; Currency currency; };
   exception Overdue { string invoice_id; long days; };
   interface Ledger {
     Invoice lookup(in string invoice_id) raises (Overdue);
-    double balance(in Currency currency = Billing::USD);
+    Amount balance(in Currency currency = Billing::USD);
     oneway void audit_note(in string text);
     readonly attribute long invoice_count;
   };
@@ -90,10 +91,10 @@ Raises: ${raises}
 @closefile
 """
 
-#: ...plus these map functions.
+#: ...plus this type table (keyed by IDL spelling, like every pack's)...
 _DOC_TYPES = {
     "long": "integer (32-bit)",
-    "ulong": "integer (32-bit, unsigned)",
+    "unsigned long": "integer (32-bit, unsigned)",
     "short": "integer (16-bit)",
     "double": "number (64-bit float)",
     "float": "number (32-bit float)",
@@ -103,13 +104,15 @@ _DOC_TYPES = {
 }
 
 
+#: ...plus these map functions.  ``TypeView`` follows typedefs, so a
+#: ``typedef double Amount`` documents as a number.
 def map_type(value, ctx):
-    category = ctx.node.get("type") if ctx.node is not None else ""
-    if category in ("objref", "enum", "struct"):
-        return f"[`{value}`](#{str(value).split('::')[-1].lower()})"
-    if category in ("sequence", "alias"):
+    view = TypeView(ctx.node)
+    if view.category in ("objref", "enum", "struct"):
+        return f"[`{view.spelling}`](#{view.spelling.split('::')[-1].lower()})"
+    if view.category == "sequence":
         return f"list of `{value}`"
-    return _DOC_TYPES.get(category, f"`{value}`")
+    return _DOC_TYPES.get(view.idl, f"`{value}`")
 
 
 def map_oneway(value, ctx):
@@ -145,6 +148,7 @@ def main():
     print(document)
     assert "## interface `Ledger`" in document
     assert "*oneway: fire and forget*" in document
+    assert "| `total` | number (64-bit float) |" in document
     print("-" * 60)
     print("custom mapping demo OK — a whole new language mapping from one")
     print("template and two map functions, zero compiler changes.")

@@ -189,7 +189,7 @@ def _build_alias(decl, parent):
     node.add_prop("repoId", decl.repository_id)
     aliased = decl.aliased_type
     node.add_prop("type", _category(aliased))
-    node.add_prop("aliasedType", aliased.idl_name())
+    node.add_prop("aliasedType", _scoped_spelling(aliased))
     if isinstance(aliased, idl_types.SequenceType):
         # Fig. 8 nests a Sequence child describing the element type.
         seq = Ast("", "Sequence", node)
@@ -369,8 +369,9 @@ def _add_alias_resolution(node, idl_type):
 
     A parameter of type ``Heidi::SSequence`` has category ``alias``; its
     generated marshalling code needs the *underlying* type.  The chain
-    of typedefs is followed and recorded as ``aliasedCategory`` (plus an
-    ElementType child when the underlying type is a sequence).
+    of typedefs is followed and recorded as ``aliasedCategory``, with
+    the underlying type's spelling (``aliasedType``), its flattened name
+    (``aliasedTypeName``) and an ElementType child when it is a sequence.
     """
     underlying = idl_type
     seen = set()
@@ -383,6 +384,7 @@ def _add_alias_resolution(node, idl_type):
     if underlying is idl_type:
         return
     node.add_prop("aliasedCategory", _category(underlying))
+    node.add_prop("aliasedType", _scoped_spelling(underlying))
     node.add_prop("aliasedTypeName", _flattened_name(underlying))
     if isinstance(underlying, idl_types.SequenceType):
         element = Ast("", "ElementType", node)

@@ -56,7 +56,8 @@ class KindInfo:
 # Type-vocabulary shorthands shared by every node built through
 # builder._add_type_props (role is the kind-specific spelling prop).
 _TYPE_REQUIRED = ("type", "IsVariable")
-_TYPE_OPTIONAL = ("typeName", "bound", "aliasedCategory", "aliasedTypeName")
+_TYPE_OPTIONAL = ("typeName", "bound", "aliasedCategory", "aliasedType",
+                  "aliasedTypeName")
 # _add_type_props can nest an ElementType child for sequence-valued roles.
 _ELEMENT_LIST = {"elementTypeList": ("ElementType",)}
 

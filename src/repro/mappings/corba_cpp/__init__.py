@@ -10,7 +10,7 @@ in the generated code), which is exactly the legacy-integration pain the
 paper describes.
 """
 
-from repro.mappings.base import MappingPack
+from repro.mappings.base import MappingPack, TypeView, flat
 from repro.mappings.registry import register_pack
 
 #: IDL primitive → CORBA C++ type (the "Prescribed C++ Type" column of
@@ -36,70 +36,41 @@ CORBA_TYPE_TABLE = {
     "Object": "CORBA::Object_ptr",
 }
 
-_CATEGORY_TO_TABLE_KEY = {
-    "boolean": "boolean",
-    "char": "char",
-    "wchar": "wchar",
-    "octet": "octet",
-    "short": "short",
-    "ushort": "unsigned short",
-    "long": "long",
-    "ulong": "unsigned long",
-    "longlong": "long long",
-    "ulonglong": "unsigned long long",
-    "float": "float",
-    "double": "double",
-    "longdouble": "long double",
-    "string": "string",
-    "wstring": "wstring",
-    "any": "any",
-    "void": "void",
-}
-
-
-def map_scoped(value):
-    """``Heidi::A`` → ``Heidi_A``.
-
-    The prescribed mapping nests interfaces in C++ namespaces; this
-    reproduction flattens the scope into the class name instead, which
-    keeps generated headers self-contained while preserving the
-    declarator structure (``X_ptr``/``X_var``) the tables illustrate.
-    """
-    return str(value).replace("::", "_")
-
-
-def map_flat(value):
-    """``Heidi::A`` → ``Heidi_A`` for declarator names outside namespaces."""
-    return str(value).replace("::", "_")
+#: Categories passed as ``const T&`` / returned as ``T*``.
+_BY_REFERENCE = ("struct", "union", "exception", "alias", "sequence", "array")
+_BY_POINTER = ("struct", "union", "alias", "sequence", "array")
 
 
 def map_type(value, ctx):
-    """IDL type spelling → prescribed CORBA C++ type."""
-    category = ctx.node.get("type") if ctx.node is not None else ""
+    """IDL type spelling → prescribed CORBA C++ parameter type.
+
+    On an Alias node (the header's typedef line) it is the type the
+    typedef names, with no ``_ptr`` or ``const &``; a struct is named
+    ``struct X``, since the header defines structs after the typedefs.
+    """
+    view = TypeView(ctx.node)
+    if view.idl in CORBA_TYPE_TABLE:
+        return CORBA_TYPE_TABLE[view.idl]
+    category = view.category
+    if ctx.node.kind == "Alias":
+        return ("struct " if category == "struct" else "") + flat(value)
     if category == "objref":
-        return map_scoped(value) + "_ptr"
-    if category == "enum":
-        return map_scoped(value)
-    if category in ("struct", "union", "exception"):
-        return "const " + map_scoped(value) + "&"
-    if category in ("alias", "sequence", "array"):
-        return "const " + map_scoped(value) + "&"
-    key = _CATEGORY_TO_TABLE_KEY.get(category)
-    if key is not None and key in CORBA_TYPE_TABLE:
-        return CORBA_TYPE_TABLE[key]
-    return map_scoped(value)
+        return flat(value) + "_ptr"
+    if category in _BY_REFERENCE:
+        return "const " + flat(value) + "&"
+    return flat(value)
 
 
 def map_return_type(value, ctx):
-    category = ctx.node.get("type") if ctx.node is not None else ""
+    view = TypeView(ctx.node)
+    if view.idl in CORBA_TYPE_TABLE:
+        return CORBA_TYPE_TABLE[view.idl]
+    category = view.category
     if category == "objref":
-        return map_scoped(value) + "_ptr"
-    if category in ("struct", "union", "alias", "sequence", "array"):
-        return map_scoped(value) + "*"
-    key = _CATEGORY_TO_TABLE_KEY.get(category)
-    if key is not None and key in CORBA_TYPE_TABLE:
-        return CORBA_TYPE_TABLE[key]
-    return map_scoped(value)
+        return flat(value) + "_ptr"
+    if category in _BY_POINTER:
+        return flat(value) + "*"
+    return flat(value)
 
 
 def map_incopy_note(value, ctx):
@@ -122,23 +93,17 @@ class CorbaCppPack(MappingPack):
     )
     main_template = "main.tmpl"
     type_table = CORBA_TYPE_TABLE
-
-    def static_assets(self):
-        """Vendor-ORB header stand-ins the generated code compiles against."""
-        import os
-
-        assets = {}
-        runtime_dir = os.path.join(self.template_dir(), "runtime")
-        for name in sorted(os.listdir(runtime_dir)):
-            if name.endswith(".h"):
-                with open(os.path.join(runtime_dir, name),
-                          encoding="utf-8") as handle:
-                    assets[os.path.join("runtime", name)] = handle.read()
-        return assets
+    #: Vendor-ORB header stand-ins the generated code compiles against.
+    runtime_assets = ("runtime/*.h", "runtime")
 
     def register_maps(self, registry):
-        registry.register_simple("CORBA::MapScoped", map_scoped)
-        registry.register_simple("CORBA::MapFlat", map_flat)
+        # The prescribed mapping nests interfaces in C++ namespaces; this
+        # reproduction flattens the scope into the class name instead
+        # (``Heidi::A`` → ``Heidi_A``), which keeps generated headers
+        # self-contained while preserving the declarator structure
+        # (``X_ptr``/``X_var``) the tables illustrate.
+        registry.register_simple("CORBA::MapScoped", flat)
+        registry.register_simple("CORBA::MapFlat", flat)
         registry.register("CORBA::MapType", map_type)
         registry.register("CORBA::MapReturnType", map_return_type)
         registry.register("CORBA::MapIncopyNote", map_incopy_note)

@@ -8,7 +8,7 @@ skeletons *delegate* to the implementation class instead of being
 inherited by it.
 """
 
-from repro.mappings.base import MappingPack
+from repro.mappings.base import MappingPack, TypeView
 from repro.mappings.registry import register_pack
 
 #: IDL primitive → Heidi C++ type (the "Alternate C++ Mapping" column of
@@ -34,27 +34,6 @@ HEIDI_TYPE_TABLE = {
     "Object": "HdObject*",
 }
 
-_CATEGORY_TO_TABLE_KEY = {
-    "boolean": "boolean",
-    "char": "char",
-    "wchar": "wchar",
-    "octet": "octet",
-    "short": "short",
-    "ushort": "unsigned short",
-    "long": "long",
-    "ulong": "unsigned long",
-    "longlong": "long long",
-    "ulonglong": "unsigned long long",
-    "float": "float",
-    "double": "double",
-    "longdouble": "long double",
-    "string": "string",
-    "wstring": "wstring",
-    "any": "any",
-    "void": "void",
-    "objref": None,
-}
-
 #: Marshalling method on the Heidi C++ Call object, per category.
 _PUT_METHOD = {
     "boolean": "putBool",
@@ -75,6 +54,10 @@ _PUT_METHOD = {
     "enum": "putEnum",
 }
 
+#: Categories mapped to a pointer, and those marshalled as an object.
+_BY_POINTER = ("objref", "struct", "union", "alias", "array")
+_COMPOSITE = ("objref", "struct", "union", "alias", "sequence", "array")
+
 
 def map_class_name(value):
     """``Heidi::A`` → ``HdA`` (strip scope, prefix Hd)."""
@@ -82,36 +65,49 @@ def map_class_name(value):
     return "Hd" + simple
 
 
-def _element_type(ctx):
-    """The mapped element type of a sequence node's ElementType child."""
-    children = ctx.node.children("ElementType") if ctx.node is not None else []
-    if not children:
+def _category(view):
+    """The view's category, except that the Heidi mapping gives a
+    typedef a class of its own: a parameter of typedef'd type is an
+    ``alias`` composite, passed and marshalled as an object."""
+    return "alias" if view.alias is not None else view.category
+
+
+def _element_type(element):
+    """The mapped element type of a sequence's element view."""
+    if element is None:
         return "HdAny*"
-    element = children[0]
-    category = element.get("type")
-    if category in ("objref", "enum", "alias", "struct", "union"):
-        return map_class_name(element.get("elementType"))
-    key = _CATEGORY_TO_TABLE_KEY.get(category)
-    return HEIDI_TYPE_TABLE.get(key, "HdAny*")
+    if element.alias is not None:
+        return map_class_name(element.alias)
+    if element.category in ("objref", "enum", "alias", "struct", "union"):
+        return map_class_name(element.spelling)
+    return HEIDI_TYPE_TABLE.get(element.idl, "HdAny*")
+
+
+def _cpp_type(view, value):
+    if view.alias is not None:
+        return map_class_name(view.alias) + "*"
+    if view.idl in HEIDI_TYPE_TABLE:
+        return HEIDI_TYPE_TABLE[view.idl]
+    category = view.category
+    if category == "sequence":
+        return f"HdList<{_element_type(view.element)}>*"
+    if category in _BY_POINTER:
+        return map_class_name(value) + "*"
+    return map_class_name(value)
 
 
 def map_type(value, ctx):
-    """IDL type spelling → Heidi C++ type, using the node's category."""
-    category = ctx.prop("type")
-    if category == "objref":
-        return map_class_name(value) + "*"
-    if category in ("alias", "struct", "union"):
-        return map_class_name(value) + "*"
-    if category == "enum":
-        return map_class_name(value)
-    if category == "sequence":
-        return f"HdList<{_element_type(ctx)}>*"
-    if category == "array":
-        return map_class_name(value) + "*"
-    key = _CATEGORY_TO_TABLE_KEY.get(category)
-    if key is not None and key in HEIDI_TYPE_TABLE:
-        return HEIDI_TYPE_TABLE[key]
-    return map_class_name(value)
+    """IDL type spelling → Heidi C++ type, using the node's category.
+
+    On an Alias node (the header's typedef line) it is the type the
+    typedef names, with no pointer; a struct is named ``struct HdX``,
+    since the header defines structs after the typedefs.
+    """
+    view = TypeView(ctx.node)
+    if ctx.node.kind == "Alias" and view.idl is None:
+        prefix = "struct " if view.category == "struct" else ""
+        return prefix + map_class_name(value)
+    return _cpp_type(view, value)
 
 
 def map_default(value, ctx):
@@ -126,71 +122,54 @@ def map_default(value, ctx):
     return text
 
 
-_COMPOSITE = ("objref", "struct", "union", "alias", "sequence", "array")
-
-
-def _spelling(ctx):
-    """The node's IDL type spelling, whatever role the node plays."""
-    for role in ("paramType", "returnType", "attributeType", "memberType",
-                 "elementType", "constType"):
-        value = ctx.node.get(role) if ctx.node is not None else None
-        if value is not None:
-            return value
-    return ""
-
-
 def map_put(value, ctx):
     """A C++ marshalling statement for the parameter under consideration.
 
     Synthesized entirely from the node context, so it can be attached to
     any variable name in a ``-map`` modifier.
     """
-    category = ctx.node.get("type") if ctx.node is not None else ""
-    name = ctx.node.get("paramName") if ctx.node is not None else None
-    name = name or "value"
-    direction = ctx.node.get("getType", "in") if ctx.node is not None else "in"
+    category = _category(TypeView(ctx.node))
+    name = ctx.node.get("paramName") or "value"
     if category in _COMPOSITE:
-        if direction == "incopy":
+        if ctx.node.get("getType", "in") == "incopy":
             return f"call.putObjectByValue({name});"
         return f"call.putObject({name});"
-    method = _PUT_METHOD.get(category, "putAny")
-    return f"call.{method}({name});"
+    return f"call.{_PUT_METHOD.get(category, 'putAny')}({name});"
+
+
+def _get_expression(view, source):
+    """``source.getX()``, cast to the mapped type where C++ needs it."""
+    category = _category(view)
+    if category in _COMPOSITE:
+        return f"({_cpp_type(view, view.spelling)}) {source}.getObject()"
+    method = _PUT_METHOD.get(category, "putAny").replace("put", "get", 1)
+    if category == "enum":
+        # C++ forbids the implicit int→enum conversion.
+        return f"({_cpp_type(view, view.spelling)}) {source}.{method}()"
+    return f"{source}.{method}()"
 
 
 def map_get(value, ctx):
     """A C++ unmarshalling expression for the parameter."""
-    category = ctx.node.get("type") if ctx.node is not None else ""
-    if category in _COMPOSITE:
-        return f"({map_type(_spelling(ctx), ctx)}) call.getObject()"
-    method = _PUT_METHOD.get(category, "putAny").replace("put", "get", 1)
-    if category == "enum":
-        # C++ forbids the implicit int→enum conversion.
-        return f"({map_type(_spelling(ctx), ctx)}) call.{method}()"
-    return f"call.{method}()"
+    return _get_expression(TypeView(ctx.node), "call")
 
 
 def map_return_put(value, ctx):
     """Marshal the implementation result into the reply (skeleton side)."""
-    category = ctx.node.get("type") if ctx.node is not None else ""
+    category = _category(TypeView(ctx.node))
     if category == "void":
         return "// void return"
     if category in _COMPOSITE:
         return "reply.putObject(result);"
-    method = _PUT_METHOD.get(category, "putAny")
-    return f"reply.{method}(result);"
+    return f"reply.{_PUT_METHOD.get(category, 'putAny')}(result);"
 
 
 def map_return_get(value, ctx):
     """Unmarshal the reply into the stub's return value (client side)."""
-    category = ctx.node.get("type") if ctx.node is not None else ""
-    if category == "void":
+    view = TypeView(ctx.node)
+    if view.category == "void":
         return "// void return"
-    if category in _COMPOSITE:
-        return f"return ({map_type(_spelling(ctx), ctx)}) reply.getObject();"
-    method = _PUT_METHOD.get(category, "putAny").replace("put", "get", 1)
-    if category == "enum":
-        return f"return ({map_type(_spelling(ctx), ctx)}) reply.{method}();"
-    return f"return reply.{method}();"
+    return f"return {_get_expression(view, 'reply')};"
 
 
 @register_pack
@@ -205,18 +184,8 @@ class HeidiCppPack(MappingPack):
     )
     main_template = "main.tmpl"
     type_table = HEIDI_TYPE_TABLE
-
-    def static_assets(self):
-        """The generic ORB library headers generated code compiles against."""
-        import os
-
-        assets = {}
-        runtime_dir = os.path.join(self.template_dir(), "runtime")
-        for name in sorted(os.listdir(runtime_dir)):
-            if name.endswith(".hh"):
-                with open(os.path.join(runtime_dir, name), encoding="utf-8") as f:
-                    assets[os.path.join("runtime", name)] = f.read()
-        return assets
+    #: The generic ORB library headers generated code compiles against.
+    runtime_assets = ("runtime/*.hh", "runtime")
 
     def register_maps(self, registry):
         registry.register_simple("CPP::MapClassName", map_class_name)

@@ -24,9 +24,8 @@ Mapping decisions, documented:
   helpers for string/integer/objref elements.
 """
 
-import os
-
-from repro.mappings.base import MappingPack
+from repro.mappings.base import MappingPack, TypeView
+from repro.mappings.heidi_cpp import map_class_name
 from repro.mappings.registry import register_pack
 
 JAVA_TYPE_TABLE = {
@@ -50,26 +49,6 @@ JAVA_TYPE_TABLE = {
     "Object": "HdObjRef",
 }
 
-_CATEGORY_TO_TABLE_KEY = {
-    "boolean": "boolean",
-    "char": "char",
-    "wchar": "wchar",
-    "octet": "octet",
-    "short": "short",
-    "ushort": "unsigned short",
-    "long": "long",
-    "ulong": "unsigned long",
-    "longlong": "long long",
-    "ulonglong": "unsigned long long",
-    "float": "float",
-    "double": "double",
-    "longdouble": "long double",
-    "string": "string",
-    "wstring": "wstring",
-    "any": "any",
-    "void": "void",
-}
-
 #: Integer categories that extract via extractLong + a narrowing cast.
 _INT_CATEGORIES = {
     "octet": "byte",
@@ -82,34 +61,6 @@ _INT_CATEGORIES = {
 }
 
 
-def map_class_name(value):
-    """``Heidi::A`` → ``HdA`` — same naming scheme as the C++ mapping."""
-    return "Hd" + str(value).split("::")[-1]
-
-
-class _View:
-    """Resolved category/name view of a typed EST node (alias-aware)."""
-
-    def __init__(self, node):
-        self.node = node
-        category = node.get("type")
-        if category == "alias" and node.get("aliasedCategory"):
-            category = node.get("aliasedCategory")
-        self.category = category
-
-    def spelling(self):
-        for role in ("paramType", "returnType", "attributeType",
-                     "memberType", "elementType"):
-            value = self.node.get(role)
-            if value is not None:
-                return value
-        return ""
-
-    def element(self):
-        children = self.node.children("ElementType")
-        return _View(children[0]) if children else None
-
-
 def _java_type(view):
     category = view.category
     if category == "objref":
@@ -117,22 +68,21 @@ def _java_type(view):
     if category == "enum":
         return "int"
     if category in ("struct", "union"):
-        return map_class_name(view.spelling())
+        return map_class_name(view.spelling)
     if category == "sequence":
-        element = view.element()
+        element = view.element
         if element is not None and element.category == "objref":
             return "java.util.Vector<HdObjRef>"
         if element is not None and element.category in _INT_CATEGORIES:
             return "java.util.Vector<Long>"
         return "java.util.Vector<String>"
-    key = _CATEGORY_TO_TABLE_KEY.get(category)
-    if key is not None and key in JAVA_TYPE_TABLE:
-        return JAVA_TYPE_TABLE[key]
-    return map_class_name(view.spelling())
+    if view.idl in JAVA_TYPE_TABLE:
+        return JAVA_TYPE_TABLE[view.idl]
+    return map_class_name(view.spelling)
 
 
 def map_type(value, ctx):
-    return _java_type(_View(ctx.node)) if ctx.node is not None else str(value)
+    return _java_type(TypeView(ctx.node)) if ctx.node is not None else str(value)
 
 
 def _insert_statement(view, name):
@@ -148,14 +98,14 @@ def _insert_statement(view, name):
     if category in ("string", "wstring"):
         return f"c.insertString({name});"
     if category == "enum":
-        enum_class = map_class_name(view.spelling())
+        enum_class = map_class_name(view.spelling)
         return f"c.insertEnum({enum_class}.MEMBERS[{name}]);"
     if category == "objref":
         return f"c.insertObject({name});"
     if category == "struct":
         return f"{name}.insertInto(c);"
     if category == "sequence":
-        element = view.element()
+        element = view.element
         if element is not None and element.category == "objref":
             return f"c.insertObjectSeq({name});"
         if element is not None and element.category in _INT_CATEGORIES:
@@ -181,14 +131,14 @@ def _extract_expression(view):
     if category in ("string", "wstring"):
         return "c.extractString()"
     if category == "enum":
-        enum_class = map_class_name(view.spelling())
+        enum_class = map_class_name(view.spelling)
         return f"c.extractEnum({enum_class}.MEMBERS)"
     if category == "objref":
         return "c.extractObject()"
     if category == "struct":
-        return f"{map_class_name(view.spelling())}.extractFrom(c)"
+        return f"{map_class_name(view.spelling)}.extractFrom(c)"
     if category == "sequence":
-        element = view.element()
+        element = view.element
         if element is not None and element.category == "objref":
             return "c.extractObjectSeq()"
         if element is not None and element.category in _INT_CATEGORIES:
@@ -199,7 +149,7 @@ def _extract_expression(view):
 
 def map_insert(value, ctx):
     """Insert statement for the parameter under consideration."""
-    return _insert_statement(_View(ctx.node), ctx.node.name)
+    return _insert_statement(TypeView(ctx.node), ctx.node.name)
 
 
 def map_oneway_flag(value, ctx):
@@ -208,7 +158,7 @@ def map_oneway_flag(value, ctx):
 
 def map_stub_return(value, ctx):
     """Post-send result extraction line ('' for void)."""
-    view = _View(ctx.node)
+    view = TypeView(ctx.node)
     if view.category == "void":
         return "c.release();"
     java = _java_type(view)
@@ -216,20 +166,20 @@ def map_stub_return(value, ctx):
 
 
 def map_stub_result(value, ctx):
-    view = _View(ctx.node)
+    view = TypeView(ctx.node)
     if view.category == "void":
         return "// void return"
     return "return _result;"
 
 
 def map_attr_extract(value, ctx):
-    view = _View(ctx.node)
+    view = TypeView(ctx.node)
     return _extract_expression(view)
 
 
 def map_attr_insert(value, ctx):
     """Insert statement for an attribute setter's `value` argument."""
-    return _insert_statement(_View(ctx.node), "value")
+    return _insert_statement(TypeView(ctx.node), "value")
 
 
 def map_cap_name(value, ctx):
@@ -244,13 +194,13 @@ def map_struct_body(value, ctx):
     members = node.children("Member")
     lines = []
     for member in members:
-        lines.append(f"    public {_java_type(_View(member))} {member.name};")
+        lines.append(f"    public {_java_type(TypeView(member))} {member.name};")
     lines.append("")
     lines.append("    public void insertInto(HdCall c) throws HdRemoteException {")
     lines.append("        c.beginSeq();")
     for member in members:
         lines.append("        "
-                     + _insert_statement(_View(member), "this." + member.name))
+                     + _insert_statement(TypeView(member), "this." + member.name))
     lines.append("        c.endSeq();")
     lines.append("    }")
     lines.append("")
@@ -261,7 +211,7 @@ def map_struct_body(value, ctx):
     lines.append("        c.beginExtract();")
     for member in members:
         lines.append(f"        _s.{member.name} = "
-                     f"{_extract_expression(_View(member))};")
+                     f"{_extract_expression(TypeView(member))};")
     lines.append("        c.endExtract();")
     lines.append("        return _s;")
     lines.append("    }")
@@ -281,17 +231,8 @@ class JavaRmiPack(MappingPack):
     )
     main_template = "main.tmpl"
     type_table = JAVA_TYPE_TABLE
-
-    def static_assets(self):
-        """The Java client runtime the generated stubs compile against."""
-        assets = {}
-        runtime_dir = os.path.join(self.template_dir(), "runtime")
-        for name in sorted(os.listdir(runtime_dir)):
-            if name.endswith(".java"):
-                with open(os.path.join(runtime_dir, name),
-                          encoding="utf-8") as handle:
-                    assets[name] = handle.read()
-        return assets
+    #: The Java client runtime the generated stubs compile against.
+    runtime_assets = ("runtime/*.java", "")
 
     def register_maps(self, registry):
         registry.register_simple("Java::MapClassName", map_class_name)

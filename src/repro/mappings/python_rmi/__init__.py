@@ -12,16 +12,12 @@ reproduction: the same template machinery that prints C++/Java/Tcl
 emits Python that the test suite actually calls over real sockets.
 """
 
-from repro.mappings.base import MappingPack
+from repro.mappings.base import MappingPack, TypeView, flat
 from repro.mappings.registry import register_pack
-from repro.mappings.python_rmi import codegen
 from repro.mappings.python_rmi.codegen import (
-    default_literal,
-    flat,
     get_lines,
     method_params,
     put_lines,
-    TypeView,
 )
 
 PYTHON_TYPE_TABLE = {
@@ -537,10 +533,6 @@ def map_parents_tuple(value, ctx):
     return "(" + ", ".join(repr(r) for r in repo_ids) + ("," if repo_ids else "") + ")"
 
 
-def map_flat(value, ctx):
-    return flat(value)
-
-
 @register_pack
 class PythonRmiPack(MappingPack):
     """Template pack for the executable Python mapping."""
@@ -563,7 +555,7 @@ class PythonRmiPack(MappingPack):
         return merged
 
     def register_maps(self, registry):
-        registry.register("PY::Flat", map_flat)
+        registry.register_simple("PY::Flat", flat)
         registry.register("PY::EnumBody", map_enum_body)
         registry.register("PY::UnionBody", map_union_body)
         registry.register("PY::StructBody", map_struct_body)

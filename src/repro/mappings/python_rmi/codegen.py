@@ -13,6 +13,7 @@ any of those.  The remaining exotics (``fixed``, ``native``, arrays)
 are rejected with a clear error at generation time.
 """
 
+from repro.mappings.base import TypeView
 from repro.model.errors import MarshalError
 from repro.model.marshal import RUN_KINDS
 
@@ -34,33 +35,6 @@ PRIMITIVE_METHOD = {
     "string": "string",
     "wstring": "string",
 }
-
-
-def flat(value):
-    """``Heidi::Status`` → ``Heidi_Status`` (generated class names)."""
-    return str(value).replace("::", "_")
-
-
-class TypeView:
-    """Resolved view of a typed EST node (param/attr/return/member)."""
-
-    def __init__(self, node):
-        self.node = node
-        category = node.get("type")
-        type_name = node.get("typeName") or ""
-        if category == "alias":
-            resolved = node.get("aliasedCategory")
-            if resolved is not None:
-                category = resolved
-                if resolved not in ("sequence",):
-                    type_name = node.get("aliasedTypeName") or type_name
-        self.category = category
-        self.type_name = flat(type_name)
-
-    @property
-    def element(self):
-        children = self.node.children("ElementType")
-        return TypeView(children[0]) if children else None
 
 
 def _unsupported(category, where):

@@ -12,11 +12,10 @@ protocol, so a generated Tcl client talks to the Python HeidiRMI server
 (and vice versa) — the integration tests do exactly that under tclsh.
 """
 
-import os
 import shutil
 import subprocess
 
-from repro.mappings.base import MappingPack
+from repro.mappings.base import MappingPack, TypeView
 from repro.mappings.registry import register_pack
 
 TCL_TYPE_TABLE = {
@@ -75,8 +74,8 @@ def find_tclsh():
 
 
 def _suffix_for(node):
-    category = node.get("type") if node is not None else ""
-    if category in ("objref",):
+    category = TypeView(node).category
+    if category == "objref":
         return "Object"
     return _METHOD_SUFFIX.get(category, "String")
 
@@ -137,6 +136,8 @@ class TclOrbPack(MappingPack):
     )
     main_template = "main.tmpl"
     type_table = TCL_TYPE_TABLE
+    #: The Tcl ORB library the generated classes run on.
+    runtime_assets = ("orb.tcl", "")
 
     def register_maps(self, registry):
         registry.register("Tcl::MapInsert", map_insert)
@@ -145,11 +146,6 @@ class TclOrbPack(MappingPack):
         registry.register("Tcl::MapStubReturn", map_stub_return)
         registry.register("Tcl::MapStubResult", map_stub_result)
         registry.register("Tcl::MapSkelInvoke", map_skel_invoke)
-
-    def static_assets(self):
-        path = os.path.join(self.template_dir(), "orb.tcl")
-        with open(path, "r", encoding="utf-8") as handle:
-            return {"orb.tcl": handle.read()}
 
     def orb_library_source(self):
         """The Tcl ORB library text (for the 700-line claim bench)."""

@@ -37,6 +37,31 @@ module Heidi {
 };
 """
 
+#: Typedefs of a primitive, an enum, a struct and another typedef, used
+#: as parameters, results, attributes and struct members: every mapping
+#: must treat each one as the type it names.
+TYPEDEF_IDL = """\
+module Heidi {
+  enum Color { Red, Green, Blue };
+  struct Point { long x; long y; };
+  typedef boolean Flag;
+  typedef long Count;
+  typedef Color Shade;
+  typedef Shade Tint;
+  typedef Point Spot;
+  struct Swatch { Flag glossy; Count coats; Shade shade; Spot at; };
+  interface Painter {
+    Flag negate(in Flag f);
+    Count twice(in Count n);
+    Shade next(in Shade s);
+    Tint darker(in Tint t);
+    Spot moved(in Spot p, in Count dx);
+    Swatch sample(in Shade s, in Flag glossy);
+    attribute Shade shade;
+  };
+};
+"""
+
 #: A register of ephemeral in-proc port numbers handed out to tests.
 _NEXT_INPROC_PORT = [20000]
 

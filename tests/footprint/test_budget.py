@@ -42,6 +42,12 @@ from repro.footprint import count_package_lines, subset_report
 #: range table, which paid for most of the text side).
 RUNTIME_PACKAGES = ("model", "heidirmi", "wire", "giop")
 RUNTIME_CODE_CEILING = 5173
+#: ``repro.mappings`` code lines: the five packs and the ``base.py`` they
+#: share.  Moving the one alias-aware ``TypeView``, the category → IDL
+#: spelling table, the ``::`` flattener and the runtime-asset loader
+#: into ``base.py``, in place of each pack's hand-copied type walk,
+#: category table, loader and flattener: 1394 → 1303.
+MAPPINGS_CODE_CEILING = 1303
 #: The text-only blocking client: stub, connection cache, text pump
 #: and tcp/inproc transports (the paper's 700-line Tcl ORB is the
 #: yardstick, C1/C5).
@@ -70,6 +76,14 @@ def test_runtime_code_lines_do_not_grow():
     )
 
 
+def test_mapping_code_lines_do_not_grow():
+    lines = _code_lines("mappings")
+    assert lines <= MAPPINGS_CODE_CEILING, (
+        f"repro.mappings is {lines} code lines, over the ceiling of "
+        f"{MAPPINGS_CODE_CEILING}.  {ADVICE}"
+    )
+
+
 # Code lines in the static import closure of each root.  Before PR 17
 # put ``repro.model`` under them, the ORB, each wire machine and the
 # text client all closed over the same 5201 lines; the compiler's
@@ -89,11 +103,14 @@ def test_runtime_code_lines_do_not_grow():
 # client 2526 → 2478.  Marshal runs (raised on purpose, see above):
 # orb 4739 → 4765, the text machine 1315 → 1341, the GIOP machine 1527
 # → 1571, text client 2478 → 2504; the compiler's ceiling comes down to
-# the 3271 it measures.  The ids are fixed names so that lowering a
-# ceiling does not rename the test.
+# the 3271 it measures.  The EST builder recording the spelling a
+# typedef chain ends in (``aliasedType`` on a typed node, which the
+# mapping packs' shared ``TypeView`` reads) raised the compiler's
+# closure on purpose: 3271 → 3272.  The ids are fixed names so that
+# lowering a ceiling does not rename the test.
 @pytest.mark.parametrize("roots, ceiling", (
     pytest.param("repro.heidirmi.orb", 4765, id="repro.heidirmi.orb"),
-    pytest.param("repro.compiler.cli", 3271, id="repro.compiler.cli"),
+    pytest.param("repro.compiler.cli", 3272, id="repro.compiler.cli"),
     pytest.param("repro.wire.text", 1341, id="repro.wire.text"),
     pytest.param("repro.wire.giop", 1571, id="repro.wire.giop"),
     pytest.param(TEXT_CLIENT_ROOTS, 2504, id="text-client"),

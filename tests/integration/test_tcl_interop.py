@@ -5,8 +5,9 @@ This is the paper's §4.2 scenario live: "the integration of an existing
 tcl management GUI application with a CORBA-based distributed system".
 """
 
+import contextlib
 import subprocess
-import threading
+import time
 
 import pytest
 
@@ -14,6 +15,7 @@ from repro.heidirmi import HdSkel, HdStub, Orb
 from repro.heidirmi.serialize import GLOBAL_TYPES
 from repro.idl import parse
 from repro.mappings import get_pack
+from repro.mappings.python_rmi import generate_module
 from repro.mappings.tcl_orb import find_tclsh
 
 tclsh = find_tclsh()
@@ -141,57 +143,137 @@ puts "SUM=[$stub add 1 2]"
         assert "SUM=3" in result.stdout
 
 
-class TestPythonClientToTclServer:
-    def test_python_stub_calls_tcl_impl(self, tcl_files, tmp_path):
-        """The Tcl BOA serves the bootstrap port; Python is the client."""
-        port_file = tmp_path / "port.txt"
-        script = f"""
+@contextlib.contextmanager
+def tcl_server(tcl_files, interface, impl_script, type_id, port_file):
+    """A tclsh serving *impl_script*'s ``implObj`` through the generated
+    skeleton; yields the stringified reference it registered."""
+    script = f"""
 source "{tcl_files}/orb.tcl"
-source "{tcl_files}/Console.tcl"
-
-# A legacy Tcl implementation object (plain proc-based dispatch).
-namespace eval impl {{
-    variable printed {{}}
-    proc print {{text}} {{ variable printed; lappend printed $text }}
-    proc add {{a b}} {{ return [expr {{$a + $b}}] }}
-    proc banner {{}} {{ return "tcl console v1" }}
-}}
+source "{tcl_files}/{interface}.tcl"
+{impl_script}
 proc implObj {{method args}} {{ return [impl::$method {{*}}$args] }}
 
 set port [BOA::listen 0]
-set ref [BOA::register implObj "{TYPE_ID}"]
+set ref [BOA::register implObj "{type_id}"]
 set f [open "{port_file}" w]
 puts $f $ref
 close $f
 vwait forever
 """
-        process = subprocess.Popen(
-            [tclsh], stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE, text=True,
-        )
-        try:
-            process.stdin.write(script)
-            process.stdin.flush()
-            process.stdin.close()
-            import time
+    process = subprocess.Popen(
+        [tclsh], stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True,
+    )
+    try:
+        process.stdin.write(script)
+        process.stdin.flush()
+        process.stdin.close()
+        deadline = time.time() + 15
+        while not port_file.exists() and time.time() < deadline:
+            if process.poll() is not None:
+                raise AssertionError(process.stderr.read())
+            time.sleep(0.05)
+        ref_text = ""
+        while not ref_text and time.time() < deadline:
+            ref_text = port_file.read_text().strip()
+            time.sleep(0.02)
+        assert ref_text.startswith("@tcp:"), ref_text
+        yield ref_text
+    finally:
+        process.kill()
+        process.wait(timeout=10)
 
-            deadline = time.time() + 15
-            while not port_file.exists() and time.time() < deadline:
-                if process.poll() is not None:
-                    raise AssertionError(process.stderr.read())
-                time.sleep(0.05)
-            ref_text = ""
-            while not ref_text and time.time() < deadline:
-                ref_text = port_file.read_text().strip()
-                time.sleep(0.02)
-            assert ref_text.startswith("@tcp:"), ref_text
 
+class TestPythonClientToTclServer:
+    def test_python_stub_calls_tcl_impl(self, tcl_files, tmp_path):
+        """The Tcl BOA serves the bootstrap port; Python is the client."""
+        impl = """
+# A legacy Tcl implementation object (plain proc-based dispatch).
+namespace eval impl {
+    variable printed {}
+    proc print {text} { variable printed; lappend printed $text }
+    proc add {a b} { return [expr {$a + $b}] }
+    proc banner {} { return "tcl console v1" }
+}
+"""
+        with tcl_server(tcl_files, "Console", impl, TYPE_ID,
+                        tmp_path / "port.txt") as ref_text:
             client = Orb(transport="tcp", protocol="text")
             stub = client.resolve(ref_text)
             assert stub.add(20, 22) == 42
             assert stub.banner() == "tcl console v1"
             stub.print_("python was here")
             client.stop()
-        finally:
-            process.kill()
-            process.wait(timeout=10)
+
+
+#: Parameters and results whose types are typedefs: the Tcl stub and
+#: skeleton must marshal each as the type it names (``T``/``F`` for a
+#: boolean), or the Python side refuses the token.
+SWITCH_IDL = """\
+enum Mood { Calm, Busy };
+typedef boolean Flag;
+typedef long Count;
+typedef Mood State;
+interface Switch {
+  Flag toggle(in Flag f);
+  Count bump(in Count n);
+  State swap(in State s);
+};
+"""
+
+
+@pytest.fixture(scope="module")
+def switch_files(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("tclswitch")
+    spec = parse(SWITCH_IDL, filename="Switch.idl")
+    get_pack("tcl_orb").generate(spec).write_to(str(directory))
+    generate_module(spec)
+    return directory
+
+
+class TestTypedefsBothWays:
+    def test_tcl_stub_calls_python_impl(self, switch_files):
+        class SwitchImpl:
+            def toggle(self, f):
+                return not f
+
+            def bump(self, n):
+                return n + 1
+
+            def swap(self, s):
+                return 1 - s
+
+        server = Orb(transport="tcp", protocol="text").start()
+        ref = server.register(SwitchImpl(), type_id="IDL:Switch:1.0")
+        script = f"""
+source "{switch_files}/orb.tcl"
+source "{switch_files}/Switch.tcl"
+set stub [createStub "{ref.stringify()}"]
+puts "TOGGLE=[$stub toggle 1]"
+puts "BUMP=[$stub bump 41]"
+puts "SWAP=[$stub swap Calm]"
+"""
+        result = run_tcl(script)
+        server.stop()
+        assert "TOGGLE=0" in result.stdout, result.stderr
+        assert "BUMP=42" in result.stdout, result.stderr
+        assert "SWAP=Busy" in result.stdout, result.stderr
+
+    def test_python_stub_calls_tcl_impl(self, switch_files, tmp_path):
+        impl = """
+namespace eval impl {
+    proc toggle {f} { return [expr {!$f}] }
+    proc bump {n} { return [expr {$n + 1}] }
+    proc swap {s} { if {$s eq "Calm"} { return Busy }; return Calm }
+}
+"""
+        with tcl_server(switch_files, "Switch", impl, "IDL:Switch:1.0",
+                        tmp_path / "port.txt") as ref_text:
+            client = Orb(transport="tcp", protocol="text")
+            try:
+                stub = client.resolve(ref_text)
+                assert stub.toggle(True) is False
+                assert stub.bump(41) == 42
+                assert stub.swap(0) == 1
+            finally:
+                client.stop()

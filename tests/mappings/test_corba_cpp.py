@@ -113,6 +113,26 @@ class TestGeneratedCppCompiles:
         )
         assert result.returncode == 0, result.stderr
 
+    @pytest.mark.skipif(gpp is None, reason="g++ not installed")
+    def test_typedefs_compile(self, pack, tmp_path):
+        """Each typedef line names the mapped type (``CORBA::Boolean``,
+        ``Heidi_Color``), not the IDL spelling."""
+        import subprocess
+
+        from tests.conftest import TYPEDEF_IDL
+
+        sink = pack.generate(parse(TYPEDEF_IDL, filename="td.idl"))
+        sink.write_to(str(tmp_path))
+        result = subprocess.run(
+            ["g++", "-fsyntax-only", "-I", str(tmp_path),
+             "-I", str(tmp_path / "runtime"), str(tmp_path / "td_poa.cc")],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        header = sink.files()["td.hh"]
+        assert "typedef CORBA::Boolean Heidi_Flag;" in header
+        assert "typedef Heidi_Color Heidi_Shade;" in header
+
     def test_vendor_headers_shipped(self, generated):
         assert "runtime/CORBA.h" in generated
         assert "runtime/PortableServer.h" in generated

@@ -215,6 +215,30 @@ class TestGeneratedCppCompiles:
             )
             assert result.returncode == 0, (source, result.stderr)
 
+    @pytest.mark.skipif(gpp is None, reason="g++ not installed")
+    def test_typedefs_compile(self, tmp_path):
+        """Each typedef line names the mapped type (``XBool``,
+        ``HdColor``); a typedef'd parameter stays an object of its own
+        class (``HdFlag*``)."""
+        import subprocess
+
+        from tests.conftest import TYPEDEF_IDL
+
+        sink = get_pack("heidi_cpp").generate(
+            parse(TYPEDEF_IDL, filename="td.idl"))
+        sink.write_to(str(tmp_path))
+        for source in ("td_stubs.cc", "td_skels.cc", "td_marshal.cc"):
+            result = subprocess.run(
+                ["g++", "-fsyntax-only", "-I", str(tmp_path),
+                 "-I", str(tmp_path / "runtime"), str(tmp_path / source)],
+                capture_output=True, text=True, timeout=120,
+            )
+            assert result.returncode == 0, (source, result.stderr)
+        header = sink.files()["td.hh"]
+        assert "typedef XBool HdFlag;" in header
+        assert "typedef HdColor HdShade;" in header
+        assert "virtual HdFlag* negate(HdFlag*) = 0;" in header
+
     def test_runtime_headers_shipped(self, generated):
         for header in ("runtime/HdTypes.hh", "runtime/HdStub.hh",
                        "runtime/HdSkel.hh", "runtime/HdSerializable.hh"):

@@ -139,6 +139,20 @@ class TestJavacCompiles:
         )).files()
         _compile_all(files, tmp_path)
 
+    @needs_jdk
+    def test_typedefs_compile(self, pack, tmp_path):
+        """A typedef'd enum marshals through the enum it names
+        (``HdColor.MEMBERS``) and a typedef'd struct is that struct's
+        class: Java has no typedef, so no ``HdShade`` class exists."""
+        from tests.conftest import TYPEDEF_IDL
+
+        files = pack.generate(parse(TYPEDEF_IDL, filename="td.idl")).files()
+        _compile_all(files, tmp_path)
+        stub = files["HdPainter_stub.java"]
+        assert "HdColor.MEMBERS" in stub
+        assert "HdShade" not in stub and "HdSpot" not in stub
+        assert "public HdPoint moved(HdPoint p, int dx)" in stub
+
 
 MAIN_JAVA = """
 import java.util.Vector;
