@@ -10,8 +10,9 @@ No parser or code-generator changes.
 Run:  python examples/custom_mapping.py
 """
 
+from repro.est.view import TypeView
 from repro.idl import parse
-from repro.mappings.base import MappingPack, TypeView
+from repro.mappings.base import MappingPack
 from repro.mappings.registry import register_pack
 
 SERVICE_IDL = """\

@@ -14,9 +14,13 @@ Usage::
     result = caller.invoke(reference, "p", 41)
 
 Marshalling is interpreted from the EST type vocabulary at call time:
-the Param/Operation nodes stored in the IR say what to put and get.
+the Param/Operation nodes stored in the IR say what to put and get, read
+through :class:`repro.est.view.TypeView` — the one reading the mapping
+packs and the Python they generate use — so a typedef means the type it
+names here too.
 """
 
+from repro.est.view import TypeView
 from repro.model.errors import (
     DeadlineExceeded,
     HeidiRmiError,
@@ -25,50 +29,6 @@ from repro.model.errors import (
 )
 from repro.model.objref import ObjectReference
 from repro.heidirmi.serialize import get_object, put_object
-
-#: EST type category → Call method suffix for scalars.
-_SCALAR_METHOD = {
-    "boolean": "boolean",
-    "char": "char",
-    "wchar": "char",
-    "octet": "octet",
-    "short": "short",
-    "ushort": "ushort",
-    "long": "long",
-    "ulong": "ulong",
-    "longlong": "longlong",
-    "ulonglong": "ulonglong",
-    "float": "float",
-    "double": "double",
-    "longdouble": "double",
-    "string": "string",
-    "wstring": "string",
-}
-
-
-class _TypeView:
-    """Resolved category/type-name view of a typed EST node."""
-
-    def __init__(self, node):
-        self.node = node
-        category = node.get("type")
-        if category == "alias":
-            resolved = node.get("aliasedCategory")
-            if resolved is not None:
-                category = resolved
-        self.category = category
-
-    def spelling(self):
-        for role in ("paramType", "returnType", "attributeType",
-                     "memberType", "elementType"):
-            value = self.node.get(role)
-            if value is not None:
-                return value
-        return ""
-
-    def element(self):
-        children = self.node.children("ElementType")
-        return _TypeView(children[0]) if children else None
 
 
 class DynamicCaller:
@@ -202,7 +162,7 @@ class DynamicCaller:
         return filled
 
     def _default_value(self, param, default):
-        view = _TypeView(param)
+        view = TypeView(param)
         if view.category == "enum" and isinstance(default, str):
             enum_node = self._enum_node(view)
             members = enum_node.get("members") or []
@@ -226,7 +186,7 @@ class DynamicCaller:
     # -- interpretive marshalling ----------------------------------------------
 
     def _enum_node(self, view):
-        scoped = view.spelling()
+        scoped = view.spelling
         enum_node = self.repository.lookup_scoped(scoped)
         if enum_node is None or enum_node.kind != "Enum":
             raise MarshalError(
@@ -235,7 +195,7 @@ class DynamicCaller:
         return enum_node
 
     def _struct_node(self, view):
-        scoped = view.spelling()
+        scoped = view.spelling
         node = self.repository.lookup_scoped(scoped)
         if node is None or node.kind not in ("Struct", "Exception"):
             raise MarshalError(
@@ -244,13 +204,12 @@ class DynamicCaller:
         return node
 
     def _put(self, call, node, value, direction):
-        view = _TypeView(node)
-        self._put_view(call, view, value, direction)
+        self._put_view(call, TypeView(node), value, direction)
 
     def _put_view(self, call, view, value, direction):
-        category = view.category
-        if category in _SCALAR_METHOD:
-            getattr(call, f"put_{_SCALAR_METHOD[category]}")(value)
+        category, method = view.category, view.method
+        if method:
+            getattr(call, f"put_{method}")(value)
             return
         if category == "enum":
             members = self._enum_node(view).get("members") or []
@@ -265,7 +224,7 @@ class DynamicCaller:
             self._put_struct(call, view, value)
             return
         if category == "sequence":
-            element = view.element()
+            element = view.element
             call.begin("sequence")
             call.put_ulong(len(value))
             for item in value:
@@ -288,12 +247,12 @@ class DynamicCaller:
         call.end()
 
     def _get(self, reply, node):
-        return self._get_view(reply, _TypeView(node))
+        return self._get_view(reply, TypeView(node))
 
     def _get_view(self, reply, view):
-        category = view.category
-        if category in _SCALAR_METHOD:
-            return getattr(reply, f"get_{_SCALAR_METHOD[category]}")()
+        category, method = view.category, view.method
+        if method:
+            return getattr(reply, f"get_{method}")()
         if category == "enum":
             members = self._enum_node(view).get("members") or []
             return reply.get_enum(members)
@@ -309,7 +268,7 @@ class DynamicCaller:
             reply.end()
             return value
         if category == "sequence":
-            element = view.element()
+            element = view.element
             reply.begin("sequence")
             items = [
                 self._get_view(reply, element)

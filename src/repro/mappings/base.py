@@ -8,9 +8,9 @@ A pack bundles everything needed to customize one IDL mapping:
 - a primitive type table (drives the Table 1 reproduction),
 - optional static runtime assets (the Tcl pack ships its ORB library).
 
-What every pack shares lives here too: :class:`TypeView`, the one
-alias-aware reading of a typed EST node, the EST category → IDL
-spelling table its type table is keyed by, and the ``::`` flattener.
+Every pack reads EST types through :class:`repro.est.view.TypeView`
+(shared with the generated Python and the DII); what only packs share
+lives here: the ``::`` flattener and the runtime-asset loader.
 
 ``generate`` runs the full two-stage pipeline: IDL AST → EST → compiled
 template (cached) → output files.
@@ -20,89 +20,15 @@ import glob
 import os
 
 from repro.est import build_est
-from repro.est.builder import _PRIMITIVE_CATEGORIES
 from repro.est.node import Ast
 from repro.templates.compiler import compile_template
 from repro.templates.maps import BUILTIN_MAPS, MapRegistry
 from repro.templates.runtime import Runtime
 
 
-#: EST type category → IDL spelling, the key every ``type_table`` uses
-#: (``"ulong"`` → ``"unsigned long"``).
-CATEGORY_SPELLING = {
-    category: kind.value for kind, category in _PRIMITIVE_CATEGORIES.items()
-}
-CATEGORY_SPELLING.update(string="string", wstring="wstring", any="any",
-                         void="void")
-
-#: The props a typed node spells its type in, one per role.
-_ROLES = ("paramType", "returnType", "attributeType", "memberType",
-          "elementType", "constType")
-
-
 def flat(value):
     """``Heidi::Status`` → ``Heidi_Status``."""
     return str(value).replace("::", "_")
-
-
-class TypeView:
-    """What the type of a typed EST node (param, result, attribute,
-    member, element) means, with typedefs followed.
-
-    A node of typedef'd type has category ``alias``; the EST builder
-    records what the typedef chain ends in, and the view answers from
-    that, so ``typedef boolean Flag`` maps as a boolean in every pack:
-
-    - ``category``: the resolved EST category (``"boolean"``, ``"enum"``);
-    - ``alias``: the typedef's own spelling, None for a type that is no
-      typedef (a mapping may still give a typedef a class of its own);
-    - ``spelling`` / ``type_name``: the resolved ``::`` spelling and its
-      flattened form (``Heidi::Color`` / ``Heidi_Color``);
-    - ``idl``: the IDL spelling of a primitive category, the key into a
-      pack's ``type_table``; None for a constructed or named type;
-    - ``element``: the view of a sequence's element type.
-    """
-
-    __slots__ = ("node", "category", "alias")
-
-    def __init__(self, node):
-        self.node = node
-        category = node.get("type")
-        self.alias = None
-        if category == "alias":
-            resolved = node.get("aliasedCategory")
-            if resolved is not None:
-                self.alias = self._declared()
-                category = resolved
-        self.category = category
-
-    def _declared(self):
-        for role in _ROLES:
-            value = self.node.get(role)
-            if value is not None:
-                return value
-        return ""
-
-    @property
-    def spelling(self):
-        if self.alias is not None:
-            return self.node.get("aliasedType")
-        return self._declared()
-
-    @property
-    def type_name(self):
-        if self.alias is not None:
-            return self.node.get("aliasedTypeName")
-        return self.node.get("typeName") or ""
-
-    @property
-    def idl(self):
-        return CATEGORY_SPELLING.get(self.category)
-
-    @property
-    def element(self):
-        children = self.node.children("ElementType")
-        return TypeView(children[0]) if children else None
 
 
 def _topological_interfaces(est):

@@ -10,7 +10,8 @@ in the generated code), which is exactly the legacy-integration pain the
 paper describes.
 """
 
-from repro.mappings.base import MappingPack, TypeView, flat
+from repro.est.view import TypeView
+from repro.mappings.base import MappingPack, flat
 from repro.mappings.registry import register_pack
 
 #: IDL primitive → CORBA C++ type (the "Prescribed C++ Type" column of
@@ -102,7 +103,6 @@ class CorbaCppPack(MappingPack):
         # (``Heidi::A`` → ``Heidi_A``), which keeps generated headers
         # self-contained while preserving the declarator structure
         # (``X_ptr``/``X_var``) the tables illustrate.
-        registry.register_simple("CORBA::MapScoped", flat)
         registry.register_simple("CORBA::MapFlat", flat)
         registry.register("CORBA::MapType", map_type)
         registry.register("CORBA::MapReturnType", map_return_type)

@@ -8,7 +8,8 @@ skeletons *delegate* to the implementation class instead of being
 inherited by it.
 """
 
-from repro.mappings.base import MappingPack, TypeView
+from repro.est.view import TypeView
+from repro.mappings.base import MappingPack
 from repro.mappings.registry import register_pack
 
 #: IDL primitive → Heidi C++ type (the "Alternate C++ Mapping" column of

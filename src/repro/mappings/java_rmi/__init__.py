@@ -24,7 +24,8 @@ Mapping decisions, documented:
   helpers for string/integer/objref elements.
 """
 
-from repro.mappings.base import MappingPack, TypeView
+from repro.est.view import TypeView
+from repro.mappings.base import MappingPack
 from repro.mappings.heidi_cpp import map_class_name
 from repro.mappings.registry import register_pack
 

@@ -12,7 +12,8 @@ reproduction: the same template machinery that prints C++/Java/Tcl
 emits Python that the test suite actually calls over real sockets.
 """
 
-from repro.mappings.base import MappingPack, TypeView, flat
+from repro.est.view import TypeView
+from repro.mappings.base import MappingPack, flat
 from repro.mappings.registry import register_pack
 from repro.mappings.python_rmi.codegen import (
     get_lines,
@@ -183,14 +184,13 @@ def map_exception_body(value, ctx):
     return _block(lines)
 
 
-def _union_label_literal(label, disc_category, disc_type_name):
-    """A case-label value as a Python literal for the generated union."""
-    if disc_category == "enum" and isinstance(label, str):
-        return f"{flat(disc_type_name)}.{label}"
-    if disc_category == "boolean":
+def _union_label_literal(label, disc):
+    """A case-label value as a Python literal for the generated union,
+    whose discriminator type *disc* (a :class:`TypeView`) reads."""
+    if disc.category == "enum" and isinstance(label, str):
+        return f"{disc.type_name}.{label}"
+    if disc.category == "boolean":
         return "True" if label in (True, "TRUE") else "False"
-    if disc_category in ("char", "wchar"):
-        return repr(label)
     return repr(label)
 
 
@@ -203,13 +203,11 @@ def map_union_body(value, ctx):
     marshals no body (the CORBA implicit-default rule).
     """
     node = ctx.node
-    disc_category = node.get("type")
-    disc_type_name = node.get("typeName") or ""
+    # The union node's type props are the discriminator's, so the view
+    # over it reads the switch type, typedefs followed.
+    disc = TypeView(node)
     cases = node.children("Case")
 
-    # Discriminator put/get statements (reuse the scalar machinery by
-    # faking a view over the union node itself, whose type props are
-    # the discriminator's).
     disc_put = put_lines(node, "self.discriminator", "in", obj="call",
                          helper="module")
     disc_get = get_lines(node, "_d", obj="call", helper="module")
@@ -241,7 +239,7 @@ def map_union_body(value, ctx):
                     continue
                 labels = concrete
             literals = ", ".join(
-                _union_label_literal(l, disc_category, disc_type_name)
+                _union_label_literal(l, disc)
                 for l in labels
             )
             keyword = "if" if first else "elif"

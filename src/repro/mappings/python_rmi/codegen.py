@@ -13,28 +13,9 @@ any of those.  The remaining exotics (``fixed``, ``native``, arrays)
 are rejected with a clear error at generation time.
 """
 
-from repro.mappings.base import TypeView
+from repro.est.view import TypeView
 from repro.model.errors import MarshalError
 from repro.model.marshal import RUN_KINDS
-
-#: EST category → Call method suffix for primitives.
-PRIMITIVE_METHOD = {
-    "boolean": "boolean",
-    "char": "char",
-    "wchar": "char",
-    "octet": "octet",
-    "short": "short",
-    "ushort": "ushort",
-    "long": "long",
-    "ulong": "ulong",
-    "longlong": "longlong",
-    "ulonglong": "ulonglong",
-    "float": "float",
-    "double": "double",
-    "longdouble": "double",
-    "string": "string",
-    "wstring": "string",
-}
 
 
 def _unsupported(category, where):
@@ -60,14 +41,15 @@ def put_lines(node, name, direction="in", obj="call", depth=0, helper="self"):
 def _run_kind(element):
     """The ``put_seq``/``get_seq`` kind for a sequence of *element*, or
     None when its elements are marshalled one by one."""
-    kind = PRIMITIVE_METHOD.get(element.category)
+    kind = element.method
     return kind if kind in RUN_KINDS else None
 
 
 def _put(view, name, direction, obj, depth, helper):
     category = view.category
-    if category in PRIMITIVE_METHOD:
-        return [f"{obj}.put_{PRIMITIVE_METHOD[category]}({name})"]
+    method = view.method
+    if method:
+        return [f"{obj}.put_{method}({name})"]
     if category == "enum":
         cls = view.type_name
         return [f"{obj}.put_enum({cls}.MEMBERS[{name}], {name})"]
@@ -109,8 +91,9 @@ def get_lines(node, target, obj="call", depth=0, helper="self"):
 
 def _get(view, target, obj, depth, helper):
     category = view.category
-    if category in PRIMITIVE_METHOD:
-        return [f"{target} = {obj}.get_{PRIMITIVE_METHOD[category]}()"]
+    method = view.method
+    if method:
+        return [f"{target} = {obj}.get_{method}()"]
     if category == "enum":
         cls = view.type_name
         return [f"{target} = {obj}.get_enum({cls}.MEMBERS)"]

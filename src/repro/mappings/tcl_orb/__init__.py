@@ -15,7 +15,8 @@ protocol, so a generated Tcl client talks to the Python HeidiRMI server
 import shutil
 import subprocess
 
-from repro.mappings.base import MappingPack, TypeView
+from repro.est.view import TypeView
+from repro.mappings.base import MappingPack
 from repro.mappings.registry import register_pack
 
 TCL_TYPE_TABLE = {

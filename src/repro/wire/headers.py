@@ -55,7 +55,9 @@ def deadline_from_ms(ms):
     """A received whole-millisecond budget → re-anchored Deadline."""
     if ms < 0:
         raise ProtocolError(f"negative deadline {ms}ms")
-    return Deadline.after(ms / 1000.0)
+    # A budget past 2**53 ms (285,000 years) is no deadline at all; the
+    # cap keeps one that no float can hold from raising OverflowError.
+    return Deadline.after(min(ms, 1 << 53) / 1000.0)
 
 
 def parse_deadline_token(token):
@@ -108,7 +110,7 @@ def scan_header_tokens(tokens, head):
                     ) from None
                 if ms < 0:
                     raise ProtocolError(f"negative deadline {ms}ms")
-                seconds = ms / 1000.0
+                seconds = min(ms, 1 << 53) / 1000.0  # deadline_from_ms's cap
                 _DL_MEMO = (token, seconds)
             deadline = Deadline(monotonic() + seconds, seconds)
         elif token.startswith(CTX_PREFIX):

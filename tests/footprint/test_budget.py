@@ -39,15 +39,22 @@ from repro.footprint import count_package_lines, subset_report
 #: place of a delegated put per element — raised it on purpose, for the
 #: bulk rows' CPU: 5114 → 5173 (model 343 → 354, wire 1584 → 1599, giop
 #: 563 → 596; the text numeric puts and gets became factories over one
-#: range table, which paid for most of the text side).
+#: range table, which paid for most of the text side).  The DII reading
+#: types through ``repro.est.view`` in place of its own copy of the
+#: view and the category → ``Call`` method table: 5173 → 5137
+#: (heidirmi 2624 → 2588).
 RUNTIME_PACKAGES = ("model", "heidirmi", "wire", "giop")
-RUNTIME_CODE_CEILING = 5173
+RUNTIME_CODE_CEILING = 5137
 #: ``repro.mappings`` code lines: the five packs and the ``base.py`` they
 #: share.  Moving the one alias-aware ``TypeView``, the category → IDL
 #: spelling table, the ``::`` flattener and the runtime-asset loader
 #: into ``base.py``, in place of each pack's hand-copied type walk,
-#: category table, loader and flattener: 1394 → 1303.
-MAPPINGS_CODE_CEILING = 1303
+#: category table, loader and flattener: 1394 → 1303.  Moving
+#: ``TypeView`` and its tables down into ``repro.est.view``, where the
+#: DII reads types through them too, with ``python_rmi``'s copy of the
+#: category → ``Call`` method table and one dead map name deleted:
+#: 1303 → 1246.
+MAPPINGS_CODE_CEILING = 1246
 #: The text-only blocking client: stub, connection cache, text pump
 #: and tcp/inproc transports (the paper's 700-line Tcl ORB is the
 #: yardstick, C1/C5).

@@ -60,6 +60,18 @@ class TestClosure:
     def test_string_root_accepted(self):
         assert import_closure("repro.model.errors") == ["repro.model.errors"]
 
+    def test_dii_reads_types_without_the_compiler(self):
+        """The DII shares the packs' reading of an EST type, which lives
+        in ``repro.est``; the template engine, the packs and lint stay
+        out of the ORB's stub-free path, statically and when imported."""
+        closure = import_closure(["repro.heidirmi.dii"])
+        assert "repro.est.view" in closure
+        compiler = ("repro.templates", "repro.mappings", "repro.lint")
+        assert not [m for m in closure if m.startswith(compiler)]
+        loaded = _interpreter_loads("repro.heidirmi.dii")
+        assert "repro.est.view" in loaded
+        assert not [m for m in loaded if m.startswith(compiler)]
+
     def test_client_only_subset_smaller_than_orb(self):
         """Claim C5: a pure client needs no acceptor/skeleton machinery
         — a template that only emits stubs pulls in less."""

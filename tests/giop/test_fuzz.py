@@ -439,3 +439,18 @@ class TestNotUtf8:
             event.call.get_string()
         # The decoder moved past the bad string: the next value reads.
         assert event.call.get_long() == 42
+
+
+# -- what the text line fuzz found: a deadline no float can hold --------------
+
+
+@pytest.mark.parametrize("pump", ("feed_bytes", "pump_giop_event"))
+def test_deadline_context_beyond_a_float_is_no_deadline(pump):
+    """The deadline ServiceContext shares the ``dl=`` millisecond rule:
+    400 nines used to raise ``OverflowError`` out of both pumps; a
+    budget that large is capped, which is no deadline at all."""
+    frame = request_frame(True, (
+        ServiceContext(SERVICE_CONTEXT_DEADLINE, b"9" * 400),))
+    event = _only_event(pump, "server", frame)
+    check_follow_up(event, "server")
+    assert event.call.deadline.remaining() > 1e12

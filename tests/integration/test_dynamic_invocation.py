@@ -178,3 +178,85 @@ class TestDynamicInvocation:
         stub = caller.orb.resolve(ref.stringify())
         assert caller.invoke(ref, "add", 7, 8) == stub.add(7, 8)
         assert caller.invoke(ref, "total", [9, 1]) == stub.total([9, 1])
+
+
+class PainterImpl:
+    """``tests.conftest.TYPEDEF_IDL``'s Painter: every type a typedef."""
+
+    _hd_type_id_ = "IDL:Heidi/Painter:1.0"
+
+    def __init__(self, ns):
+        self.ns = ns
+        self.shade = 2
+
+    def negate(self, f):
+        return not f
+
+    def twice(self, n):
+        return 2 * n
+
+    def next(self, s):
+        return (s + 1) % 3
+
+    def darker(self, t):
+        return max(t - 1, 0)
+
+    def moved(self, p, dx):
+        return self.ns["Heidi_Point"](x=p.x + dx, y=p.y)
+
+    def sample(self, s, glossy):
+        return self.ns["Heidi_Swatch"](glossy=glossy, coats=3, shade=s,
+                                       at=self.ns["Heidi_Point"](x=4, y=-5))
+
+    def get_shade(self):
+        return self.shade
+
+
+def _plain(value):
+    """A generated struct as the dict the DII returns for it."""
+    if hasattr(value, "_hd_struct_put"):
+        return {name: _plain(field) for name, field in vars(value).items()}
+    return value
+
+
+class TestTypedefsAgreeWithTheStub:
+    """Through the DII a typedef means the type it names, as it does in
+    the generated stub: typedef'd enums, structs and chains of typedefs
+    are looked up in the IR by what they resolve to."""
+
+    CALLS = {
+        "negate": (True,),
+        "twice": (21,),
+        "next": (1,),
+        "darker": (2,),
+        "moved": ({"x": 1, "y": 2}, 10),
+        "sample": (0, True),
+        "_get_shade": (),
+    }
+
+    @pytest.fixture(scope="class", params=("text", "text2", "giop"))
+    def painter(self, request):
+        from tests.conftest import TYPEDEF_IDL
+
+        ns = generate_module(parse(TYPEDEF_IDL, filename="td.idl"))
+        repository = InterfaceRepository()
+        repository.add(parse(TYPEDEF_IDL, filename="td.idl"))
+        server = Orb(transport="inproc", protocol=request.param).start()
+        client = Orb(transport="inproc", protocol=request.param)
+        ref = server.register(PainterImpl(ns))
+        yield DynamicCaller(client, repository), ref, client.resolve(
+            ref.stringify()), ns
+        client.stop()
+        server.stop()
+
+    @pytest.mark.parametrize("operation", CALLS)
+    def test_dii_returns_what_the_stub_returns(self, painter, operation):
+        caller, ref, stub, ns = painter
+        args = self.CALLS[operation]
+        if operation == "_get_shade":
+            expected = stub.get_shade()
+        elif operation == "moved":
+            expected = stub.moved(ns["Heidi_Point"](**args[0]), args[1])
+        else:
+            expected = getattr(stub, operation)(*args)
+        assert caller.invoke(ref, operation, *args) == _plain(expected)

@@ -357,3 +357,60 @@ def _plain(value):
         return {name: _plain(getattr(value, name))
                 for name in vars(value)}
     return value
+
+
+UNION_IDL = """\
+module Sw {
+  enum Color { Red, Green, Blue };
+  typedef Color Shade;
+  typedef Shade Tint;
+  union ByColor switch (Color) { case Red: long a; case Green: string b; };
+  union ByShade switch (Shade) { case Red: long a; case Green: string b; };
+  union ByTint switch (Tint) { case Red: long a; case Green: string b; };
+  interface Echo {
+    ByColor color(in ByColor u);
+    ByShade shade(in ByShade u);
+    ByTint tint(in ByTint u);
+  };
+};
+"""
+
+
+class EchoImpl:
+    _hd_type_id_ = "IDL:Sw/Echo:1.0"
+
+    def color(self, u):
+        return u
+
+    def shade(self, u):
+        return u
+
+    def tint(self, u):
+        return u
+
+
+class TestUnionOnTypedefDiscriminator:
+    """A union switching on a typedef of an enum (or a typedef of that
+    typedef) labels its cases with the enum's members, as one switching
+    on the enum itself does; otherwise no case matches and the body is
+    never marshalled."""
+
+    @pytest.mark.parametrize("protocol", ("text", "text2", "giop"))
+    @pytest.mark.parametrize("operation, union", (
+        ("color", "Sw_ByColor"), ("shade", "Sw_ByShade"),
+        ("tint", "Sw_ByTint"),
+    ))
+    def test_round_trips_unchanged(self, protocol, operation, union):
+        from repro.heidirmi import Orb
+
+        ns = generate_module(parse(UNION_IDL, filename="Sw.idl"))
+        Color, Union = ns["Sw_Color"], ns[union]
+        server = Orb(transport="inproc", protocol=protocol).start()
+        client = Orb(transport="inproc", protocol=protocol)
+        try:
+            stub = client.resolve(server.register(EchoImpl()).stringify())
+            for value in (Union(Color.Green, "hi"), Union(Color.Red, 7)):
+                assert getattr(stub, operation)(value) == value
+        finally:
+            client.stop()
+            server.stop()
