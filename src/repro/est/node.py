@@ -80,9 +80,10 @@ class Ast:
         """
         node = self
         while node is not None:
-            value = node.get(name, _MISSING)
-            if value is not _MISSING:
-                return value
+            if name in node.props:
+                return node.props[name]
+            if name in node.groups:
+                return node.groups[name]
             node = node.parent
         return None
 
@@ -101,10 +102,10 @@ class Ast:
 
     def walk(self):
         """Yield this node and every descendant, depth-first."""
-        yield self
-        for group in self.groups.values():
-            for child in group:
-                yield from child.walk()
+        stack = [self]
+        while stack:
+            yield (node := stack.pop())
+            stack.extend(reversed([c for g in node.groups.values() for c in g]))
 
     def path(self):
         """Names from the root to this node, e.g. ``('Heidi', 'A')``."""
@@ -137,6 +138,3 @@ class Ast:
                 if not mine.structurally_equal(theirs):
                     return False
         return True
-
-
-_MISSING = object()

@@ -62,7 +62,7 @@ class TypeView:
 
     def __init__(self, node):
         self.node = node
-        category = node.get("type")
+        category = node.props.get("type")
         self.alias = None
         if category == "alias":
             resolved = node.get("aliasedCategory")

@@ -10,6 +10,7 @@ _LANGUAGES = {
     "cpp": (("//",), ("/*", "*/")),
     "java": (("//",), ("/*", "*/")),
     "idl": (("//",), ("/*", "*/")),
+    "template": (("@#", "@//"), None),
     "text": ((), None),
 }
 
@@ -22,7 +23,7 @@ _EXTENSIONS = {
     ".h": "cpp",
     ".java": "java",
     ".idl": "idl",
-    ".tmpl": "text",
+    ".tmpl": "template",
 }
 
 

@@ -13,18 +13,21 @@ pass verifies the two halves reference each other consistently:
 - **MAP003** the pack's primitive type table should cover the core IDL
   primitives (the paper's Table 1 rows).
 
-Every ``.tmpl`` file is analyzed *standalone*, with ``@include``
-resolving to an empty fragment: the bundled packs include fragments
-only at top level (root context), so each fragment analyzes correctly
-under its own name — which keeps diagnostic file/line attribution
-exact, where inlining (what the parser does at generation time) would
-re-anchor a fragment's findings to the includer's line numbering.
+Every ``.tmpl`` file that no other one includes is analyzed, and each
+``@include`` inside it is analyzed where it stands: in the includer's
+loop context (``python_rmi``'s ``module.tmpl`` includes
+``skeleton.tmpl`` inside its interface loop), with the fragment's
+findings under the fragment's own file and line, where inlining (what
+the parser does at generation time) would re-anchor them to the
+includer.
 """
 
 import os
 
 from repro.lint.diagnostics import DiagnosticReporter, Span
 from repro.lint.template_rules import lint_template_source
+from repro.templates.errors import TemplateSyntaxError
+from repro.templates.parser import parse_template
 
 #: The Table 1 rows every pack's type table is expected to cover.
 CORE_PRIMITIVES = (
@@ -93,17 +96,24 @@ def lint_pack(name_or_pack, reporter=None):
             Span(file=template_dir),
         )
 
+    included = set()
+    for source in sources.values():
+        try:
+            parse_template(source, loader=lambda name: included.add(name) or "")
+        except TemplateSyntaxError:
+            pass  # reported when the template itself is analyzed
+
     scalars, lists = pack_globals(pack)
     used_maps = set()
-    for entry in sorted(sources):
+    for entry in sorted(set(sources) - included):
         result = lint_template_source(
             sources[entry],
             name=f"{pack.name}/{entry}",
-            loader=lambda name: "",
             maps=pack.maps,
             extra_globals=scalars,
             extra_global_lists=lists,
             reporter=reporter,
+            fragments=lambda name: (f"{pack.name}/{name}", sources[name]),
         )
         used_maps |= result.used_maps
 

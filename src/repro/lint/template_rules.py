@@ -49,16 +49,32 @@ class TemplateLintResult:
         self.strict_unsafe_uses = strict_unsafe_uses
 
 
+#: The ``@set`` name an ``@include`` parses to under
+#: :func:`include_marker`: the analyzer walks the named fragment there.
+INCLUDE_MARKER = "@include"
+
+
+def include_marker(name):
+    """A ``parse_template`` loader that leaves each ``@include`` in place
+    as a marker, for the analyzer to resolve through *fragments*."""
+    return f"@set {INCLUDE_MARKER} {name}\n"
+
+
 def lint_template_source(source, name="<template>", loader=None, maps=None,
                          extra_globals=(), extra_global_lists=None,
-                         reporter=None):
+                         reporter=None, fragments=None):
     """Parse and lint template text; returns a :class:`TemplateLintResult`.
 
     *maps* is a :class:`repro.templates.maps.MapRegistry` (or None for a
     bare template, where only engine built-ins are checkable);
     *extra_globals*/*extra_global_lists* describe pack-provided
-    variables beyond the standard ones.
+    variables beyond the standard ones.  With *fragments* (``name ->
+    (file, source)``, which raises KeyError for an unknown name) each
+    ``@include`` is analyzed where it stands, in the loop context of its
+    includer, its findings reported under its own file.
     """
+    if fragments is not None:
+        loader = include_marker
     if reporter is None:
         reporter = DiagnosticReporter(default_file=name, source="template")
     try:
@@ -71,17 +87,17 @@ def lint_template_source(source, name="<template>", loader=None, maps=None,
         return TemplateLintResult(None, reporter.diagnostics, False, set(), [])
     return lint_template(template, maps=maps, extra_globals=extra_globals,
                          extra_global_lists=extra_global_lists,
-                         reporter=reporter)
+                         reporter=reporter, fragments=fragments)
 
 
 def lint_template(template, maps=None, extra_globals=(),
-                  extra_global_lists=None, reporter=None):
+                  extra_global_lists=None, reporter=None, fragments=None):
     """Lint a parsed :class:`repro.templates.ast.Template`."""
     if reporter is None:
         reporter = DiagnosticReporter(default_file=template.name,
                                       source="template")
     analyzer = _Analyzer(template, maps, extra_globals,
-                         extra_global_lists or {}, reporter)
+                         extra_global_lists or {}, reporter, fragments)
     analyzer.run()
     return TemplateLintResult(
         template,
@@ -108,11 +124,15 @@ class _StaticFrame:
 
 class _Analyzer:
     def __init__(self, template, maps, extra_globals, extra_global_lists,
-                 reporter):
+                 reporter, fragments=None):
         self._template = template
         self._maps = maps
         self._reporter = reporter
+        self._fragments = fragments
         self._file = template.name
+        #: Files being walked, outermost first: an @include of one of
+        #: them again would never end.
+        self._walking = {template.name}
         self._frames = []
         self._open_depth = 0
         self._last_open_line = 0
@@ -175,9 +195,36 @@ class _Analyzer:
                     )
                 else:
                     self._open_depth -= 1
+            elif (isinstance(node, tpl_ast.SetVar)
+                  and node.name == INCLUDE_MARKER and self._fragments):
+                self._walk_fragment("".join(node.parts), node.line)
             elif isinstance(node, tpl_ast.SetVar):
                 self._check_parts(node.parts, node.line)
                 self._set_so_far.add(node.name)
+
+    def _walk_fragment(self, name, line):
+        """Analyze an ``@include``d fragment in the current loop context,
+        under its own file name."""
+        try:
+            file, source = self._fragments(name)
+            if file in self._walking:
+                raise TemplateSyntaxError(f"@include {name}: include cycle")
+            fragment = parse_template(source, name=file, loader=include_marker)
+        except KeyError:
+            self._reporter.error("TPL007", f"@include {name}: template not found",
+                                 Span(file=self._file, line=line))
+            return
+        except TemplateSyntaxError as exc:
+            self._reporter.error("TPL007", exc.message,
+                                 Span(file=exc.template or self._file,
+                                      line=exc.line or line))
+            return
+        outer, self._file = self._file, file
+        self._walking.add(file)
+        self._all_set_names |= self._collect_set_names(fragment.body)
+        self._walk_body(fragment.body)
+        self._walking.discard(file)
+        self._file = outer
 
     def _check_if(self, node):
         for condition, branch in node.branches:

@@ -163,7 +163,7 @@ def map_stub_return(value, ctx):
     if view.category == "void":
         return "c.release();"
     java = _java_type(view)
-    return f"{java} _result = {_extract_expression(view)};\n        c.release();"
+    return f"{java} _result = {_extract_expression(view)};\nc.release();"
 
 
 def map_stub_result(value, ctx):

@@ -121,7 +121,7 @@ def map_skel_invoke(value, ctx):
         invocation += f" {params}"
     category = node.get("type")
     if category == "void":
-        return f"{invocation}\n        # void return"
+        return f"{invocation}\n# void return"
     return f"$c insert{_suffix_for(node)} [{invocation}]"
 
 

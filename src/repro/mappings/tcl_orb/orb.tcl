@@ -467,11 +467,32 @@ namespace eval BOA {
             puts $chan "RET ERR Protocol [Wire::escape "expected CALL or ONEWAY"]"
             return
         }
-        set ref [Wire::unescape [lindex $parts 1]]
-        set op [Wire::unescape [lindex $parts 2]]
-        set args [lrange $parts 3 end]
+        # ctx=<trace> and dl=<ms> may precede the reference, in either
+        # order: the trace context is skipped; a budget of 0 is spent.
+        set head 1
+        set spent 0
+        while {[regexp {^(ctx|dl)=(.*)$} [lindex $parts $head] -> key ms]} {
+            if {$key eq "dl"} {
+                if {![string is digit -strict $ms]} {
+                    puts $chan "RET ERR Protocol [Wire::escape "bad deadline token 'dl=$ms'"]"
+                    return
+                }
+                set spent [expr {$ms == 0}]
+            }
+            incr head
+        }
+        set ref [Wire::unescape [lindex $parts $head]]
+        set op [Wire::unescape [lindex $parts [incr head]]]
+        set args [lrange $parts [incr head] end]
         if {[catch {set parsed [ObjRef::parse $ref]} err]} {
             puts $chan "RET ERR Protocol [Wire::escape $err]"
+            return
+        }
+        if {$spent} {
+            # As the Python server does: a two-way is told, a oneway dropped.
+            if {$verb eq "CALL"} {
+                puts $chan "RET ERR DeadlineExceeded [Wire::escape "request '$op' expired before dispatch"]"
+            }
             return
         }
         set oid [dict get $parsed oid]

@@ -64,6 +64,11 @@ class _Emitter:
 
     def _emit_text(self, node, depth):
         args = [self._part(part) for part in node.parts]
+        indent = node.parts[0] if node.parts else None
+        if len(args) > 1 and isinstance(indent, str) and not indent.strip():
+            # A ${var} that opens its line keeps a multi-line value's
+            # continuation lines at its own column.
+            args[1] += f".replace('\\n', {chr(10) + indent!r})"
         newline = "True" if node.newline else "False"
         arg_text = ", ".join(args)
         if args:

@@ -19,7 +19,12 @@ from repro.templates.errors import TemplateRuntimeError
 
 @dataclass
 class MapContext:
-    """What a map function may consult: the current node and runtime."""
+    """What a map function may consult: the current node and runtime.
+
+    A :class:`~repro.templates.runtime.Runtime` passes one context to
+    every map call of a run, re-pointing ``node`` each time: read it
+    during the call; do not keep the context.
+    """
 
     node: object = None
     runtime: object = None

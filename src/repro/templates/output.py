@@ -18,10 +18,6 @@ class GeneratedOutput:
     path: str
     chunks: list = field(default_factory=list)
 
-    def write(self, text):
-        if text:
-            self.chunks.append(text)
-
     @property
     def text(self):
         return "".join(self.chunks)
@@ -36,6 +32,11 @@ class OutputSink:
         self._outputs = {}
         self._order = []
         self._stack = [self._get_or_create(self.DEFAULT)]
+        self._retarget()
+
+    def _retarget(self):
+        #: ``write(text)`` appends to the current target's chunks.
+        self.write = self._stack[-1].chunks.append
 
     def _get_or_create(self, path):
         output = self._outputs.get(path)
@@ -47,20 +48,20 @@ class OutputSink:
 
     # -- runtime interface ------------------------------------------------
 
-    def write(self, text):
-        self._stack[-1].write(text)
-
     def open_file(self, path):
         """Route subsequent output to *path* (reopening appends)."""
         self._stack.append(self._get_or_create(path))
+        self._retarget()
 
     def close_file(self):
         """Return to the enclosing output target."""
         if len(self._stack) > 1:
             self._stack.pop()
+            self._retarget()
 
     def close_all(self):
         del self._stack[1:]
+        self._retarget()
 
     # -- results ----------------------------------------------------------------
 

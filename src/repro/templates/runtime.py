@@ -15,21 +15,35 @@ variable is applied to the resolved value.
 
 from repro.est.node import Ast
 from repro.templates.errors import TemplateRuntimeError
-from repro.templates.maps import BUILTIN_MAPS, MapRegistry
+from repro.templates.maps import BUILTIN_MAPS, MapContext, MapRegistry
 from repro.templates.output import OutputSink
 
 _MISSING = object()
 
 
 class _Frame:
-    """One live ``@foreach`` iteration: bindings, maps, current node."""
+    """One live ``@foreach``: its maps and where the iteration stands."""
 
-    __slots__ = ("bindings", "maps", "node")
+    __slots__ = ("maps", "index", "total", "if_more", "item", "singular")
 
-    def __init__(self, maps):
-        self.bindings = {}
-        self.maps = maps
-        self.node = None
+    def __init__(self, maps, outer, total, if_more, singular):
+        # Every -map visible here, the innermost frame's winning.
+        self.maps = {**outer.maps, **maps} if outer and maps else (
+            outer.maps if outer else maps)
+        self.index, self.total, self.if_more = 0, total, if_more
+        self.item, self.singular = _MISSING, singular
+
+    def bindings(self):
+        """The loop variables of the current iteration, built on demand."""
+        index, last = self.index, self.index == self.total - 1
+        bound = {"index": index, "count": index + 1,
+                 "first": "1" if index == 0 else "", "last": "1" if last else "",
+                 "ifMore": "" if last or self.if_more is None else self.if_more}
+        if self.item is not _MISSING:
+            bound["item"] = self.item
+            if self.singular:
+                bound[self.singular] = self.item
+        return bound
 
 
 class Runtime:
@@ -42,7 +56,12 @@ class Runtime:
         self.globals = dict(variables or {})
         self.strict = strict
         self._frames = []
-        self._node_stack = [est] if est is not None else []
+        self._by_kind = None
+        self._context = MapContext(runtime=self)  # one, re-pointed per map call
+        self._funcs = {}  # map name -> function, resolved once per run
+        #: Every name a loop may bind: only these need the frames scanned.
+        self._bound = {"index", "count", "first", "last", "ifMore", "item"}
+        self._node_stack = [est]  # the EST root (or None) stays at the bottom
 
     # -- output ----------------------------------------------------------
 
@@ -72,35 +91,34 @@ class Runtime:
         (e.g. a marshalling statement built from the parameter's type),
         receiving "" as its input value.
         """
-        value = self._raw_lookup(name)
-        for frame in reversed(self._frames):
-            map_name = frame.maps.get(name)
-            if map_name is not None:
-                base = "" if value is _MISSING else value
-                return self.maps.apply(
-                    map_name, base, node=self.current_node(), runtime=self
-                )
-        if value is _MISSING:
-            if self.strict:
+        value = None
+        if name in self._bound:  # only loop-bindable names scan the frames
+            for frame in reversed(self._frames):
+                value = frame.bindings().get(name)
+                if value is not None:
+                    break
+        node = self._node_stack[-1]
+        if value is None and node is not None:
+            value = node.lookup(name)
+        if value is None:
+            value = self.globals.get(name)
+        map_name = self._frames[-1].maps.get(name) if self._frames else None
+        if map_name is not None:
+            func = self._funcs.get(map_name) or self._funcs.setdefault(
+                map_name, self.maps.get(map_name))
+            if func is None:
+                raise TemplateRuntimeError(f"unknown map function {map_name!r}")
+            self._context.node = node
+            result = func("" if value is None else value, self._context)
+            return "" if result is None else str(result)
+        if value is None:
+            if self.strict and name not in self.globals:
                 raise TemplateRuntimeError(f"undefined template variable ${{{name}}}")
             return ""
-        return "" if value is None else str(value)
-
-    def _raw_lookup(self, name):
-        for frame in reversed(self._frames):
-            if name in frame.bindings:
-                return frame.bindings[name]
-        node = self.current_node()
-        if node is not None:
-            value = node.lookup(name)
-            if value is not None:
-                return value
-        if name in self.globals:
-            return self.globals[name]
-        return _MISSING
+        return str(value)
 
     def current_node(self):
-        return self._node_stack[-1] if self._node_stack else None
+        return self._node_stack[-1]
 
     def truth(self, value):
         """The ``@if ${x}`` truthiness rule: empty/0/false are false."""
@@ -116,36 +134,24 @@ class Runtime:
         items = self._resolve_list(list_name, line)
         if reverse:
             items = list(reversed(items))
-        frame = _Frame(maps or {})
+        singular = _singular(list_name)
+        self._bound.add(singular)
+        frame = _Frame(maps or {}, self._frames[-1] if self._frames else None,
+                       len(items), if_more, singular)
         self._frames.append(frame)
         try:
-            total = len(items)
             for index, item in enumerate(items):
                 if separator is not None and index > 0:
                     self.sink.write(separator)
-                frame.bindings = {
-                    "index": index,
-                    "count": index + 1,
-                    "first": "1" if index == 0 else "",
-                    "last": "1" if index == total - 1 else "",
-                }
-                if if_more is not None:
-                    frame.bindings["ifMore"] = if_more if index < total - 1 else ""
-                else:
-                    frame.bindings["ifMore"] = ""
+                frame.index = index
                 if isinstance(item, Ast):
-                    frame.node = item
                     self._node_stack.append(item)
                     try:
                         yield item
                     finally:
                         self._node_stack.pop()
-                        frame.node = None
                 else:
-                    frame.bindings["item"] = item
-                    singular = _singular(list_name)
-                    if singular:
-                        frame.bindings[singular] = item
+                    frame.item = item  # a plain list binds item and singular
                     yield item
         finally:
             self._frames.pop()
@@ -158,9 +164,12 @@ class Runtime:
         if value is None and list_name.startswith("all") and list_name.endswith("List"):
             # Whole-tree grouping: ``allInterfaceList`` iterates every
             # Interface node in the EST regardless of module nesting —
-            # the EST's grouping rule applied globally.
-            kind = list_name[3:-4]
-            value = [n for n in self.est.walk() if n.kind == kind] if self.est else []
+            # the EST's grouping rule applied globally, in one walk.
+            if self._by_kind is None:
+                self._by_kind = {}
+                for node in self.est.walk() if self.est else ():
+                    self._by_kind.setdefault(node.kind, []).append(node)
+            value = self._by_kind.get(list_name[3:-4], [])
         if value is None:
             # Not an error even under strict: a node legitimately has no
             # group for a child kind with zero children (an operation

@@ -45,16 +45,24 @@ from repro.footprint import count_package_lines, subset_report
 #: (heidirmi 2624 → 2588).
 RUNTIME_PACKAGES = ("model", "heidirmi", "wire", "giop")
 RUNTIME_CODE_CEILING = 5137
-#: ``repro.mappings`` code lines: the five packs and the ``base.py`` they
-#: share.  Moving the one alias-aware ``TypeView``, the category → IDL
+#: ``repro.mappings`` code lines, ``.py`` and ``.tmpl`` together (template
+#: ``@#`` / ``@//`` comments are not code), so that moving generator
+#: code from Python into templates cannot pass as a deletion: the five
+#: packs and the ``base.py`` they share.  Moving the one alias-aware
+#: ``TypeView``, the category → IDL
 #: spelling table, the ``::`` flattener and the runtime-asset loader
 #: into ``base.py``, in place of each pack's hand-copied type walk,
 #: category table, loader and flattener: 1394 → 1303.  Moving
 #: ``TypeView`` and its tables down into ``repro.est.view``, where the
 #: DII reads types through them too, with ``python_rmi``'s copy of the
 #: category → ``Call`` method table and one dead map name deleted:
-#: 1303 → 1246.
-MAPPINGS_CODE_CEILING = 1246
+#: 1303 → 1246.  Counting the templates too: 1246 + 778 = 2024.
+#: ``python_rmi`` as a template plus a table — its class bodies moved
+#: from ten line-building maps into its templates, one statement table
+#: in place of the put/get code, and ``client_only.tmpl`` including the
+#: shared module instead of copying it: 2024 → 1865 (python_rmi 751 →
+#: 592, of which 186 Python).
+MAPPINGS_CODE_CEILING = 1865
 #: The text-only blocking client: stub, connection cache, text pump
 #: and tcp/inproc transports (the paper's 700-line Tcl ORB is the
 #: yardstick, C1/C5).
@@ -70,9 +78,9 @@ ADVICE = (
 )
 
 
-def _code_lines(package):
+def _code_lines(package, suffixes=(".py",)):
     root = os.path.join(os.path.dirname(repro.__file__), package)
-    return count_package_lines(root)[0].code
+    return count_package_lines(root, suffixes)[0].code
 
 
 def test_runtime_code_lines_do_not_grow():
@@ -84,10 +92,10 @@ def test_runtime_code_lines_do_not_grow():
 
 
 def test_mapping_code_lines_do_not_grow():
-    lines = _code_lines("mappings")
+    lines = _code_lines("mappings", (".py", ".tmpl"))
     assert lines <= MAPPINGS_CODE_CEILING, (
-        f"repro.mappings is {lines} code lines, over the ceiling of "
-        f"{MAPPINGS_CODE_CEILING}.  {ADVICE}"
+        f"repro.mappings is {lines} code lines (.py + .tmpl), over the "
+        f"ceiling of {MAPPINGS_CODE_CEILING}.  {ADVICE}"
     )
 
 

@@ -53,6 +53,12 @@ class TestCountLines:
         assert counts.comment == 1
         assert counts.code == 1
 
+    def test_template_directive_comments(self):
+        text = "@# about\n  @// indented\n# emitted Python comment\n@foreach x\n"
+        counts = count_lines(text, "template")
+        assert counts.comment == 2
+        assert counts.code == 2
+
     def test_unknown_language_raises(self):
         with pytest.raises(ValueError):
             count_lines("x", "cobol")
@@ -70,6 +76,7 @@ class TestLanguageDetection:
         ("x.cc", "cpp"),
         ("Y.java", "java"),
         ("a.idl", "idl"),
+        ("main.tmpl", "template"),
         ("notes.xyz", "text"),
     ])
     def test_extension_mapping(self, path, language):

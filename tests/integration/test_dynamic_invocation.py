@@ -1,5 +1,7 @@
 """Dynamic invocation (IR-driven, stub-free) against a live server."""
 
+import os
+
 import pytest
 
 from repro.est import InterfaceRepository
@@ -260,3 +262,245 @@ class TestTypedefsAgreeWithTheStub:
         else:
             expected = getattr(stub, operation)(*args)
         assert caller.invoke(ref, operation, *args) == _plain(expected)
+
+
+# -- every construct python_rmi emits: the DII is the stub's oracle ----------
+
+COVERAGE_IDL_PATH = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "mappings", "coverage.idl")
+
+
+class EverythingEcho:
+    """``coverage.idl``'s Everything: every result echoes what came in;
+    ``last`` keeps the arguments of the latest call."""
+
+    _hd_type_id_ = "IDL:Cov/Everything:1.0"
+
+    def __init__(self, ns):
+        self.ns = ns
+        self.last = None
+        self.tint = 1
+        self.notes = []
+
+    def defaults(self, t, f, c, s, ch, h):
+        self.last = (t, f, c, s, ch, h)
+        return h
+
+    def _echo(self, value):
+        self.last = value
+        return value
+
+    longs = doubles = grid = table = points = counts = colors = _echo
+    octets = bag = by_color = by_shade = by_flag = by_long = _echo
+    by_char = only_default = echo_any = shade = count = point = empty = _echo
+
+    def objref(self, b, c, io):
+        self.last = (b, c, io)
+        return b, c, io
+
+    def split(self, n, scale):
+        return 2 * n, n, f"n={n}", scale * 2
+
+    def nothing_back(self):
+        return 7
+
+    def fail(self, why):
+        raise self.ns["Cov_Failed"](reason=why, code=len(why))
+
+    def fire(self, note):
+        self.notes.append(note)
+
+    def get_tint(self):
+        return self.tint
+
+    def set_tint(self, value):
+        self.tint = value
+
+    def get_path(self):
+        return [self.ns["Cov_Point"](x=1, y=0.5, label="start"),
+                self.ns["Cov_Point"](x=-2, y=1e3, label="")]
+
+
+class BothEcho:
+    """``coverage.idl``'s Both, which reaches Base by two paths."""
+
+    _hd_type_id_ = "IDL:Cov/Both:1.0"
+
+    def __init__(self):
+        self.counter = 0
+        self.pings = 0
+
+    def ping(self):
+        self.pings += 1
+
+    def left(self, x):
+        return x - 1
+
+    def right(self, x):
+        return x + 1
+
+    def both(self, s):
+        return s + s
+
+    def get_counter(self):
+        return self.counter
+
+    def set_counter(self, value):
+        self.counter = value
+
+    def get_name(self):
+        return "both"
+
+
+def _plain_deep(value):
+    """A stub result in the shape the DII returns it: generated structs
+    become dicts, at any depth of sequence or tuple."""
+    if hasattr(value, "_hd_struct_put"):
+        return {name: _plain_deep(field) for name, field in vars(value).items()}
+    if isinstance(value, list):
+        return [_plain_deep(item) for item in value]
+    if isinstance(value, tuple):
+        return tuple(_plain_deep(item) for item in value)
+    return value
+
+
+class TestCoverageAgreesWithTheStub:
+    """Over text, text2 and giop, every operation of ``coverage.idl``
+    whose types the DII marshals returns through ``DynamicCaller`` what
+    it returns through the generated stub.  The DII marshals neither
+    unions nor ``any``; for those the stub's round trip must give back
+    the value sent."""
+
+    @pytest.fixture(scope="class", params=("text", "text2", "giop"))
+    def cov(self, request):
+        with open(COVERAGE_IDL_PATH, encoding="utf-8") as handle:
+            source = handle.read()
+        ns = generate_module(parse(source, filename="coverage.idl"))
+        repository = InterfaceRepository()
+        repository.add(parse(source, filename="coverage.idl"))
+        server = Orb(transport="inproc", protocol=request.param).start()
+        client = Orb(transport="inproc", protocol=request.param)
+        impl = EverythingEcho(ns)
+        ref = server.register(impl)
+        both_ref = server.register(BothEcho())
+        yield {
+            "ns": ns, "impl": impl, "ref": ref, "both_ref": both_ref,
+            "caller": DynamicCaller(client, repository),
+            "stub": client.resolve(ref.stringify()),
+            "both": client.resolve(both_ref.stringify()),
+        }
+        client.stop()
+        server.stop()
+
+    @staticmethod
+    def _calls(ns, both):
+        Point = ns["Cov_Point"]
+        points = [Point(x=1, y=2.5, label="a b"), Point(x=-7, y=0.0, label="")]
+        return {
+            "defaults": (),
+            "defaults:explicit": (False, True, 2, "", "%", -5),
+            "longs": ([1, -2, 2**31 - 1],),
+            "longs:empty": ([],),
+            "doubles": ([0.5, -1.25, 1e300],),
+            "grid": ([[1, 2], [], [3]],),
+            "table": ([["a", "b c"], [], ["%", ""]],),
+            "points": (points,),
+            "counts": ([0, 41],),
+            "colors": ([0, 2, 1],),
+            "octets": ([0, 255, 7],),
+            "shade": (2,),
+            "count": (-41,),
+            "point": (points[0],),
+            "empty": (ns["Cov_Empty"](),),
+            "objref": (both, both, both),
+            "split": (5, 1.5),
+            "nothing_back": (),
+            "fire": ("note",),
+            "_get_tint": (),
+            "_get_path": (),
+        }
+
+    OPERATIONS = (
+        "defaults", "defaults:explicit", "longs", "longs:empty", "doubles",
+        "grid", "table", "points", "counts", "colors", "octets", "shade",
+        "count", "point", "empty", "objref", "split", "nothing_back", "fire",
+        "_get_tint", "_get_path",
+    )
+
+    @pytest.mark.parametrize("case", OPERATIONS)
+    def test_dii_returns_what_the_stub_returns(self, cov, case):
+        operation = case.split(":")[0]
+        args = self._calls(cov["ns"], cov["both"])[case]
+        stub, impl = cov["stub"], cov["impl"]
+        if operation.startswith("_get_"):
+            expected = getattr(stub, operation[1:])()
+        else:
+            expected = getattr(stub, operation)(*args)
+        stub_saw = impl.last
+        got = cov["caller"].invoke(cov["ref"], operation, *args)
+        assert got == _plain_deep(expected)
+        if operation != "fire":
+            assert _plain_deep(impl.last) == _plain_deep(stub_saw)
+
+    def test_defaults_arrive_as_declared(self, cov):
+        Color = cov["ns"]["Cov_Color"]
+        cov["caller"].invoke(cov["ref"], "defaults")
+        assert cov["impl"].last == (True, False, Color.Green, "hi", "x", 31)
+
+    def test_attribute_set_agrees(self, cov):
+        cov["stub"].set_tint(2)
+        assert cov["caller"].invoke(cov["ref"], "_get_tint") == 2
+        cov["caller"].invoke(cov["ref"], "_set_tint", 0)
+        assert cov["stub"].get_tint() == 0
+
+    def test_user_exception_agrees(self, cov):
+        Failed = cov["ns"]["Cov_Failed"]
+        with pytest.raises(Failed) as by_stub:
+            cov["stub"].fail("bad")
+        with pytest.raises(Failed) as by_dii:
+            cov["caller"].invoke(cov["ref"], "fail", "bad")
+        for raised in (by_stub.value, by_dii.value):
+            assert (raised.reason, raised.code) == ("bad", 3)
+
+    @pytest.mark.parametrize("operation, args", (
+        ("ping", ()), ("left", (1,)), ("right", (2,)), ("both", ("ab",)),
+        ("_get_counter", ()), ("_get_name", ()),
+    ))
+    def test_diamond_inheritance_agrees(self, cov, operation, args):
+        both = cov["both"]
+        if operation.startswith("_get_"):
+            expected = getattr(both, operation[1:])()
+        else:
+            expected = getattr(both, operation)(*args)
+        assert cov["caller"].invoke(cov["both_ref"], operation, *args) == expected
+
+    @staticmethod
+    def _union_values(ns):
+        Color, Point = ns["Cov_Color"], ns["Cov_Point"]
+        union = lambda name, d, v: ns[f"Cov_{name}"](d, v)  # noqa: E731
+        return [
+            ("by_color", union("ByColor", Color.Red, -3)),
+            ("by_color", union("ByColor", Color.Green, "g")),
+            ("by_color", union("ByColor", Color.Blue, True)),
+            ("by_shade", union("ByShade", Color.Blue, 1.5)),
+            ("by_shade", union("ByShade", Color.Green, Point(x=1, y=2.0,
+                                                            label="pt"))),
+            ("by_flag", union("ByFlag", True, 3)),
+            ("by_flag", union("ByFlag", False, "no")),
+            ("by_long", union("ByLong", 2, "two")),
+            ("by_long", union("ByLong", 3, 2.5)),
+            ("by_long", union("ByLong", 9, 4.5)),
+            ("by_char", union("ByChar", "a", 1)),
+            ("by_char", union("ByChar", "b", [1, 2, 3])),
+            ("by_char", union("ByChar", "z", None)),
+            ("only_default", union("OnlyDefault", 7, "text")),
+            ("echo_any", [None, True, -1, 2**40, 0.25, "s", [1, ["x"]]]),
+            ("echo_any", "plain"),
+            ("bag", ns["Cov_Bag"](ids=[1, 2], where=[Point(x=3)], tint=2,
+                                  extra=[1, "x"], cells=[[1], [], [2, 3]])),
+        ]
+
+    def test_unions_and_anys_round_trip_through_the_stub(self, cov):
+        stub = cov["stub"]
+        for operation, value in self._union_values(cov["ns"]):
+            assert getattr(stub, operation)(value) == value, operation

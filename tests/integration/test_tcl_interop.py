@@ -277,3 +277,105 @@ namespace eval impl {
                 assert stub.swap(0) == 1
             finally:
                 client.stop()
+
+
+#: A Tcl Console that reports what it was asked to print, so a test
+#: can see whether a oneway was dispatched or dropped.
+RECORDING_CONSOLE = """
+namespace eval impl {
+    variable printed {}
+    proc print {text} { variable printed; lappend printed $text }
+    proc add {a b} { return [expr {$a + $b}] }
+    proc banner {} { variable printed; return "printed:[join $printed ,]" }
+}
+"""
+
+
+def _raw_exchange(address, lines, replies):
+    """Send *lines* on one text connection; read *replies* lines back."""
+    import socket
+
+    with socket.create_connection(address, timeout=10) as sock:
+        stream = sock.makefile("rw", encoding="ascii", newline="\n")
+        for line in lines:
+            stream.write(line + "\n")
+        stream.flush()
+        return [stream.readline().rstrip("\n") for _ in range(replies)]
+
+
+def _address(ref_text):
+    from repro.model.objref import ObjectReference
+
+    reference = ObjectReference.parse(ref_text)
+    return reference.host, reference.port
+
+
+class TestHeaderTokensReachTheTclServant:
+    """A text request may carry ``ctx=`` and ``dl=`` between the verb
+    and the reference (docs/WIRE_PROTOCOLS.md): the Tcl BOA skips the
+    trace context and honours the deadline, as the Python server does."""
+
+    @pytest.fixture
+    def tcl_console(self, tcl_files, tmp_path):
+        with tcl_server(tcl_files, "Console", RECORDING_CONSOLE, TYPE_ID,
+                        tmp_path / "port.txt") as ref_text:
+            yield ref_text
+
+    def _call_through(self, ref_text, **orb_kwargs):
+        client = Orb(transport="tcp", protocol="text", **orb_kwargs)
+        try:
+            stub = client.resolve(ref_text)
+            assert stub.add(20, 22) == 42
+            stub.print_("sent")
+            assert stub.banner() == "printed:sent"
+        finally:
+            client.stop()
+
+    def test_traced_client(self, tcl_console):
+        from repro.observe import Observer
+
+        self._call_through(tcl_console, observer=Observer())
+
+    def test_deadlined_client(self, tcl_console):
+        from repro.resilience import ResiliencePolicy
+
+        self._call_through(
+            tcl_console, resilience=ResiliencePolicy(default_deadline=5.0))
+
+    def test_traced_and_deadlined_client(self, tcl_console):
+        from repro.observe import Observer
+        from repro.resilience import ResiliencePolicy
+
+        self._call_through(
+            tcl_console, observer=Observer(),
+            resilience=ResiliencePolicy(default_deadline=5.0))
+
+    @pytest.mark.parametrize("headers", (
+        "ctx=00112233445566778899aabbccddeeff-0011223344556677 dl=5000",
+        "dl=5000 ctx=00112233445566778899aabbccddeeff-0011223344556677",
+    ))
+    def test_both_tokens_in_either_order(self, tcl_console, headers):
+        replies = _raw_exchange(_address(tcl_console), [
+            f"CALL {headers} {tcl_console} add 1 2",
+            f"ONEWAY {headers} {tcl_console} print kept",
+            f"CALL {headers} {tcl_console} banner",
+        ], 2)
+        assert replies == ["RET OK 3", "RET OK printed:kept"]
+
+    def test_spent_deadline_is_answered_as_the_python_server_does(
+            self, tcl_console):
+        server = Orb(transport="tcp", protocol="text").start()
+        try:
+            python_ref = server.register(ConsoleImpl(), type_id=TYPE_ID)
+            python_text = python_ref.stringify()
+            expected = _raw_exchange(_address(python_text),
+                                     [f"CALL dl=0 {python_text} add 1 2"], 1)
+        finally:
+            server.stop()
+        assert expected[0].startswith("RET ERR DeadlineExceeded ")
+        replies = _raw_exchange(_address(tcl_console), [
+            f"CALL dl=0 {tcl_console} add 1 2",
+            f"ONEWAY dl=0 {tcl_console} print dropped",
+            f"CALL {tcl_console} banner",
+        ], 2)
+        assert replies == expected + ["RET OK printed:"]

@@ -168,3 +168,30 @@ def test_pack_template_errors_carry_exact_file(tmp_path):
     assert len(findings) == 1
     assert findings[0].span.file.endswith("frag.tmpl")
     assert findings[0].span.line == 2
+
+
+def test_fragment_included_in_a_loop_is_checked_in_that_loop(tmp_path):
+    """``${methodName}`` resolves in a fragment included inside
+    ``@foreach methodList``; a bad name there is the fragment's finding."""
+    pack = _make_pack(
+        tmp_path,
+        {"main.tmpl": ("@foreach allInterfaceList\n@foreach methodList\n"
+                       "@include frag.tmpl\n@end methodList\n"
+                       "@end allInterfaceList\n"),
+         "frag.tmpl": "${methodName}(${interfaceName})\n${bogusVar}\n"},
+        type_table=FULL_TABLE,
+    )
+    findings = [d for d in lint_pack(pack) if d.code.startswith("TPL")]
+    assert [(d.code, d.span.file.endswith("frag.tmpl"), d.span.line)
+            for d in findings] == [("TPL001", True, 2)]
+
+
+def test_include_cycle_is_a_finding_not_a_hang(tmp_path):
+    pack = _make_pack(
+        tmp_path,
+        {"main.tmpl": "@include a.tmpl\n",
+         "a.tmpl": "@include b.tmpl\n",
+         "b.tmpl": "@include a.tmpl\n"},
+        type_table=FULL_TABLE,
+    )
+    assert "TPL007" in {d.code for d in lint_pack(pack)}
