@@ -19,7 +19,9 @@ three artifact layers *before* any code is generated:
 
 ``python -m repro.lint`` drives all passes from the command line with
 ``--format text|json|sarif``; :mod:`repro.compiler.pipeline` runs the
-relevant passes lint-first before generating code.
+relevant passes lint-first before generating code.  The concurrency
+pass, :mod:`repro.lint.flow`, is not imported here: only the CLI's
+``--concurrency`` loads it, so the compiler never does.
 """
 
 from repro.lint.diagnostics import (
@@ -34,7 +36,6 @@ from repro.lint.diagnostics import (
 from repro.lint.idl_rules import lint_idl_source, lint_spec
 from repro.lint.template_rules import TemplateLintResult, lint_template, lint_template_source
 from repro.lint.mapping_rules import lint_pack
-from repro.lint.flow import lint_concurrency_paths, lint_concurrency_sources
 from repro.lint.formats import render_json, render_sarif, render_text
 
 __all__ = [
@@ -51,8 +52,6 @@ __all__ = [
     "lint_template_source",
     "TemplateLintResult",
     "lint_pack",
-    "lint_concurrency_paths",
-    "lint_concurrency_sources",
     "render_text",
     "render_json",
     "render_sarif",

@@ -8,8 +8,7 @@ for all three).  ``--mapping`` lints a bundled pack by name; with no
 targets at all, every registered pack is linted.
 
 ``--concurrency`` switches the ``.py`` targets to the flow pass
-(CON0xx concurrency analysis) instead of embedded-IDL extraction, with
-an optional justified baseline (``--baseline`` / ``--write-baseline``).
+(CON0xx concurrency analysis) instead of embedded-IDL extraction.
 ``--arch`` composes with it in the same invocation, sharing one parse
 per wire module.
 
@@ -28,9 +27,6 @@ from repro.lint.formats import render_json, render_sarif, render_text
 from repro.lint.idl_rules import lint_idl_source
 from repro.lint.mapping_rules import lint_pack, lint_pack_idempotence
 from repro.lint.template_rules import lint_template_source
-
-#: The checked-in concurrency baseline, picked up when present.
-DEFAULT_BASELINE = ".concurrency-baseline.json"
 
 
 def build_arg_parser():
@@ -71,20 +67,8 @@ def build_arg_parser():
         "--concurrency", action="store_true",
         help="run the flow pass (CON0xx) over the .py targets: blocking "
              "calls reachable from async code, lock-order cycles, "
-             "guarded-by violations, thread lifecycle, error-kind "
-             "vocabulary (default target: the installed repro package)",
-    )
-    parser.add_argument(
-        "--baseline", metavar="FILE", default=None,
-        help="justified-baseline file for --concurrency (default: "
-             f"{DEFAULT_BASELINE} when it exists); matching findings "
-             "are suppressed, stale entries become CON000 warnings",
-    )
-    parser.add_argument(
-        "--write-baseline", metavar="FILE", default=None,
-        help="write the current --concurrency findings to FILE as a "
-             "baseline skeleton (justifications must be filled in) and "
-             "exit clean",
+             "guarded-by violations, error-kind vocabulary (default "
+             "target: the installed repro package)",
     )
     return parser
 
@@ -127,10 +111,7 @@ def main(argv=None):
 
             py_targets = [os.path.dirname(repro.__file__)]
         program = build_program(py_targets)
-        flow_findings = lint_program(program)
-        code = _apply_flow_baseline(args, flow_findings, diagnostics)
-        if code is not None:
-            return code
+        diagnostics.extend(lint_program(program))
 
     for path in files:
         diagnostics.extend(_lint_file(path, args.include, packs))
@@ -159,40 +140,6 @@ def main(argv=None):
         d for d in diagnostics if Severity.at_least(d.severity, args.fail_on)
     ]
     return 1 if failing else 0
-
-
-def _apply_flow_baseline(args, flow_findings, diagnostics):
-    """Fold the flow findings into *diagnostics* through the baseline
-    workflow.  Returns an exit code to short-circuit with, or None to
-    continue the run."""
-    from repro.lint.flow import apply_baseline, load_baseline, render_baseline
-
-    if args.write_baseline:
-        with open(args.write_baseline, "w", encoding="utf-8") as handle:
-            handle.write(render_baseline(flow_findings))
-        print(
-            f"wrote {len(flow_findings)} finding(s) to "
-            f"{args.write_baseline}; fill in the justifications",
-            file=sys.stderr,
-        )
-        return 0
-    baseline_path = args.baseline
-    if baseline_path is None and os.path.isfile(DEFAULT_BASELINE):
-        baseline_path = DEFAULT_BASELINE
-    if baseline_path is None:
-        diagnostics.extend(flow_findings)
-        return None
-    try:
-        entries = load_baseline(baseline_path)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    kept, _suppressed, stale = apply_baseline(
-        flow_findings, entries, baseline_path
-    )
-    diagnostics.extend(kept)
-    diagnostics.extend(stale)
-    return None
 
 
 def _expand_targets(targets, extensions=(".idl", ".tmpl", ".py")):

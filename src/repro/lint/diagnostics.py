@@ -70,13 +70,11 @@ CODES = {
     "ARCH002": "wire/marshal hot path assembles frames by bytes "
                "concatenation or join instead of a BufferPlan",
     # -- concurrency / flow analysis ---------------------------------------
-    "CON000": "flow pass administrative finding (unparseable module or "
-              "stale baseline entry)",
+    "CON000": "module the flow pass cannot parse",
     "CON001": "blocking call reachable from async code",
     "CON002": "lock-order cycle in the acquisition graph",
     "CON003": "guarded-by violation: field accessed without its "
               "declared lock",
-    "CON004": "thread lifecycle: non-daemon thread is never joined",
     "CON005": "CommunicationError kind outside the documented vocabulary",
 }
 

@@ -11,42 +11,34 @@ checks those properties statically, the same move the rest of
 Layers:
 
 - :mod:`repro.lint.flow.effects` — per-function effect summaries
-  (blocking sites, lock acquisitions with held lock-sets, spawns,
-  guarded-field accesses) plus the annotation grammar (``# guarded-by:``,
-  ``# holds-lock:``, ``# race-ok:``, ``# blocking-ok:``);
+  (blocking sites, lock acquisitions with held lock-sets,
+  guarded-field accesses, error kinds) plus the annotation grammar
+  (``# guarded-by:``, ``# holds-lock:``, ``# race-ok:``);
 - :mod:`repro.lint.flow.callgraph` — the import-resolved call graph and
   the transitive blocking/acquisition closures;
-- :mod:`repro.lint.flow.rules` — the CON001–CON005 rule family;
-- :mod:`repro.lint.flow.baseline` — the justified-baseline workflow for
-  gating CI on new regressions only.
+- :mod:`repro.lint.flow.rules` — the rules: CON000 (unparseable
+  module), CON001 (blocking call reachable from a coroutine), CON002
+  (lock-order cycle), CON003 (guarded-by violation) and CON005
+  (error-kind vocabulary), all errors.
 
 Entry points: :func:`lint_concurrency_paths` for files/trees (the CLI's
 ``--concurrency``), :func:`lint_concurrency_sources` for in-memory
 sources (tests), both returning plain ``Diagnostic`` lists for the
-standard renderers.
+standard renderers.  ``python -m repro.lint`` loads this package only
+for ``--concurrency``; the compiler never does.
 """
 
 import os
 
 from repro.lint.flow.callgraph import Program
-from repro.lint.flow.rules import ALLOWED_ERROR_KINDS, lint_program
-from repro.lint.flow.baseline import (
-    apply_baseline,
-    load_baseline,
-    render_baseline,
-)
+from repro.lint.flow.rules import lint_program
 
 __all__ = [
-    "ALLOWED_ERROR_KINDS",
-    "Program",
-    "apply_baseline",
     "build_program",
     "lint_concurrency_paths",
     "lint_concurrency_sources",
     "lint_program",
-    "load_baseline",
     "module_name_for_path",
-    "render_baseline",
 ]
 
 

@@ -185,32 +185,29 @@ class Program:
     # -- closures ---------------------------------------------------------
 
     def _compute_blocking_closure(self):
-        """``self.blocking_closure[key]`` maps a blocking *kind* to its
-        witness: ``("direct", site)`` or ``("via", callee_key, line)``."""
-        self.blocking_closure = {}
-        for key, fn in self.functions.items():
-            direct = {}
-            for site in fn.blocking:
-                direct.setdefault(site.kind, ("direct", site))
-            self.blocking_closure[key] = direct
+        """``self.blocking_closure[key]`` is the witness that *key* may
+        block — ``("direct", site)`` or ``("via", callee_key, line)`` —
+        for every function that can."""
+        self.blocking_closure = {
+            key: ("direct", fn.blocking[0])
+            for key, fn in self.functions.items() if fn.blocking
+        }
         changed = True
         while changed:
             changed = False
             for key, fn in self.functions.items():
-                closure = self.blocking_closure[key]
+                if key in self.blocking_closure:
+                    continue
                 for site in fn.calls:
                     callee_key = self._resolved.get(id(site))
-                    if callee_key is None:
-                        continue
-                    callee = self.functions[callee_key]
-                    if callee.is_async:
-                        # An async callee never blocks the caller; its
-                        # own blocking sites are its own findings.
-                        continue
-                    for kind in self.blocking_closure[callee_key]:
-                        if kind not in closure:
-                            closure[kind] = ("via", callee_key, site.line)
-                            changed = True
+                    # An async callee never blocks the caller; its own
+                    # blocking sites are its own findings.
+                    if (callee_key in self.blocking_closure
+                            and not self.functions[callee_key].is_async):
+                        self.blocking_closure[key] = (
+                            "via", callee_key, site.line)
+                        changed = True
+                        break
 
     def _compute_acquire_closure(self):
         """``self.acquire_closure[key]``: lock ids a call may take,
@@ -235,13 +232,13 @@ class Program:
                             closure[lock_id] = ("via", callee_key, site.line)
                             changed = True
 
-    def blocking_chain(self, key, kind, limit=10):
-        """Human-readable witness chain for *kind* reachable from *key*."""
+    def blocking_chain(self, key, limit=10):
+        """Human-readable witness chain of the blocking call *key* reaches."""
         chain = []
         seen = set()
         while key not in seen and len(chain) < limit:
             seen.add(key)
-            witness = self.blocking_closure.get(key, {}).get(kind)
+            witness = self.blocking_closure.get(key)
             if witness is None:
                 break
             if witness[0] == "direct":

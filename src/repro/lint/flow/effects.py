@@ -12,8 +12,6 @@ records what the body *does* to the process' concurrency state:
   ``.acquire()``), each stamped with the lock-set already held so the
   call graph can build the lock-order graph;
 - **call sites** — resolvable callees with the lock-set at the call;
-- **spawn / join sites** — ``threading.Thread(...)`` constructions and
-  the names they are joined under;
 - **field accesses** — ``self.attr`` reads/writes classified by depth
   (see below), checked against ``# guarded-by:`` declarations;
 - **error kinds** — ``CommunicationError(kind=...)`` literals.
@@ -30,8 +28,6 @@ Annotation grammar (trailing comments, parsed from the raw source):
   lock-set and the call-graph pass enforces it at call sites.
 - ``# race-ok: <reason>`` on an access line waives CON003 for that line
   (documented benign races: GIL-atomic reads, lock-free fast paths).
-- ``# blocking-ok: <reason>`` on a call line waives CON001 for that
-  line (documented benign blocking, e.g. an uncontended init lock).
 
 Depth classification keeps CON003 quiet on the codebase's documented
 unlocked *peeks*: a read used only for truthiness, comparison, or as a
@@ -52,14 +48,12 @@ __all__ = [
     "FunctionSummary",
     "GuardSpec",
     "ModuleSummary",
-    "SpawnSite",
     "analyze_module",
 ]
 
 _GUARD_RE = re.compile(r"#\s*guarded-by:\s*([^\s#]+)")
 _HOLDS_RE = re.compile(r"#\s*holds-lock:\s*([^\s#]+)")
 _RACE_OK_RE = re.compile(r"#\s*race-ok\b")
-_BLOCKING_OK_RE = re.compile(r"#\s*blocking-ok\b")
 
 #: Constructors that create a lock-like object (threading module).
 _LOCK_FACTORIES = frozenset(
@@ -97,10 +91,9 @@ class GuardSpec:
 class BlockingSite:
     """A call that blocks the calling thread."""
 
-    __slots__ = ("kind", "detail", "line")
+    __slots__ = ("detail", "line")
 
-    def __init__(self, kind, detail, line):
-        self.kind = kind        # "hard" | "lock"
+    def __init__(self, detail, line):
         self.detail = detail    # display text, e.g. "time.sleep"
         self.line = line
 
@@ -108,13 +101,12 @@ class BlockingSite:
 class AcquireSite:
     """A lock acquisition, with the lock-set already held."""
 
-    __slots__ = ("lock_id", "line", "held", "timeout")
+    __slots__ = ("lock_id", "line", "held")
 
-    def __init__(self, lock_id, line, held, timeout):
+    def __init__(self, lock_id, line, held):
         self.lock_id = lock_id
         self.line = line
         self.held = held        # frozenset of lock ids held on entry
-        self.timeout = timeout  # True when bounded (timeout=/blocking=False)
 
 
 class CallSite:
@@ -143,17 +135,6 @@ class AccessSite:
         self.held = held
 
 
-class SpawnSite:
-    """A ``threading.Thread(...)`` construction."""
-
-    __slots__ = ("line", "daemon", "bound")
-
-    def __init__(self, line, daemon, bound):
-        self.line = line
-        self.daemon = daemon    # True/False/None (None: not set)
-        self.bound = bound      # ("local", name) | ("attr", name) | None
-
-
 class FunctionSummary:
     """Everything the flow rules need to know about one function."""
 
@@ -168,8 +149,6 @@ class FunctionSummary:
         self.acquires = []              # [AcquireSite]
         self.calls = []                 # [CallSite]
         self.accesses = []              # [AccessSite]
-        self.spawns = []                # [SpawnSite]
-        self.joins = set()              # bound names .join()ed here
         self.error_kinds = []           # [(kind, line)]
 
     @property
@@ -213,7 +192,6 @@ class ModuleSummary:
         self.global_locks = {}          # NAME -> canonical lock id
         self.global_guards = {}         # NAME -> GuardSpec
         self.race_ok_lines = set()
-        self.blocking_ok_lines = set()
         self.tree = None
 
     def all_functions(self):
@@ -258,10 +236,6 @@ def _const_kwarg(call, name):
     return None
 
 
-def _has_kwarg(call, name):
-    return any(kw.arg == name for kw in call.keywords)
-
-
 class _ModuleAnalyzer:
     """Single-module analysis: builds a :class:`ModuleSummary`."""
 
@@ -285,13 +259,9 @@ class _ModuleAnalyzer:
         return None
 
     def _collect_waivers(self):
+        waived = self.summary.race_ok_lines
         for index, text in enumerate(self.source_lines, start=1):
-            waived = None
-            if _RACE_OK_RE.search(text):
-                waived = self.summary.race_ok_lines
-            elif _BLOCKING_OK_RE.search(text):
-                waived = self.summary.blocking_ok_lines
-            if waived is None:
+            if not _RACE_OK_RE.search(text):
                 continue
             waived.add(index)
             # A standalone comment waives the next code line, so long
@@ -492,8 +462,6 @@ class _FunctionWalker:
         self.module = analyzer.summary
         #: Simple local aliases: name -> ("self_attr", attr).
         self.locals = {}
-        #: Binding for a Thread ctor in the current assignment's value.
-        self._pending_thread_binding = None
 
     def run(self, node):
         resolved = []
@@ -625,18 +593,8 @@ class _FunctionWalker:
         value = stmt.value
         targets = (stmt.targets if isinstance(stmt, ast.Assign)
                    else [stmt.target])
-        # ``t = threading.Thread(...)``: remember the binding so the
-        # spawn recorded during the value scan carries it.
-        if isinstance(value, ast.Call) and self._is_thread_ctor(value.func):
-            if targets and isinstance(targets[0], ast.Name):
-                self._pending_thread_binding = ("local", targets[0].id)
-            elif (targets and isinstance(targets[0], ast.Attribute)
-                    and isinstance(targets[0].value, ast.Name)
-                    and targets[0].value.id == "self"):
-                self._pending_thread_binding = ("attr", targets[0].attr)
         if value is not None:
             self._scan_expr(value, held, "shallow")
-        self._pending_thread_binding = None
         for target in targets:
             self._store_target(target, held)
         # Track simple local aliases: ``table = self._table``.
@@ -685,8 +643,7 @@ class _FunctionWalker:
                 continue
             if lock_id is not None:
                 self.summary.acquires.append(
-                    AcquireSite(lock_id, expr.lineno, frozenset(entered),
-                                timeout=False)
+                    AcquireSite(lock_id, expr.lineno, frozenset(entered))
                 )
                 entered.add(lock_id)
             else:
@@ -712,37 +669,22 @@ class _FunctionWalker:
         return None
 
     def _effect_call(self, node, held):
-        """Record call/blocking/acquire/spawn effects of one Call node.
+        """Record call/blocking/acquire effects of one Call node.
 
         Called exactly once per Call, from the expression scan."""
         func = node.func
         self._maybe_error_kind(node)
-        if self._is_thread_ctor(func):
-            # Construction effects; binding (if any) is recorded by the
-            # assignment handler.
-            self._record_spawn(node, self._pending_thread_binding)
-            return
         if isinstance(func, ast.Attribute):
             method = func.attr
             receiver_lock = self._lock_id_for_expr(func.value)
             if method == "acquire" and receiver_lock is not None:
-                bounded = (_has_kwarg(node, "timeout")
-                           or _has_kwarg(node, "blocking")
-                           or bool(node.args))
                 self.summary.acquires.append(
-                    AcquireSite(receiver_lock, node.lineno, held,
-                                timeout=bounded)
+                    AcquireSite(receiver_lock, node.lineno, held)
                 )
-                if not bounded:
-                    self.summary.blocking.append(
-                        BlockingSite("lock", f"acquire on {receiver_lock}",
-                                     node.lineno)
-                    )
                 return
             if method == "release" and receiver_lock is not None:
                 return
             self._maybe_blocking_method(node, func, method)
-            self._maybe_join(func, method)
             self._record_method_call(node, func, method, held)
             return
         if isinstance(func, ast.Name):
@@ -767,31 +709,31 @@ class _FunctionWalker:
         if method == "sleep" and isinstance(base, ast.Name):
             if self.module.imports.get(base.id) == "time":
                 self.summary.blocking.append(
-                    BlockingSite("hard", "time.sleep", node.lineno)
+                    BlockingSite("time.sleep", node.lineno)
                 )
             return
         if method == "select" and isinstance(base, ast.Name):
             if self.module.imports.get(base.id) == "select":
                 self.summary.blocking.append(
-                    BlockingSite("hard", "select.select", node.lineno)
+                    BlockingSite("select.select", node.lineno)
                 )
             return
         if method in _SOCKET_BLOCKERS:
             self.summary.blocking.append(
-                BlockingSite("hard", f".{method}()", node.lineno)
+                BlockingSite(f".{method}()", node.lineno)
             )
             return
         if method in _WAIT_BLOCKERS and not node.args and not node.keywords:
             # Zero-argument result()/join()/wait(): unbounded waits.
             # (``" ".join(parts)`` always has an argument.)
             self.summary.blocking.append(
-                BlockingSite("hard", f"unbounded .{method}()", node.lineno)
+                BlockingSite(f"unbounded .{method}()", node.lineno)
             )
             return
         if method == "get" and not node.args and not node.keywords:
             if self._receiver_is_queue(func.value):
                 self.summary.blocking.append(
-                    BlockingSite("hard", "queue.Queue.get()", node.lineno)
+                    BlockingSite("queue.Queue.get()", node.lineno)
                 )
 
     def _receiver_is_queue(self, base):
@@ -807,33 +749,8 @@ class _FunctionWalker:
             module, original = origin
             if module == "time" and original == "sleep":
                 self.summary.blocking.append(
-                    BlockingSite("hard", "time.sleep", node.lineno)
+                    BlockingSite("time.sleep", node.lineno)
                 )
-
-    def _maybe_join(self, func, method):
-        if method != "join":
-            return
-        base = func.value
-        if isinstance(base, ast.Name):
-            self.summary.joins.add(("local", base.id))
-        elif (isinstance(base, ast.Attribute)
-                and isinstance(base.value, ast.Name)
-                and base.value.id == "self"):
-            self.summary.joins.add(("attr", base.attr))
-
-    def _is_thread_ctor(self, func):
-        if (isinstance(func, ast.Attribute) and func.attr == "Thread"
-                and isinstance(func.value, ast.Name)
-                and self.module.imports.get(func.value.id) == "threading"):
-            return True
-        if isinstance(func, ast.Name) and func.id == "Thread":
-            origin = self.module.from_imports.get("Thread")
-            return origin is not None and origin[0] == "threading"
-        return False
-
-    def _record_spawn(self, node, bound):
-        daemon = _const_kwarg(node, "daemon")
-        self.summary.spawns.append(SpawnSite(node.lineno, daemon, bound))
 
     def _record_method_call(self, node, func, method, held):
         base = func.value

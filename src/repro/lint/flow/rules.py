@@ -1,12 +1,10 @@
 """The CON0xx rule family over a linked :class:`Program`.
 
+- **CON000** — a target module that does not parse.
 - **CON001** — blocking primitives reachable from ``async def`` code:
-  direct blockers in a coroutine are errors; a coroutine calling a
-  *sync* function whose transitive closure blocks is an error with the
-  witness chain attached; a timeout-less lock acquire directly inside a
-  coroutine is a warning (it stalls the event loop for the critical
-  section, not forever).  ``# blocking-ok: <reason>`` on the site line
-  waives the finding.
+  a direct blocker in a coroutine, or a coroutine calling a *sync*
+  function whose transitive closure blocks (the witness chain is
+  attached as notes).
 - **CON002** — lock-order cycles: every held→acquired pair (direct or
   through resolved calls) is an edge; a strongly-connected component of
   two or more locks is a potential deadlock.
@@ -15,11 +13,14 @@
   field on a path that does not hold the declared lock, and calls to
   ``# holds-lock:`` functions without the lock held.  ``# race-ok:
   <reason>`` on the site line waives the finding.
-- **CON004** — thread lifecycle: a non-daemon ``threading.Thread`` that
-  is never joined outlives shutdown silently.
 - **CON005** — ``CommunicationError(kind=...)`` literals outside the
   documented vocabulary (``repro.model.errors``): the observe layer
   buckets metrics by kind, so a typo mints an unqueryable bucket.
+
+Every finding is an error.  CON001, CON002, CON003 and CON005 each
+catch, alone, a seeded defect that the test suite passes (docs/DIAGNOSTICS.md, "Why these
+rules"); a rule that could only warn, or that caught nothing the suite
+missed, is not here.
 """
 
 from repro.lint.diagnostics import Diagnostic, Note, Severity, Span
@@ -49,10 +50,10 @@ ALLOWED_ERROR_KINDS = frozenset({
 })
 
 
-def _diag(code, severity, message, filename, line, notes=()):
+def _diag(code, message, filename, line, notes=()):
     return Diagnostic(
         code=code,
-        severity=severity,
+        severity=Severity.ERROR,
         message=message,
         span=Span(file=filename, line=line),
         notes=list(notes),
@@ -66,14 +67,13 @@ def lint_program(program):
     diagnostics = []
     for filename, exc in sorted(program.syntax_errors, key=lambda e: e[0]):
         diagnostics.append(_diag(
-            "CON000", Severity.ERROR,
+            "CON000",
             f"cannot parse module for flow analysis: {exc.msg}",
             filename, exc.lineno or 0,
         ))
     diagnostics.extend(_check_blocking_in_async(program))
     diagnostics.extend(_check_lock_order(program))
     diagnostics.extend(_check_guarded_by(program))
-    diagnostics.extend(_check_thread_lifecycle(program))
     diagnostics.extend(_check_error_kinds(program))
     return sorted(diagnostics, key=lambda d: d.sort_key)
 
@@ -87,34 +87,19 @@ def _check_blocking_in_async(program):
         if not fn.is_async:
             continue
         module = program.modules[fn.module]
-        waived = module.blocking_ok_lines
         for site in fn.blocking:
-            if site.line in waived:
-                continue
-            if site.kind == "hard":
-                diagnostics.append(_diag(
-                    "CON001", Severity.ERROR,
-                    f"coroutine {fn.qualname} makes blocking call "
-                    f"{site.detail}",
-                    module.filename, site.line,
-                ))
-            else:
-                diagnostics.append(_diag(
-                    "CON001", Severity.WARNING,
-                    f"coroutine {fn.qualname} takes a timeout-less "
-                    f"{site.detail}; the event loop stalls for the "
-                    "critical section",
-                    module.filename, site.line,
-                ))
+            diagnostics.append(_diag(
+                "CON001",
+                f"coroutine {fn.qualname} makes blocking call {site.detail}",
+                module.filename, site.line,
+            ))
         for site in fn.calls:
             callee = program.resolved_callee(site)
             if callee is None or callee.is_async:
                 continue
-            if "hard" not in program.blocking_closure[callee.key]:
+            if callee.key not in program.blocking_closure:
                 continue
-            if site.line in waived:
-                continue
-            chain = program.blocking_chain(callee.key, "hard")
+            chain = program.blocking_chain(callee.key)
             notes = [
                 Note(
                     message=f"{program.functions[step_key].qualname}: {detail}",
@@ -129,7 +114,7 @@ def _check_blocking_in_async(program):
             ]
             primitive = chain[-1][2] if chain else "a blocking primitive"
             diagnostics.append(_diag(
-                "CON001", Severity.ERROR,
+                "CON001",
                 f"coroutine {fn.qualname} reaches blocking {primitive} "
                 f"through sync call to {callee.qualname}",
                 module.filename, site.line, notes,
@@ -251,7 +236,7 @@ def _check_guarded_by(program):
             verb = "written" if access.mode == "store" else "used"
             owner = "" if access.owner == "<module>" else access.owner + "."
             diagnostics.append(_diag(
-                "CON003", Severity.ERROR,
+                "CON003",
                 f"field {owner}{access.attr} is guarded by {spec.lock_id} "
                 f"but {verb} in {fn.qualname} without holding it",
                 module.filename, access.line,
@@ -266,45 +251,10 @@ def _check_guarded_by(program):
                 if site.line in waived:
                     continue
                 diagnostics.append(_diag(
-                    "CON003", Severity.ERROR,
+                    "CON003",
                     f"{fn.qualname} calls {callee.qualname}, which "
                     f"requires holding {lock_id}, without the lock",
                     module.filename, site.line,
-                ))
-    return diagnostics
-
-
-# -- CON004 ---------------------------------------------------------------
-
-def _check_thread_lifecycle(program):
-    diagnostics = []
-    for modname in sorted(program.modules):
-        module = program.modules[modname]
-        module_joins = set()
-        for fn in module.all_functions():
-            for kind, name in fn.joins:
-                module_joins.add((kind, name) if kind == "attr"
-                                 else (kind, fn.qualname, name))
-        for fn in sorted(module.all_functions(), key=lambda f: f.qualname):
-            for spawn in fn.spawns:
-                if spawn.daemon is True:
-                    continue
-                joined = False
-                if spawn.bound is not None:
-                    kind, name = spawn.bound
-                    if kind == "local":
-                        joined = ("local", fn.qualname, name) in module_joins
-                    else:
-                        joined = ("attr", name) in module_joins
-                if joined:
-                    continue
-                how = ("daemon=False" if spawn.daemon is False
-                       else "daemon not set")
-                diagnostics.append(_diag(
-                    "CON004", Severity.WARNING,
-                    f"{fn.qualname} spawns a non-daemon thread ({how}) "
-                    "that is never joined; it outlives shutdown",
-                    module.filename, spawn.line,
                 ))
     return diagnostics
 
@@ -321,7 +271,7 @@ def _check_error_kinds(program):
             if kind in ALLOWED_ERROR_KINDS:
                 continue
             diagnostics.append(_diag(
-                "CON005", Severity.ERROR,
+                "CON005",
                 f"CommunicationError kind {kind!r} is not in the "
                 "documented vocabulary",
                 module.filename, line,

@@ -214,7 +214,7 @@ KIND_TABLE = {
         optional=("evaluated",) + _TYPE_OPTIONAL,
         node_lists=dict(_ELEMENT_LIST),
     ),
-    "Forward": KindInfo("Forward", required=("repoId",)),
+    "Forward": KindInfo("Forward", required=("repoId", "scopedName")),
     "Native": KindInfo("Native", required=("repoId", "scopedName")),
     "ElementType": KindInfo(
         "ElementType",

@@ -21,7 +21,11 @@ Mapping decisions, documented:
 - pass-by-value (`incopy`) degrades to by-reference — the Java client
   side has no serializable registry;
 - sequences map to ``java.util.Vector`` (it is 2000) with typed
-  helpers for string/integer/objref elements.
+  helpers for string/integer/objref elements;
+- unsigned integers never wrap: ``unsigned short`` widens to ``int``
+  and ``unsigned long`` to ``long``; ``unsigned long long`` rides in a
+  ``long`` holding the same 64 bits, crossing the wire through the
+  JDK's ``Long.toUnsignedString`` / ``Long.parseUnsignedLong``.
 """
 
 from repro.est.view import TypeView
@@ -35,9 +39,9 @@ JAVA_TYPE_TABLE = {
     "wchar": "char",
     "octet": "byte",
     "short": "short",
-    "unsigned short": "short",
+    "unsigned short": "int",
     "long": "int",
-    "unsigned long": "int",
+    "unsigned long": "long",
     "long long": "long",
     "unsigned long long": "long",
     "float": "float",
@@ -50,16 +54,60 @@ JAVA_TYPE_TABLE = {
     "Object": "HdObjRef",
 }
 
-#: Integer categories that extract via extractLong + a narrowing cast.
+#: Integer categories and the Java type each is carried in.
 _INT_CATEGORIES = {
     "octet": "byte",
     "short": "short",
-    "ushort": "short",
+    "ushort": "int",
     "long": "int",
-    "ulong": "int",
+    "ulong": "long",
     "longlong": "long",
     "ulonglong": "long",
 }
+
+#: Category -> (insert statement, extract expression); ``{}`` stands
+#: for the value inserted.  Integers cross as extractLong plus a
+#: narrowing cast.
+_SCALARS = {
+    category: ("c.insertLong({});", "c.extractLong()" if java == "long"
+               else f"({java}) c.extractLong()")
+    for category, java in _INT_CATEGORIES.items()
+}
+_SCALARS.update({
+    # A decimal token to the runtime, unsigned on the Java side.
+    "ulonglong": ("c.insertString(Long.toUnsignedString({}));",
+                  "Long.parseUnsignedLong(c.extractString())"),
+    "boolean": ("c.insertBoolean({});", "c.extractBoolean()"),
+    "float": ("c.insertDouble({});", "(float) c.extractDouble()"),
+    "double": ("c.insertDouble({});", "c.extractDouble()"),
+    "longdouble": ("c.insertDouble({});", "c.extractDouble()"),
+    "char": ("c.insertChar({});", "c.extractChar()"),
+    "wchar": ("c.insertChar({});", "c.extractChar()"),
+    "string": ("c.insertString({});", "c.extractString()"),
+    "wstring": ("c.insertString({});", "c.extractString()"),
+    "objref": ("c.insertObject({});", "c.extractObject()"),
+})
+
+
+def _unsigned_vector(values, method, element):
+    """*values* with ``Long::method`` applied to each element: an
+    ``unsigned long long`` sequence crosses the runtime as strings."""
+    return (f"new java.util.Vector<{element}>({values}.stream()"
+            f".map(Long::{method}).collect(java.util.stream.Collectors.toList()))")
+
+
+#: Sequence element category -> (insert, extract), as in ``_SCALARS``;
+#: any other element crosses as a string sequence.
+_SEQUENCES = dict.fromkeys(
+    _INT_CATEGORIES, ("c.insertLongSeq({});", "c.extractLongSeq()"))
+_SEQUENCES.update({
+    "objref": ("c.insertObjectSeq({});", "c.extractObjectSeq()"),
+    "ulonglong": (
+        "c.insertStringSeq("
+        + _unsigned_vector("{}", "toUnsignedString", "String") + ");",
+        _unsigned_vector("c.extractStringSeq()", "parseUnsignedLong", "Long")),
+})
+_STRING_SEQUENCE = ("c.insertStringSeq({});", "c.extractStringSeq()")
 
 
 def _java_type(view):
@@ -86,65 +134,36 @@ def map_type(value, ctx):
     return _java_type(TypeView(ctx.node)) if ctx.node is not None else str(value)
 
 
+def _sequence_forms(view):
+    element = view.element
+    return _SEQUENCES.get(element and element.category, _STRING_SEQUENCE)
+
+
 def _insert_statement(view, name):
     category = view.category
-    if category == "boolean":
-        return f"c.insertBoolean({name});"
-    if category in _INT_CATEGORIES:
-        return f"c.insertLong({name});"
-    if category in ("float", "double", "longdouble"):
-        return f"c.insertDouble({name});"
-    if category in ("char", "wchar"):
-        return f"c.insertChar({name});"
-    if category in ("string", "wstring"):
-        return f"c.insertString({name});"
+    if category in _SCALARS:
+        return _SCALARS[category][0].format(name)
+    if category == "sequence":
+        return _sequence_forms(view)[0].format(name)
     if category == "enum":
         enum_class = map_class_name(view.spelling)
         return f"c.insertEnum({enum_class}.MEMBERS[{name}]);"
-    if category == "objref":
-        return f"c.insertObject({name});"
     if category == "struct":
         return f"{name}.insertInto(c);"
-    if category == "sequence":
-        element = view.element
-        if element is not None and element.category == "objref":
-            return f"c.insertObjectSeq({name});"
-        if element is not None and element.category in _INT_CATEGORIES:
-            return f"c.insertLongSeq({name});"
-        return f"c.insertStringSeq({name});"
     return f"/* unsupported insert for {category} */"
 
 
 def _extract_expression(view):
     category = view.category
-    if category == "boolean":
-        return "c.extractBoolean()"
-    if category in _INT_CATEGORIES:
-        java = _INT_CATEGORIES[category]
-        return f"({java}) c.extractLong()" if java != "long" \
-            else "c.extractLong()"
-    if category in ("float",):
-        return "(float) c.extractDouble()"
-    if category in ("double", "longdouble"):
-        return "c.extractDouble()"
-    if category in ("char", "wchar"):
-        return "c.extractChar()"
-    if category in ("string", "wstring"):
-        return "c.extractString()"
+    if category in _SCALARS:
+        return _SCALARS[category][1]
+    if category == "sequence":
+        return _sequence_forms(view)[1]
     if category == "enum":
         enum_class = map_class_name(view.spelling)
         return f"c.extractEnum({enum_class}.MEMBERS)"
-    if category == "objref":
-        return "c.extractObject()"
     if category == "struct":
         return f"{map_class_name(view.spelling)}.extractFrom(c)"
-    if category == "sequence":
-        element = view.element
-        if element is not None and element.category == "objref":
-            return "c.extractObjectSeq()"
-        if element is not None and element.category in _INT_CATEGORIES:
-            return "c.extractLongSeq()"
-        return "c.extractStringSeq()"
     return "null /* unsupported */"
 
 

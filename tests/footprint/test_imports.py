@@ -165,6 +165,23 @@ class TestInterpreterAgrees:
         ]
 
 
+COMPILE_PAPER_IDL = """\
+import repro.compiler.cli
+from repro.compiler.pipeline import Pipeline
+from tests.conftest import PAPER_IDL
+assert Pipeline("heidi_cpp").run(PAPER_IDL, filename="paper.idl").files
+"""
+
+
+def test_compiling_loads_no_concurrency_analyzer():
+    """The compiler lints IDL and templates; the concurrency pass is
+    only for ``python -m repro.lint --concurrency``, so no compile
+    pays for importing it."""
+    loaded = _modules_after(COMPILE_PAPER_IDL)
+    assert "repro.lint.template_rules" in loaded
+    assert not [name for name in loaded if name.startswith("repro.lint.flow")]
+
+
 BLOCKING_PAIR = """\
 from tests.resilience.rig import make_pair, stop_pair
 server, client, stub, impl = make_pair(protocol="text", transport="tcp")

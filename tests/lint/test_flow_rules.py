@@ -7,13 +7,7 @@ import pytest
 
 import repro
 from repro.lint.cli import main
-from repro.lint.flow import (
-    apply_baseline,
-    lint_concurrency_paths,
-    lint_concurrency_sources,
-    load_baseline,
-    render_baseline,
-)
+from repro.lint.flow import lint_concurrency_paths, lint_concurrency_sources
 from repro.lint.formats import render_text
 
 FLOW_FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures", "flow")
@@ -98,71 +92,3 @@ def test_cli_concurrency_exits_nonzero_on_seeded_errors(capsys):
     out = capsys.readouterr().out
     assert "CON001" in out and "CON003" in out
 
-
-# -- baseline workflow -------------------------------------------------------
-
-
-def test_write_baseline_then_suppress(tmp_path, capsys):
-    """--write-baseline emits a skeleton; once justified, the same
-    findings are suppressed and the gate passes."""
-    baseline = tmp_path / "baseline.json"
-    target = os.path.join(FLOW_FIXTURES, "CON005.py")
-    assert main(["--concurrency", target,
-                 "--write-baseline", str(baseline)]) == 0
-    capsys.readouterr()
-
-    payload = json.loads(baseline.read_text(encoding="utf-8"))
-    assert payload["findings"], "skeleton should carry the seeded finding"
-    for entry in payload["findings"]:
-        entry["justification"] = "legacy kind kept for fixture purposes"
-    baseline.write_text(json.dumps(payload), encoding="utf-8")
-
-    assert main(["--concurrency", target, "--baseline", str(baseline)]) == 0
-    assert "CON005" not in capsys.readouterr().out
-
-
-def test_stale_baseline_entry_becomes_warning(tmp_path, capsys):
-    baseline = tmp_path / "baseline.json"
-    baseline.write_text(json.dumps({
-        "version": 1,
-        "findings": [{
-            "code": "CON001",
-            "file": "no_such_module.py",
-            "message": "coroutine gone makes blocking call time.sleep",
-            "justification": "left over from a deleted module",
-        }],
-    }), encoding="utf-8")
-    clean = os.path.join(FLOW_FIXTURES, "CON001_clean.py")
-    assert main(["--concurrency", clean, "--baseline", str(baseline)]) == 0
-    out = capsys.readouterr().out
-    assert "CON000" in out and "stale" in out
-
-
-def test_baseline_requires_justifications(tmp_path, capsys):
-    baseline = tmp_path / "baseline.json"
-    baseline.write_text(json.dumps({
-        "version": 1,
-        "findings": [{
-            "code": "CON005", "file": "CON005.py",
-            "message": "whatever", "justification": "",
-        }],
-    }), encoding="utf-8")
-    target = os.path.join(FLOW_FIXTURES, "CON005.py")
-    assert main(["--concurrency", target, "--baseline", str(baseline)]) == 2
-    assert "justification" in capsys.readouterr().err
-
-
-def test_apply_baseline_roundtrip(tmp_path):
-    """Library-level: render → load → apply suppresses everything."""
-    findings = _lint_fixture("CON002.py")
-    baseline = tmp_path / "baseline.json"
-    text = render_baseline(findings).replace(
-        "TODO: explain why this finding is acceptable",
-        "documented historical lock order",
-    )
-    baseline.write_text(text, encoding="utf-8")
-    entries = load_baseline(str(baseline))
-    kept, suppressed, stale = apply_baseline(findings, entries, str(baseline))
-    assert kept == []
-    assert stale == []
-    assert len(suppressed) == len(findings)

@@ -168,6 +168,16 @@ public class Main {
         xs.add(5L); xs.add(6L); xs.add(7L);
         System.out.println("SUM=" + calc.sum(xs));
         System.out.println("MODE=" + HdMode.MEMBERS[calc.flip(HdMode.Up)]);
+        System.out.println("USHORT=" + calc.echoUShort(65535));
+        System.out.println("ULONG=" + calc.echoULong(4294967295L));
+        long top = Long.parseUnsignedLong("18446744073709551615");
+        System.out.println("ULONGLONG="
+            + Long.toUnsignedString(calc.echoULongLong(top)));
+        Vector<Long> tops = new Vector<Long>();
+        tops.add(top); tops.add(Long.MIN_VALUE);
+        Vector<Long> back = calc.echoULongLongs(tops);
+        System.out.println("ULONGLONGS=" + Long.toUnsignedString(back.get(0))
+            + "," + Long.toUnsignedString(back.get(1)));
         calc.setLabel("from-java");
         System.out.println("LABEL=" + calc.getLabel());
         try {
@@ -184,11 +194,16 @@ public class Main {
 CALC_IDL = """\
 enum Mode { Up, Down };
 exception Broken { string why; };
+typedef sequence<unsigned long long> U64s;
 interface Calc {
   long add(in long a, in long b);
   string greet(in string name);
   long sum(in sequence<long> xs);
   Mode flip(in Mode m);
+  unsigned short echoUShort(in unsigned short x);
+  unsigned long echoULong(in unsigned long x);
+  unsigned long long echoULongLong(in unsigned long long x);
+  U64s echoULongLongs(in U64s xs);
   void fail() raises (Broken);
   attribute string label;
 };
@@ -227,6 +242,11 @@ class TestLiveJavaClient:
             def fail(self):
                 raise ns["Broken"](why="intentional")
 
+            def echoUShort(self, x):
+                return x
+
+            echoULong = echoULongLong = echoULongLongs = echoUShort
+
             def get_label(self):
                 return self.label
 
@@ -259,6 +279,12 @@ class TestLiveJavaClient:
             assert "GREET=hello java" in out
             assert "SUM=18" in out
             assert "MODE=Down" in out
+            # Unsigned values above the signed maximum round-trip.
+            assert "USHORT=65535" in out
+            assert "ULONG=4294967295" in out
+            assert "ULONGLONG=18446744073709551615" in out
+            assert ("ULONGLONGS=18446744073709551615,9223372036854775808"
+                    in out)
             assert "LABEL=from-java" in out
             assert "EXC=IDL:Broken:1.0" in out
             assert impl.label == "from-java"
