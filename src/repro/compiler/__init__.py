@@ -10,7 +10,6 @@ separately (so tests and benches can measure each hand-off) and
 end-to-end; ``python -m repro.compiler`` is the command-line front-end.
 """
 
-from repro.compiler.cache import TemplateCache
 from repro.compiler.pipeline import CompileResult, Pipeline, compile_idl
 
-__all__ = ["Pipeline", "CompileResult", "compile_idl", "TemplateCache"]
+__all__ = ["Pipeline", "CompileResult", "compile_idl"]

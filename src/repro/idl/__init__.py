@@ -36,7 +36,7 @@ from repro.idl.ast import (
     UnionDecl,
 )
 from repro.idl.errors import IdlError, IdlSyntaxError, IdlSemanticError, SourceLocation
-from repro.idl.lexer import Lexer, tokenize
+from repro.idl.lexer import tokenize
 from repro.idl.parser import Parser, parse_tokens
 from repro.idl.semantics import SemanticAnalyzer, analyze
 from repro.idl.tokens import Token, TokenKind
@@ -86,7 +86,6 @@ __all__ = [
     "tokenize",
     "parse_tokens",
     "analyze",
-    "Lexer",
     "Parser",
     "SemanticAnalyzer",
     "Token",

@@ -1,21 +1,25 @@
-"""Hand-written lexer for OMG IDL.
+"""Lexer for OMG IDL: one regular expression, one pass over the source.
 
-The lexer is a straightforward character scanner.  Preprocessor lines are
-handled here rather than in a separate pass: ``#pragma`` and ``#include``
-lines become dedicated tokens for the parser, while include-guard lines
-(``#ifndef``/``#define``/``#endif``/``#if``/``#else``) are skipped, which
-is how the OmniBroker front-end the paper built on treats them for
-already-preprocessed input.
+``tokenize`` walks the source with the master pattern ``_TOKEN``.  Each
+match is one token, one run of whitespace and comments, one
+preprocessor line or one character that starts no token; a small
+decoder turns char and string escapes into their values.  Line and
+column come from the match offset and the offsets where lines start,
+one ``bisect`` per token.
+
+Preprocessor lines are handled here rather than in a separate pass:
+``#pragma`` and ``#include`` lines become dedicated tokens for the
+parser, while include-guard lines (``#ifndef``/``#define``/``#endif``/
+``#if``/``#else``) are skipped, which is how the OmniBroker front-end
+the paper built on treats them for already-preprocessed input.
 """
 
+import re
+from bisect import bisect_right
+from itertools import takewhile
+
 from repro.idl.errors import IdlSyntaxError, SourceLocation
-from repro.idl.tokens import (
-    KEYWORDS,
-    MULTI_CHAR_OPERATORS,
-    SINGLE_CHAR_OPERATORS,
-    Token,
-    TokenKind,
-)
+from repro.idl.tokens import KEYWORDS, Token, TokenKind
 
 _ESCAPES = {
     "n": "\n",
@@ -29,291 +33,171 @@ _ESCAPES = {
     "?": "?",
     "'": "'",
     '"': '"',
-    "0": "\0",
 }
 
 _SKIPPED_DIRECTIVES = frozenset(
     {"ifndef", "ifdef", "define", "endif", "if", "else", "elif", "undef", "line"}
 )
 
+#: Operators and punctuation: the token kinds whose value is their spelling.
+_PUNCT = {kind.value: kind for kind in TokenKind if not kind.value.isidentifier()}
 
-class Lexer:
-    """Tokenizes one IDL source string."""
+#: One escape sequence: ``\x`` and up to two hex digits, up to three octal
+#: digits, or any one character.  A backslash at the end of the input
+#: matches alone, so that the decoder can report it.
+_ESCAPE = r"\\(?:x[0-9a-fA-F]{0,2}|[0-7]{1,3}|[\s\S])?"
 
-    def __init__(self, source, filename="<string>"):
-        self._source = source
-        self._filename = filename
-        self._pos = 0
-        self._line = 1
-        self._column = 1
-        self._at_line_start = True
+# A digit is ``\d``, a letter ``[^\W\d_]``, a letter or digit ``[^\W_]``.
+# A literal that never ends still matches (its closing quote is an
+# optional group), so that it is reported where it starts.
+_TOKEN = re.compile(r"""
+    (?P<skip> [ \t\r\n\v\f]+ | //[^\n]* | /\*(?:[\s\S]*?\*/)? )
+  | (?P<hex> 0[xX][^\W_]* )
+  | (?P<number>
+        (?: \d+ (?: \. (?: \d+ | (?=[eE][+-]?\d) | (?![^\W\d_]) ) )? | \.\d+ )
+        (?: [eE][+-]?\d+ )? [dD]? )
+  | (?P<char> L?' (?P<char_body> ESCAPE | [^\n] )? (?P<char_end> ' )? )
+  | (?P<string> L?" (?P<string_body> (?: [^"\\\n] | ESCAPE )* ) (?P<string_end> " )? )
+  | (?P<ident> [^\W\d]\w* )
+  | (?P<directive> \#[^\n]* )
+  | (?P<punct> PUNCT )
+  | (?P<bad> [\s\S] )
+""".replace("ESCAPE", _ESCAPE).replace(
+    "PUNCT", "|".join(map(re.escape, sorted(_PUNCT, key=len, reverse=True)))),
+    re.VERBOSE)
+_ESCAPE_RE = re.compile(_ESCAPE)
+_NEWLINE = re.compile("\n")
 
-    # -- low-level cursor helpers -------------------------------------
 
-    def _location(self):
-        return SourceLocation(self._filename, self._line, self._column)
+def _unescape(escape, location):
+    """The character an escape sequence matched by ``_ESCAPE`` stands for."""
+    if len(escape) == 1:
+        raise IdlSyntaxError("unterminated escape sequence", location)
+    ch = escape[1]
+    if ch == "x":
+        if len(escape) == 2:
+            raise IdlSyntaxError("malformed \\x escape", location)
+        return chr(int(escape[2:], 16))
+    if ch in "01234567":
+        return chr(int(escape[1:], 8))
+    if ch in _ESCAPES:
+        return _ESCAPES[ch]
+    raise IdlSyntaxError(f"unknown escape sequence \\{ch}", location)
 
-    def _peek(self, offset=0):
-        index = self._pos + offset
-        if index < len(self._source):
-            return self._source[index]
-        return ""
 
-    def _advance(self, count=1):
-        for _ in range(count):
-            if self._pos >= len(self._source):
-                return
-            ch = self._source[self._pos]
-            self._pos += 1
-            if ch == "\n":
-                self._line += 1
-                self._column = 1
-                self._at_line_start = True
-            else:
-                self._column += 1
-                if not ch.isspace():
-                    self._at_line_start = False
+def _number(match, location):
+    text = match.group()
+    if text[-1] in "dD":
+        # Fixed-point literal such as "1.5d".
+        return Token(TokenKind.FIXED, text[:-1] + "d", text[:-1], location)
+    if not text.isdecimal():
+        return Token(TokenKind.FLOAT, text, float(text), location)
+    # Leading 0 means octal in IDL (as in C).
+    base = 8 if len(text) > 1 and text.startswith("0") else 10
+    try:
+        return Token(TokenKind.INTEGER, text, int(text, base), location)
+    except ValueError:
+        raise IdlSyntaxError(f"malformed integer literal {text!r}", location) from None
 
-    def _error(self, message, location=None):
-        raise IdlSyntaxError(message, location or self._location())
 
-    # -- skipping -------------------------------------------------------
+def _hex(match, location):
+    text = match.group()
+    if len(text) == 2:
+        raise IdlSyntaxError("malformed hexadecimal literal", location)
+    try:
+        return Token(TokenKind.INTEGER, text, int(text, 16), location)
+    except ValueError:
+        raise IdlSyntaxError(f"malformed hexadecimal literal {text!r}", location) from None
 
-    def _skip_whitespace_and_comments(self):
-        while self._pos < len(self._source):
-            ch = self._peek()
-            if ch in " \t\r\n\v\f":
-                self._advance()
-            elif ch == "/" and self._peek(1) == "/":
-                while self._pos < len(self._source) and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":
-                start = self._location()
-                self._advance(2)
-                while not (self._peek() == "*" and self._peek(1) == "/"):
-                    if self._pos >= len(self._source):
-                        self._error("unterminated block comment", start)
-                    self._advance()
-                self._advance(2)
-            else:
-                return
 
-    # -- literals ---------------------------------------------------------
+def _char(match, location):
+    body = match.group("char_body")
+    if body and body[0] == "\\":
+        body = _unescape(body, location)
+    if not body or match.group("char_end") is None:
+        raise IdlSyntaxError("unterminated character literal", location)
+    kind = TokenKind.WCHAR if match.group()[0] == "L" else TokenKind.CHAR
+    return Token(kind, body, body, location)
 
-    def _lex_number(self):
-        start = self._location()
-        begin = self._pos
-        if self._peek() == "0" and self._peek(1) and self._peek(1) in "xX":
-            self._advance(2)
-            if not self._peek().isalnum():
-                self._error("malformed hexadecimal literal", start)
-            while self._peek().isalnum():
-                self._advance()
-            text = self._source[begin : self._pos]
-            try:
-                return Token(TokenKind.INTEGER, text, int(text, 16), start)
-            except ValueError:
-                self._error(f"malformed hexadecimal literal {text!r}", start)
 
-        is_float = False
-        while self._peek().isdigit():
-            self._advance()
-        if self._peek() == "." and self._peek(1).isdigit():
-            is_float = True
-            self._advance()
-            while self._peek().isdigit():
-                self._advance()
-        elif self._peek() == "." and not self._peek(1).isalpha():
-            # Trailing dot as in "1." is a valid float literal.
-            is_float = True
-            self._advance()
-        if self._peek() and self._peek() in "eE" and (
-            self._peek(1).isdigit() or (self._peek(1) and self._peek(1) in "+-" and self._peek(2).isdigit())
-        ):
-            is_float = True
-            self._advance()
-            if self._peek() and self._peek() in "+-":
-                self._advance()
-            while self._peek().isdigit():
-                self._advance()
+def _string(match, location):
+    value = match.group("string_body")
+    if "\\" in value:
+        value = _ESCAPE_RE.sub(lambda escape: _unescape(escape.group(), location), value)
+    if match.group("string_end") is None:
+        raise IdlSyntaxError("unterminated string literal", location)
+    kind = TokenKind.WSTRING if match.group()[0] == "L" else TokenKind.STRING
+    return Token(kind, value, value, location)
 
-        text = self._source[begin : self._pos]
-        if self._peek() and self._peek() in "dD":
-            # Fixed-point literal such as "1.5d".
-            self._advance()
-            return Token(TokenKind.FIXED, text + "d", text, start)
-        if is_float:
-            return Token(TokenKind.FLOAT, text, float(text), start)
-        # Leading 0 means octal in IDL (as in C).
-        base = 8 if len(text) > 1 and text.startswith("0") else 10
-        try:
-            return Token(TokenKind.INTEGER, text, int(text, base), start)
-        except ValueError:
-            self._error(f"malformed integer literal {text!r}", start)
 
-    def _lex_escape(self, start):
-        self._advance()  # the backslash
-        ch = self._peek()
-        if ch == "":
-            self._error("unterminated escape sequence", start)
-        if ch == "x":
-            self._advance()
-            digits = ""
-            while self._peek() and self._peek() in "0123456789abcdefABCDEF" and len(digits) < 2:
-                digits += self._peek()
-                self._advance()
-            if not digits:
-                self._error("malformed \\x escape", start)
-            return chr(int(digits, 16))
-        if ch in "01234567":
-            digits = ""
-            while self._peek() and self._peek() in "01234567" and len(digits) < 3:
-                digits += self._peek()
-                self._advance()
-            return chr(int(digits, 8))
-        if ch in _ESCAPES:
-            self._advance()
-            return _ESCAPES[ch]
-        self._error(f"unknown escape sequence \\{ch}", start)
+def _identifier(match, location):
+    text = match.group()
+    if text[0] == "_":
+        # OMG IDL escaped identifier: `_name` denotes the identifier
+        # `name` even when it collides with a keyword.
+        if len(text) == 1:
+            raise IdlSyntaxError("lone underscore is not a valid identifier", location)
+        return Token(TokenKind.IDENTIFIER, text[1:], text[1:], location)
+    if not text[0].isalpha():
+        return _unexpected(match, location)
+    kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENTIFIER
+    return Token(kind, text, text, location)
 
-    def _lex_char(self, wide=False):
-        start = self._location()
-        self._advance()  # opening quote
-        if self._peek() == "\\":
-            value = self._lex_escape(start)
-        elif self._peek() in ("", "\n"):
-            self._error("unterminated character literal", start)
-        else:
-            value = self._peek()
-            self._advance()
-        if self._peek() != "'":
-            self._error("unterminated character literal", start)
-        self._advance()
-        kind = TokenKind.WCHAR if wide else TokenKind.CHAR
-        return Token(kind, value, value, start)
 
-    def _lex_string(self, wide=False):
-        start = self._location()
-        self._advance()  # opening quote
-        chars = []
-        while True:
-            ch = self._peek()
-            if ch in ("", "\n"):
-                self._error("unterminated string literal", start)
-            if ch == '"':
-                self._advance()
-                break
-            if ch == "\\":
-                chars.append(self._lex_escape(start))
-            else:
-                chars.append(ch)
-                self._advance()
-        value = "".join(chars)
-        kind = TokenKind.WSTRING if wide else TokenKind.STRING
-        return Token(kind, value, value, start)
+def _directive(match, location):
+    """The token a ``#...`` line stands for, or None if it is skipped."""
+    if match.string[match.start() - location.column + 1:match.start()].strip():
+        raise IdlSyntaxError("'#' is only valid at the start of a line", location)
+    line = match.group()[1:].lstrip(" \t")
+    directive = "".join(takewhile(str.isalpha, line))
+    rest = line[len(directive):].strip()
+    if directive == "pragma":
+        return Token(TokenKind.PRAGMA, rest, rest, location)
+    if directive == "include":
+        closer = {'"': '"', "<": ">"}.get(rest[:1])
+        end = rest.find(closer, 1) if closer else -1
+        if end < 0:
+            raise IdlSyntaxError(f"malformed #include {rest!r}", location)
+        return Token(TokenKind.INCLUDE_DIRECTIVE, rest, rest[1:end], location)
+    if directive in _SKIPPED_DIRECTIVES:
+        return None
+    raise IdlSyntaxError(f"unsupported preprocessor directive #{directive}", location)
 
-    def _lex_identifier(self):
-        start = self._location()
-        begin = self._pos
-        escaped = False
-        if self._peek() == "_":
-            # OMG IDL escaped identifier: `_name` denotes the identifier
-            # `name` even when it collides with a keyword.
-            escaped = True
-            self._advance()
-        while self._peek().isalnum() or self._peek() == "_":
-            self._advance()
-        text = self._source[begin : self._pos]
-        name = text[1:] if escaped else text
-        if not name:
-            self._error("lone underscore is not a valid identifier", start)
-        if not escaped and name in KEYWORDS:
-            return Token(TokenKind.KEYWORD, name, name, start)
-        return Token(TokenKind.IDENTIFIER, name, name, start)
 
-    # -- preprocessor ---------------------------------------------------
+def _punct(match, location):
+    text = match.group()
+    return Token(_PUNCT[text], text, text, location)
 
-    def _lex_hash_line(self):
-        """Handle a ``#...`` line; return a token or None if skipped."""
-        start = self._location()
-        self._advance()  # '#'
-        while self._peek() in " \t":
-            self._advance()
-        begin = self._pos
-        while self._peek().isalpha():
-            self._advance()
-        directive = self._source[begin : self._pos]
-        rest_begin = self._pos
-        while self._pos < len(self._source) and self._peek() != "\n":
-            self._advance()
-        rest = self._source[rest_begin : self._pos].strip()
-        if directive == "pragma":
-            return Token(TokenKind.PRAGMA, rest, rest, start)
-        if directive == "include":
-            if len(rest) < 2 or rest[0] not in "\"<":
-                self._error(f"malformed #include {rest!r}", start)
-            closer = '"' if rest[0] == '"' else ">"
-            end = rest.find(closer, 1)
-            if end < 0:
-                self._error(f"malformed #include {rest!r}", start)
-            return Token(TokenKind.INCLUDE_DIRECTIVE, rest, rest[1:end], start)
-        if directive in _SKIPPED_DIRECTIVES:
-            return None
-        self._error(f"unsupported preprocessor directive #{directive}", start)
 
-    # -- main loop --------------------------------------------------------
+def _unexpected(match, location):
+    raise IdlSyntaxError(f"unexpected character {match.group()[0]!r}", location)
 
-    def next_token(self):
-        """Return the next token, or an EOF token at end of input."""
-        while True:
-            self._skip_whitespace_and_comments()
-            if self._pos >= len(self._source):
-                return Token(TokenKind.EOF, "", None, self._location())
-            ch = self._peek()
-            if ch == "#":
-                if not self._at_line_start:
-                    self._error("'#' is only valid at the start of a line")
-                token = self._lex_hash_line()
-                if token is not None:
-                    return token
-                continue
-            break
 
-        ch = self._peek()
-        if ch.isdigit() or (ch == "." and self._peek(1).isdigit()):
-            return self._lex_number()
-        if ch == "'":
-            return self._lex_char()
-        if ch == '"':
-            return self._lex_string()
-        if ch == "L" and self._peek(1) == "'":
-            self._advance()
-            return self._lex_char(wide=True)
-        if ch == "L" and self._peek(1) == '"':
-            self._advance()
-            return self._lex_string(wide=True)
-        if ch.isalpha() or ch == "_":
-            return self._lex_identifier()
-
-        location = self._location()
-        for text, kind in MULTI_CHAR_OPERATORS:
-            if self._source.startswith(text, self._pos):
-                self._advance(len(text))
-                return Token(kind, text, text, location)
-        if ch in SINGLE_CHAR_OPERATORS:
-            self._advance()
-            return Token(SINGLE_CHAR_OPERATORS[ch], ch, ch, location)
-        self._error(f"unexpected character {ch!r}")
-
-    def tokens(self):
-        """Yield every token in the source, ending with EOF."""
-        while True:
-            token = self.next_token()
-            yield token
-            if token.kind is TokenKind.EOF:
-                return
+#: Group name → ``handler(match, location)``: the token, or None.
+_HANDLERS = {"punct": _punct, "ident": _identifier, "number": _number, "hex": _hex,
+             "char": _char, "string": _string, "directive": _directive,
+             "bad": _unexpected}
 
 
 def tokenize(source, filename="<string>"):
     """Tokenize *source* into a list of tokens ending with EOF."""
-    return list(Lexer(source, filename=filename).tokens())
+    line_starts = [0] + [newline.end() for newline in _NEWLINE.finditer(source)]
+
+    def locate(offset):
+        line = bisect_right(line_starts, offset)
+        return SourceLocation(filename, line, offset - line_starts[line - 1] + 1)
+
+    tokens = []
+    for match in _TOKEN.finditer(source):
+        group, offset = match.lastgroup, match.start()
+        if group == "skip":
+            if match.group() == "/*":
+                raise IdlSyntaxError("unterminated block comment", locate(offset))
+            continue
+        if group in ("char", "string") and source[offset] == "L":
+            offset += 1  # a wide literal is located at its quote, not at the L
+        token = _HANDLERS[group](match, locate(offset))
+        if token is not None:
+            tokens.append(token)
+    tokens.append(Token(TokenKind.EOF, "", None, locate(len(source))))
+    return tokens

@@ -390,20 +390,24 @@ class Parser:
         start = self._expect_keyword("struct")
         name = self._identifier("struct name")
         struct = ast.StructDecl(name=name, location=start.location)
+        self._parse_members(struct)
+        return struct
+
+    def _parse_members(self, owner):
+        """``{ type name, name; ... }``: a struct's or an exception's members."""
         self._expect(TokenKind.LBRACE)
         while not self._accept(TokenKind.RBRACE):
             member_type = self._parse_type()
-            struct.members.append(self._parse_struct_member(member_type, struct))
+            owner.members.append(self._parse_member(member_type, owner))
             while self._accept(TokenKind.COMMA):
-                struct.members.append(self._parse_struct_member(member_type, struct))
+                owner.members.append(self._parse_member(member_type, owner))
             self._expect(TokenKind.SEMICOLON)
-        return struct
 
-    def _parse_struct_member(self, member_type, struct):
+    def _parse_member(self, member_type, owner):
         token = self._peek()
         name = self._identifier("member name")
         member = ast.StructMember(name=name, idl_type=member_type, location=token.location)
-        member.parent = struct
+        member.parent = owner
         return member
 
     def _parse_union(self):
@@ -468,25 +472,7 @@ class Parser:
         start = self._expect_keyword("exception")
         name = self._identifier("exception name")
         exc = ast.ExceptionDecl(name=name, location=start.location)
-        self._expect(TokenKind.LBRACE)
-        while not self._accept(TokenKind.RBRACE):
-            member_type = self._parse_type()
-            token = self._peek()
-            member_name = self._identifier("member name")
-            member = ast.StructMember(
-                name=member_name, idl_type=member_type, location=token.location
-            )
-            member.parent = exc
-            exc.members.append(member)
-            while self._accept(TokenKind.COMMA):
-                token = self._peek()
-                member_name = self._identifier("member name")
-                member = ast.StructMember(
-                    name=member_name, idl_type=member_type, location=token.location
-                )
-                member.parent = exc
-                exc.members.append(member)
-            self._expect(TokenKind.SEMICOLON)
+        self._parse_members(exc)
         self._expect(TokenKind.SEMICOLON)
         return exc
 

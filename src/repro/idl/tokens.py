@@ -11,7 +11,10 @@ from repro.idl.errors import SourceLocation
 
 
 class TokenKind(enum.Enum):
-    """Lexical classes produced by :class:`repro.idl.lexer.Lexer`."""
+    """Lexical classes produced by :func:`repro.idl.lexer.tokenize`.
+
+    An operator's or punctuator's value is its spelling.
+    """
 
     IDENTIFIER = "identifier"
     KEYWORD = "keyword"
@@ -103,38 +106,6 @@ KEYWORDS = frozenset(
     }
 )
 
-# Multi-character operators, longest first so the lexer can greedily match.
-MULTI_CHAR_OPERATORS = (
-    ("::", TokenKind.SCOPE),
-    ("<<", TokenKind.LSHIFT),
-    (">>", TokenKind.RSHIFT),
-)
-
-SINGLE_CHAR_OPERATORS = {
-    ";": TokenKind.SEMICOLON,
-    "{": TokenKind.LBRACE,
-    "}": TokenKind.RBRACE,
-    "(": TokenKind.LPAREN,
-    ")": TokenKind.RPAREN,
-    "[": TokenKind.LBRACKET,
-    "]": TokenKind.RBRACKET,
-    ":": TokenKind.COLON,
-    ",": TokenKind.COMMA,
-    "=": TokenKind.EQUALS,
-    "+": TokenKind.PLUS,
-    "-": TokenKind.MINUS,
-    "*": TokenKind.STAR,
-    "/": TokenKind.SLASH,
-    "%": TokenKind.PERCENT,
-    "~": TokenKind.TILDE,
-    "|": TokenKind.PIPE,
-    "^": TokenKind.CARET,
-    "&": TokenKind.AMP,
-    "<": TokenKind.LT,
-    ">": TokenKind.GT,
-}
-
-
 @dataclass(frozen=True)
 class Token:
     """A single lexical token.
@@ -151,9 +122,6 @@ class Token:
 
     def is_keyword(self, word):
         return self.kind is TokenKind.KEYWORD and self.text == word
-
-    def is_punct(self, kind):
-        return self.kind is kind
 
     def __str__(self):
         return f"{self.kind.name}({self.text!r})"

@@ -16,7 +16,8 @@ The engine implements the paper's template language (Fig. 9):
 Code generation is the paper's **two-step** process (Section 4.1):
 *step 1* compiles the template into a Python program (the code
 generator); *step 2* executes that program against an EST.  Step 1 need
-only run once per template — :mod:`repro.compiler.cache` exploits that.
+only run once per template — ``MappingPack.compiled`` keeps each pack's
+compiled templates.
 """
 
 from repro.templates.errors import (

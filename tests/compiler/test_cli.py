@@ -1,7 +1,12 @@
 """Tests for the repro-idlc command line."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.compiler.cli import main
 
 
@@ -82,6 +87,19 @@ class TestCli:
         bad.write_text("interface {")
         assert main([str(bad)]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_file_ending_in_hash_is_an_error(self, tmp_path):
+        # In a child with a timeout: a compiler that loops on this input
+        # fails the test instead of hanging the suite.
+        bad = tmp_path / "bad.idl"
+        bad.write_text("interface A {};\n#")
+        result = subprocess.run(
+            [sys.executable, "-m", "repro.compiler.cli", str(bad)],
+            env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(repro.__file__))},
+            capture_output=True, text=True, timeout=10,
+        )
+        assert result.returncode == 1
+        assert "unsupported preprocessor directive #" in result.stderr
 
     def test_include_path_option(self, tmp_path, capsys):
         (tmp_path / "inc").mkdir()

@@ -1,10 +1,17 @@
 """Unit tests for the IDL lexer."""
 
-import pytest
+import os
+import subprocess
+import sys
 
-from repro.idl import tokenize
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import repro
+from repro.idl import Specification, parse, tokenize
 from repro.idl.errors import IdlSyntaxError
 from repro.idl.tokens import TokenKind
+from repro.lint.diagnostics import DiagnosticReporter
 
 
 def kinds(source):
@@ -93,6 +100,16 @@ class TestNumericLiterals:
 
     def test_float_leading_dot(self):
         assert values(".5") == [0.5]
+
+    def test_float_with_exponent_and_no_fraction_digits(self):
+        # OMG IDL: the fraction part may be missing when an exponent follows.
+        tokens = tokenize("1.e5 1.E-2")[:-1]
+        assert [(t.kind, t.text, t.value) for t in tokens] == [
+            (TokenKind.FLOAT, "1.e5", 100000.0),
+            (TokenKind.FLOAT, "1.E-2", 0.01),
+        ]
+        (const,) = parse("const double d = 1.e5;").declarations
+        assert const.name == "d"
 
     def test_fixed_literal(self):
         tokens = tokenize("1.5d")[:-1]
@@ -190,3 +207,47 @@ class TestPreprocessor:
     def test_unknown_directive_raises(self):
         with pytest.raises(IdlSyntaxError):
             tokenize("#frobnicate yes")
+
+    @pytest.mark.parametrize("source, line", [("#", 1), ("#  ", 1), ("interface A {};\n#", 2)])
+    def test_hash_at_end_of_input_raises(self, source, line):
+        # Run in a child with a timeout, so that a lexer that loops on
+        # this input fails the test instead of hanging the suite.
+        script = ("import sys\n"
+                  "from repro.idl import parse\n"
+                  "from repro.idl.errors import IdlSyntaxError\n"
+                  "try:\n"
+                  "    parse(sys.stdin.read())\n"
+                  "except IdlSyntaxError as exc:\n"
+                  "    print(exc.message, exc.location.line, exc.location.column)\n")
+        result = subprocess.run(
+            [sys.executable, "-c", script], input=source,
+            env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(repro.__file__))},
+            capture_output=True, text=True, timeout=10,
+        )
+        assert result.stdout == f"unsupported preprocessor directive # {line} 1\n", result.stderr
+
+
+#: Every character class the lexer treats differently, so that drawn
+#: text reaches each literal, comment and directive rule and its errors.
+FRONT_END_ALPHABET = "#'\"L\\0123456789.exX_/* \t\nabcdfgz{};:<>=(),"
+
+
+class TestFrontEndContract:
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(alphabet=FRONT_END_ALPHABET, max_size=60))
+    def test_tokenize_ends_in_eof_or_raises_syntax_error(self, source):
+        try:
+            tokens = tokenize(source)
+        except IdlSyntaxError:
+            return
+        assert tokens[-1].kind is TokenKind.EOF
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(alphabet=FRONT_END_ALPHABET, max_size=60))
+    def test_parse_with_a_reporter_never_raises(self, source):
+        reporter = DiagnosticReporter()
+        spec = parse(source, reporter=reporter)
+        if spec is None:
+            assert [d.code for d in reporter.diagnostics] == ["IDL000"]
+        else:
+            assert isinstance(spec, Specification)
