@@ -48,6 +48,10 @@ _PUNCT = {kind.value: kind for kind in TokenKind if not kind.value.isidentifier(
 _ESCAPE = r"\\(?:x[0-9a-fA-F]{0,2}|[0-7]{1,3}|[\s\S])?"
 
 # A digit is ``\d``, a letter ``[^\W\d_]``, a letter or digit ``[^\W_]``.
+# The letter class also holds the number characters that are not decimal
+# digits (``½``, ``²``), so ``_identifier`` checks that a name starts with
+# a letter.  A number keeps its dot when digits or an exponent follow, or
+# anything but a letter: ``1.`` and ``1.e5`` are floats, ``1.x`` is not.
 # A literal that never ends still matches (its closing quote is an
 # optional group), so that it is reported where it starts.
 _TOKEN = re.compile(r"""

@@ -398,12 +398,12 @@ class Parser:
         self._expect(TokenKind.LBRACE)
         while not self._accept(TokenKind.RBRACE):
             member_type = self._parse_type()
-            owner.members.append(self._parse_member(member_type, owner))
+            owner.members.append(self._parse_struct_member(member_type, owner))
             while self._accept(TokenKind.COMMA):
-                owner.members.append(self._parse_member(member_type, owner))
+                owner.members.append(self._parse_struct_member(member_type, owner))
             self._expect(TokenKind.SEMICOLON)
 
-    def _parse_member(self, member_type, owner):
+    def _parse_struct_member(self, member_type, owner):
         token = self._peek()
         name = self._identifier("member name")
         member = ast.StructMember(name=name, idl_type=member_type, location=token.location)

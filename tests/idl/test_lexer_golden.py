@@ -16,7 +16,9 @@ the oracle for "every token and every error message stays".
 
 import json
 import os
+import random
 import re
+import sys
 
 import pytest
 
@@ -196,10 +198,8 @@ def _repo_idl_files():
 
 def snapshot():
     """Token streams and errors as the lexer on ``sys.path`` gives them."""
-    import sys
     sys.path.insert(0, ROOT)
     from perf.compilebench import deep_idl, wide_idl
-    import random
     from tests.conftest import PAPER_IDL, TYPEDEF_IDL
 
     sources = {name: (None, open(os.path.join(ROOT, name), encoding="utf-8").read())
