@@ -71,12 +71,6 @@ def build_arg_parser():
         "--no-lint", action="store_true",
         help="skip the lint passes that normally run before generation",
     )
-    parser.add_argument(
-        "--strict-templates", action="store_true",
-        help="force strict template resolution (undefined ${var} is an "
-        "error); by default strict turns on automatically when lint is "
-        "clean and the mapping's template is strict-safe",
-    )
     return parser
 
 
@@ -119,14 +113,10 @@ def main(argv=None):
     if args.mapping not in all_packs():
         print(f"error: unknown mapping {args.mapping!r}", file=sys.stderr)
         return 1
-    pipeline = Pipeline(
-        args.mapping,
-        lint=not args.no_lint,
-        strict_templates=True if args.strict_templates else None,
-    )
+    pipeline = Pipeline(args.mapping, lint=not args.no_lint)
 
     try:
-        spec, diagnostics, strict = pipeline.front_end(
+        spec, diagnostics = pipeline.front_end(
             source, filename=args.idl, include_paths=args.include
         )
         reportable = [
@@ -162,7 +152,7 @@ def main(argv=None):
             repository.save(args.ir)
             print(f"recorded {os.path.basename(args.idl)} in repository "
                   f"{args.ir}", file=sys.stderr)
-        files = pipeline.generate(spec, est=est, strict=strict)
+        files = pipeline.generate(spec, est=est)
     except (IdlError, TemplateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

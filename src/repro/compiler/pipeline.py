@@ -15,10 +15,9 @@ parses the source once with a collecting reporter, runs the
 :mod:`repro.lint` rules over that tree and adds the mapping pack's
 template findings; error-severity findings abort with
 :class:`repro.lint.diagnostics.LintError` listing *every* problem (no
-fail-fast), and otherwise the same tree goes on to the EST.  When the
-lint run is clean and the pack's main template is strict-safe,
-generation runs with ``Runtime(strict=True)`` so a regression to an
-undefined ``${var}`` fails loudly instead of substituting "".
+fail-fast), and otherwise the same tree goes on to the EST.  A pack
+template's ``${var}`` that no context can bind is one of those errors
+(TPL001), so generation never meets it.
 """
 
 import time
@@ -44,15 +43,12 @@ class CompileResult:
     timings: dict = field(default_factory=dict)
     #: Lint findings (empty when linting was disabled).
     lint_diagnostics: list = field(default_factory=list)
-    #: Whether generation ran with strict template resolution.
-    strict: bool = False
 
 
 class Pipeline:
     """A configured compiler: one mapping pack, reusable across files."""
 
-    def __init__(self, pack="heidi_cpp", use_est_program=False, lint=True,
-                 strict_templates=None):
+    def __init__(self, pack="heidi_cpp", use_est_program=False, lint=True):
         self.pack = get_pack(pack) if isinstance(pack, str) else pack
         #: When true, the EST crosses stages as an executable program
         #: (exactly the paper's two-stage hand-off); when false it is
@@ -61,10 +57,6 @@ class Pipeline:
         self.use_est_program = use_est_program
         #: Run the lint passes before generating (the default).
         self.lint = lint
-        #: Tri-state: True/False force strict template resolution on or
-        #: off; None (auto) enables it when lint came back clean AND the
-        #: pack's main template is strict-safe.
-        self.strict_templates = strict_templates
 
     # -- individual stages -------------------------------------------------
 
@@ -89,7 +81,7 @@ class Pipeline:
                   timings=None):
         """Parse once, then lint the parsed tree.
 
-        Returns ``(spec, diagnostics, strict)``.  With lint on, every
+        Returns ``(spec, diagnostics)``.  With lint on, every
         problem is a diagnostic and *spec* is ``None`` after a syntax
         error, so callers must not generate when a diagnostic is an
         error.  With lint off the first problem raises, as
@@ -103,45 +95,32 @@ class Pipeline:
         spec = self.parse(source, filename, include_paths, reporter=reporter)
         timings["parse"] = time.perf_counter() - start
         if reporter is None:
-            return spec, [], bool(self.strict_templates)
+            return spec, []
 
         start = time.perf_counter()
         if spec is not None:
             lint_spec(spec, reporter)
-        diagnostics = reporter.diagnostics + self._pack_lint[0]
-        strict = self.resolve_strict(diagnostics)
+        diagnostics = reporter.diagnostics + self._pack_lint
         timings["lint"] = time.perf_counter() - start
-        return spec, diagnostics, strict
+        return spec, diagnostics
 
     @cached_property
     def _pack_lint(self):
-        """``(diagnostics, strict_safe)`` of the pack's own templates."""
-        from repro.lint.mapping_rules import lint_pack, pack_strict_safe
+        """The diagnostics of the pack's own templates."""
+        from repro.lint.mapping_rules import lint_pack
 
-        return lint_pack(self.pack), pack_strict_safe(self.pack)
+        return lint_pack(self.pack)
 
-    def resolve_strict(self, diagnostics):
-        """The effective strict-templates setting for one compile."""
-        if self.strict_templates is not None:
-            return bool(self.strict_templates)
-        clean = not any(
-            Severity.at_least(d.severity, Severity.WARNING)
-            for d in diagnostics
-        )
-        return clean and self._pack_lint[1]
-
-    def generate(self, spec, est=None, variables=None, strict=False):
+    def generate(self, spec, est=None, variables=None):
         """Step 2: run the compiled template against the EST."""
-        sink = self.pack.generate(spec, est=est, variables=variables,
-                                  strict=strict)
-        return sink.files()
+        return self.pack.generate(spec, est=est, variables=variables).files()
 
     # -- end to end -----------------------------------------------------------
 
     def run(self, source, filename="<string>", include_paths=()):
         """Full pipeline with per-stage timings; lint-first by default."""
         timings = {}
-        spec, diagnostics, strict = self.front_end(
+        spec, diagnostics = self.front_end(
             source, filename, include_paths, timings)
         if any(d.severity == Severity.ERROR for d in diagnostics):
             raise LintError(diagnostics)
@@ -164,18 +143,18 @@ class Pipeline:
         timings["compile_template"] = time.perf_counter() - start
 
         start = time.perf_counter()
-        files = self.generate(spec, est=est, strict=strict)
+        files = self.generate(spec, est=est)
         timings["generate"] = time.perf_counter() - start
 
         return CompileResult(
             spec=spec, est=est, est_program=est_program, files=files,
-            timings=timings, lint_diagnostics=diagnostics, strict=strict,
+            timings=timings, lint_diagnostics=diagnostics,
         )
 
 
 def compile_idl(source, pack="heidi_cpp", filename="<string>", include_paths=(),
-                lint=True, strict_templates=None):
+                lint=True):
     """One-call convenience: IDL text → {path: generated text}."""
-    return Pipeline(pack, lint=lint, strict_templates=strict_templates).run(
+    return Pipeline(pack, lint=lint).run(
         source, filename=filename, include_paths=include_paths
     ).files

@@ -122,27 +122,6 @@ def lint_pack(name_or_pack, reporter=None):
     return reporter.diagnostics
 
 
-def pack_strict_safe(pack, template_name=None):
-    """Whether a pack's entry template is strict-safe (see
-    :class:`repro.lint.template_rules.TemplateLintResult`)."""
-    pack = _resolve_pack(pack)
-    template_name = template_name or pack.main_template
-    try:
-        source = pack.load_template_source(template_name)
-    except (OSError, KeyError):
-        return False
-    scalars, lists = pack_globals(pack)
-    result = lint_template_source(
-        source,
-        name=f"{pack.name}/{template_name}",
-        loader=pack.load_template_source,
-        maps=pack.maps,
-        extra_globals=scalars,
-        extra_global_lists=lists,
-    )
-    return result.strict_safe and not result.diagnostics
-
-
 def lint_pack_idempotence(name_or_pack, spec_or_est, reporter=None,
                           filename=None):
     """MAP004: idempotent-declared operations must be retry-safe.

@@ -17,12 +17,8 @@ The analyzer mirrors the runtime's resolution rules
   conditions with no ``${var}`` on either side are statically dead
   (**TPL005**).
 
-The analyzer also classifies the template as *strict-safe*: every
-``${var}`` use is a mapped variable, a loop binding, a global, or a
-property the builder guarantees on every node that can be in scope.
-Only strict-safe templates can run under ``Runtime(strict=True)`` for
-arbitrary IDL input, which is what lets the compiler pipeline turn
-strict mode on automatically after a clean lint.
+A ``${var}`` that resolves for some inputs only (``${Parent}`` on an
+interface without bases) is legal: the runtime substitutes "" there.
 """
 
 from repro.templates import ast as tpl_ast
@@ -37,16 +33,11 @@ from repro.lint.diagnostics import DiagnosticReporter, Span
 class TemplateLintResult:
     """What one template analysis produced."""
 
-    def __init__(self, template, diagnostics, strict_safe, used_maps,
-                 strict_unsafe_uses):
+    def __init__(self, template, diagnostics, used_maps):
         self.template = template
         self.diagnostics = diagnostics
-        #: True when every ${var} use is guaranteed defined for any EST.
-        self.strict_safe = strict_safe
         #: Map-function names the template references via -map.
         self.used_maps = used_maps
-        #: (name, line) pairs that are resolvable but not guaranteed.
-        self.strict_unsafe_uses = strict_unsafe_uses
 
 
 #: The ``@set`` name an ``@include`` parses to under
@@ -84,7 +75,7 @@ def lint_template_source(source, name="<template>", loader=None, maps=None,
             "TPL007", exc.message,
             Span(file=exc.template or name, line=exc.line or 0),
         )
-        return TemplateLintResult(None, reporter.diagnostics, False, set(), [])
+        return TemplateLintResult(None, reporter.diagnostics, set())
     return lint_template(template, maps=maps, extra_globals=extra_globals,
                          extra_global_lists=extra_global_lists,
                          reporter=reporter, fragments=fragments)
@@ -99,13 +90,8 @@ def lint_template(template, maps=None, extra_globals=(),
     analyzer = _Analyzer(template, maps, extra_globals,
                          extra_global_lists or {}, reporter, fragments)
     analyzer.run()
-    return TemplateLintResult(
-        template,
-        reporter.diagnostics,
-        analyzer.strict_safe,
-        analyzer.used_maps,
-        analyzer.strict_unsafe_uses,
-    )
+    return TemplateLintResult(template, reporter.diagnostics,
+                              analyzer.used_maps)
 
 
 class _StaticFrame:
@@ -140,12 +126,8 @@ class _Analyzer:
         self._global_lists = dict(vartable.GLOBAL_LISTS)
         self._global_lists.update(extra_global_lists)
         self._global_vars.update(self._global_lists)
-        #: All @set names (flow-insensitive) vs. names set so far
-        #: (document order) — the difference drives strict-safety only.
+        #: Every @set name, wherever it stands (flow-insensitive).
         self._all_set_names = self._collect_set_names(template.body)
-        self._set_so_far = set()
-        self.strict_safe = True
-        self.strict_unsafe_uses = []
         self.used_maps = set()
 
     def run(self):
@@ -200,7 +182,6 @@ class _Analyzer:
                 self._walk_fragment("".join(node.parts), node.line)
             elif isinstance(node, tpl_ast.SetVar):
                 self._check_parts(node.parts, node.line)
-                self._set_so_far.add(node.name)
 
     def _walk_fragment(self, name, line):
         """Analyze an ``@include``d fragment in the current loop context,
@@ -346,87 +327,20 @@ class _Analyzer:
             return
         if any(name in frame.plain_bindings for frame in self._frames):
             return
-        # 3. Node lookup (walks EST ancestors).
+        # 3. Node lookup (walks EST ancestors); a child list is itself
+        #    a resolvable (list-valued) variable.
         kinds = self._node_kinds()
         closure = vartable.ancestor_closure(kinds)
-        if name in vartable.available_vars(closure):
-            if name not in _guaranteed_vars(kinds):
-                self._note_strict_unsafe(name, line)
-            return
-        # A child list is itself a resolvable (list-valued) variable.
-        if name in vartable.lists_of(kinds) or name in vartable.plain_lists_of(kinds):
-            self._note_strict_unsafe(name, line)
+        if (name in vartable.available_vars(closure)
+                or name in vartable.lists_of(kinds)
+                or name in vartable.plain_lists_of(kinds)):
             return
         # 4. Globals, including @set bindings.
-        if name in self._global_vars:
+        if name in self._global_vars or name in self._all_set_names:
             return
-        if name in self._all_set_names:
-            if name not in self._set_so_far:
-                # Defined somewhere, but possibly after this use.
-                self._note_strict_unsafe(name, line)
-            return
-        self.strict_safe = False
         self._reporter.error(
             "TPL001",
             f"${{{name}}} cannot resolve in any reachable context "
             f"(node kinds in scope: {', '.join(sorted(kinds))})",
             Span(file=self._file, line=line),
         )
-
-    def _note_strict_unsafe(self, name, line):
-        self.strict_safe = False
-        self.strict_unsafe_uses.append((name, line))
-
-
-def _guaranteed_vars(kinds):
-    """Variables guaranteed resolvable on a node of *every* kind in
-    *kinds*, via the greatest fixpoint over possible parent chains."""
-    table = _guaranteed_table()
-    result = None
-    for kind in kinds:
-        entry = table.get(kind, frozenset())
-        result = entry if result is None else (result & entry)
-    return result or frozenset()
-
-
-_GUARANTEED = None
-
-
-def _guaranteed_table():
-    global _GUARANTEED
-    if _GUARANTEED is not None:
-        return _GUARANTEED
-    parents = {}
-    for kind, entry in vartable.KIND_TABLE.items():
-        for element_kinds in entry.node_lists.values():
-            for element in element_kinds:
-                parents.setdefault(element, set()).add(kind)
-    universe = set()
-    for entry in vartable.KIND_TABLE.values():
-        universe |= entry.required
-    table = {
-        kind: (set(universe) | entry.required)
-        for kind, entry in vartable.KIND_TABLE.items()
-    }
-    table["Root"] = set(vartable.KIND_TABLE["Root"].required)
-    changed = True
-    while changed:
-        changed = False
-        for kind, entry in vartable.KIND_TABLE.items():
-            kind_parents = parents.get(kind)
-            if not kind_parents:
-                new = set(entry.required)
-            else:
-                inherited = None
-                for parent in kind_parents:
-                    parent_vars = table.get(parent, set())
-                    inherited = (
-                        set(parent_vars) if inherited is None
-                        else inherited & parent_vars
-                    )
-                new = entry.required | (inherited or set())
-            if new != table[kind]:
-                table[kind] = new
-                changed = True
-    _GUARANTEED = {kind: frozenset(vars_) for kind, vars_ in table.items()}
-    return _GUARANTEED

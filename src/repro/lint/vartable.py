@@ -12,9 +12,8 @@ For each kind we record:
   node of the kind is in scope);
 - ``optional``: properties the builder sets only for some inputs
   (``Parent`` only when an interface has bases, ``typeName`` only for
-  named types, ...).  Using one of these resolves, but is *not*
-  strict-safe: under ``Runtime(strict=True)`` it raises for inputs that
-  lack it unless a ``-map`` covers it;
+  named types, ...).  Using one of these resolves; for inputs that lack
+  it the runtime substitutes "" (or the covering ``-map`` gets "");
 - ``node_lists``: child-list names (``methodList``...) mapped to the
   element kinds they may contain;
 - ``plain_lists``: list-valued properties holding strings rather than

@@ -141,12 +141,10 @@ class MappingPack:
 
     # -- generation ---------------------------------------------------------------
 
-    def generate(self, spec, template_name=None, variables=None, est=None,
-                 strict=False):
+    def generate(self, spec, template_name=None, variables=None, est=None):
         """Generate code for a parsed Specification (or prebuilt EST).
 
-        *strict* is forwarded to the :class:`Runtime`: an undefined
-        ``${var}`` raises instead of substituting "".  Returns the
+        A ``${var}`` that resolves nowhere substitutes "".  Returns the
         :class:`repro.templates.output.OutputSink`; use ``sink.files()``
         for the generated files or ``sink.write_to``.
         """
@@ -155,8 +153,7 @@ class MappingPack:
         merged_vars = self.variables(spec, est)
         if variables:
             merged_vars.update(variables)
-        runtime = Runtime(est, maps=self.maps.child(), variables=merged_vars,
-                          strict=strict)
+        runtime = Runtime(est, maps=self.maps.child(), variables=merged_vars)
         compiled = self.compiled(template_name)
         compiled.run(runtime)
         sink = runtime.sink

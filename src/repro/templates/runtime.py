@@ -8,8 +8,9 @@ and ``truth`` for ``@if`` tests.
 
 Variable resolution order (the paper's "node under current
 consideration"): innermost loop bindings, then the EST node stack (a
-node lookup already walks its ancestors), then template globals.  A
-``-map`` modifier on the innermost enclosing ``@foreach`` that names the
+node lookup already walks its ancestors), then template globals; a
+name none of them binds substitutes "" (a name no context can ever
+bind is the linter's TPL001).  A ``-map`` modifier on the innermost enclosing ``@foreach`` that names the
 variable is applied to the resolved value.
 """
 
@@ -49,12 +50,11 @@ class _Frame:
 class Runtime:
     """Execution state for one generation run."""
 
-    def __init__(self, est, maps=None, variables=None, sink=None, strict=False):
+    def __init__(self, est, maps=None, variables=None, sink=None):
         self.est = est
         self.maps = maps if maps is not None else MapRegistry(parent=BUILTIN_MAPS)
         self.sink = sink if sink is not None else OutputSink()
         self.globals = dict(variables or {})
-        self.strict = strict
         self._frames = []
         self._by_kind = None
         self._context = MapContext(runtime=self)  # one, re-pointed per map call
@@ -111,11 +111,7 @@ class Runtime:
             self._context.node = node
             result = func("" if value is None else value, self._context)
             return "" if result is None else str(result)
-        if value is None:
-            if self.strict and name not in self.globals:
-                raise TemplateRuntimeError(f"undefined template variable ${{{name}}}")
-            return ""
-        return str(value)
+        return "" if value is None else str(value)
 
     def current_node(self):
         return self._node_stack[-1]
@@ -171,11 +167,10 @@ class Runtime:
                     self._by_kind.setdefault(node.kind, []).append(node)
             value = self._by_kind.get(list_name[3:-4], [])
         if value is None:
-            # Not an error even under strict: a node legitimately has no
-            # group for a child kind with zero children (an operation
-            # without parameters has no paramList), and strict only
-            # governs undefined ${var}.  Statically-unknown list names
-            # are the lint engine's job (TPL002).
+            # Not an error: a node legitimately has no group for a
+            # child kind with zero children (an operation without
+            # parameters has no paramList).  Statically-unknown list
+            # names are the lint engine's job (TPL002).
             return []
         if isinstance(value, (list, tuple)):
             return list(value)
@@ -195,7 +190,7 @@ def _singular(list_name):
 
 
 def generate(template_source, est, name="<template>", maps=None, variables=None,
-             loader=None, strict=False):
+             loader=None):
     """One-call convenience: compile (step 1) and run (step 2).
 
     Returns the :class:`repro.templates.output.OutputSink` holding the
@@ -204,5 +199,5 @@ def generate(template_source, est, name="<template>", maps=None, variables=None,
     from repro.templates.compiler import compile_template
 
     compiled = compile_template(template_source, name=name, loader=loader)
-    runtime = Runtime(est, maps=maps, variables=variables, strict=strict)
+    runtime = Runtime(est, maps=maps, variables=variables)
     return compiled.run(runtime)

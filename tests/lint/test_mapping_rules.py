@@ -7,11 +7,7 @@ import pytest
 from repro.lint.diagnostics import Severity
 from repro.lint.formats import render_text
 from repro.lint.idl_rules import lint_idl_source
-from repro.lint.mapping_rules import (
-    lint_pack,
-    lint_pack_idempotence,
-    pack_strict_safe,
-)
+from repro.lint.mapping_rules import lint_pack, lint_pack_idempotence
 from repro.mappings.base import MappingPack
 from repro.mappings.registry import all_packs, get_pack
 
@@ -27,15 +23,6 @@ def test_bundled_pack_lints_clean(name):
     noisy = [d for d in diagnostics
              if Severity.at_least(d.severity, Severity.WARNING)]
     assert noisy == [], "\n".join(str(d) for d in noisy)
-
-
-def test_corba_cpp_is_strict_safe():
-    assert pack_strict_safe(get_pack("corba_cpp"))
-
-
-def test_heidi_cpp_is_not_strict_safe():
-    """heidi_cpp renders the optional ${Parent}, so strict stays off."""
-    assert not pack_strict_safe(get_pack("heidi_cpp"))
 
 
 class _TmpPack(MappingPack):

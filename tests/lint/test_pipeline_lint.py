@@ -1,9 +1,10 @@
-"""Lint-first compilation: the pipeline wiring and auto-strict logic."""
+"""Lint-first compilation: the pipeline wiring."""
 
 import pytest
 
 from repro.compiler.pipeline import Pipeline, compile_idl
-from repro.lint.diagnostics import LintError
+from repro.lint.diagnostics import LintError, Severity
+from repro.mappings.base import MappingPack
 
 CLEAN_IDL = """\
 interface Echo {
@@ -40,28 +41,49 @@ def test_clean_compile_records_lint_and_timing():
     assert not any(d.severity == "error" for d in result.lint_diagnostics)
 
 
-def test_auto_strict_engages_for_strict_safe_pack():
-    result = Pipeline("corba_cpp").run(CLEAN_IDL, filename="echo.idl")
-    assert result.strict is True
-    assert result.files
-
-
-def test_auto_strict_stays_off_for_unsafe_pack():
-    result = Pipeline("heidi_cpp").run(CLEAN_IDL, filename="echo.idl")
-    assert result.strict is False
-
-
-def test_forced_strict_overrides_auto():
-    result = Pipeline("heidi_cpp", strict_templates=False).run(
-        CLEAN_IDL, filename="echo.idl")
-    assert result.strict is False
-    result = Pipeline("corba_cpp", strict_templates=True).run(
-        CLEAN_IDL, filename="echo.idl")
-    assert result.strict is True
-
-
 def test_lint_disabled_pipeline_still_compiles():
     result = Pipeline("heidi_cpp", lint=False).run(CLEAN_IDL)
     assert result.files
     assert result.lint_diagnostics == []
     assert "lint" not in result.timings
+
+
+MISSPELT_TEMPLATE = """\
+@openfile ${basename}.h
+@foreach topoInterfaceList
+class ${interfaceNmae} {};
+@end
+@closefile
+"""
+
+
+def _misspelt_pack(tmp_path):
+    """A pack whose one template names a variable no context binds."""
+    (tmp_path / "main.tmpl").write_text(MISSPELT_TEMPLATE)
+
+    class Pack(MappingPack):
+        name = "tmp_pack"
+        language = "test"
+
+        def template_dir(self):
+            return str(tmp_path)
+
+    return Pack()
+
+
+def test_unbindable_variable_is_tpl001_before_generation(tmp_path):
+    """A ${var} no loop, node kind, global or @set can supply fails the
+    compile at lint time, at the template's own file and line."""
+    with pytest.raises(LintError) as excinfo:
+        Pipeline(_misspelt_pack(tmp_path)).run(CLEAN_IDL, filename="echo.idl")
+    errors = [d for d in excinfo.value.diagnostics
+              if d.severity == Severity.ERROR]
+    assert [(d.code, d.span.file, d.span.line) for d in errors] == [
+        ("TPL001", "tmp_pack/main.tmpl", 3)]
+    assert "${interfaceNmae}" in errors[0].message
+
+
+def test_unbindable_variable_substitutes_empty_without_lint(tmp_path):
+    result = Pipeline(_misspelt_pack(tmp_path), lint=False).run(
+        CLEAN_IDL, filename="echo.idl")
+    assert result.files == {"echo.h": "class  {};\n"}

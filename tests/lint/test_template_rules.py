@@ -36,7 +36,7 @@ def test_template_fixture_triggers_its_own_code(name):
     assert code in {d.code for d in result.diagnostics}
 
 
-def test_clean_template_is_strict_safe():
+def test_clean_template_lints_clean():
     source = (
         "@foreach topoInterfaceList\n"
         "class ${interfaceName};  // #${index} of ${count}\n"
@@ -44,11 +44,11 @@ def test_clean_template_is_strict_safe():
     )
     result = lint_template_source(source, name="clean.tmpl")
     assert result.diagnostics == []
-    assert result.strict_safe
 
 
-def test_optional_variable_defeats_strict_safety():
-    """${Parent} (an optional Interface prop) is legal but strict-unsafe."""
+def test_optional_variable_lints_clean():
+    """${Parent} (an optional Interface prop) resolves for some inputs
+    and substitutes "" for the rest: legal, not TPL001."""
     source = (
         "@foreach topoInterfaceList\n"
         "class ${interfaceName} : ${Parent} {};\n"
@@ -56,12 +56,10 @@ def test_optional_variable_defeats_strict_safety():
     )
     result = lint_template_source(source, name="parent.tmpl")
     assert result.diagnostics == []
-    assert not result.strict_safe
-    assert any(name == "Parent" for name, _line in result.strict_unsafe_uses)
 
 
 def test_mapped_variable_is_always_defined():
-    """-map synthesizes values, so mapped vars never defeat strictness."""
+    """-map synthesizes values, so a mapped variable needs no property."""
     source = (
         "@foreach topoInterfaceList -map flat Flatten\n"
         "${flat}\n"
@@ -69,7 +67,6 @@ def test_mapped_variable_is_always_defined():
     )
     result = lint_template_source(source, name="mapped.tmpl")
     assert result.diagnostics == []
-    assert result.strict_safe
     assert result.used_maps == {"Flatten"}
 
 

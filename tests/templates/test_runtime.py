@@ -41,10 +41,6 @@ class TestSubstitution:
         sink = run("[${nothing}]")
         assert sink.default_text == "[]\n"
 
-    def test_missing_variable_strict_raises(self):
-        with pytest.raises(TemplateRuntimeError):
-            run("${nothing}", strict=True)
-
     def test_set_directive(self):
         sink = run("@set greeting hi\n${greeting}")
         assert sink.default_text == "hi\n"
