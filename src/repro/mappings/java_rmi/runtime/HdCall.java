@@ -1,8 +1,8 @@
-/* HdCall.java — the Call object of the Java mapping (paper Fig. 4).
+/* HdCall.java - the Call object of the Java mapping (paper Fig. 4).
  *
  * A call accumulates typed tokens, sends one text-protocol line
  * through its connector, and exposes the reply tokens for typed
- * extraction — the same structure as the generated Tcl and Python
+ * extraction - the same structure as the generated Tcl and Python
  * stubs use, so a Java client interoperates with the Python ORB.
  */
 

@@ -1,4 +1,4 @@
-/* HdConnector.java — cached connection to one bootstrap port.
+/* HdConnector.java - cached connection to one bootstrap port.
  *
  * "Connections are cached and reused" (paper, Section 3.1): one socket
  * per host:port, reused across calls, reopened on failure.

@@ -1,4 +1,4 @@
-/* HdObjRef.java — stringified object references for the Java mapping.
+/* HdObjRef.java - stringified object references for the Java mapping.
  *
  * The same three-part reference the paper describes (Section 3.1):
  * bootstrap URL, object identifier, object type, stringified as

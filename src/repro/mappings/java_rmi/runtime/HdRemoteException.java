@@ -1,4 +1,4 @@
-/* HdRemoteException.java — any remote failure surfaced to Java code.
+/* HdRemoteException.java - any remote failure surfaced to Java code.
  *
  * Declared IDL exceptions and system-level errors both arrive as
  * HdRemoteException; repoId carries the exception repository ID or the

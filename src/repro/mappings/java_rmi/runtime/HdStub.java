@@ -1,7 +1,7 @@
-/* HdStub.java — generic client stub base for the Java mapping.
+/* HdStub.java - generic client stub base for the Java mapping.
  *
  * "All stubs inherit from a base HdStub class which provides the
- * generic stub functionality" (paper, Section 3.1) — here: the object
+ * generic stub functionality" (paper, Section 3.1) - here: the object
  * reference and the connector the generated methods call through.
  */
 

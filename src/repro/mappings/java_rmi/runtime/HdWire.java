@@ -1,4 +1,4 @@
-/* HdWire.java — token escaping for the HeidiRMI text protocol.
+/* HdWire.java - token escaping for the HeidiRMI text protocol.
  *
  * Matches repro.heidirmi.textwire: UTF-8 bytes, every byte <= 0x20,
  * >= 0x7F or '%' percent-escaped; the empty string is the token "%e".

@@ -17,6 +17,10 @@ javac = shutil.which("javac")
 java = shutil.which("java")
 needs_jdk = pytest.mark.skipif(javac is None or java is None,
                                reason="JDK not installed")
+#: javac before JDK 18 reads sources in the locale's charset: under the
+#: C locale that is US-ASCII, which the generated files must satisfy.
+JAVAC_ENV = dict(os.environ, LC_ALL="C", LANG="C")
+COVERAGE_IDL = os.path.join(os.path.dirname(__file__), "coverage.idl")
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +62,21 @@ class TestStructure:
     def test_stub_chain(self, generated):
         assert "public class HdA_stub extends HdS_stub" in generated["HdA_stub.java"]
         assert "public class HdS_stub extends HdStub" in generated["HdS_stub.java"]
+
+
+@pytest.mark.parametrize("filename", ("coverage.idl", "A.idl"))
+def test_every_written_file_is_ascii(pack, filename):
+    """Runtime assets included, so javac reads them in any locale."""
+    from tests.conftest import PAPER_IDL
+
+    source = PAPER_IDL
+    if filename == "coverage.idl":
+        with open(COVERAGE_IDL, "r", encoding="utf-8") as handle:
+            source = handle.read()
+    files = pack.generate(parse(source, filename=filename)).files()
+    for name, body in files.items():
+        assert body.isascii(), (
+            f"{name}: {sorted({c for c in body if not c.isascii()})}")
 
 
 class TestNoDefaultParameters:
@@ -112,7 +131,7 @@ def _compile_all(files, directory):
     java_files = [str(directory / n) for n in files if n.endswith(".java")]
     result = subprocess.run(
         ["javac", "-d", str(directory)] + java_files,
-        capture_output=True, text=True, timeout=300,
+        capture_output=True, text=True, timeout=300, env=JAVAC_ENV,
     )
     assert result.returncode == 0, result.stderr
     return directory
@@ -261,7 +280,7 @@ class TestLiveJavaClient:
         compile_result = subprocess.run(
             ["javac", "-cp", str(directory), "-d", str(directory),
              str(directory / "Main.java")],
-            capture_output=True, text=True, timeout=300,
+            capture_output=True, text=True, timeout=300, env=JAVAC_ENV,
         )
         assert compile_result.returncode == 0, compile_result.stderr
 
