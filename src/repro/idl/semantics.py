@@ -547,27 +547,27 @@ def evaluate_const(expr):
             expr.location,
         )
     if isinstance(expr, ast.UnaryExpr):
-        value = evaluate_const(expr.operand)
-        if expr.op == "-":
-            return -value
-        if expr.op == "+":
-            return +value
-        if expr.op == "~":
-            return ~value
-        raise IdlSemanticError(f"unknown unary operator {expr.op!r}", expr.location)
-    if isinstance(expr, ast.BinaryExpr):
-        left = evaluate_const(expr.left)
-        right = evaluate_const(expr.right)
-        try:
-            return _BINARY_OPS[expr.op](left, right)
-        except KeyError:
-            raise IdlSemanticError(
-                f"unknown binary operator {expr.op!r}", expr.location
-            ) from None
-        except ZeroDivisionError:
-            raise IdlSemanticError("division by zero in constant expression",
-                                   expr.location) from None
-    raise IdlSemanticError(f"cannot evaluate {expr!r}", getattr(expr, "location", None))
+        arity, table = "unary", _UNARY_OPS
+        operands = [evaluate_const(expr.operand)]
+    elif isinstance(expr, ast.BinaryExpr):
+        arity, table = "binary", _BINARY_OPS
+        operands = [evaluate_const(expr.left), evaluate_const(expr.right)]
+    else:
+        raise IdlSemanticError(f"cannot evaluate {expr!r}",
+                               getattr(expr, "location", None))
+    function = table.get(expr.op)
+    if function is None:
+        raise IdlSemanticError(f"unknown {arity} operator {expr.op!r}",
+                               expr.location)
+    try:
+        return function(*operands)
+    except ZeroDivisionError:
+        raise IdlSemanticError("division by zero in constant expression",
+                               expr.location) from None
+    except TypeError:  # a string or enumerator operand, ~ on a float...
+        raise IdlSemanticError(
+            f"operator {expr.op!r} does not apply to "
+            f"{' and '.join(map(repr, operands))}", expr.location) from None
 
 
 def _int_div(left, right):
@@ -577,6 +577,7 @@ def _int_div(left, right):
     return left / right
 
 
+_UNARY_OPS = {"-": lambda a: -a, "+": lambda a: +a, "~": lambda a: ~a}
 _BINARY_OPS = {
     "|": lambda a, b: a | b,
     "^": lambda a, b: a ^ b,

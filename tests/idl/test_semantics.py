@@ -1,10 +1,13 @@
 """Unit tests for semantic analysis."""
 
+import re
+
 import pytest
 
 from repro.idl import parse
 from repro.idl import ast
 from repro.idl.errors import IdlSemanticError
+from repro.lint.diagnostics import DiagnosticReporter
 
 
 class TestNameResolution:
@@ -127,6 +130,24 @@ class TestConstants:
     def test_division_by_zero_raises(self):
         with pytest.raises(IdlSemanticError):
             parse("const long X = 1 / 0;")
+
+    @pytest.mark.parametrize("source, message", (
+        ('const long X = "a" - 1;', "operator '-' does not apply to 'a' and 1"),
+        ('const long X = -"a";', "operator '-' does not apply to 'a'"),
+        ("const double D = 1.5; const long X = ~D;",
+         "operator '~' does not apply to 1.5"),
+        ("const long X = 1.5 << 2;", "operator '<<' does not apply to 1.5 and 2"),
+        ("enum E { A }; interface I { void f(in E e = A - 1); };",
+         "operator '-' does not apply to 'A' and 1"),
+    ))
+    def test_operand_of_the_wrong_type_is_a_diagnostic(self, source, message):
+        """Never a bare TypeError: fail-fast raises, a reporter collects."""
+        with pytest.raises(IdlSemanticError, match=re.escape(message)):
+            parse(source)
+        reporter = DiagnosticReporter()
+        parse(source, reporter=reporter)
+        assert [(d.code, d.message) for d in reporter.diagnostics] == [
+            ("IDL006", message)]
 
     def test_range_check(self):
         with pytest.raises(IdlSemanticError):
