@@ -8,6 +8,7 @@ Anything else (a ``TemplateRuntimeError``, a ``KeyError`` in a map
 function) escaped both the diagnostics and the parser's own checks.
 """
 
+import functools
 import os
 
 from hypothesis import given, settings
@@ -41,22 +42,29 @@ def _pieces(source):
     return tuple(source[a:b] for a, b in zip(bounds, bounds[1:]))
 
 
-with open(COVERAGE_IDL, "r", encoding="utf-8") as _handle:
-    SEEDS = tuple(_pieces(source)
-                  for source in (PAPER_IDL, TYPEDEF_IDL, _handle.read()))
+@functools.cache
+def _seeds():
+    with open(COVERAGE_IDL, "r", encoding="utf-8") as handle:
+        coverage = handle.read()
+    return tuple(_pieces(source)
+                 for source in (PAPER_IDL, TYPEDEF_IDL, coverage))
 
-PIPELINES = {(pack, lint): Pipeline(pack, lint=lint)
-             for pack in all_packs() for lint in (True, False)}
+
+@functools.cache
+def _pipelines():
+    """One pipeline per pack and lint mode: each lints its pack once."""
+    return {(pack, lint): Pipeline(pack, lint=lint)
+            for pack in all_packs() for lint in (True, False)}
 
 
 @st.composite
 def mutants(draw):
-    pieces = list(draw(st.sampled_from(SEEDS)))
-    at = draw(st.integers(1, len(pieces) - 1))
+    pieces = list(draw(st.sampled_from(_seeds())))
+    at = draw(st.integers(1, len(pieces) - 1))  # pieces[0] holds no token
     edit = draw(st.sampled_from(("delete", "duplicate", "insert")))
     if edit == "delete":
         del pieces[at]
-    elif edit == "duplicate":
+    elif edit == "duplicate":  # the newline ends a trailing // comment
         pieces.insert(at, f" {pieces[at].rstrip()}\n")
     else:
         pieces.insert(at, f" {draw(st.sampled_from(INSERTS))} ")
@@ -66,7 +74,7 @@ def mutants(draw):
 @settings(max_examples=50, deadline=None)
 @given(mutants())
 def test_pipeline_run_returns_or_raises_its_contract_error(source):
-    for (pack, lint), pipeline in PIPELINES.items():
+    for (pack, lint), pipeline in _pipelines().items():
         try:
             pipeline.run(source, filename="mutant.idl")
         except (LintError if lint else IdlError):

@@ -139,7 +139,8 @@ class TestConstants:
         ("const long X = 1.5 << 2;", "operator '<<' does not apply to 1.5 and 2"),
         ("enum E { A }; interface I { void f(in E e = A - 1); };",
          "operator '-' does not apply to 'A' and 1"),
-    ))
+    ), ids=("string", "negated-string", "inverted-float", "shifted-float",
+            "enumerator"))
     def test_operand_of_the_wrong_type_is_a_diagnostic(self, source, message):
         """Never a bare TypeError: fail-fast raises, a reporter collects."""
         with pytest.raises(IdlSemanticError, match=re.escape(message)):
