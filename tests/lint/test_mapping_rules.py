@@ -9,7 +9,7 @@ from repro.lint.formats import render_text
 from repro.lint.idl_rules import lint_idl_source
 from repro.lint.mapping_rules import lint_pack, lint_pack_idempotence
 from repro.mappings.base import MappingPack
-from repro.mappings.registry import all_packs, get_pack
+from repro.mappings.registry import all_packs
 
 MAPPING_FIXTURES = os.path.join(
     os.path.dirname(__file__), "fixtures", "mapping"
