@@ -6,7 +6,9 @@ the five packs with their main template, plus ``python_rmi``'s
 ``(pack, template, source)``, stores a sha256 digest per generated
 file, in the shape of ``tests/compiler/test_front_end.py``'s
 ``snapshot_run``; a source the pack refuses records the exception type.
-``coverage.idl`` holds every construct ``python_rmi`` emits, so a
+``coverage.idl`` holds every construct ``python_rmi`` emits, and the
+seed-1 ``wide.idl`` / ``deep.idl`` of ``perf/compilebench.py`` are most
+of the ``idl_compile`` workload's time, so a
 change to a pack or to ``repro.templates`` that means to keep the
 output cannot move a byte unnoticed.
 
@@ -18,9 +20,11 @@ import glob
 import hashlib
 import json
 import os
+import random
 
 import pytest
 
+from perf.compilebench import deep_idl, wide_idl
 from repro.idl import parse
 from repro.mappings.registry import all_packs, get_pack
 from tests.conftest import PAPER_IDL, TYPEDEF_IDL
@@ -47,6 +51,11 @@ def sources():
     for path in paths:
         with open(os.path.join(ROOT, path), encoding="utf-8") as handle:
             found[path] = (path, handle.read())
+    # The two generated files of the idl_compile workload, drawn as
+    # perf.compilebench.corpus(1) draws them and named as it names them.
+    rng = random.Random(1)
+    found["perf-seed1/wide.idl"] = ("wide.idl", wide_idl(rng))
+    found["perf-seed1/deep.idl"] = ("deep.idl", deep_idl(rng))
     return found
 
 
