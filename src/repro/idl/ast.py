@@ -313,21 +313,50 @@ class NativeDecl(Declaration):
         return True
 
 
+def children(node):
+    """The declarations directly beneath *node*, in source order."""
+    if isinstance(node, (Specification, Module)):
+        return node.declarations
+    if isinstance(node, InterfaceDecl):
+        return node.body
+    if isinstance(node, Operation):
+        return node.parameters
+    if isinstance(node, (StructDecl, ExceptionDecl)):
+        return node.members
+    if isinstance(node, UnionDecl):
+        return node.cases
+    if isinstance(node, Include) and node.spec is not None:
+        return node.spec.declarations
+    return ()
+
+
 def walk(node):
     """Yield *node* and every declaration beneath it, depth-first."""
-    yield node
-    children = []
-    if isinstance(node, (Specification, Module)):
-        children = node.declarations
-    elif isinstance(node, InterfaceDecl):
-        children = node.body
-    elif isinstance(node, Operation):
-        children = node.parameters
-    elif isinstance(node, (StructDecl, ExceptionDecl)):
-        children = node.members
-    elif isinstance(node, UnionDecl):
-        children = node.cases
-    elif isinstance(node, Include) and node.spec is not None:
-        children = node.spec.declarations
-    for child in children:
-        yield from walk(child)
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(children(node)))
+
+
+class Declarations:
+    """Every declaration of one tree, listed once in :func:`walk` order.
+
+    The semantic passes and the lint rules each read the nodes of the
+    classes they check from here, in place of a walk of their own.  A
+    listing describes the tree as it stood when it was made: it is made
+    for one analysis or one lint run and never stored on the tree.
+    """
+
+    def __init__(self, root):
+        self.nodes = list(walk(root))
+        self._buckets = {}
+        for node in self.nodes:
+            self._buckets.setdefault(type(node), []).append(node)
+
+    def of(self, *classes):
+        """The nodes that are instances of *classes*, in walk order."""
+        kinds = [kind for kind in self._buckets if issubclass(kind, classes)]
+        if len(kinds) == 1:
+            return self._buckets[kinds[0]]
+        return [node for node in self.nodes if isinstance(node, classes)]

@@ -31,15 +31,14 @@ from repro.idl.types import (
 
 _PARAM_DIRECTIONS = ("in", "out", "inout", "incopy")
 
-_SIMPLE_PRIMITIVES = {
-    "boolean": PrimitiveKind.BOOLEAN,
-    "char": PrimitiveKind.CHAR,
-    "wchar": PrimitiveKind.WCHAR,
-    "octet": PrimitiveKind.OCTET,
-    "short": PrimitiveKind.SHORT,
-    "float": PrimitiveKind.FLOAT,
-    "double": PrimitiveKind.DOUBLE,
-}
+#: The farthest ``Parser._peek`` looks past the current token.
+_LOOKAHEAD = 1
+
+#: Types are immutable descriptions, so each primitive is made once.
+_PRIMITIVES = {kind: PrimitiveType(kind) for kind in PrimitiveKind}
+_SIMPLE_PRIMITIVES = {word: _PRIMITIVES[PrimitiveKind(word)] for word in
+                      ("boolean", "char", "wchar", "octet", "short", "float", "double")}
+_VOID = VoidType()
 
 
 class Parser:
@@ -47,6 +46,8 @@ class Parser:
 
     def __init__(self, tokens, filename="<string>", include_paths=(), _included_from=None):
         self._tokens = list(tokens)
+        # EOF padding: a look-ahead past the end reads EOF, unclamped.
+        self._tokens += self._tokens[-1:] * _LOOKAHEAD
         self._pos = 0
         self._filename = filename
         self._include_paths = tuple(include_paths)
@@ -58,12 +59,11 @@ class Parser:
     # -- token-stream helpers ---------------------------------------------
 
     def _peek(self, offset=0):
-        index = min(self._pos + offset, len(self._tokens) - 1)
-        return self._tokens[index]
+        return self._tokens[self._pos + offset]
 
     def _advance(self):
         token = self._tokens[self._pos]
-        if self._pos < len(self._tokens) - 1:
+        if token.kind is not TokenKind.EOF:
             self._pos += 1
         return token
 
@@ -71,26 +71,35 @@ class Parser:
         token = token or self._peek()
         raise IdlSyntaxError(message, token.location)
 
+    # The helpers below read the current token and step over it in
+    # place; none is asked for EOF, so stepping never passes the end.
+
     def _expect(self, kind, what=None):
-        token = self._peek()
+        token = self._tokens[self._pos]
         if token.kind is not kind:
             self._error(f"expected {what or kind.value!r}, found {token.text!r}")
-        return self._advance()
+        self._pos += 1
+        return token
 
     def _expect_keyword(self, word):
-        token = self._peek()
-        if not token.is_keyword(word):
+        token = self._tokens[self._pos]
+        if token.kind is not TokenKind.KEYWORD or token.text != word:
             self._error(f"expected keyword {word!r}, found {token.text!r}")
-        return self._advance()
+        self._pos += 1
+        return token
 
     def _accept(self, kind):
-        if self._peek().kind is kind:
-            return self._advance()
+        token = self._tokens[self._pos]
+        if token.kind is kind:
+            self._pos += 1
+            return token
         return None
 
     def _accept_keyword(self, word):
-        if self._peek().is_keyword(word):
-            return self._advance()
+        token = self._tokens[self._pos]
+        if token.kind is TokenKind.KEYWORD and token.text == word:
+            self._pos += 1
+            return token
         return None
 
     def _identifier(self, what="identifier"):
@@ -105,7 +114,7 @@ class Parser:
         if token.kind is TokenKind.RSHIFT:
             # Split: consume one '>' and leave the other in the stream.
             self._tokens[self._pos] = Token(
-                TokenKind.GT, ">", ">", token.location
+                TokenKind.GT, ">", ">", token.offset, token.lines
             )
             return
         self._error(f"expected '>', found {token.text!r}")
@@ -132,26 +141,12 @@ class Parser:
             return None
         if token.kind is TokenKind.INCLUDE_DIRECTIVE:
             return self._parse_include()
-        if token.is_keyword("module"):
-            return self._parse_module()
-        if token.is_keyword("interface") or (
-            token.is_keyword("abstract") and self._peek(1).is_keyword("interface")
-        ):
-            return self._parse_interface_or_forward()
-        if token.is_keyword("typedef"):
-            return self._parse_typedef()
-        if token.is_keyword("struct"):
-            return self._finish_with_semicolon(self._parse_struct())
-        if token.is_keyword("union"):
-            return self._finish_with_semicolon(self._parse_union())
-        if token.is_keyword("enum"):
-            return self._finish_with_semicolon(self._parse_enum())
-        if token.is_keyword("const"):
-            return self._parse_const()
-        if token.is_keyword("exception"):
-            return self._parse_exception()
-        if token.is_keyword("native"):
-            return self._parse_native()
+        if token.kind is TokenKind.KEYWORD:
+            if token.text == "abstract" and self._peek(1).is_keyword("interface"):
+                return self._parse_interface_or_forward()
+            parse = _DEFINITIONS.get(token.text)
+            if parse is not None:
+                return parse(self)
         self._error(f"unexpected {token.text!r} at top of scope")
 
     def _finish_with_semicolon(self, decl):
@@ -248,22 +243,10 @@ class Parser:
         if token.kind is TokenKind.PRAGMA:
             self._handle_pragma(interface)
             return None
-        if token.is_keyword("typedef"):
-            return self._parse_typedef()
-        if token.is_keyword("struct"):
-            return self._finish_with_semicolon(self._parse_struct())
-        if token.is_keyword("union"):
-            return self._finish_with_semicolon(self._parse_union())
-        if token.is_keyword("enum"):
-            return self._finish_with_semicolon(self._parse_enum())
-        if token.is_keyword("const"):
-            return self._parse_const()
-        if token.is_keyword("exception"):
-            return self._parse_exception()
-        if token.is_keyword("native"):
-            return self._parse_native()
-        if token.is_keyword("readonly") or token.is_keyword("attribute"):
-            return self._parse_attribute()
+        if token.kind is TokenKind.KEYWORD:
+            parse = _EXPORTS.get(token.text)
+            if parse is not None:
+                return parse(self)
         return self._parse_operation()
 
     # -- interface members ---------------------------------------------------
@@ -293,7 +276,7 @@ class Parser:
         is_oneway = bool(self._accept_keyword("oneway"))
         if self._peek().is_keyword("void"):
             self._advance()
-            return_type = VoidType()
+            return_type = _VOID
         else:
             return_type = self._parse_type()
         name = self._identifier("operation name")
@@ -329,11 +312,9 @@ class Parser:
     def _parse_parameter(self):
         token = self._peek()
         direction = None
-        for word in _PARAM_DIRECTIONS:
-            if token.is_keyword(word):
-                direction = word
-                self._advance()
-                break
+        if token.kind is TokenKind.KEYWORD and token.text in _PARAM_DIRECTIONS:
+            direction = token.text
+            self._pos += 1
         if direction is None:
             self._error(
                 f"expected parameter direction (in/out/inout/incopy), found {token.text!r}"
@@ -496,24 +477,25 @@ class Parser:
     def _parse_keyword_type(self):
         token = self._peek()
         word = token.text
-        if word in _SIMPLE_PRIMITIVES:
+        primitive = _SIMPLE_PRIMITIVES.get(word)
+        if primitive is not None:
             self._advance()
-            return PrimitiveType(_SIMPLE_PRIMITIVES[word])
+            return primitive
         if word == "long":
             self._advance()
             if self._accept_keyword("long"):
-                return PrimitiveType(PrimitiveKind.LONGLONG)
+                return _PRIMITIVES[PrimitiveKind.LONGLONG]
             if self._accept_keyword("double"):
-                return PrimitiveType(PrimitiveKind.LONGDOUBLE)
-            return PrimitiveType(PrimitiveKind.LONG)
+                return _PRIMITIVES[PrimitiveKind.LONGDOUBLE]
+            return _PRIMITIVES[PrimitiveKind.LONG]
         if word == "unsigned":
             self._advance()
             if self._accept_keyword("short"):
-                return PrimitiveType(PrimitiveKind.USHORT)
+                return _PRIMITIVES[PrimitiveKind.USHORT]
             if self._accept_keyword("long"):
                 if self._accept_keyword("long"):
-                    return PrimitiveType(PrimitiveKind.ULONGLONG)
-                return PrimitiveType(PrimitiveKind.ULONG)
+                    return _PRIMITIVES[PrimitiveKind.ULONGLONG]
+                return _PRIMITIVES[PrimitiveKind.ULONG]
             self._error("expected 'short' or 'long' after 'unsigned'")
         if word == "string" or word == "wstring":
             self._advance()
@@ -648,6 +630,22 @@ class Parser:
         if token.kind in (TokenKind.IDENTIFIER, TokenKind.SCOPE):
             return ast.NameRef(scoped_name=self._parse_scoped_name(), location=token.location)
         self._error(f"expected a constant expression, found {token.text!r}")
+
+
+#: Keyword → parser of the declaration it opens, in an interface body
+#: (``_EXPORTS``) and at module or file scope (``_DEFINITIONS``).
+_EXPORTS = {
+    "typedef": Parser._parse_typedef,
+    "struct": lambda self: self._finish_with_semicolon(self._parse_struct()),
+    "union": lambda self: self._finish_with_semicolon(self._parse_union()),
+    "enum": lambda self: self._finish_with_semicolon(self._parse_enum()),
+    "const": Parser._parse_const,
+    "exception": Parser._parse_exception,
+    "native": Parser._parse_native,
+}
+_DEFINITIONS = dict(_EXPORTS, module=Parser._parse_module,
+                    interface=Parser._parse_interface_or_forward)
+_EXPORTS.update(readonly=Parser._parse_attribute, attribute=Parser._parse_attribute)
 
 
 def _literal_int(expr):

@@ -96,6 +96,8 @@ class SemanticAnalyzer:
         self._pragma_ids = getattr(spec, "pragma_ids", {})
 
     def run(self):
+        self._declarations = ast.Declarations(self._spec)
+        self._interfaces_by_name = None
         self._collect(self._spec, self._root_scope)
         self._resolve_inheritance()
         self._resolve_types(self._spec, self._root_scope)
@@ -121,7 +123,7 @@ class SemanticAnalyzer:
     # -- pass 1: build scopes -------------------------------------------------
 
     def _collect(self, node, scope):
-        for child in self._children_of(node):
+        for child in ast.children(node):
             child._decl_order = self._next_order = getattr(
                 self, "_next_order", 0
             ) + 1
@@ -141,20 +143,10 @@ class SemanticAnalyzer:
                 self._scopes[id(child)] = child_scope
                 self._collect(child, child_scope)
 
-    @staticmethod
-    def _children_of(node):
-        if isinstance(node, (ast.Specification, ast.Module)):
-            return node.declarations
-        if isinstance(node, ast.InterfaceDecl):
-            return node.body
-        return ()
-
     # -- pass 2: inheritance ---------------------------------------------------
 
     def _resolve_inheritance(self):
-        for node in ast.walk(self._spec):
-            if not isinstance(node, ast.InterfaceDecl):
-                continue
+        for node in self._declarations.of(ast.InterfaceDecl):
             scope = self._scopes[id(node)]
             node.resolved_bases = []
             for base_name in node.bases:
@@ -186,11 +178,12 @@ class SemanticAnalyzer:
             self._check_duplicate_inherited_members(node)
 
     def _find_definition(self, forward):
-        target = forward.scoped_name()
-        for node in ast.walk(self._spec):
-            if isinstance(node, ast.InterfaceDecl) and node.scoped_name() == target:
-                return node
-        return None
+        """The first interface in walk order that has *forward*'s name."""
+        if self._interfaces_by_name is None:
+            self._interfaces_by_name = {}
+            for node in self._declarations.of(ast.InterfaceDecl):
+                self._interfaces_by_name.setdefault(node.scoped_name(), node)
+        return self._interfaces_by_name.get(forward.scoped_name())
 
     def _check_duplicate_inherited_members(self, interface):
         seen = {}
@@ -210,7 +203,7 @@ class SemanticAnalyzer:
     # -- pass 3: type and constant resolution ----------------------------------
 
     def _resolve_types(self, node, scope):
-        for child in self._children_of(node):
+        for child in ast.children(node):
             if isinstance(child, ast.Include):
                 if child.spec is not None:
                     self._resolve_types(child.spec, scope)
@@ -378,7 +371,7 @@ class SemanticAnalyzer:
 
     def _assign_repository_ids(self, node, prefix, path):
         node_prefix = getattr(node, "prefix", "") or prefix
-        for child in self._children_of(node):
+        for child in ast.children(node):
             if isinstance(child, ast.Include):
                 if child.spec is not None:
                     self._assign_repository_ids(child.spec, node_prefix, path)
@@ -418,9 +411,8 @@ class SemanticAnalyzer:
     # -- pass 4: operation-level checks -----------------------------------------------
 
     def _check_operations(self):
-        for node in ast.walk(self._spec):
-            if isinstance(node, ast.Operation):
-                self._check_operation(node)
+        for node in self._declarations.of(ast.Operation):
+            self._check_operation(node)
 
     def _check_operation(self, op):
         if op.is_oneway:
@@ -467,8 +459,8 @@ class SemanticAnalyzer:
         would recurse forever on it.  Recursion through a *sequence* is
         legal IDL and not flagged."""
         flagged = set()
-        for node in ast.walk(self._spec):
-            if not isinstance(node, _BY_VALUE_DECLS) or id(node) in flagged:
+        for node in self._declarations.of(*_BY_VALUE_DECLS):
+            if id(node) in flagged:
                 continue
             # DFS over the by-value containment graph looking for a cycle
             # back to `node`.

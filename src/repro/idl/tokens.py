@@ -5,7 +5,7 @@ extension keyword ``incopy`` (Section 3.1 of the paper).
 """
 
 import enum
-from dataclasses import dataclass, field
+from bisect import bisect_right
 
 from repro.idl.errors import SourceLocation
 
@@ -106,22 +106,51 @@ KEYWORDS = frozenset(
     }
 )
 
-@dataclass(frozen=True)
 class Token:
     """A single lexical token.
 
     ``value`` holds the decoded payload: the identifier/keyword text, the
     numeric value of a literal, or the decoded string contents.  ``text``
-    always holds the raw source spelling.
+    holds the source spelling for identifiers, keywords, numbers and
+    operators; for a char or string literal (``CHAR``, ``WCHAR``,
+    ``STRING``, ``WSTRING``) it holds the decoded payload, as ``value``
+    does, not the quoted source spelling, and for an escaped identifier
+    (``_name``) the name without its underscore.
+
+    A token keeps only its source *offset* and the file's line index;
+    ``location`` builds the :class:`SourceLocation` when an error, a
+    diagnostic or an AST node asks for it.
     """
 
-    kind: TokenKind
-    text: str
-    value: object = None
-    location: SourceLocation = field(default_factory=SourceLocation)
+    __slots__ = ("kind", "text", "value", "offset", "lines")
+
+    def __init__(self, kind, text, value, offset, lines):
+        self.kind = kind
+        self.text = text
+        self.value = value
+        self.offset = offset
+        self.lines = lines
+
+    @property
+    def location(self):
+        return self.lines.locate(self.offset)
 
     def is_keyword(self, word):
         return self.kind is TokenKind.KEYWORD and self.text == word
 
     def __str__(self):
         return f"{self.kind.name}({self.text!r})"
+
+
+class LineIndex:
+    """Where each line of one source file starts: offsets → locations."""
+
+    __slots__ = ("filename", "starts")
+
+    def __init__(self, filename, starts):
+        self.filename = filename
+        self.starts = starts
+
+    def locate(self, offset):
+        line = bisect_right(self.starts, offset)
+        return SourceLocation(self.filename, line, offset - self.starts[line - 1] + 1)

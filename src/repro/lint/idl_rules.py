@@ -38,28 +38,25 @@ def lint_idl_source(source, filename="<string>", include_paths=(), reporter=None
 
 
 def lint_spec(spec, reporter):
-    """Apply the pure lint rules to an analyzed Specification."""
-    _check_case_collisions(spec, reporter)
-    _check_undefined_forwards(spec, reporter)
-    _check_unused(spec, reporter)
-    _check_incopy_interfaces(spec, reporter)
-    _check_oneway_raises(spec, reporter)
+    """Apply the pure lint rules to an analyzed Specification.
+
+    The tree is listed once; each rule reads the declarations of the
+    classes it checks from that listing.
+    """
+    declarations = ast.Declarations(spec)
+    _check_case_collisions(declarations, reporter)
+    _check_undefined_forwards(spec, declarations, reporter)
+    _check_unused(declarations, reporter)
+    _check_incopy_interfaces(declarations, reporter)
+    _check_oneway_raises(declarations, reporter)
     return reporter.diagnostics
 
 
 # -- IDL010: case-insensitive collisions ------------------------------------
 
-def _scope_members(node):
-    if isinstance(node, (ast.Specification, ast.Module)):
-        return node.declarations
-    if isinstance(node, ast.InterfaceDecl):
-        return node.body
-    return ()
-
-
-def _check_case_collisions(spec, reporter):
-    for scope in ast.walk(spec):
-        members = _scope_members(scope)
+def _check_case_collisions(declarations, reporter):
+    for scope in declarations.of(ast.Specification, ast.Module, ast.InterfaceDecl):
+        members = ast.children(scope)
         if not members:
             continue
         by_folded = {}
@@ -91,11 +88,9 @@ def _check_case_collisions(spec, reporter):
 
 # -- IDL011: forwards never defined ------------------------------------------
 
-def _check_undefined_forwards(spec, reporter):
+def _check_undefined_forwards(spec, declarations, reporter):
     seen = set()
-    for node in ast.walk(spec):
-        if not isinstance(node, ast.Forward):
-            continue
+    for node in declarations.of(ast.Forward):
         target = node.scoped_name()
         if target in seen:
             continue
@@ -111,7 +106,7 @@ def _check_undefined_forwards(spec, reporter):
 
 # -- IDL012/IDL013: unused typedefs and constants -----------------------------
 
-def _referenced_declarations(spec):
+def _referenced_declarations(declarations):
     """Every declaration some type reference or constant expression names."""
     referenced = set()
 
@@ -138,7 +133,7 @@ def _referenced_declarations(spec):
             note_expr(expr.left)
             note_expr(expr.right)
 
-    for node in ast.walk(spec):
+    for node in declarations.nodes:
         if isinstance(node, (ast.TypedefDecl,)):
             note_type(node.aliased_type)
         elif isinstance(node, (ast.Parameter,)):
@@ -163,9 +158,9 @@ def _referenced_declarations(spec):
     return referenced
 
 
-def _check_unused(spec, reporter):
-    referenced = _referenced_declarations(spec)
-    for node in ast.walk(spec):
+def _check_unused(declarations, reporter):
+    referenced = _referenced_declarations(declarations)
+    for node in declarations.of(ast.TypedefDecl, ast.ConstDecl):
         if id(node) in referenced:
             continue
         if isinstance(node, ast.TypedefDecl):
@@ -193,10 +188,8 @@ def _names_interface(idl_type):
     return isinstance(idl_type, idl_types.ObjectType)
 
 
-def _check_incopy_interfaces(spec, reporter):
-    for node in ast.walk(spec):
-        if not isinstance(node, ast.Parameter):
-            continue
+def _check_incopy_interfaces(declarations, reporter):
+    for node in declarations.of(ast.Parameter):
         if node.direction == "incopy" and _names_interface(node.idl_type):
             reporter.info(
                 "IDL014",
@@ -209,9 +202,9 @@ def _check_incopy_interfaces(spec, reporter):
 
 # -- IDL015: oneway with raises ------------------------------------------------
 
-def _check_oneway_raises(spec, reporter):
-    for node in ast.walk(spec):
-        if isinstance(node, ast.Operation) and node.is_oneway and node.raises:
+def _check_oneway_raises(declarations, reporter):
+    for node in declarations.of(ast.Operation):
+        if node.is_oneway and node.raises:
             reporter.error(
                 "IDL015",
                 f"oneway operation {node.scoped_name()!r} declares raises "

@@ -25,7 +25,7 @@ from repro.templates import ast as tpl_ast
 from repro.templates.errors import TemplateSyntaxError
 from repro.templates.maps import BUILTIN_MAPS
 from repro.templates.parser import parse_template
-from repro.templates.runtime import _singular
+from repro.templates.compiler import _singular
 from repro.lint import vartable
 from repro.lint.diagnostics import DiagnosticReporter, Span
 

@@ -18,31 +18,48 @@ _PROLOGUE = '''\
 # Code generator produced by repro.templates.compiler (step 1 of the
 # paper's two-step code-generation process) from template {name!r}.
 # Execute step 2 by calling generate(rt) with a repro.templates.runtime
-# Runtime bound to an EST.
+# Runtime bound to an EST.'''
 
-def generate(rt):
-'''
+#: What every ``@foreach`` binds in its frame ``f``: the raw value a
+#: ``-map`` receives (``${index}`` and ``${count}`` substitute its text).
+_LOOP_STATE = {
+    "index": "{f}.index",
+    "count": "{f}.index + 1",
+    "first": "('1' if {f}.index == 0 else '')",
+    "last": "('1' if {f}.index == {f}.total - 1 else '')",
+    "ifMore": "('' if {f}.index == {f}.total - 1 else {more!r})",
+}
 
 
 def compile_to_source(template):
     """Render the generator-program source for a parsed template."""
-    lines = [_PROLOGUE.format(name=template.name)]
-    emitter = _Emitter(lines)
-    if not template.body:
-        emitter.statement("pass", 1)
-    else:
-        for node in template.body:
-            emitter.emit(node, depth=1)
-    return "".join(line + "\n" for line in lines)
+    emitter = _Emitter()
+    emitter.block(template.body, depth=1)
+    return "\n".join([
+        _PROLOGUE.format(name=template.name), "",
+        *(f"_maps{number} = {maps!r}" for number, maps in emitter.tables),
+        "", "def generate(rt):", "    sink, var, apply = rt.sink, rt.var, rt.apply",
+        *emitter.lines, ""])
 
 
 class _Emitter:
-    def __init__(self, lines):
-        self._lines = lines
+    def __init__(self):
+        self.lines = []
+        #: (number, table) of every loop with a -map in force.
+        self.tables = []
+        #: (number, -map table, singular, -ifMore text) of each enclosing
+        #: loop; loop n's frame is ``f<n>`` and its node's props ``p<n>``.
+        self._loops = []
         self._loop_counter = 0
 
     def statement(self, text, depth):
-        self._lines.append("    " * depth + text)
+        self.lines.append("    " * depth + text)
+
+    def block(self, body, depth):
+        if not body:
+            self.statement("pass", depth)
+        for child in body:
+            self.emit(child, depth)
 
     def emit(self, node, depth):
         if isinstance(node, ast.TextLine):
@@ -56,82 +73,89 @@ class _Emitter:
         elif isinstance(node, ast.CloseFile):
             self.statement("rt.close_file()", depth)
         elif isinstance(node, ast.SetVar):
-            self.statement(
-                f"rt.set_var({node.name!r}, {self._cat(node.parts)})", depth
-            )
+            self.statement(f"rt.set_var({node.name!r}, {self._cat(node.parts)})", depth)
         else:  # pragma: no cover - parser produces only the above
             raise TemplateSyntaxError(f"cannot compile node {node!r}")
 
     def _emit_text(self, node, depth):
-        args = [self._part(part) for part in node.parts]
+        pieces = [self._part(part) for part in node.parts]
         indent = node.parts[0] if node.parts else None
-        if len(args) > 1 and isinstance(indent, str) and not indent.strip():
+        if len(pieces) > 1 and isinstance(indent, str) and not indent.strip():
             # A ${var} that opens its line keeps a multi-line value's
             # continuation lines at its own column.
-            args[1] += f".replace('\\n', {chr(10) + indent!r})"
-        newline = "True" if node.newline else "False"
-        arg_text = ", ".join(args)
-        if args:
-            self.statement(f"rt.line({arg_text}, newline={newline})", depth)
-        else:
-            self.statement(f"rt.line(newline={newline})", depth)
+            pieces[1] = f"({pieces[1]}).replace('\\n', {chr(10) + indent!r})"
+        if node.newline and node.parts and isinstance(node.parts[-1], str):
+            pieces[-1] = repr(node.parts[-1] + "\n")
+        elif node.newline:
+            pieces.append(repr("\n"))
+        self.statement(f"sink.write({' + '.join(pieces) or repr('')})", depth)
 
     def _emit_foreach(self, node, depth):
         self._loop_counter += 1
-        loop_var = f"_iter{self._loop_counter}"
-        arguments = [repr(node.list_name)]
-        if node.maps:
-            arguments.append(f"maps={node.maps!r}")
-        if node.if_more is not None:
-            arguments.append(f"if_more={node.if_more!r}")
-        if node.separator is not None:
-            arguments.append(f"separator={node.separator!r}")
-        if node.reverse:
-            arguments.append("reverse=True")
-        arguments.append(f"line={node.line}")
+        number, singular = self._loop_counter, _singular(node.list_name)
+        maps = {**(self._loops[-1][1] if self._loops else {}), **node.maps}
+        if maps:
+            self.tables.append((number, maps))
         self.statement(
-            f"for {loop_var} in rt.foreach({', '.join(arguments)}):", depth
-        )
-        if node.body:
-            for child in node.body:
-                self.emit(child, depth + 1)
-        else:
-            self.statement("pass", depth + 1)
+            f"for f{number}, p{number} in rt.foreach({node.list_name!r}, "
+            f"{f'_maps{number}' if maps else {}}, {singular!r}, {node.if_more!r}, "
+            f"{node.separator!r}, {node.reverse}, {node.line}):", depth)
+        self._loops.append((number, maps, singular, node.if_more))
+        self.block(node.body, depth + 1)
+        self._loops.pop()
 
     def _emit_if(self, node, depth):
-        first = True
-        for condition, body in node.branches:
+        for index, (condition, body) in enumerate(node.branches):
             if condition is None:
                 self.statement("else:", depth)
             else:
-                keyword = "if" if first else "elif"
+                keyword = "elif" if index else "if"
                 self.statement(f"{keyword} {self._condition(condition)}:", depth)
-            if body:
-                for child in body:
-                    self.emit(child, depth + 1)
-            else:
-                self.statement("pass", depth + 1)
-            first = False
+            self.block(body, depth + 1)
 
     def _condition(self, condition):
         left = self._cat(condition.left)
         if not condition.op:
             return f"rt.truth({left})"
-        right = self._cat(condition.right)
-        return f"({left}) {condition.op} ({right})"
+        return f"({left}) {condition.op} ({self._cat(condition.right)})"
 
     def _part(self, part):
-        if isinstance(part, ast.VarRef):
-            return f"rt.var({part.name!r})"
-        return repr(part)
+        return self._var(part.name) if isinstance(part, ast.VarRef) else repr(part)
 
     def _cat(self, parts):
-        if not parts:
-            return "''"
-        if len(parts) == 1:
-            piece = self._part(parts[0])
-            return piece if isinstance(parts[0], ast.VarRef) else piece
-        return " + ".join(self._part(part) for part in parts)
+        return " + ".join(map(self._part, parts)) or "''"
+
+    def _var(self, name):
+        """The expression for ``${name}`` at this point of the template.
+
+        Step 1 knows the enclosing loops, so it binds what they decide:
+        the innermost loop's state for its loop variables, the -map in
+        force, and the node's own prop for any other name no loop can
+        bind.  What only the EST decides — an absent prop, an ancestor,
+        a global, a plain list's items — is left to ``Runtime.var``.
+        """
+        if not self._loops or name == "item" or any(
+                name == loop[2] for loop in self._loops):
+            return f"var({name!r})"
+        number, maps, _, if_more = self._loops[-1]
+        map_name, state = maps.get(name), _LOOP_STATE.get(name)
+        if state is None:
+            value = f"apply({map_name!r}, v)" if map_name else "str(v)"
+            return f"({value} if (v := p{number}.get({name!r})) is not None else var({name!r}))"
+        raw = "''" if name == "ifMore" and if_more is None else state.format(
+            f=f"f{number}", more=if_more)
+        if map_name:
+            return f"apply({map_name!r}, {raw})"
+        return f"str({raw})" if name in ("index", "count") else raw
+
+
+def _singular(list_name):
+    """A singular binding name: ``members`` → ``member``, ``xList`` → ``x``."""
+    if list_name.endswith("List") and len(list_name) > 4:
+        return list_name[:-4]
+    if list_name.endswith("s") and len(list_name) > 1:
+        return list_name[:-1]
+    return ""
 
 
 class CompiledTemplate:

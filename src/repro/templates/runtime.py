@@ -2,16 +2,25 @@
 
 A :class:`Runtime` binds an EST, a map registry, global variables and an
 output sink.  The compiled generator drives it through a tiny surface:
-``line``/``write`` for output, ``var`` for substitutions, ``foreach``
-for kind-grouped iteration, ``open_file``/``close_file`` for routing,
-and ``truth`` for ``@if`` tests.
+``sink.write`` for output, ``foreach`` for kind-grouped iteration,
+``var`` and ``apply`` for substitutions, ``open_file``/``close_file``
+for routing, ``set_var`` for ``@set`` and ``truth`` for ``@if`` tests.
 
 Variable resolution order (the paper's "node under current
-consideration"): innermost loop bindings, then the EST node stack (a
-node lookup already walks its ancestors), then template globals; a
-name none of them binds substitutes "" (a name no context can ever
-bind is the linter's TPL001).  A ``-map`` modifier on the innermost enclosing ``@foreach`` that names the
-variable is applied to the resolved value.
+consideration"): innermost loop bindings, then the node under
+consideration (a node lookup already walks its ancestors), then
+template globals; a name none of them binds substitutes "" (a name no
+context can ever bind is the linter's TPL001).  A ``-map`` modifier on
+the innermost enclosing ``@foreach`` that names the variable is applied
+to the resolved value.
+
+:meth:`Runtime.var` is that rule.  Step 1 binds what the template alone
+decides — a loop's ``${index}``/``${count}``/``${first}``/``${last}``/
+``${ifMore}``, the -map in force, and a prop the node under
+consideration holds itself — and every other site calls ``var``: a prop
+absent from the node (found on an ancestor or in the globals, or
+synthesized by a map), a plain list's ``${item}`` and singular, and
+any name outside every loop.
 """
 
 from repro.est.node import Ast
@@ -20,6 +29,7 @@ from repro.templates.maps import BUILTIN_MAPS, MapContext, MapRegistry
 from repro.templates.output import OutputSink
 
 _MISSING = object()
+_NO_PROPS = {}
 
 
 class _Frame:
@@ -27,10 +37,10 @@ class _Frame:
 
     __slots__ = ("maps", "index", "total", "if_more", "item", "singular")
 
-    def __init__(self, maps, outer, total, if_more, singular):
-        # Every -map visible here, the innermost frame's winning.
-        self.maps = {**outer.maps, **maps} if outer and maps else (
-            outer.maps if outer else maps)
+    def __init__(self, maps, total, if_more, singular):
+        #: Every -map visible here, the innermost loop's winning: the
+        #: table step 1 worked out for this loop.
+        self.maps = maps
         self.index, self.total, self.if_more = 0, total, if_more
         self.item, self.singular = _MISSING, singular
 
@@ -61,16 +71,11 @@ class Runtime:
         self._funcs = {}  # map name -> function, resolved once per run
         #: Every name a loop may bind: only these need the frames scanned.
         self._bound = {"index", "count", "first", "last", "ifMore", "item"}
-        self._node_stack = [est]  # the EST root (or None) stays at the bottom
+        #: The node under consideration: the innermost loop's node, else
+        #: the EST root (or None).
+        self.node = est
 
     # -- output ----------------------------------------------------------
-
-    def write(self, text):
-        self.sink.write(text)
-
-    def line(self, *parts, newline=True):
-        text = "".join(parts)
-        self.sink.write(text + "\n" if newline else text)
 
     def open_file(self, path):
         self.sink.open_file(path)
@@ -86,10 +91,11 @@ class Runtime:
     def var(self, name):
         """Resolve ``${name}`` and apply the innermost applicable -map.
 
-        A ``-map`` may name a variable with no underlying property —
-        the map then *synthesizes* the value from the node context
-        (e.g. a marshalling statement built from the parameter's type),
-        receiving "" as its input value.
+        This is the resolution rule, and what every ``${var}`` step 1
+        could not bind falls back to.  A ``-map`` may name a variable
+        with no underlying property — the map then *synthesizes* the
+        value from the node context (e.g. a marshalling statement built
+        from the parameter's type), receiving "" as its input value.
         """
         value = None
         if name in self._bound:  # only loop-bindable names scan the frames
@@ -97,24 +103,28 @@ class Runtime:
                 value = frame.bindings().get(name)
                 if value is not None:
                     break
-        node = self._node_stack[-1]
+        node = self.node
         if value is None and node is not None:
             value = node.lookup(name)
         if value is None:
             value = self.globals.get(name)
         map_name = self._frames[-1].maps.get(name) if self._frames else None
         if map_name is not None:
-            func = self._funcs.get(map_name) or self._funcs.setdefault(
-                map_name, self.maps.get(map_name))
-            if func is None:
-                raise TemplateRuntimeError(f"unknown map function {map_name!r}")
-            self._context.node = node
-            result = func("" if value is None else value, self._context)
-            return "" if result is None else str(result)
+            return self.apply(map_name, "" if value is None else value)
         return "" if value is None else str(value)
 
-    def current_node(self):
-        return self._node_stack[-1]
+    def apply(self, map_name, value):
+        """Call the map *map_name* on *value* for the node under
+        consideration; the text it returns ("" for None)."""
+        func = self._funcs.get(map_name)
+        if func is None:
+            func = self._funcs[map_name] = self.maps.get(map_name)
+            if func is None:
+                raise TemplateRuntimeError(f"unknown map function {map_name!r}")
+        context = self._context
+        context.node = self.node
+        result = func(value, context)
+        return "" if result is None else str(result)
 
     def truth(self, value):
         """The ``@if ${x}`` truthiness rule: empty/0/false are false."""
@@ -124,16 +134,22 @@ class Runtime:
 
     # -- iteration ------------------------------------------------------------
 
-    def foreach(self, list_name, maps=None, if_more=None, separator=None,
+    def foreach(self, list_name, maps, singular, if_more=None, separator=None,
                 reverse=False, line=0):
-        """Iterate a child list or plain list property (``@foreach``)."""
+        """Iterate a child list or plain list property (``@foreach``).
+
+        *maps* and *singular* are what step 1 worked out for the loop.
+        Each iteration yields the loop's frame and the props of the node
+        under consideration: the item itself when it is a node, else
+        the node the loop runs in.
+        """
         items = self._resolve_list(list_name, line)
         if reverse:
-            items = list(reversed(items))
-        singular = _singular(list_name)
+            items.reverse()
         self._bound.add(singular)
-        frame = _Frame(maps or {}, self._frames[-1] if self._frames else None,
-                       len(items), if_more, singular)
+        frame = _Frame(maps, len(items), if_more, singular)
+        outer = self.node
+        outer_props = _NO_PROPS if outer is None else outer.props
         self._frames.append(frame)
         try:
             for index, item in enumerate(items):
@@ -141,19 +157,18 @@ class Runtime:
                     self.sink.write(separator)
                 frame.index = index
                 if isinstance(item, Ast):
-                    self._node_stack.append(item)
-                    try:
-                        yield item
-                    finally:
-                        self._node_stack.pop()
+                    self.node = item
+                    yield frame, item.props
                 else:
-                    frame.item = item  # a plain list binds item and singular
-                    yield item
+                    self.node = outer
+                    frame.item = item
+                    yield frame, outer_props
         finally:
+            self.node = outer
             self._frames.pop()
 
     def _resolve_list(self, list_name, line):
-        node = self.current_node()
+        node = self.node
         value = node.lookup(list_name) if node is not None else None
         if value is None:
             value = self.globals.get(list_name)
@@ -178,15 +193,6 @@ class Runtime:
             f"@foreach {list_name}: value is not a list ({type(value).__name__})",
             line=line,
         )
-
-
-def _singular(list_name):
-    """A singular binding name: ``members`` → ``member``, ``xList`` → ``x``."""
-    if list_name.endswith("List") and len(list_name) > 4:
-        return list_name[:-4]
-    if list_name.endswith("s") and len(list_name) > 1:
-        return list_name[:-1]
-    return ""
 
 
 def generate(template_source, est, name="<template>", maps=None, variables=None,

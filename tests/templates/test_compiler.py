@@ -25,16 +25,33 @@ class TestGeneratedProgram:
     def test_foreach_compiles_to_loop(self):
         template = parse_template("@foreach xs\n${item}\n@end")
         source = compile_to_source(template)
-        assert "for _iter1 in rt.foreach('xs'" in source
+        assert "for f1, p1 in rt.foreach('xs', {}, 'x', None, None, False, 1):" in source
 
-    def test_maps_are_embedded(self):
-        template = parse_template("@foreach xs -map a F\n@end")
-        assert "maps={'a': 'F'}" in compile_to_source(template)
+    def test_map_tables_are_worked_out_in_step_1(self):
+        template = parse_template("@foreach xs -map a F\n@foreach ys -map b G\n@end\n@end")
+        source = compile_to_source(template)
+        assert "_maps1 = {'a': 'F'}" in source
+        assert "_maps2 = {'a': 'F', 'b': 'G'}" in source
+        assert "rt.foreach('ys', _maps2, 'y', None, None, False, 2)" in source
 
     def test_if_compiles_to_python_if(self):
         template = parse_template('@if ${x} == "1"\na\n@fi')
         source = compile_to_source(template)
-        assert "if (rt.var('x')) == ('1'):" in source
+        assert "if (var('x')) == ('1'):" in source
+
+    def test_loop_variables_read_the_loop_frame(self):
+        template = parse_template("@foreach xs -ifMore ','\n${index}${ifMore}\n@end")
+        source = compile_to_source(template)
+        assert "str(f1.index)" in source
+        assert "('' if f1.index == f1.total - 1 else ',')" in source
+        assert "var(" not in source
+
+    def test_a_node_prop_is_read_from_the_node_then_falls_back(self):
+        template = parse_template("@foreach xs -map a F\n${a}${b}${item}${x}\n@end")
+        source = compile_to_source(template)
+        assert "(apply('F', v) if (v := p1.get('a')) is not None else var('a'))" in source
+        assert "(str(v) if (v := p1.get('b')) is not None else var('b'))" in source
+        assert "var('item')" in source and "var('x')" in source
 
     def test_two_step_separation(self):
         """Step 1 (compilation) happens once; step 2 can run many times
