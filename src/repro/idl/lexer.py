@@ -141,10 +141,14 @@ def _identifier(match, offset, lines):
     text = match.group()
     if text[0] == "_":
         # OMG IDL escaped identifier: `_name` denotes the identifier
-        # `name` even when it collides with a keyword.
+        # `name` even when it collides with a keyword.  Like any IDL
+        # identifier, `name` starts with a letter.
         if len(text) == 1:
             raise IdlSyntaxError("lone underscore is not a valid identifier",
                                  lines.locate(offset))
+        if not text[1].isalpha():
+            raise IdlSyntaxError(f"escaped identifier {text!r} does not start with a "
+                                 "letter after its '_'", lines.locate(offset))
         return Token(TokenKind.IDENTIFIER, text[1:], text[1:], offset, lines)
     return _unexpected(match, offset, lines)  # a number character, not a letter
 

@@ -51,6 +51,17 @@ class TestBasicTokens:
         assert token.kind is TokenKind.IDENTIFIER
         assert token.value == "interface"
 
+    @pytest.mark.parametrize("name", ["_9x", "_1", "__hd_call", "_\u00bd"])
+    def test_escaped_identifier_must_start_with_a_letter(self, name):
+        reporter = DiagnosticReporter(default_file="t.idl", source="idl")
+        assert parse(f"interface A {{ void f(in long {name}); }};", "t.idl",
+                     reporter=reporter) is None
+        (diagnostic,) = reporter.diagnostics
+        assert diagnostic.code == "IDL000"
+        assert diagnostic.message == (
+            f"escaped identifier {name!r} does not start with a letter after its '_'")
+        assert (diagnostic.span.line, diagnostic.span.column) == (1, 30)
+
     def test_scope_operator(self):
         assert kinds("Heidi::A") == [
             TokenKind.IDENTIFIER,

@@ -38,7 +38,7 @@ EDGE_SOURCES = {
     "chars": "'x' ''' '\\x41' '\\7' '\\777' '\\'' '\"' '\\\\' L'w' L 'y'",
     "strings": '"" L"" "a\'b" "\\n\\t\\v\\b\\r\\f\\a\\\\\\?\\\'\\"\\0\\101\\1012'
                '\\x41\\x4g\\08" L"wide\\x7e"',
-    "identifiers": "_interface __x _1 L Lx L1 interface Interface incopy "
+    "identifiers": "_interface        L Lx L1 interface Interface incopy "
                    "TRUE FALSE Object ValueBase a_b_c",
     "operators": "a::b<<c>>d:e;f{}()[],=+-*/%~|^&<>:::<<<>>>",
     "comments": "/**/ /***/ /* * / */ a /* x\ny */ b // c\nd//e",
@@ -85,6 +85,9 @@ ERROR_SOURCES = [
     '"a\\"',
     "_",
     "x _ y",
+    "__x",
+    "_1",
+    "interface _9x {};",
     "#include",
     "#include foo.idl",
     '#include "a.idl',
@@ -122,6 +125,7 @@ MESSAGE_FORMS = (
     r"unterminated character literal",
     r"unterminated string literal",
     r"lone underscore is not a valid identifier",
+    r"escaped identifier '.*' does not start with a letter after its '_'",
     r"malformed #include .*",
     r"unsupported preprocessor directive #\w*",
     r"'#' is only valid at the start of a line",
