@@ -21,6 +21,7 @@ from repro.idl.types import (
     INTEGER_RANGES,
     ArrayType,
     NamedType,
+    PrimitiveKind,
     PrimitiveType,
     SequenceType,
     StringType,
@@ -313,6 +314,13 @@ class SemanticAnalyzer:
 
     def _check_const_range(self, const):
         idl_type = const.idl_type
+        if (isinstance(idl_type, PrimitiveType) and idl_type.kind in _CHAR_KINDS
+                and not _is_char(const.value)):
+            self._error(
+                "IDL006",
+                f"constant {const.name!r} of type {idl_type.idl_name()} needs a "
+                f"character literal, got {const.evaluated!r}", const.value.location)
+            return
         if isinstance(idl_type, PrimitiveType) and idl_type.kind in INTEGER_RANGES:
             low, high = INTEGER_RANGES[idl_type.kind]
             if not isinstance(const.evaluated, int) or isinstance(const.evaluated, bool):
@@ -487,6 +495,16 @@ class SemanticAnalyzer:
 
 
 _BY_VALUE_DECLS = (ast.StructDecl, ast.UnionDecl, ast.ExceptionDecl)
+_CHAR_KINDS = (PrimitiveKind.CHAR, PrimitiveKind.WCHAR)
+
+
+def _is_char(expr):
+    """Whether *expr* is a character literal or names a char constant."""
+    if isinstance(expr, ast.NameRef):
+        decl = expr.declaration
+        return (isinstance(decl, ast.ConstDecl) and isinstance(decl.idl_type, PrimitiveType)
+                and decl.idl_type.kind in _CHAR_KINDS)
+    return isinstance(expr, ast.Literal) and expr.kind == "char"
 
 
 def _embedded_declarations(decl):
@@ -547,16 +565,18 @@ def evaluate_const(expr):
     else:
         raise IdlSemanticError(f"cannot evaluate {expr!r}",
                                getattr(expr, "location", None))
-    function = table.get(expr.op)
+    function, applies = table.get(expr.op, (None, None))
     if function is None:
         raise IdlSemanticError(f"unknown {arity} operator {expr.op!r}",
                                expr.location)
     try:
+        if not applies(operands):
+            raise TypeError(expr.op)
         return function(*operands)
     except ZeroDivisionError:
         raise IdlSemanticError("division by zero in constant expression",
                                expr.location) from None
-    except TypeError:  # a string or enumerator operand, ~ on a float...
+    except (TypeError, ValueError):  # a string, a float to %, a negative shift...
         raise IdlSemanticError(
             f"operator {expr.op!r} does not apply to "
             f"{' and '.join(map(repr, operands))}", expr.location) from None
@@ -569,18 +589,37 @@ def _int_div(left, right):
     return left / right
 
 
-_UNARY_OPS = {"-": lambda a: -a, "+": lambda a: +a, "~": lambda a: ~a}
+def _numbers(operands):
+    """Arithmetic applies to numbers: integers and floating point."""
+    return all(isinstance(value, (int, float)) and not isinstance(value, bool)
+               for value in operands)
+
+
+def _integers(operands):
+    """``%``, the shifts and ``~`` apply to integers only."""
+    return all(isinstance(value, int) and not isinstance(value, bool)
+               for value in operands)
+
+
+def _integers_or_booleans(operands):
+    """``|``, ``^`` and ``&``: bitwise on integers, logical on booleans."""
+    return _integers(operands) or all(isinstance(value, bool) for value in operands)
+
+
+#: Operator → (function, whether it applies to the operands).
+_UNARY_OPS = {"-": (lambda a: -a, _numbers), "+": (lambda a: +a, _numbers),
+              "~": (lambda a: ~a, _integers)}
 _BINARY_OPS = {
-    "|": lambda a, b: a | b,
-    "^": lambda a, b: a ^ b,
-    "&": lambda a, b: a & b,
-    "<<": lambda a, b: a << b,
-    ">>": lambda a, b: a >> b,
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
-    "/": _int_div,
-    "%": lambda a, b: a % b,
+    "|": (lambda a, b: a | b, _integers_or_booleans),
+    "^": (lambda a, b: a ^ b, _integers_or_booleans),
+    "&": (lambda a, b: a & b, _integers_or_booleans),
+    "<<": (lambda a, b: a << b, _integers),
+    ">>": (lambda a, b: a >> b, _integers),
+    "+": (lambda a, b: a + b, _numbers),
+    "-": (lambda a, b: a - b, _numbers),
+    "*": (lambda a, b: a * b, _numbers),
+    "/": (_int_div, _numbers),
+    "%": (lambda a, b: a % b, _integers),
 }
 
 

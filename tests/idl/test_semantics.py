@@ -139,8 +139,17 @@ class TestConstants:
         ("const long X = 1.5 << 2;", "operator '<<' does not apply to 1.5 and 2"),
         ("enum E { A }; interface I { void f(in E e = A - 1); };",
          "operator '-' does not apply to 'A' and 1"),
+        ('const string S = "a" + "b";', "operator '+' does not apply to 'a' and 'b'"),
+        ('const long M = "a" * 3;', "operator '*' does not apply to 'a' and 3"),
+        ("const double D = 5.0 % 2.0;", "operator '%' does not apply to 5.0 and 2.0"),
+        ("const boolean B = TRUE + 1;", "operator '+' does not apply to True and 1"),
+        ("const long X = ~TRUE;", "operator '~' does not apply to True"),
+        ("const long X = 1 | TRUE;", "operator '|' does not apply to 1 and True"),
+        ("const long X = 1 << -1;", "operator '<<' does not apply to 1 and -1"),
     ), ids=("string", "negated-string", "inverted-float", "shifted-float",
-            "enumerator"))
+            "enumerator", "added-strings", "repeated-string", "float-modulo",
+            "added-boolean", "inverted-boolean", "boolean-or-integer",
+            "negative-shift"))
     def test_operand_of_the_wrong_type_is_a_diagnostic(self, source, message):
         """Never a bare TypeError: fail-fast raises, a reporter collects."""
         with pytest.raises(IdlSemanticError, match=re.escape(message)):
@@ -149,6 +158,31 @@ class TestConstants:
         parse(source, reporter=reporter)
         assert [(d.code, d.message) for d in reporter.diagnostics] == [
             ("IDL006", message)]
+
+    def test_operator_reported_at_the_operator(self):
+        reporter = DiagnosticReporter()
+        parse('const string S = "a" + "b";', reporter=reporter)
+        (diagnostic,) = reporter.diagnostics
+        assert (diagnostic.span.line, diagnostic.span.column) == (1, 22)
+
+    def test_booleans_combine_logically(self):
+        spec = parse("const boolean B = TRUE & (FALSE | TRUE) ^ FALSE;")
+        assert spec.find("B").evaluated is True
+
+    @pytest.mark.parametrize("source, value, column", (
+        ("const char C = 65;", "65", 16), ('const char C = "A";', "'A'", 16),
+        ("const wchar C = 1 + 2;", "3", 19)))
+    def test_char_constant_needs_a_char_literal(self, source, value, column):
+        reporter = DiagnosticReporter()
+        parse(source, reporter=reporter)
+        kind = source.split()[1]
+        assert [(d.code, d.message, d.span.column) for d in reporter.diagnostics] == [
+            ("IDL006", f"constant 'C' of type {kind} needs a character literal, "
+                       f"got {value}", column)]
+
+    def test_char_constant_from_a_char_constant(self):
+        spec = parse("const char A = 'x'; const wchar B = L'y'; const char C = A;")
+        assert [spec.find(name).evaluated for name in "ABC"] == ["x", "y", "x"]
 
     def test_range_check(self):
         with pytest.raises(IdlSemanticError):
