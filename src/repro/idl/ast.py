@@ -260,9 +260,6 @@ class EnumDecl(Declaration):
     #: Enumerator names in declaration order.
     enumerators: list = field(default_factory=list)
 
-    def enumerator_value(self, name):
-        return self.enumerators.index(name)
-
 
 @dataclass
 class UnionCase(Declaration):

@@ -314,8 +314,7 @@ class SemanticAnalyzer:
 
     def _check_const_range(self, const):
         idl_type = const.idl_type
-        if (isinstance(idl_type, PrimitiveType) and idl_type.kind in _CHAR_KINDS
-                and not _is_char(const.value)):
+        if idl_type in _CHARS and not _is_char(const.value):
             self._error(
                 "IDL006",
                 f"constant {const.name!r} of type {idl_type.idl_name()} needs a "
@@ -495,15 +494,13 @@ class SemanticAnalyzer:
 
 
 _BY_VALUE_DECLS = (ast.StructDecl, ast.UnionDecl, ast.ExceptionDecl)
-_CHAR_KINDS = (PrimitiveKind.CHAR, PrimitiveKind.WCHAR)
+_CHARS = (PrimitiveType(PrimitiveKind.CHAR), PrimitiveType(PrimitiveKind.WCHAR))
 
 
 def _is_char(expr):
     """Whether *expr* is a character literal or names a char constant."""
     if isinstance(expr, ast.NameRef):
-        decl = expr.declaration
-        return (isinstance(decl, ast.ConstDecl) and isinstance(decl.idl_type, PrimitiveType)
-                and decl.idl_type.kind in _CHAR_KINDS)
+        return getattr(expr.declaration, "idl_type", None) in _CHARS
     return isinstance(expr, ast.Literal) and expr.kind == "char"
 
 
@@ -565,12 +562,12 @@ def evaluate_const(expr):
     else:
         raise IdlSemanticError(f"cannot evaluate {expr!r}",
                                getattr(expr, "location", None))
-    function, applies = table.get(expr.op, (None, None))
+    function, operand_types = table.get(expr.op, (None, None))
     if function is None:
         raise IdlSemanticError(f"unknown {arity} operator {expr.op!r}",
                                expr.location)
     try:
-        if not applies(operands):
+        if not any({type(value) for value in operands} <= types for types in operand_types):
             raise TypeError(expr.op)
         return function(*operands)
     except ZeroDivisionError:
@@ -589,37 +586,23 @@ def _int_div(left, right):
     return left / right
 
 
-def _numbers(operands):
-    """Arithmetic applies to numbers: integers and floating point."""
-    return all(isinstance(value, (int, float)) and not isinstance(value, bool)
-               for value in operands)
-
-
-def _integers(operands):
-    """``%``, the shifts and ``~`` apply to integers only."""
-    return all(isinstance(value, int) and not isinstance(value, bool)
-               for value in operands)
-
-
-def _integers_or_booleans(operands):
-    """``|``, ``^`` and ``&``: bitwise on integers, logical on booleans."""
-    return _integers(operands) or all(isinstance(value, bool) for value in operands)
-
-
-#: Operator → (function, whether it applies to the operands).
-_UNARY_OPS = {"-": (lambda a: -a, _numbers), "+": (lambda a: +a, _numbers),
-              "~": (lambda a: ~a, _integers)}
+#: Operator → (function, the operand types it applies to): arithmetic
+#: to numbers; %, the shifts and ~ to integers; |, ^ and & to integers
+#: or, as logical operators, to booleans.  ``type(TRUE)`` is ``bool``.
+_NUMBERS, _INTEGERS, _BITS = ({int, float},), ({int},), ({int}, {bool})
+_UNARY_OPS = {"-": (lambda a: -a, _NUMBERS), "+": (lambda a: +a, _NUMBERS),
+              "~": (lambda a: ~a, _INTEGERS)}
 _BINARY_OPS = {
-    "|": (lambda a, b: a | b, _integers_or_booleans),
-    "^": (lambda a, b: a ^ b, _integers_or_booleans),
-    "&": (lambda a, b: a & b, _integers_or_booleans),
-    "<<": (lambda a, b: a << b, _integers),
-    ">>": (lambda a, b: a >> b, _integers),
-    "+": (lambda a, b: a + b, _numbers),
-    "-": (lambda a, b: a - b, _numbers),
-    "*": (lambda a, b: a * b, _numbers),
-    "/": (_int_div, _numbers),
-    "%": (lambda a, b: a % b, _integers),
+    "|": (lambda a, b: a | b, _BITS),
+    "^": (lambda a, b: a ^ b, _BITS),
+    "&": (lambda a, b: a & b, _BITS),
+    "<<": (lambda a, b: a << b, _INTEGERS),
+    ">>": (lambda a, b: a >> b, _INTEGERS),
+    "+": (lambda a, b: a + b, _NUMBERS),
+    "-": (lambda a, b: a - b, _NUMBERS),
+    "*": (lambda a, b: a * b, _NUMBERS),
+    "/": (_int_div, _NUMBERS),
+    "%": (lambda a, b: a % b, _INTEGERS),
 }
 
 

@@ -28,27 +28,8 @@ class PrimitiveKind(enum.Enum):
 
     @property
     def is_integer(self):
-        return self in _INTEGER_KINDS
+        return self in INTEGER_RANGES
 
-    @property
-    def is_floating(self):
-        return self in _FLOAT_KINDS
-
-
-_INTEGER_KINDS = frozenset(
-    {
-        PrimitiveKind.OCTET,
-        PrimitiveKind.SHORT,
-        PrimitiveKind.USHORT,
-        PrimitiveKind.LONG,
-        PrimitiveKind.ULONG,
-        PrimitiveKind.LONGLONG,
-        PrimitiveKind.ULONGLONG,
-    }
-)
-_FLOAT_KINDS = frozenset(
-    {PrimitiveKind.FLOAT, PrimitiveKind.DOUBLE, PrimitiveKind.LONGDOUBLE}
-)
 
 # Value ranges for integer primitives, used for constant checking.
 INTEGER_RANGES = {

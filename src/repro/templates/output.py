@@ -77,10 +77,6 @@ class OutputSink:
             if path != self.DEFAULT and self._outputs[path].text
         }
 
-    def file_text(self, path):
-        output = self._outputs.get(path)
-        return output.text if output else None
-
     def write_to(self, directory):
         """Write every generated file beneath *directory*; return paths."""
         written = []
