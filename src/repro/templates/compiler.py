@@ -8,6 +8,22 @@ the program is what gets cached, so step 1 runs once per template.
 
 ``compile_template`` additionally ``exec``-utes the program and wraps it
 in a :class:`CompiledTemplate` ready for step 2.
+
+Step 1 knows where each ``${var}`` stands: its enclosing ``@foreach``
+loops, their ``-map`` tables and their singular names.  So it binds what
+the template alone decides:
+
+- ``${index}``/``${count}``/``${first}``/``${last}``/``${ifMore}`` read
+  the innermost loop's frame (``-ifMore``'s text is a constant);
+- each loop gets the -map table in force inside it, outer maps merged
+  with its own, worked out here rather than on each loop entry, and a
+  mapped name is one ``Runtime.apply`` call;
+- any other name reads the node under consideration's own prop.
+
+What only the EST decides — a prop the node lacks (found on an
+ancestor or in the globals, or synthesized by a map), a plain list's
+``${item}`` and singular name, and every name outside all loops — is
+``Runtime.var``, the resolution rule itself.
 """
 
 from repro.templates import ast

@@ -27,7 +27,8 @@ class TestGeneratedProgram:
         source = compile_to_source(template)
         assert "for f1, p1 in rt.foreach('xs', {}, 'x', None, None, False, 1):" in source
 
-    def test_map_tables_are_worked_out_in_step_1(self):
+    def test_maps_are_embedded(self):
+        """Each loop's -map table, outer maps merged in, is worked out in step 1."""
         template = parse_template("@foreach xs -map a F\n@foreach ys -map b G\n@end\n@end")
         source = compile_to_source(template)
         assert "_maps1 = {'a': 'F'}" in source
