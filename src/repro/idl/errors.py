@@ -1,11 +1,14 @@
 """Source-located diagnostics for the IDL front-end."""
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class SourceLocation:
-    """A position in an IDL source file (1-based line and column)."""
+class SourceLocation(NamedTuple):
+    """A position in an IDL source file (1-based line and column).
+
+    An immutable value, made for every AST node: a named tuple is the
+    cheapest such value to build.
+    """
 
     filename: str = "<string>"
     line: int = 1

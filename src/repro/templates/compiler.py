@@ -29,6 +29,7 @@ ancestor or in the globals, or synthesized by a map), a plain list's
 from repro.templates import ast
 from repro.templates.errors import TemplateSyntaxError
 from repro.templates.parser import parse_template
+from repro.templates.runtime import LOOP_STATE
 
 _PROLOGUE = '''\
 # Code generator produced by repro.templates.compiler (step 1 of the
@@ -36,36 +37,26 @@ _PROLOGUE = '''\
 # Execute step 2 by calling generate(rt) with a repro.templates.runtime
 # Runtime bound to an EST.'''
 
-#: What every ``@foreach`` binds in its frame ``f``: the raw value a
-#: ``-map`` receives (``${index}`` and ``${count}`` substitute its text).
-_LOOP_STATE = {
-    "index": "{f}.index",
-    "count": "{f}.index + 1",
-    "first": "('1' if {f}.index == 0 else '')",
-    "last": "('1' if {f}.index == {f}.total - 1 else '')",
-    "ifMore": "('' if {f}.index == {f}.total - 1 else {more!r})",
-}
-
-
 def compile_to_source(template):
     """Render the generator-program source for a parsed template."""
     emitter = _Emitter()
     emitter.block(template.body, depth=1)
     return "\n".join([
         _PROLOGUE.format(name=template.name), "",
-        *(f"_maps{number} = {maps!r}" for number, maps in emitter.tables),
-        "", "def generate(rt):", "    sink, var, apply = rt.sink, rt.var, rt.apply",
+        *(f"_maps{number} = {{{outer}{repr(maps)[1:]}" for number, outer, maps in emitter.tables),
+        "", "def generate(rt):", "    sink, var, apply, prop = rt.sink, rt.var, rt.apply, rt.prop",
         *emitter.lines, ""])
 
 
 class _Emitter:
     def __init__(self):
         self.lines = []
-        #: (number, table) of every loop with a -map in force.
+        #: (number, outer table, own -maps) of every loop with -maps.
         self.tables = []
-        #: (number, -map table, singular, -ifMore text) of each enclosing
-        #: loop; loop n's frame is ``f<n>`` and its node's props ``p<n>``.
+        #: (number, table name, -map table, singular, -ifMore text) of each
+        #: enclosing loop; loop n's frame is ``f<n>``, its node's props ``p<n>``.
         self._loops = []
+        self._singulars = []
         self._loop_counter = 0
 
     def statement(self, text, depth):
@@ -85,11 +76,11 @@ class _Emitter:
         elif isinstance(node, ast.If):
             self._emit_if(node, depth)
         elif isinstance(node, ast.OpenFile):
-            self.statement(f"rt.open_file({self._cat(node.parts)})", depth)
+            self.statement(f"sink.open_file({self._cat(node.parts)})", depth)
         elif isinstance(node, ast.CloseFile):
-            self.statement("rt.close_file()", depth)
+            self.statement("sink.close_file()", depth)
         elif isinstance(node, ast.SetVar):
-            self.statement(f"rt.set_var({node.name!r}, {self._cat(node.parts)})", depth)
+            self.statement(f"rt.globals[{node.name!r}] = {self._cat(node.parts)}", depth)
         else:  # pragma: no cover - parser produces only the above
             raise TemplateSyntaxError(f"cannot compile node {node!r}")
 
@@ -109,15 +100,18 @@ class _Emitter:
     def _emit_foreach(self, node, depth):
         self._loop_counter += 1
         number, singular = self._loop_counter, _singular(node.list_name)
-        maps = {**(self._loops[-1][1] if self._loops else {}), **node.maps}
-        if maps:
-            self.tables.append((number, maps))
+        table, maps = self._loops[-1][1:3] if self._loops else ("{}", {})
+        if node.maps:  # a loop without -maps of its own shares its outer table
+            self.tables.append((number, f"**{table}, " if maps else "", node.maps))
+            table, maps = f"_maps{number}", {**maps, **node.maps}
         self.statement(
-            f"for f{number}, p{number} in rt.foreach({node.list_name!r}, "
-            f"{f'_maps{number}' if maps else {}}, {singular!r}, {node.if_more!r}, "
-            f"{node.separator!r}, {node.reverse}, {node.line}):", depth)
-        self._loops.append((number, maps, singular, node.if_more))
+            f"for f{number}, p{number} in rt.foreach({node.list_name!r}, {table}, "
+            f"{singular!r}, {node.if_more!r}, {node.separator!r}, {node.reverse}, "
+            f"{node.line}):", depth)
+        self._loops.append((number, table, maps, singular, node.if_more))
+        self._singulars.append(singular)
         self.block(node.body, depth + 1)
+        self._singulars.pop()
         self._loops.pop()
 
     def _emit_if(self, node, depth):
@@ -150,19 +144,16 @@ class _Emitter:
         bind.  What only the EST decides — an absent prop, an ancestor,
         a global, a plain list's items — is left to ``Runtime.var``.
         """
-        if not self._loops or name == "item" or any(
-                name == loop[2] for loop in self._loops):
+        if not self._loops or name == "item" or name in self._singulars:
             return f"var({name!r})"
-        number, maps, _, if_more = self._loops[-1]
-        map_name, state = maps.get(name), _LOOP_STATE.get(name)
-        if state is None:
-            value = f"apply({map_name!r}, v)" if map_name else "str(v)"
-            return f"({value} if (v := p{number}.get({name!r})) is not None else var({name!r}))"
-        raw = "''" if name == "ifMore" and if_more is None else state.format(
-            f=f"f{number}", more=if_more)
+        number, _, maps, _, if_more = self._loops[-1]
+        map_name = maps.get(name)
+        if name not in LOOP_STATE:
+            return f"prop(p{number}, {name!r}, {map_name!r})"
+        value = "''" if name == "ifMore" and if_more is None else f"f{number}.{name}"
         if map_name:
-            return f"apply({map_name!r}, {raw})"
-        return f"str({raw})" if name in ("index", "count") else raw
+            return f"apply({map_name!r}, {value})"
+        return f"str({value})" if name in ("index", "count") else value
 
 
 def _singular(list_name):

@@ -25,6 +25,7 @@ from repro.templates import ast
 from repro.templates.errors import TemplateSyntaxError
 
 _VAR_RE = re.compile(r"\$\{([A-Za-z_][A-Za-z0-9_:]*)\}")
+_QUOTING, _WORD = re.compile(r"[\\'\"]"), re.compile(r"[^ \t\r\n]+")
 
 
 def split_parts(text):
@@ -119,7 +120,9 @@ class _Parser:
 
     def _parse_foreach(self, rest, lineno):
         try:
-            words = shlex.split(rest)
+            # Without quotes or escapes, shlex's words are the runs between
+            # its whitespace; only a quoted modifier needs shlex itself.
+            words = shlex.split(rest) if _QUOTING.search(rest) else _WORD.findall(rest)
         except ValueError as exc:
             self._error(f"malformed @foreach arguments: {exc}", lineno)
         if not words:

@@ -2,9 +2,10 @@
 
 A :class:`Runtime` binds an EST, a map registry, global variables and an
 output sink.  The compiled generator drives it through a tiny surface:
-``sink.write`` for output, ``foreach`` for kind-grouped iteration,
-``var`` and ``apply`` for substitutions, ``open_file``/``close_file``
-for routing, ``set_var`` for ``@set`` and ``truth`` for ``@if`` tests.
+``sink.write``/``open_file``/``close_file`` for output and its routing,
+``foreach`` for kind-grouped iteration, ``var``, ``prop`` and ``apply``
+for substitutions, ``globals`` for ``@set`` and ``truth`` for ``@if``
+tests.
 
 Variable resolution order (the paper's "node under current
 consideration"): innermost loop bindings, then the node under
@@ -29,7 +30,8 @@ from repro.templates.maps import BUILTIN_MAPS, MapContext, MapRegistry
 from repro.templates.output import OutputSink
 
 _MISSING = object()
-_NO_PROPS = {}
+#: The variables every ``@foreach`` binds: attributes of its frame.
+LOOP_STATE = ("index", "count", "first", "last", "ifMore")
 
 
 class _Frame:
@@ -44,12 +46,25 @@ class _Frame:
         self.index, self.total, self.if_more = 0, total, if_more
         self.item, self.singular = _MISSING, singular
 
+    @property
+    def count(self):
+        return self.index + 1
+
+    @property
+    def first(self):
+        return "1" if self.index == 0 else ""
+
+    @property
+    def last(self):
+        return "1" if self.index == self.total - 1 else ""
+
+    @property
+    def ifMore(self):  # noqa: N802 - the template variable's name
+        return "" if self.last or self.if_more is None else self.if_more
+
     def bindings(self):
         """The loop variables of the current iteration, built on demand."""
-        index, last = self.index, self.index == self.total - 1
-        bound = {"index": index, "count": index + 1,
-                 "first": "1" if index == 0 else "", "last": "1" if last else "",
-                 "ifMore": "" if last or self.if_more is None else self.if_more}
+        bound = {name: getattr(self, name) for name in LOOP_STATE}
         if self.item is not _MISSING:
             bound["item"] = self.item
             if self.singular:
@@ -75,18 +90,7 @@ class Runtime:
         #: the EST root (or None).
         self.node = est
 
-    # -- output ----------------------------------------------------------
-
-    def open_file(self, path):
-        self.sink.open_file(path)
-
-    def close_file(self):
-        self.sink.close_file()
-
     # -- variables ----------------------------------------------------------
-
-    def set_var(self, name, value):
-        self.globals[name] = value
 
     def var(self, name):
         """Resolve ``${name}`` and apply the innermost applicable -map.
@@ -112,6 +116,14 @@ class Runtime:
         if map_name is not None:
             return self.apply(map_name, "" if value is None else value)
         return "" if value is None else str(value)
+
+    def prop(self, props, name, map_name):
+        """``${name}`` from the node's own *props*, through the -map
+        *map_name* if it is not None; ``var`` when the node lacks it."""
+        value = props.get(name)
+        if value is None:
+            return self.var(name)
+        return str(value) if map_name is None else self.apply(map_name, value)
 
     def apply(self, map_name, value):
         """Call the map *map_name* on *value* for the node under
@@ -149,7 +161,7 @@ class Runtime:
         self._bound.add(singular)
         frame = _Frame(maps, len(items), if_more, singular)
         outer = self.node
-        outer_props = _NO_PROPS if outer is None else outer.props
+        outer_props = {} if outer is None else outer.props
         self._frames.append(frame)
         try:
             for index, item in enumerate(items):

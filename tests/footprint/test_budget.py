@@ -83,13 +83,14 @@ LINT_CODE_CEILING = 2600
 #: escaped identifiers that must start with a letter (+3) and operand
 #: types in the constant-operator table (+16) were then paid for by
 #: deleting three helpers nothing called and a second list of the integer
-#: kinds: 2021.
-FRONT_END_CODE_CEILING = 2021
+#: kinds, and ``SourceLocation`` became a named tuple: 2020.
+FRONT_END_CODE_CEILING = 2020
 #: ``repro.templates`` code lines: the template parser, step 1 (the
 #: compiler) and step 2 (the runtime).  623 when it was first gated; step
 #: 1 binding each ``${var}`` the template decides, in place of a runtime
-#: that resolved every one of them: 616.
-TEMPLATES_CODE_CEILING = 616
+#: that resolved every one of them, with ``@foreach`` arguments split
+#: without ``shlex`` unless they are quoted: 620.
+TEMPLATES_CODE_CEILING = 620
 #: The text-only blocking client: stub, connection cache, text pump
 #: and tcp/inproc transports (the paper's 700-line Tcl ORB is the
 #: yardstick, C1/C5).
@@ -182,12 +183,12 @@ def test_lint_code_lines_do_not_grow():
 # unary operators moved into a table like the binary ones: 3070 → 3071.
 # Cheap tokens, one listing of the IDL tree and step-1 template binding,
 # then the escaped-identifier and constant-operand checks, with three
-# dead helpers deleted: 3071 → 3068.
+# dead helpers deleted: 3071 → 3067.
 # The ids are fixed names so that lowering a ceiling does not rename
 # the test.
 @pytest.mark.parametrize("roots, ceiling", (
     pytest.param("repro.heidirmi.orb", 4765, id="repro.heidirmi.orb"),
-    pytest.param("repro.compiler.cli", 3068, id="repro.compiler.cli"),
+    pytest.param("repro.compiler.cli", 3067, id="repro.compiler.cli"),
     pytest.param("repro.wire.text", 1341, id="repro.wire.text"),
     pytest.param("repro.wire.giop", 1571, id="repro.wire.giop"),
     pytest.param(TEXT_CLIENT_ROOTS, 2504, id="text-client"),

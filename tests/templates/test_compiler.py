@@ -32,7 +32,7 @@ class TestGeneratedProgram:
         template = parse_template("@foreach xs -map a F\n@foreach ys -map b G\n@end\n@end")
         source = compile_to_source(template)
         assert "_maps1 = {'a': 'F'}" in source
-        assert "_maps2 = {'a': 'F', 'b': 'G'}" in source
+        assert "_maps2 = {**_maps1, 'b': 'G'}" in source
         assert "rt.foreach('ys', _maps2, 'y', None, None, False, 2)" in source
 
     def test_if_compiles_to_python_if(self):
@@ -41,18 +41,18 @@ class TestGeneratedProgram:
         assert "if (var('x')) == ('1'):" in source
 
     def test_loop_variables_read_the_loop_frame(self):
-        template = parse_template("@foreach xs -ifMore ','\n${index}${ifMore}\n@end")
+        template = parse_template(
+            "@foreach xs -ifMore ','\n${index}${first}${ifMore}\n@foreach ys\n${ifMore}\n@end\n@end")
         source = compile_to_source(template)
-        assert "str(f1.index)" in source
-        assert "('' if f1.index == f1.total - 1 else ',')" in source
+        assert "sink.write(str(f1.index) + f1.first + f1.ifMore + '\\n')" in source
+        assert "sink.write('' + '\\n')" in source  # no -ifMore: always empty
         assert "var(" not in source
 
     def test_a_node_prop_is_read_from_the_node_then_falls_back(self):
         template = parse_template("@foreach xs -map a F\n${a}${b}${item}${x}\n@end")
         source = compile_to_source(template)
-        assert "(apply('F', v) if (v := p1.get('a')) is not None else var('a'))" in source
-        assert "(str(v) if (v := p1.get('b')) is not None else var('b'))" in source
-        assert "var('item')" in source and "var('x')" in source
+        assert ("sink.write(prop(p1, 'a', 'F') + prop(p1, 'b', None) + var('item') + "
+                "var('x') + '\\n')") in source
 
     def test_two_step_separation(self):
         """Step 1 (compilation) happens once; step 2 can run many times

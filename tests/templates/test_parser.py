@@ -1,9 +1,13 @@
 """Unit tests for the template parser."""
 
+import shlex
+
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.templates import parse_template, TemplateSyntaxError
 from repro.templates import ast
+from repro.templates.parser import _QUOTING, _WORD
 
 
 def body_of(source, **kwargs):
@@ -101,6 +105,13 @@ class TestForeach:
         (outer,) = body_of(source)
         (inner,) = outer.body
         assert inner.list_name == "b"
+
+
+@given(st.text(alphabet=" \t\r\x0b\x0c\xa0\u2003ab-_:#$'\"\\\\"))
+def test_foreach_words_split_as_shlex_splits_them(rest):
+    """Unquoted @foreach arguments skip shlex: the same words either way."""
+    if not _QUOTING.search(rest):
+        assert _WORD.findall(rest) == shlex.split(rest)
 
 
 class TestIf:
