@@ -31,9 +31,6 @@ from repro.idl.types import (
 
 _PARAM_DIRECTIONS = ("in", "out", "inout", "incopy")
 
-#: The farthest ``Parser._peek`` looks past the current token.
-_LOOKAHEAD = 1
-
 #: Types are immutable descriptions, so each primitive is made once.
 _PRIMITIVES = {kind: PrimitiveType(kind) for kind in PrimitiveKind}
 _SIMPLE_PRIMITIVES = {word: _PRIMITIVES[PrimitiveKind(word)] for word in
@@ -46,8 +43,8 @@ class Parser:
 
     def __init__(self, tokens, filename="<string>", include_paths=(), _included_from=None):
         self._tokens = list(tokens)
-        # EOF padding: a look-ahead past the end reads EOF, unclamped.
-        self._tokens += self._tokens[-1:] * _LOOKAHEAD
+        # One more EOF: ``_peek(1)``, the farthest look-ahead, needs no clamp.
+        self._tokens += self._tokens[-1:]
         self._pos = 0
         self._filename = filename
         self._include_paths = tuple(include_paths)
@@ -632,9 +629,10 @@ class Parser:
         self._error(f"expected a constant expression, found {token.text!r}")
 
 
-#: Keyword → parser of the declaration it opens, in an interface body
-#: (``_EXPORTS``) and at module or file scope (``_DEFINITIONS``).
-_EXPORTS = {
+#: Keyword → parser of the declaration it opens: the declarations legal
+#: in every scope, then those of an interface body (``_EXPORTS``) and of
+#: a module or the file (``_DEFINITIONS``).
+_DECLARATIONS = {
     "typedef": Parser._parse_typedef,
     "struct": lambda self: self._finish_with_semicolon(self._parse_struct()),
     "union": lambda self: self._finish_with_semicolon(self._parse_union()),
@@ -643,9 +641,10 @@ _EXPORTS = {
     "exception": Parser._parse_exception,
     "native": Parser._parse_native,
 }
-_DEFINITIONS = dict(_EXPORTS, module=Parser._parse_module,
+_EXPORTS = dict(_DECLARATIONS, readonly=Parser._parse_attribute,
+                attribute=Parser._parse_attribute)
+_DEFINITIONS = dict(_DECLARATIONS, module=Parser._parse_module,
                     interface=Parser._parse_interface_or_forward)
-_EXPORTS.update(readonly=Parser._parse_attribute, attribute=Parser._parse_attribute)
 
 
 def _literal_int(expr):

@@ -106,6 +106,7 @@ KEYWORDS = frozenset(
     }
 )
 
+
 class Token:
     """A single lexical token.
 

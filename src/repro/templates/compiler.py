@@ -37,6 +37,7 @@ _PROLOGUE = '''\
 # Execute step 2 by calling generate(rt) with a repro.templates.runtime
 # Runtime bound to an EST.'''
 
+
 def compile_to_source(template):
     """Render the generator-program source for a parsed template."""
     emitter = _Emitter()

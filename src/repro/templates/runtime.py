@@ -85,7 +85,7 @@ class Runtime:
         self._context = MapContext(runtime=self)  # one, re-pointed per map call
         self._funcs = {}  # map name -> function, resolved once per run
         #: Every name a loop may bind: only these need the frames scanned.
-        self._bound = {"index", "count", "first", "last", "ifMore", "item"}
+        self._bound = {*LOOP_STATE, "item"}
         #: The node under consideration: the innermost loop's node, else
         #: the EST root (or None).
         self.node = est
