@@ -566,17 +566,17 @@ def evaluate_const(expr):
     if function is None:
         raise IdlSemanticError(f"unknown {arity} operator {expr.op!r}",
                                expr.location)
-    try:
-        if not any({type(value) for value in operands} <= types for types in operand_types):
-            raise TypeError(expr.op)
-        return function(*operands)
-    except ZeroDivisionError:
-        raise IdlSemanticError("division by zero in constant expression",
-                               expr.location) from None
-    except (TypeError, ValueError):  # a string, a float to %, a negative shift...
-        raise IdlSemanticError(
-            f"operator {expr.op!r} does not apply to "
-            f"{' and '.join(map(repr, operands))}", expr.location) from None
+    if any({type(value) for value in operands} <= types for types in operand_types):
+        try:
+            return function(*operands)
+        except ZeroDivisionError:
+            raise IdlSemanticError("division by zero in constant expression",
+                                   expr.location) from None
+        except (ValueError, OverflowError):  # a negative shift, a float too large
+            pass
+    raise IdlSemanticError(
+        f"operator {expr.op!r} does not apply to "
+        f"{' and '.join(map(repr, operands))}", expr.location)
 
 
 def _int_div(left, right):
