@@ -354,6 +354,6 @@ class Declarations:
     def of(self, *classes):
         """The nodes that are instances of *classes*, in walk order."""
         kinds = [kind for kind in self._buckets if issubclass(kind, classes)]
-        if len(kinds) == 1:
-            return self._buckets[kinds[0]]
-        return [node for node in self.nodes if isinstance(node, classes)]
+        if len(kinds) > 1:
+            return [node for node in self.nodes if isinstance(node, classes)]
+        return self._buckets[kinds[0]] if kinds else []
