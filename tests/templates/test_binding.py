@@ -193,3 +193,12 @@ def test_a_name_used_after_its_loop_ended():
         "[global] [] [0] [Color]\n"
         "[global] [] []\n"
     )
+
+
+def test_a_map_on_a_loop_variable():
+    template = (
+        "@foreach allOperationList -ifMore 'x' -map index T::Tag -map ifMore Upper\n"
+        "${index}${ifMore} \\\n"
+        "@end\n"
+    )
+    assert run(template) == "area:0X move:1 "
